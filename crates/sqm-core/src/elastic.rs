@@ -41,19 +41,35 @@
 //!    stream has at most one cycle per round, so assignment (and
 //!    stealing) changes wall-clock time, never results.
 //!
+//! ## Who owns what
+//!
+//! The serial loop touches only the per-stream state that admission and
+//! start times depend on: the source, the queue of admitted frames, an
+//! in-flight flag and the stream's clock (the completion time of its last
+//! executed frame), plus the arrived and shed counts it tallies as it
+//! judges frames. Everything else lives in the stream's worker-side slot
+//! and is computed by whichever worker runs the cycle: the driver, the
+//! engine and wait/latency aggregates ([`StreamCursor`]) and the backlog
+//! depth below. Workers hand each cycle's completion time back through a
+//! buffer indexed by ring position, which the loop reads between rounds
+//! to advance its clocks; the two halves meet again only when the run's
+//! summary is collected.
+//!
 //! Per-stream results under [`Admission::Unbounded`] are identical to
 //! running each stream through [`crate::stream::StreamingRunner`] with
 //! [`OverloadPolicy::Block`] — the per-stream recurrence (`start =
 //! max(now, arrival)` live, `start = now` work-conserving; `now = arrival
-//! + end`) is the same code, [`StreamCursor`]. That identity covers the
-//! *full* struct, [`StreamStats::max_backlog`] included: the scheduler
-//! admits arrivals whenever the event loop reaches them (which may be
-//! rounds earlier than the per-stream runner would have), so instead of
-//! sampling its own queue depths it keeps a per-stream shadow account
-//! that replays each admitted arrival against the stream's completion
-//! times at *admission granularity* — the depth the per-stream runner
-//! observes is `j − #{completions < arrival_j}` for the stream's `j`-th
-//! admitted arrival, a pure function of the arrival and completion
+//! + end`) is the same code, [`CycleChaining::start_at`] and
+//! [`StreamCursor`]. That identity covers the *full* struct,
+//! [`StreamStats::max_backlog`] included. The scheduler admits arrivals
+//! whenever the event loop reaches them, often rounds before the
+//! per-stream runner would have, so its own queue depths are not
+//! comparable. Instead the worker that runs a stream's `j`-th admitted
+//! frame derives the depth the per-stream runner observes when that frame
+//! arrives, `j − #{completions < arrival_j}`: frames run FIFO, one per
+//! stream per round, so exactly the stream's first `j` completions are
+//! known at that moment, and they sit in the slot the worker already
+//! holds. The depth is a pure function of the arrival and completion
 //! sequences, not of ring capacity, round boundaries or worker count.
 //! `tests/conformance.rs` pins the identity field-for-field.
 //!
@@ -79,15 +95,33 @@ use crate::source::ArrivalSource;
 use crate::stream::{StreamCursor, StreamStats, StreamSummary};
 use crate::time::Time;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
+
+/// Pack an event into one integer key whose unsigned order is the
+/// `(time, stream)` order: the time's sign bit is flipped so signed
+/// nanoseconds (sentinels included) sort as unsigned ones.
+#[inline]
+fn pack(time: Time, stream: u32) -> u128 {
+    let t = (time.as_ns() as u64) ^ (1 << 63);
+    (u128::from(t) << 32) | u128::from(stream)
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(key: u128) -> (Time, u32) {
+    let t = ((key >> 32) as u64) ^ (1 << 63);
+    (Time::from_ns(t as i64), key as u32)
+}
 
 /// A hand-rolled binary min-heap of `(time, stream)` events.
 ///
-/// Keys are totally ordered (ties broken by stream id), `push`/`pop` are
-/// `O(log n)` with no allocation beyond the backing `Vec` — the only heap
-/// operations the scheduler's hot loop needs, without pulling in
-/// `BinaryHeap`'s max-order and `Reverse` wrappers.
+/// Keys are totally ordered (ties broken by stream id) and stored packed
+/// in one integer each, so a comparison is a single integer compare.
+/// `push`/`pop`/`replace_top` are `O(log n)` with no allocation beyond
+/// the backing `Vec`, and sift by moving a hole rather than swapping —
+/// the only heap operations the scheduler's hot loop needs, without
+/// pulling in `BinaryHeap`'s max-order and `Reverse` wrappers.
 ///
 /// # Examples
 ///
@@ -100,13 +134,24 @@ use std::sync::{Barrier, Mutex, RwLock};
 /// heap.push(Time::from_ns(10), 7);
 /// heap.push(Time::from_ns(10), 3);
 /// assert_eq!(heap.pop(), Some((Time::from_ns(10), 3)), "time, then id");
-/// assert_eq!(heap.pop(), Some((Time::from_ns(10), 7)));
+/// // Re-key the minimum in one sift: pops (10, 7), queues (40, 7).
+/// assert_eq!(heap.replace_top(Time::from_ns(40), 7), Some((Time::from_ns(10), 7)));
 /// assert_eq!(heap.pop(), Some((Time::from_ns(30), 2)));
+/// assert_eq!(heap.pop(), Some((Time::from_ns(40), 7)));
 /// assert_eq!(heap.pop(), None);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct EventHeap {
-    items: Vec<(Time, u32)>,
+    keys: Vec<u128>,
+}
+
+impl std::fmt::Debug for EventHeap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let events: Vec<(Time, u32)> = self.keys.iter().map(|&k| unpack(k)).collect();
+        f.debug_struct("EventHeap")
+            .field("events", &events)
+            .finish()
+    }
 }
 
 impl EventHeap {
@@ -117,40 +162,70 @@ impl EventHeap {
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.keys.len()
     }
 
     /// `true` when no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.keys.is_empty()
     }
 
     /// The minimum event without removing it.
+    #[inline]
     pub fn peek(&self) -> Option<(Time, u32)> {
-        self.items.first().copied()
+        self.keys.first().map(|&k| unpack(k))
     }
 
     /// Queue an event.
+    #[inline]
     pub fn push(&mut self, time: Time, stream: u32) {
-        self.items.push((time, stream));
-        let mut i = self.items.len() - 1;
+        let key = pack(time, stream);
+        let mut i = self.keys.len();
+        self.keys.push(key);
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.items[parent] <= self.items[i] {
+            let p = self.keys[parent];
+            if p <= key {
                 break;
             }
-            self.items.swap(parent, i);
+            self.keys[i] = p;
             i = parent;
         }
+        self.keys[i] = key;
     }
 
     /// Remove and return the minimum event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, u32)> {
-        if self.items.is_empty() {
-            return None;
+        let last = self.keys.pop()?;
+        match self.keys.first().copied() {
+            Some(top) => {
+                self.sift_down(last);
+                Some(unpack(top))
+            }
+            None => Some(unpack(last)),
         }
-        let min = self.items.swap_remove(0);
-        let n = self.items.len();
+    }
+
+    /// Remove the minimum event and queue `(time, stream)` in its place,
+    /// in one sift — the re-key of a stream whose event was just handled.
+    /// Returns the removed minimum, or `None` (after queueing the new
+    /// event) if the heap was empty.
+    #[inline]
+    pub fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)> {
+        let Some(&top) = self.keys.first() else {
+            self.push(time, stream);
+            return None;
+        };
+        self.sift_down(pack(time, stream));
+        Some(unpack(top))
+    }
+
+    /// Place `key` into the hole at the root, moving smaller children up.
+    #[inline]
+    fn sift_down(&mut self, key: u128) {
+        let keys = &mut self.keys;
+        let n = keys.len();
         let mut i = 0;
         loop {
             let l = 2 * i + 1;
@@ -158,18 +233,15 @@ impl EventHeap {
                 break;
             }
             let r = l + 1;
-            let child = if r < n && self.items[r] < self.items[l] {
-                r
-            } else {
-                l
-            };
-            if self.items[i] <= self.items[child] {
+            let child = if r < n && keys[r] < keys[l] { r } else { l };
+            let c = keys[child];
+            if key <= c {
                 break;
             }
-            self.items.swap(i, child);
+            keys[i] = c;
             i = child;
         }
-        Some(min)
+        keys[i] = key;
     }
 }
 
@@ -210,27 +282,47 @@ impl ShardedEventHeap {
         self.lanes.iter().all(EventHeap::is_empty)
     }
 
+    /// The lane holding the global minimum.
+    #[inline]
+    fn min_lane(&self) -> Option<usize> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| l.keys.first().map(|&k| (k, i)))
+            .min()
+            .map(|(_, i)| i)
+    }
+
     /// Queue an event in its stream's lane.
+    #[inline]
     pub fn push(&mut self, time: Time, stream: u32) {
         let lane = stream as usize % self.lanes.len();
         self.lanes[lane].push(time, stream);
     }
 
     /// The globally minimum event across lanes, without removing it.
+    #[inline]
     pub fn peek_min(&self) -> Option<(Time, u32)> {
-        self.lanes.iter().filter_map(EventHeap::peek).min()
+        self.lanes[self.min_lane()?].peek()
     }
 
     /// Remove and return the globally minimum event.
+    #[inline]
     pub fn pop_min(&mut self) -> Option<(Time, u32)> {
-        let lane = self
-            .lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.peek().map(|top| (top, i)))
-            .min()?
-            .1;
+        let lane = self.min_lane()?;
         self.lanes[lane].pop()
+    }
+
+    /// Re-key the globally minimum event: remove it and queue its
+    /// stream's next event at `time`, in one [`EventHeap::replace_top`]
+    /// sift of the stream's lane. Returns the removed event, or `None`
+    /// (queueing nothing) if the heap is empty.
+    #[inline]
+    pub fn rekey_min(&mut self, time: Time) -> Option<(Time, u32)> {
+        let min = self.min_lane()?;
+        let lane = &mut self.lanes[min];
+        let (_, stream) = lane.peek()?;
+        lane.replace_top(time, stream)
     }
 }
 
@@ -429,77 +521,83 @@ struct Ready {
     start: Time,
 }
 
-/// Worker-side per-stream state: the driver and the execution cursor,
-/// behind a mutex so any worker can run the stream's next cycle. A stream
-/// has at most one ready cycle per round, so the locks never contend —
-/// they exist for thread-safety proof, not for queuing.
+/// Worker-side per-stream state, behind a mutex so any worker can run the
+/// stream's next cycle. A stream has at most one ready cycle per round,
+/// so the locks never contend — they exist for thread-safety proof, not
+/// for queuing — and the serial loop never takes them.
 struct Slot<D> {
     driver: D,
+    /// Clock, engine aggregates, wait/latency and backlog statistics.
     cursor: StreamCursor,
+    /// Completion times of the stream's executed frames, oldest first,
+    /// less those already found to precede an executed frame's arrival.
+    /// When frame `j` runs, dropping the ones before its arrival leaves
+    /// `j − #{completions < arrival_j}` entries — the queue depth the
+    /// per-stream runner observes when frame `j` arrives. Arrivals and
+    /// completions are both non-decreasing, so a dropped completion would
+    /// be dropped for every later frame too.
+    completions: HeadQueue<Time>,
 }
 
-/// Per-stream backlog accounting at admission granularity.
-///
-/// The per-stream runner ([`crate::stream::StreamingRunner`] + `Block`)
-/// observes queue depth `j − #{completions < a_j}` when its `j`-th
-/// admitted arrival `a_j` joins a busy stream, and no depth at all when
-/// the stream is idle (the frame goes straight into service — which is
-/// exactly when that expression is zero). The elastic scheduler admits
-/// arrivals at event-loop granularity, often rounds ahead of execution,
-/// so its own queue depths are not comparable; this shadow re-derives the
-/// per-stream sequence from the admitted-arrival and completion streams
-/// alone. Both feeds are monotone, so a two-pointer classification is
-/// exact in O(1) amortized: arrival `j` is judged once the stream's first
-/// `j` completions are known (frames finish in order, and frame `j`
-/// cannot finish before arrival `j` is admitted, so exactly `j`
-/// completions are visible at that moment — later ones cannot leak in).
-#[derive(Clone, Debug, Default)]
-struct ShadowBacklog {
-    /// Completion times recorded but not yet consumed by classification.
-    comps: VecDeque<Time>,
-    /// Total completions recorded.
-    comp_seen: usize,
-    /// Completions consumed, i.e. `#{completions < a_j}` for the last
-    /// classified arrival (both feeds are monotone, so consumed
-    /// completions never need revisiting).
-    comps_popped: usize,
-    /// Admitted arrivals awaiting classification.
-    pending: VecDeque<Time>,
-    /// Index of the next arrival to classify.
-    classified: usize,
-    /// High-water mark of the classified depths.
-    max_backlog: usize,
+/// A FIFO queue that keeps its front element inline. Most streams never
+/// fall behind, so their queues hold at most one element: they never
+/// allocate, and reading the front stays within the owner's cache lines.
+#[derive(Debug)]
+struct HeadQueue<T> {
+    /// The front element; `None` only when the queue is empty.
+    head: Option<T>,
+    /// Every element behind the front.
+    rest: VecDeque<T>,
 }
 
-impl ShadowBacklog {
-    /// Record the stream's next admitted arrival (shed frames excluded).
-    fn on_admit(&mut self, arrival: Time) {
-        self.pending.push_back(arrival);
-        self.drain();
-    }
-
-    /// Record the completion of the stream's next admitted frame.
-    fn on_complete(&mut self, completion: Time) {
-        self.comps.push_back(completion);
-        self.comp_seen += 1;
-        self.drain();
-    }
-
-    /// Classify every pending arrival whose completion prefix is known.
-    fn drain(&mut self) {
-        while let Some(&a) = self.pending.front() {
-            if self.comp_seen < self.classified {
-                break;
-            }
-            while self.comps.front().is_some_and(|&c| c < a) {
-                self.comps.pop_front();
-                self.comps_popped += 1;
-            }
-            self.max_backlog = self.max_backlog.max(self.classified - self.comps_popped);
-            self.pending.pop_front();
-            self.classified += 1;
+impl<T: Copy> HeadQueue<T> {
+    fn new() -> HeadQueue<T> {
+        HeadQueue {
+            head: None,
+            rest: VecDeque::new(),
         }
     }
+
+    #[inline]
+    fn front(&self) -> Option<T> {
+        self.head
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        usize::from(self.head.is_some()) + self.rest.len()
+    }
+
+    #[inline]
+    fn push_back(&mut self, x: T) {
+        if self.head.is_none() {
+            self.head = Some(x);
+        } else {
+            self.rest.push_back(x);
+        }
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Option<T> {
+        let x = self.head.take()?;
+        self.head = self.rest.pop_front();
+        Some(x)
+    }
+}
+
+/// Run one ready cycle on its stream's slot: the hot path every worker
+/// executes. Returns the cycle's absolute completion time.
+#[inline]
+fn execute<D: CycleDriver>(r: &Ready, slot: &mut Slot<D>) -> Time {
+    while slot.completions.front().is_some_and(|c| c < r.arrival) {
+        slot.completions.pop_front();
+    }
+    slot.cursor.note_backlog(slot.completions.len());
+    let summary = slot.driver.run_cycle(r.frame, r.start - r.arrival);
+    slot.cursor.absorb(r.arrival, r.start, &summary);
+    let done = slot.cursor.now();
+    slot.completions.push_back(done);
+    done
 }
 
 /// Scheduler-side per-stream state (never crosses a thread boundary).
@@ -508,21 +606,26 @@ struct SchedStream<A> {
     /// Monotonicity clamp for source timestamps (same contract as
     /// `StreamingRunner`).
     floor: Time,
-    /// Next frame index; shed frames consume theirs.
+    /// Next frame index; shed frames consume theirs, so this is also the
+    /// stream's arrived count.
     next_frame: usize,
+    /// Frames shed at admission.
+    shed: usize,
+    /// Completion time of the stream's last executed frame — the
+    /// worker-side cursor's clock, as of the last finished round.
+    now: Time,
     /// Admitted frames not yet started: `(frame, arrival, counted)`,
     /// where `counted` records whether the frame was charged to the
     /// global backlog at admission.
-    queue: VecDeque<(usize, Time, bool)>,
+    queue: HeadQueue<(usize, Time, bool)>,
     /// A cycle of this stream is in the current round's ring.
     in_flight: bool,
-    /// Admission-granular backlog account (see [`ShadowBacklog`]).
-    shadow: ShadowBacklog,
 }
 
 /// The serial deterministic scheduling core: owns the heaps, the queues
 /// and the ledger; fills the ring each round and folds completions back
-/// in between rounds. Never sees the worker count.
+/// in between rounds. Never sees the worker count, and never touches a
+/// worker-side slot.
 struct Scheduler<A> {
     chaining: CycleChaining,
     admission: Admission,
@@ -552,9 +655,10 @@ impl<A: ArrivalSource> Scheduler<A> {
                 source,
                 floor,
                 next_frame: 0,
-                queue: VecDeque::new(),
+                shed: 0,
+                now: Time::ZERO,
+                queue: HeadQueue::new(),
                 in_flight: false,
-                shadow: ShadowBacklog::default(),
             });
         }
         Scheduler {
@@ -575,12 +679,9 @@ impl<A: ArrivalSource> Scheduler<A> {
     /// order; an arrival is *due* once it is at or before the horizon, or
     /// unconditionally when nothing is scheduled at all (bootstrap). An
     /// empty ring on return means the run is complete.
-    fn fill<D>(&mut self, ring: &mut Vec<Ready>, slots: &[Mutex<Slot<D>>]) {
+    fn fill(&mut self, ring: &mut Vec<Ready>) {
         ring.clear();
-        loop {
-            if ring.len() == self.ring_capacity {
-                break;
-            }
+        while ring.len() < self.ring_capacity {
             let start_top = self.start_heap.peek();
             let arrival_top = self.arrivals.peek_min();
             let arrival_due = match arrival_top {
@@ -598,8 +699,8 @@ impl<A: ArrivalSource> Scheduler<A> {
                 let (ts, s) = self.start_heap.pop().expect("peeked");
                 self.process_start(ts, s, ring);
             } else if arrival_due {
-                let (ta, s) = self.arrivals.pop_min().expect("peeked");
-                self.process_arrival(ta, s, slots);
+                let (ta, s) = arrival_top.expect("due implies queued");
+                self.process_arrival(ta, s, ring);
             } else {
                 break;
             }
@@ -615,51 +716,74 @@ impl<A: ArrivalSource> Scheduler<A> {
         if counted {
             self.backlog -= 1;
         }
-        st.in_flight = true;
-        ring.push(Ready {
-            stream: s,
-            frame,
-            arrival,
-            start: ts,
-        });
-        self.horizon = self.horizon.max(ts);
+        self.launch(
+            Ready {
+                stream: s,
+                frame,
+                arrival,
+                start: ts,
+            },
+            ring,
+        );
     }
 
-    fn process_arrival<D>(&mut self, ta: Time, s: u32, slots: &[Mutex<Slot<D>>]) {
+    /// Commit a frame to this round's ring.
+    fn launch(&mut self, r: Ready, ring: &mut Vec<Ready>) {
+        self.streams[r.stream as usize].in_flight = true;
+        self.horizon = self.horizon.max(r.start);
+        ring.push(r);
+    }
+
+    /// Judge the arrival at the top of the arrival heap, then re-key its
+    /// stream on the following timestamp.
+    fn process_arrival(&mut self, ta: Time, s: u32, ring: &mut Vec<Ready>) {
         let st = &mut self.streams[s as usize];
         let frame = st.next_frame;
         st.next_frame += 1;
         self.ledger.arrived += 1;
-        // Workers are parked while the scheduler runs, so slot locks are
-        // uncontended here.
-        let mut slot = slots[s as usize].lock().expect("slot lock");
-        slot.cursor.note_arrival();
         // A frame counts toward the global backlog iff its stream is
         // already behind; only counted frames are ever shed.
-        let counted = st.in_flight || !st.queue.is_empty();
+        let counted = st.in_flight || st.queue.front().is_some();
         let shed = match self.admission {
             Admission::Unbounded => false,
             Admission::DropNewest { global_capacity } => counted && self.backlog >= global_capacity,
         };
         if shed {
             self.ledger.shed += 1;
-            slot.cursor.note_drop();
+            st.shed += 1;
         } else {
             self.ledger.admitted += 1;
             if counted {
                 self.backlog += 1;
                 self.ledger.peak_backlog = self.ledger.peak_backlog.max(self.backlog);
+                st.queue.push_back((frame, ta, true));
+            } else {
+                // Idle stream: its clock is current, so the frame's start
+                // is known now. `fill` takes every start at or before an
+                // arrival ahead of it, so all queued starts are later than
+                // `ta`; a start at or before `ta` is therefore the very
+                // next event, and goes straight into the ring (which has
+                // room: `fill` checked before this arrival).
+                let ts = self.chaining.start_at(st.now, ta);
+                if ts <= ta {
+                    self.launch(
+                        Ready {
+                            stream: s,
+                            frame,
+                            arrival: ta,
+                            start: ts,
+                        },
+                        ring,
+                    );
+                } else {
+                    st.queue.push_back((frame, ta, false));
+                    self.start_heap.push(ts, s);
+                }
             }
-            st.queue.push_back((frame, ta, counted));
-            if !st.in_flight && st.queue.len() == 1 {
-                self.start_heap
-                    .push(slot.cursor.start_for(self.chaining, ta), s);
-            }
-            st.shadow.on_admit(ta);
         }
-        drop(slot);
         // Consume the peeked timestamp and re-key the stream's lane on
         // the following one. peek-then-next ≡ next keeps this exact.
+        let st = &mut self.streams[s as usize];
         let consumed = st
             .source
             .next_arrival()
@@ -667,23 +791,24 @@ impl<A: ArrivalSource> Scheduler<A> {
             .max(st.floor);
         st.floor = consumed;
         debug_assert_eq!(consumed, ta, "peeked and consumed timestamps agree");
-        if let Some(next) = st.source.peek() {
-            self.arrivals.push(next.max(st.floor), s);
-        }
+        let handled = match st.source.peek() {
+            Some(next) => self.arrivals.rekey_min(next.max(st.floor)),
+            None => self.arrivals.pop_min(),
+        };
+        debug_assert_eq!(handled, Some((ta, s)), "the handled event was the minimum");
     }
 
-    /// Fold a finished round back in: every executed stream's clock has
-    /// advanced, so streams with queued frames get their next start
-    /// event.
-    fn complete_round<D>(&mut self, ring: &[Ready], slots: &[Mutex<Slot<D>>]) {
-        for r in ring {
+    /// Fold a finished round back in: `completed(i)` is the completion
+    /// time of ring entry `i`. Every executed stream's clock advances, so
+    /// streams with queued frames get their next start event.
+    fn complete_round(&mut self, ring: &[Ready], completed: impl Fn(usize) -> Time) {
+        for (i, r) in ring.iter().enumerate() {
             let st = &mut self.streams[r.stream as usize];
             st.in_flight = false;
-            let slot = slots[r.stream as usize].lock().expect("slot lock");
-            st.shadow.on_complete(slot.cursor.now());
-            if let Some(&(_, arrival, _)) = st.queue.front() {
+            st.now = completed(i);
+            if let Some((_, arrival, _)) = st.queue.front() {
                 self.start_heap
-                    .push(slot.cursor.start_for(self.chaining, arrival), r.stream);
+                    .push(self.chaining.start_at(st.now, arrival), r.stream);
             }
         }
         self.ledger.rounds += 1;
@@ -694,10 +819,13 @@ impl<A: ArrivalSource> Scheduler<A> {
 /// fixed-size pool of scoped OS threads.
 ///
 /// Construction fixes the worker count and the [`ElasticConfig`]; one
-/// runner value can drive many fleets. With one worker (or one stream)
-/// everything runs inline on the caller's thread — which is also the
-/// reference schedule every multi-worker run is guaranteed to reproduce
-/// byte-for-byte.
+/// runner value can drive many fleets. The calling thread is worker 0:
+/// each round it fills the ring, releases `workers − 1` helper threads,
+/// drains its own ring segment (and steals) like any helper, then folds
+/// the completions back in once every worker is through. With one worker
+/// (or one stream) there are no helpers and no barrier — which is also
+/// the reference schedule every multi-worker run is guaranteed to
+/// reproduce byte-for-byte.
 ///
 /// # Examples
 ///
@@ -790,94 +918,14 @@ impl ElasticRunner {
             slots.push(Mutex::new(Slot {
                 driver,
                 cursor: StreamCursor::new(),
+                completions: HeadQueue::new(),
             }));
         }
         let mut sched = Scheduler::new(self.config, workers, sources);
-
         if workers == 1 {
-            let mut ring = Vec::with_capacity(sched.ring_capacity);
-            loop {
-                sched.fill(&mut ring, &slots);
-                if ring.is_empty() {
-                    break;
-                }
-                for r in &ring {
-                    execute(r, &slots[r.stream as usize]);
-                }
-                sched.complete_round(&ring, &slots);
-            }
+            run_inline(&mut sched, &mut slots);
         } else {
-            let ring_lock = RwLock::new(Vec::with_capacity(sched.ring_capacity));
-            let cursors: Vec<CachePadded<AtomicUsize>> = (0..workers)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect();
-            // Two waits per round: A releases workers onto a filled ring,
-            // B hands control back to the scheduler.
-            let barrier = Barrier::new(workers + 1);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let ring_lock = &ring_lock;
-                    let cursors = &cursors;
-                    let barrier = &barrier;
-                    let done = &done;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        let mut round = 0usize;
-                        loop {
-                            barrier.wait();
-                            if done.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let ring = ring_lock.read().expect("ring lock");
-                            let len = ring.len();
-                            // Own segment first, then steal; victim order
-                            // is a function of (worker, round) only —
-                            // deterministic policy, and result-neutral
-                            // because every claim goes through the
-                            // segment cursors.
-                            for step in 0..workers {
-                                let v = (w + step + round) % workers;
-                                if step > 0 && v == w {
-                                    continue;
-                                }
-                                let v = if step == 0 { w } else { v };
-                                let end = (v + 1) * len / workers;
-                                loop {
-                                    let i = cursors[v].fetch_add(1, Ordering::Relaxed);
-                                    if i >= end {
-                                        break;
-                                    }
-                                    let r = ring[i];
-                                    execute(&r, &slots[r.stream as usize]);
-                                }
-                            }
-                            drop(ring);
-                            barrier.wait();
-                            round += 1;
-                        }
-                    });
-                }
-                loop {
-                    {
-                        let mut ring = ring_lock.write().expect("ring lock");
-                        sched.fill(&mut ring, &slots);
-                        if ring.is_empty() {
-                            done.store(true, Ordering::Release);
-                            barrier.wait();
-                            break;
-                        }
-                        let len = ring.len();
-                        for (v, cursor) in cursors.iter().enumerate() {
-                            cursor.store(v * len / workers, Ordering::Relaxed);
-                        }
-                    }
-                    barrier.wait();
-                    barrier.wait();
-                    let ring = ring_lock.read().expect("ring lock");
-                    sched.complete_round(&ring, &slots);
-                }
-            });
+            run_pool(&mut sched, &slots, workers);
         }
 
         let mut summary = ElasticSummary {
@@ -887,12 +935,12 @@ impl ElasticRunner {
             ledger: sched.ledger,
         };
         let mut drivers = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
+        for (slot, st) in slots.into_iter().zip(&sched.streams) {
             let slot = slot.into_inner().expect("slot lock");
             let mut s = slot.cursor.summary();
-            // The cursor never saw scheduler queue depths; the shadow
-            // account supplies the admission-granular high-water mark.
-            s.stats.max_backlog = sched.streams[i].shadow.max_backlog;
+            // Arrivals and sheds were counted by the scheduler.
+            s.stats.arrived = st.next_frame;
+            s.stats.dropped = st.shed;
             summary.run.merge(&s.run);
             summary.stats.merge(&s.stats);
             summary.per_stream.push(s);
@@ -902,11 +950,107 @@ impl ElasticRunner {
     }
 }
 
-/// Run one ready cycle: the hot path every worker executes.
-fn execute<D: CycleDriver>(r: &Ready, slot: &Mutex<Slot<D>>) {
-    let mut slot = slot.lock().expect("slot lock");
-    let summary = slot.driver.run_cycle(r.frame, r.start - r.arrival);
-    slot.cursor.absorb(r.arrival, r.start, &summary);
+/// One worker: every round runs each ready cycle on the calling thread,
+/// with exclusive access to the slots (no locking).
+fn run_inline<A: ArrivalSource, D: CycleDriver>(
+    sched: &mut Scheduler<A>,
+    slots: &mut [Mutex<Slot<D>>],
+) {
+    let mut ring = Vec::with_capacity(sched.ring_capacity);
+    let mut completed = vec![Time::ZERO; sched.ring_capacity];
+    loop {
+        sched.fill(&mut ring);
+        if ring.is_empty() {
+            return;
+        }
+        for (r, done) in ring.iter().zip(&mut completed) {
+            let slot = slots[r.stream as usize].get_mut().expect("slot lock");
+            *done = execute(r, slot);
+        }
+        sched.complete_round(&ring, |i| completed[i]);
+    }
+}
+
+/// `workers ≥ 2`: the calling thread fills the ring and is worker 0;
+/// `workers − 1` scoped helpers join it between the two waits of a
+/// `workers`-party barrier each round.
+fn run_pool<A: ArrivalSource, D: CycleDriver + Send>(
+    sched: &mut Scheduler<A>,
+    slots: &[Mutex<Slot<D>>],
+    workers: usize,
+) {
+    let ring_lock = RwLock::new(Vec::with_capacity(sched.ring_capacity));
+    let completed: Vec<AtomicI64> = (0..sched.ring_capacity)
+        .map(|_| AtomicI64::new(0))
+        .collect();
+    let cursors: Vec<CachePadded<AtomicUsize>> = (0..workers)
+        .map(|_| CachePadded::new(AtomicUsize::new(0)))
+        .collect();
+    // Per round: the first wait releases the helpers onto a filled ring,
+    // the second tells worker 0 that every cycle has run.
+    let barrier = Barrier::new(workers);
+    let done = AtomicBool::new(false);
+    let drain = |w: usize, round: usize, ring: &[Ready]| {
+        let len = ring.len();
+        // Own segment first, then steal; victim order is a function of
+        // (worker, round) only — deterministic policy, and result-neutral
+        // because every claim goes through the segment cursors.
+        for step in 0..workers {
+            let v = (w + step + round) % workers;
+            if step > 0 && v == w {
+                continue;
+            }
+            let v = if step == 0 { w } else { v };
+            let end = (v + 1) * len / workers;
+            loop {
+                let i = cursors[v].fetch_add(1, Ordering::Relaxed);
+                if i >= end {
+                    break;
+                }
+                let r = &ring[i];
+                let mut slot = slots[r.stream as usize].lock().expect("slot lock");
+                let t = execute(r, &mut slot);
+                completed[i].store(t.as_ns(), Ordering::Relaxed);
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let (ring_lock, barrier, done, drain) = (&ring_lock, &barrier, &done, &drain);
+            scope.spawn(move || {
+                for round in 0.. {
+                    barrier.wait();
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    drain(w, round, &ring_lock.read().expect("ring lock"));
+                    barrier.wait();
+                }
+            });
+        }
+        for round in 0.. {
+            {
+                let mut ring = ring_lock.write().expect("ring lock");
+                sched.fill(&mut ring);
+                if ring.is_empty() {
+                    done.store(true, Ordering::Release);
+                    barrier.wait();
+                    break;
+                }
+                let len = ring.len();
+                for (v, cursor) in cursors.iter().enumerate() {
+                    cursor.store(v * len / workers, Ordering::Relaxed);
+                }
+            }
+            barrier.wait();
+            let ring = ring_lock.read().expect("ring lock");
+            drain(0, round, &ring);
+            barrier.wait();
+            sched.complete_round(&ring, |i| {
+                Time::from_ns(completed[i].load(Ordering::Relaxed))
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -946,6 +1090,32 @@ mod tests {
         }
     }
 
+    /// Bursts of up to six frames at three times the nominal rate: streams
+    /// fall several frames behind, so queue depths reach 3 and beyond.
+    fn overload_burst(i: usize, frames: usize) -> PatternSource {
+        PatternSource::Bursty(Bursty::new(
+            Time::from_ns(PERIOD.as_ns() / 3),
+            6,
+            frames,
+            23 + i as u64,
+        ))
+    }
+
+    /// Small bursts nanoseconds apart: deep overload, and some completions
+    /// land exactly on an arrival, where the per-stream runner still
+    /// counts the finishing frame as queued (`c < a`, not `c ≤ a`).
+    fn tight_bursts(i: usize, frames: usize) -> PatternSource {
+        PatternSource::Bursty(Bursty::new(Time::from_ns(9), 3, frames, 23 + i as u64))
+    }
+
+    /// Stream `i`'s source of `frames` frames.
+    type SourceFn = fn(usize, usize) -> PatternSource;
+
+    /// The test populations' sources, each with the deepest per-stream
+    /// backlog it must reach somewhere.
+    const POPULATIONS: [(SourceFn, usize); 3] =
+        [(source_mix, 0), (overload_burst, 3), (tight_bursts, 3)];
+
     /// Seed-dependent deterministic exec times (cloneable across paths).
     fn exec_for(sys: &ParameterizedSystem, seed: u64) -> impl ExecutionTimeSource + Send + '_ {
         FnExec(
@@ -962,11 +1132,12 @@ mod tests {
         p: &'a MixedPolicy<'a>,
         n: usize,
         frames: usize,
+        source: SourceFn,
     ) -> Vec<(PatternSource, impl CycleDriver + Send + 'a)> {
         (0..n)
             .map(|i| {
                 (
-                    source_mix(i, frames),
+                    source(i, frames),
                     EngineDriver::new(
                         Engine::new(
                             s,
@@ -981,26 +1152,135 @@ mod tests {
             .collect()
     }
 
+    /// Keys the packed `u128` order must keep: signed times on both sides
+    /// of zero, both sentinels and their neighbours, and times shared by
+    /// several streams. Stream ids are unique.
+    fn edge_events() -> Vec<(Time, u32)> {
+        let mut events = vec![
+            (Time::INF, 100),
+            (Time::NEG_INF, 101),
+            (Time::from_ns(-1), 102),
+            (Time::ZERO, 103),
+            (Time::from_ns(i64::MIN + 1), 104),
+            (Time::from_ns(i64::MAX - 1), 105),
+            (Time::from_ns(-40), 106),
+            (Time::from_ns(1), 107),
+            (Time::NEG_INF, 108),
+            (Time::INF, 109),
+        ];
+        events.extend((110..120).map(|s| (Time::from_ns(30), s)));
+        events.extend((120..126).map(|s| (Time::from_ns(-30), s)));
+        events
+    }
+
+    /// The operations both heaps share, for the model check below.
+    trait MinQueue {
+        fn push(&mut self, time: Time, stream: u32);
+        fn pop(&mut self) -> Option<(Time, u32)>;
+        /// Pop the minimum and queue its stream's next event at `time`.
+        fn rekey(&mut self, time: Time) -> Option<(Time, u32)>;
+    }
+
+    impl MinQueue for EventHeap {
+        fn push(&mut self, time: Time, stream: u32) {
+            EventHeap::push(self, time, stream);
+        }
+        fn pop(&mut self) -> Option<(Time, u32)> {
+            EventHeap::pop(self)
+        }
+        fn rekey(&mut self, time: Time) -> Option<(Time, u32)> {
+            let (_, stream) = self.peek()?;
+            self.replace_top(time, stream)
+        }
+    }
+
+    impl MinQueue for ShardedEventHeap {
+        fn push(&mut self, time: Time, stream: u32) {
+            ShardedEventHeap::push(self, time, stream);
+        }
+        fn pop(&mut self) -> Option<(Time, u32)> {
+            self.pop_min()
+        }
+        fn rekey(&mut self, time: Time) -> Option<(Time, u32)> {
+            self.rekey_min(time)
+        }
+    }
+
+    /// An interleaved push / pop / re-key sequence checked step by step
+    /// against a sorted `Vec`. Times are drawn from a narrow band (many
+    /// ties across streams) and from the edge keys; pushes use fresh
+    /// stream ids, so every pending stream id stays unique.
+    fn interleaved_matches_sorted_model(queue: &mut impl MinQueue) {
+        let edges: Vec<Time> = edge_events().into_iter().map(|(t, _)| t).collect();
+        let mut model: Vec<(Time, u32)> = Vec::new();
+        let mut fresh = 0u32;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..3_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (x >> 33) as usize;
+            let time = if r.is_multiple_of(5) {
+                edges[(r / 5) % edges.len()]
+            } else {
+                Time::from_ns((r % 61) as i64 - 30)
+            };
+            let insert = |model: &mut Vec<(Time, u32)>, e: (Time, u32)| {
+                let at = model.partition_point(|m| *m < e);
+                model.insert(at, e);
+            };
+            match (r >> 8) % 4 {
+                0 | 1 => {
+                    queue.push(time, fresh);
+                    insert(&mut model, (time, fresh));
+                    fresh += 1;
+                }
+                2 => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    assert_eq!(queue.pop(), want, "pop at step {step}");
+                }
+                _ => {
+                    let want = model.first().copied();
+                    assert_eq!(queue.rekey(time), want, "re-key at step {step}");
+                    if let Some((_, stream)) = want {
+                        model.remove(0);
+                        insert(&mut model, (time, stream));
+                    }
+                }
+            }
+        }
+        for (i, want) in model.into_iter().enumerate() {
+            assert_eq!(queue.pop(), Some(want), "drain {i}");
+        }
+        assert_eq!(queue.pop(), None);
+    }
+
     #[test]
     fn event_heap_pops_sorted() {
         let mut heap = EventHeap::new();
         let times = [50i64, 10, 30, 10, 90, 0, 30, 70];
-        for (i, t) in times.iter().enumerate() {
-            heap.push(Time::from_ns(*t), i as u32);
-        }
-        assert_eq!(heap.len(), times.len());
-        let mut out = Vec::new();
-        while let Some(e) = heap.pop() {
-            out.push(e);
-        }
-        let mut expected: Vec<(Time, u32)> = times
+        let mut events: Vec<(Time, u32)> = times
             .iter()
             .enumerate()
             .map(|(i, t)| (Time::from_ns(*t), i as u32))
             .collect();
-        expected.sort();
-        assert_eq!(out, expected);
+        events.extend(edge_events());
+        for &(t, s) in &events {
+            heap.push(t, s);
+        }
+        assert_eq!(heap.len(), events.len());
+        let out: Vec<(Time, u32)> = std::iter::from_fn(|| heap.pop()).collect();
+        events.sort();
+        assert_eq!(out, events);
         assert!(heap.is_empty());
+        assert_eq!(
+            heap.replace_top(Time::NEG_INF, 3),
+            None,
+            "replace on an empty heap only queues"
+        );
+        assert_eq!(heap.pop(), Some((Time::NEG_INF, 3)));
+
+        interleaved_matches_sorted_model(&mut EventHeap::new());
     }
 
     /// The sharded heap pops the same global order for every lane count —
@@ -1008,9 +1288,10 @@ mod tests {
     /// determinism contract.
     #[test]
     fn sharded_heap_order_is_lane_count_independent() {
-        let events: Vec<(Time, u32)> = (0..64u32)
+        let mut events: Vec<(Time, u32)> = (0..64u32)
             .map(|s| (Time::from_ns(((s * 37) % 19) as i64 * 10), s))
             .collect();
+        events.extend(edge_events());
         let reference: Vec<(Time, u32)> = {
             let mut h = ShardedEventHeap::new(1);
             for &(t, s) in &events {
@@ -1021,15 +1302,17 @@ mod tests {
         let mut sorted = events.clone();
         sorted.sort();
         assert_eq!(reference, sorted);
-        for lanes in 2..=7 {
+        for lanes in 1..=7 {
             let mut h = ShardedEventHeap::new(lanes);
             for &(t, s) in &events {
                 h.push(t, s);
             }
             assert_eq!(h.lanes(), lanes);
             assert_eq!(h.len(), events.len());
+            assert_eq!(h.peek_min(), reference.first().copied());
             let popped: Vec<(Time, u32)> = std::iter::from_fn(|| h.pop_min()).collect();
             assert_eq!(popped, reference, "lanes = {lanes}");
+            interleaved_matches_sorted_model(&mut ShardedEventHeap::new(lanes));
         }
     }
 
@@ -1051,12 +1334,13 @@ mod tests {
                         .with_chaining(chaining)
                         .with_ring_capacity(ring)
                         .with_admission(admission);
-                    let (reference, _) = ElasticRunner::new(1, config).run(drivers(&s, &p, 12, 8));
+                    let (reference, _) =
+                        ElasticRunner::new(1, config).run(drivers(&s, &p, 12, 8, source_mix));
                     assert_eq!(reference.n_streams(), 12);
                     assert!(reference.stats().processed > 0);
                     for workers in 2..=4 {
-                        let (out, _) =
-                            ElasticRunner::new(workers, config).run(drivers(&s, &p, 12, 8));
+                        let (out, _) = ElasticRunner::new(workers, config)
+                            .run(drivers(&s, &p, 12, 8, source_mix));
                         assert_eq!(
                             out, reference,
                             "workers={workers} ring={ring} {chaining:?} {admission:?}"
@@ -1069,34 +1353,52 @@ mod tests {
 
     /// Under `Admission::Unbounded`, each stream's result equals running
     /// it alone through `StreamingRunner` + `Block` — the *full* struct,
-    /// `max_backlog` included (the shadow account re-derives the
-    /// per-stream runner's depth sequence at admission granularity).
+    /// `max_backlog` included (the worker that runs each frame re-derives
+    /// the per-stream runner's queue depth from the stream's arrival and
+    /// completion sequences) — for every ring capacity and worker count,
+    /// on a bursty overload population whose streams queue 3+ frames deep.
     #[test]
     fn unbounded_matches_streaming_runner_per_stream() {
         let s = sys();
         let p = MixedPolicy::new(&s);
-        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-            let config = ElasticConfig::live()
-                .with_chaining(chaining)
-                .with_ring_capacity(4);
-            let (elastic, _) = ElasticRunner::new(3, config).run(drivers(&s, &p, 9, 10));
-            for (i, got) in elastic.per_stream().iter().enumerate() {
-                let runner = StreamingRunner::new(StreamConfig {
-                    chaining,
-                    capacity: 2,
-                    policy: OverloadPolicy::Block,
-                });
-                let want = runner.run(
-                    &mut Engine::new(
-                        &s,
-                        NumericManager::new(&s, &p),
-                        OverheadModel::new(Time::from_ns(2), Time::from_ns(1)),
-                    ),
-                    &mut source_mix(i, 10),
-                    &mut exec_for(&s, i as u64),
-                    &mut NullSink,
-                );
-                assert_eq!(*got, want, "stream {i} {chaining:?}");
+        for (source, min_depth) in POPULATIONS {
+            for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+                let want: Vec<StreamSummary> = (0..9)
+                    .map(|i| {
+                        let runner = StreamingRunner::new(StreamConfig {
+                            chaining,
+                            capacity: 2,
+                            policy: OverloadPolicy::Block,
+                        });
+                        runner.run(
+                            &mut Engine::new(
+                                &s,
+                                NumericManager::new(&s, &p),
+                                OverheadModel::new(Time::from_ns(2), Time::from_ns(1)),
+                            ),
+                            &mut source(i, 10),
+                            &mut exec_for(&s, i as u64),
+                            &mut NullSink,
+                        )
+                    })
+                    .collect();
+                let deepest = want.iter().map(|w| w.stats.max_backlog).max();
+                assert!(deepest >= Some(min_depth), "{chaining:?}: {deepest:?}");
+                for ring in [1usize, 3, 4096] {
+                    let config = ElasticConfig::live()
+                        .with_chaining(chaining)
+                        .with_ring_capacity(ring);
+                    for workers in 1..=4 {
+                        let (elastic, _) =
+                            ElasticRunner::new(workers, config).run(drivers(&s, &p, 9, 10, source));
+                        for (i, (got, want)) in elastic.per_stream().iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                got, want,
+                                "stream {i} {chaining:?} ring={ring} workers={workers}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -1167,21 +1469,24 @@ mod tests {
     /// A ring of capacity 1 degenerates to one cycle per round and still
     /// produces the same per-stream results as a huge ring (admission
     /// differs only under global capacity pressure, absent here) —
-    /// `max_backlog` included: the shadow account is a function of each
+    /// `max_backlog` included: each frame's depth is a function of its
     /// stream's arrival and completion sequences, so ring granularity
     /// (like worker count) never moves it.
     #[test]
     fn ring_capacity_does_not_change_unbounded_results() {
         let s = sys();
         let p = MixedPolicy::new(&s);
-        let big = ElasticRunner::new(2, ElasticConfig::live().with_ring_capacity(1 << 12))
-            .run(drivers(&s, &p, 7, 6))
-            .0;
-        let tiny = ElasticRunner::new(2, ElasticConfig::live().with_ring_capacity(1))
-            .run(drivers(&s, &p, 7, 6))
-            .0;
-        assert_eq!(big.per_stream(), tiny.per_stream());
-        assert!(tiny.ledger().rounds > big.ledger().rounds);
+        for (source, min_depth) in POPULATIONS {
+            let big = ElasticRunner::new(2, ElasticConfig::live().with_ring_capacity(1 << 12))
+                .run(drivers(&s, &p, 7, 6, source))
+                .0;
+            let tiny = ElasticRunner::new(2, ElasticConfig::live().with_ring_capacity(1))
+                .run(drivers(&s, &p, 7, 6, source))
+                .0;
+            assert_eq!(big.per_stream(), tiny.per_stream());
+            assert!(tiny.ledger().rounds > big.ledger().rounds);
+            assert!(big.stats().max_backlog >= min_depth, "{:?}", big.stats());
+        }
     }
 
     #[test]

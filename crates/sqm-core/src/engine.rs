@@ -339,6 +339,21 @@ pub enum CycleChaining {
     ArrivalClamped,
 }
 
+impl CycleChaining {
+    /// Absolute start time of a frame arriving at `arrival` on a stream
+    /// whose last frame completed at `now`: `max(now, arrival)` under
+    /// [`CycleChaining::ArrivalClamped`], `now` under
+    /// [`CycleChaining::WorkConserving`] (the frame may start before it
+    /// arrives).
+    #[inline]
+    pub fn start_at(self, now: Time, arrival: Time) -> Time {
+        match self {
+            CycleChaining::ArrivalClamped => now.max(arrival),
+            CycleChaining::WorkConserving => now,
+        }
+    }
+}
+
 /// The shared engine: composes `PS ‖ Γ` under an overhead model and runs
 /// cycles against any execution-time source, streaming records into any
 /// sink. Construction is cheap; all state lives in the manager.

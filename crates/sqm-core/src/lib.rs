@@ -61,10 +61,13 @@
 //!     over sharded arrival heaps ([`elastic::ShardedEventHeap`]) and a
 //!     start-event heap admits or sheds frames fleet-wide
 //!     ([`elastic::Admission`], [`elastic::ShedLedger`]) and fills a
-//!     fixed-capacity ready ring; workers drain the ring with
-//!     deterministic stealing. Results are byte-identical for every
-//!     worker count, and per-stream identical to [`stream`]'s runner
-//!     under unbounded admission.
+//!     fixed-capacity ready ring. The loop keeps only the per-stream
+//!     state that admission and start times need; the workers — the
+//!     calling thread is one of them — drain the ring with deterministic
+//!     stealing and compute everything else (engine aggregates, waits,
+//!     latencies, backlog depths) on the stream's own slot. Results are
+//!     byte-identical for every worker count, and per-stream identical to
+//!     [`stream`]'s runner under unbounded admission.
 //!
 //! The engine seam — how 6–8 fit together: a
 //! [`manager::QualityManager`] makes the decisions, an

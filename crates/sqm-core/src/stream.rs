@@ -250,10 +250,7 @@ impl StreamCursor {
     /// ([`CycleChaining::ArrivalClamped`]), `now` under work-conserving
     /// prefetch (the frame may start before it arrives).
     pub fn start_for(&self, chaining: CycleChaining, arrival: Time) -> Time {
-        match chaining {
-            CycleChaining::ArrivalClamped => self.now.max(arrival),
-            CycleChaining::WorkConserving => self.now,
-        }
+        chaining.start_at(self.now, arrival)
     }
 
     /// Record one frame delivered by the source.
