@@ -7,7 +7,7 @@
 //! Correctness gates run before anything is published and abort the
 //! artifact on failure:
 //!
-//! * a fixed-seed fuzz campaign must pass all four oracle parts (on a
+//! * a fixed-seed fuzz campaign must pass every oracle part (on a
 //!   violation the minimized repro goes to stderr);
 //! * the drifting-load scenario must show the static manager missing
 //!   deadlines and the recalibrated manager recovering.
@@ -77,7 +77,7 @@ fn main() {
         panic!("fuzz gate failed: oracle `{}`", violation.oracle);
     }
     println!(
-        "fuzz gate: {} seeds, {} cases, five-part oracle held ✓",
+        "fuzz gate: {} seeds, {} cases, eight-part oracle held ✓",
         gate.seeds_run, gate.cases
     );
 

@@ -30,7 +30,7 @@ fn main() -> ExitCode {
     );
     match report.failure {
         None => {
-            println!("fuzz-smoke: five-part oracle held on every case ✓");
+            println!("fuzz-smoke: eight-part oracle held on every case ✓");
             ExitCode::SUCCESS
         }
         Some((_, violation, repro)) => {

@@ -3,13 +3,18 @@
 //! Hand-written proptests cover each execution path against a reference,
 //! one pairing at a time; this module covers the *product space* —
 //! arbitrary systems × fault/drift scenarios × every execution path
-//! (serial naive, hot, streaming, fleet, elastic) — against one
-//! five-part **safety oracle**:
+//! (serial, streaming, fleet, elastic) — against one eight-part
+//! **safety oracle**: five numbered parts plus the inference, admission
+//! and control axes below.
 //!
-//! 1. **Identity** — the fast paths are byte-identical to the naive
-//!    serial reference: hot managers (traces included), Periodic+Block
-//!    streaming, every fleet worker count, every elastic worker count,
-//!    and the elastic per-stream fold, all under the injected fault.
+//! 1. **Identity** — every decided record of the serial, streaming,
+//!    fleet and elastic paths (and of a relaxed-manager run) re-derives
+//!    from the top-down reference scans ([`rederive_decisions`]), so the
+//!    managers' hint-resuming search is checked decision by decision; and
+//!    the optimized paths are byte-identical to the serial reference:
+//!    Periodic+Block streaming, every fleet worker count, every elastic
+//!    worker count, and the elastic per-stream fold, all under the
+//!    injected fault.
 //! 2. **Safety** — with zero manager overhead, an unquantized clock and
 //!    a period equal to the final deadline, a run whose execution times
 //!    honour the compiled contract (`C ≤ Cwc`, checked live by a
@@ -36,7 +41,7 @@
 //! **inference axis**: the batch-coupled serving pipeline
 //! (`sqm_infer::BatchCoupledExec`, whose execution source carries
 //! *shared state* — the per-cycle batch account) through the identity
-//! and monotonicity oracle parts. Fast-path byte-identity there proves
+//! and monotonicity oracle parts. Streaming byte-identity there proves
 //! the continuous-batching state machine replays exactly, and the
 //! coupling law is probed directly: admitting co-batched requests at a
 //! deeper rung must never shorten another request's decode.
@@ -80,16 +85,16 @@ use sqm_core::controller::{ConstantExec, ExecutionTimeSource, OverheadModel};
 use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, EngineDriver};
 use sqm_core::engine::{CycleChaining, Engine, NullSink};
 use sqm_core::fleet::{FleetRunner, FleetSummary, StreamSpec};
-use sqm_core::manager::{HotLookupManager, LookupManager, QualityManager, RelaxedManager};
+use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager};
 use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
-use sqm_core::relaxation::StepSet;
+use sqm_core::relaxation::{RelaxationTable, StepSet};
 use sqm_core::source::{ArrivalSource, Bursty, Jittered, Periodic, TraceReplay};
 use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamSummary, StreamingRunner};
 use sqm_core::system::{ParameterizedSystem, SystemBuilder};
 use sqm_core::time::Time;
 use sqm_core::timing::TimeTable;
-use sqm_core::trace::Trace;
+use sqm_core::trace::{ActionRecord, Trace};
 use sqm_platform::clock::RtClock;
 use sqm_platform::exec::{StochasticExec, ViolatingExec};
 use sqm_platform::faults::{ClockRounding, ClockedManager, DriftExec, PreemptionExec};
@@ -593,6 +598,9 @@ macro_rules! oracle {
     };
 }
 
+/// Work units a [`ClockedManager`] charges per clock read.
+const CLOCK_READ_WORK: u64 = 1;
+
 /// Run one cycle-driving path with the scenario's (possibly clocked)
 /// manager wrap applied uniformly.
 fn drive<M: QualityManager>(
@@ -608,7 +616,7 @@ fn drive<M: QualityManager>(
             manager,
             RtClock::new(Time::from_ns(scenario.clock_quantum_ns), Time::ZERO),
             scenario.rounding,
-            1,
+            CLOCK_READ_WORK,
         );
         Engine::new(sys, clocked, OVERHEAD).run_cycles(
             scenario.cycles,
@@ -626,6 +634,93 @@ fn drive<M: QualityManager>(
             sink,
         )
     }
+}
+
+/// How the manager behind [`drive`] saw the engine clock: the decision
+/// time it was handed and the work its wrapper charged on top of the
+/// table probes.
+fn observer(scenario: &Scenario) -> impl Fn(Time) -> (Time, u64) + '_ {
+    move |t| {
+        if scenario.clock_quantum_ns == 0 {
+            return (t, 0);
+        }
+        let clock = RtClock::new(Time::from_ns(scenario.clock_quantum_ns), Time::ZERO);
+        let seen = match scenario.rounding {
+            ClockRounding::Up => clock.quantize_up(t),
+            ClockRounding::Down => clock.quantize_down(t),
+        };
+        (seen, CLOCK_READ_WORK)
+    }
+}
+
+/// The engine clock as a bare (unclocked) manager sees it.
+pub fn unclocked(t: Time) -> (Time, u64) {
+    (t, 0)
+}
+
+/// Re-derive every decided record of a table-driven run from the
+/// reference scans.
+///
+/// A record's decision time is `start − qm_overhead`; `observe` maps it
+/// to the time the manager was handed and the work its wrapper charged
+/// on top ([`unclocked`] for a bare manager; a [`ClockedManager`]
+/// quantizes and charges its clock read). `quality`, `infeasible` and
+/// `qm_work` must equal what [`QualityRegionTable::choose`] returns at
+/// that time. The hold — the distance to the next decided record, or to
+/// the end of `records` — must be 1 without a relaxation table, and
+/// [`RelaxationTable::choose_relaxation`]'s step clamped to the actions
+/// left in the cycle with one, whose probes then join the charged work.
+///
+/// `records` is one cycle or whole cycles back to back in execution
+/// order (every cycle opens with a decision).
+pub fn rederive_decisions(
+    records: &[ActionRecord],
+    regions: &QualityRegionTable,
+    relaxation: Option<&RelaxationTable>,
+    observe: impl Fn(Time) -> (Time, u64),
+) -> Result<(), String> {
+    for (k, record) in records.iter().enumerate().filter(|(_, r)| r.decided) {
+        let state = record.action;
+        let (t, wrapper_work) = observe(record.start - record.qm_overhead);
+        let (choice, mut work) = regions.choose(state, t);
+        let mut hold = 1;
+        if let (Some(q), Some(relaxation)) = (choice, relaxation) {
+            let (r, probes) = relaxation.choose_relaxation(state, t, q);
+            hold = r.clamp(1, regions.n_states() - state);
+            work += probes;
+        }
+        let expected = (
+            choice.unwrap_or(Quality::MIN),
+            choice.is_none(),
+            work + wrapper_work,
+            hold,
+        );
+        let held = records[k + 1..]
+            .iter()
+            .position(|r| r.decided)
+            .map_or(records.len() - k, |d| d + 1);
+        let got = (record.quality, record.infeasible, record.qm_work, held);
+        if got != expected {
+            return Err(format!(
+                "record {k} (state {state}, t {t:?}): (quality, infeasible, work, hold) = \
+                 {got:?}, scan oracle says {expected:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// [`rederive_decisions`] over every cycle of a recorded trace.
+fn rederive_trace(
+    trace: &Trace,
+    regions: &QualityRegionTable,
+    relaxation: Option<&RelaxationTable>,
+    observe: impl Fn(Time) -> (Time, u64),
+) -> Result<(), String> {
+    trace
+        .cycles
+        .iter()
+        .try_for_each(|cycle| rederive_decisions(&cycle.records, regions, relaxation, &observe))
 }
 
 /// Rank a region choice for monotonicity comparisons: infeasible sorts
@@ -647,42 +742,26 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
     let mut paths = 0usize;
 
     // ── Oracle 1: identity ──────────────────────────────────────────
-    // Serial naive reference, trace recorded.
-    let mut naive_trace = Trace::default();
-    let naive = drive(
+    // Serial reference, trace recorded: every decision the hinted
+    // lookup made must re-derive from the top-down scan, as the
+    // (possibly clocked) manager saw the clock.
+    let mut serial_trace = Trace::default();
+    let serial = drive(
         &sys,
         LookupManager::new(&regions),
         scenario,
         period,
-        &mut naive_trace,
+        &mut serial_trace,
     );
     paths += 1;
-
-    // Hot manager: byte-identical summary AND records.
-    let mut hot_trace = Trace::default();
-    let hot = drive(
-        &sys,
-        HotLookupManager::new(&regions),
-        scenario,
-        period,
-        &mut hot_trace,
-    );
-    paths += 1;
-    oracle_eq!("identity", hot, naive, "hot summary != naive");
-    oracle_eq!(
-        "identity",
-        hot_trace.cycles.len(),
-        naive_trace.cycles.len(),
-        "hot cycle count"
-    );
-    for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-        oracle_eq!("identity", b.records, a.records, "hot records != naive");
-    }
+    rederive_trace(&serial_trace, &regions, None, observer(scenario))
+        .map_err(|e| Violation::new("identity", format!("serial: {e}")))?;
 
     // Periodic + Block streaming reproduces the serial run.
     {
         let mut engine = Engine::new(&sys, LookupManager::new(&regions), OVERHEAD);
         let mut exec = scenario.fault.exec(sys.table());
+        let mut trace = Trace::default();
         let streamed = StreamingRunner::new(StreamConfig {
             chaining: scenario.chaining,
             capacity: 2,
@@ -692,12 +771,14 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
             &mut engine,
             &mut Periodic::new(period, scenario.cycles),
             &mut exec,
-            &mut NullSink,
+            &mut trace,
         );
         paths += 1;
         if scenario.clock_quantum_ns == 0 {
-            oracle_eq!("identity", streamed.run, naive, "streaming != serial");
+            oracle_eq!("identity", streamed.run, serial, "streaming != serial");
         }
+        rederive_trace(&trace, &regions, None, unclocked)
+            .map_err(|e| Violation::new("identity", format!("streaming: {e}")))?;
         oracle_eq!(
             "accounting",
             streamed.stats.arrived,
@@ -706,28 +787,41 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
         );
     }
 
-    // Fleet: every worker count produces the same fold.
+    // Fleet: every worker count produces the same fold, and every
+    // worker's records re-derive from the scan.
     let specs: Vec<StreamSpec<()>> = (0..3u64)
         .map(|i| StreamSpec::new((), i, scenario.cycles))
         .collect();
+    let fleet_error = std::sync::Mutex::new(None);
     let fleet_drive = |spec: &StreamSpec<()>, scratch: &mut sqm_core::fleet::StreamScratch| {
         let mut exec = scenario.fault.with_seed_offset(spec.seed).exec(sys.table());
         let mut sink = sqm_core::engine::RecordBuffer::new(&mut scratch.records);
-        Engine::new(&sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
+        let run = Engine::new(&sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
             spec.cycles,
             period,
             scenario.chaining,
             &mut exec,
             &mut sink,
-        )
+        );
+        if let Err(e) = rederive_decisions(&scratch.records, &regions, None, unclocked) {
+            fleet_error
+                .lock()
+                .expect("no drive panicked")
+                .get_or_insert(e);
+        }
+        run
     };
     let fleet_one: FleetSummary = FleetRunner::new(1).run(&specs, fleet_drive);
     let fleet_two: FleetSummary = FleetRunner::new(2).run(&specs, fleet_drive);
     paths += 2;
     oracle_eq!("identity", fleet_two, fleet_one, "fleet(2) != fleet(1)");
+    if let Some(e) = fleet_error.into_inner().expect("no drive panicked") {
+        return Err(Violation::new("identity", format!("fleet: {e}")));
+    }
 
-    // Elastic: worker counts agree, and the per-stream results equal the
-    // streaming runner's fold under unbounded admission.
+    // Elastic: worker counts agree, the per-stream results equal the
+    // streaming runner's fold under unbounded admission, and every
+    // stream's records re-derive from the scan.
     {
         let elastic_streams = || -> Vec<_> {
             (0..3u64)
@@ -737,7 +831,7 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
                         EngineDriver::new(
                             Engine::new(&sys, LookupManager::new(&regions), OVERHEAD),
                             scenario.fault.with_seed_offset(i).exec(sys.table()),
-                            NullSink,
+                            Trace::default(),
                         ),
                     )
                 })
@@ -746,8 +840,8 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
         let config = ElasticConfig::live()
             .with_chaining(scenario.chaining)
             .with_ring_capacity(2);
-        let (elastic_one, _) = ElasticRunner::new(1, config).run(elastic_streams());
-        let (elastic_two, _) = ElasticRunner::new(2, config).run(elastic_streams());
+        let (elastic_one, streams_one) = ElasticRunner::new(1, config).run(elastic_streams());
+        let (elastic_two, streams_two) = ElasticRunner::new(2, config).run(elastic_streams());
         paths += 2;
         oracle_eq!(
             "identity",
@@ -755,6 +849,10 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
             elastic_one,
             "elastic(2) != elastic(1)"
         );
+        for stream in streams_one.iter().chain(&streams_two) {
+            rederive_trace(stream.sink(), &regions, None, unclocked)
+                .map_err(|e| Violation::new("identity", format!("elastic: {e}")))?;
+        }
 
         let serial_streams: Vec<StreamSummary> = (0..3u64)
             .map(|i| {
@@ -1276,8 +1374,8 @@ fn check_control(
 /// table-driven sources above, [`sqm_infer::BatchCoupledExec`] carries
 /// shared mutable state (the per-cycle batch account), so byte-identity
 /// here proves the continuous-batching state machine replays exactly on
-/// the fast paths — and the coupling law is probed directly through the
-/// public [`ExecutionTimeSource`] surface.
+/// the streaming path — and the coupling law is probed directly through
+/// the public [`ExecutionTimeSource`] surface.
 fn check_infer(case: &FuzzCase) -> Result<usize, Violation> {
     use sqm_infer::{InferConfig, InferPipeline};
 
@@ -1290,36 +1388,21 @@ fn check_infer(case: &FuzzCase) -> Result<usize, Violation> {
     let period = infer.config().batch_period();
     let cycles = scenario.cycles;
 
-    // Identity: naive vs hot vs Periodic+Block streaming, each over a
-    // fresh batch-coupled source with the same seed. The batch account
-    // resets at action 0 of every cycle, so an exact replay is the
-    // contract — any divergence means the shared state leaked across a
-    // path boundary.
-    let mut naive_trace = Trace::default();
-    let naive = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
+    // Identity: serial vs Periodic+Block streaming, each over a fresh
+    // batch-coupled source with the same seed, and every serial decision
+    // re-derived from the scan. The batch account resets at action 0 of
+    // every cycle, so an exact replay is the contract — any divergence
+    // means the shared state leaked across a path boundary.
+    let mut serial_trace = Trace::default();
+    let serial = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
         cycles,
         period,
         scenario.chaining,
         &mut infer.exec(jitter, seed),
-        &mut naive_trace,
+        &mut serial_trace,
     );
-    let mut hot_trace = Trace::default();
-    let hot = Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
-        cycles,
-        period,
-        scenario.chaining,
-        &mut infer.exec(jitter, seed),
-        &mut hot_trace,
-    );
-    oracle_eq!("identity", hot, naive, "infer: hot summary != naive");
-    for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-        oracle_eq!(
-            "identity",
-            b.records,
-            a.records,
-            "infer: hot records != naive"
-        );
-    }
+    rederive_trace(&serial_trace, &regions, None, unclocked)
+        .map_err(|e| Violation::new("identity", format!("infer: {e}")))?;
     let mut engine = Engine::new(sys, LookupManager::new(&regions), OVERHEAD);
     let streamed = StreamingRunner::new(StreamConfig {
         chaining: scenario.chaining,
@@ -1335,7 +1418,7 @@ fn check_infer(case: &FuzzCase) -> Result<usize, Violation> {
     oracle_eq!(
         "identity",
         streamed.run,
-        naive,
+        serial,
         "infer: streaming != serial"
     );
 
@@ -1481,6 +1564,7 @@ fn check_monotonicity(
         StepSet::new(vec![1, 2, 4]).expect("static step menu"),
     );
     let mut exec = ConstantExec::average(sys.table());
+    let mut trace = Trace::default();
     let run = Engine::new(
         sys,
         RelaxedManager::new(regions, &relaxation),
@@ -1491,8 +1575,10 @@ fn check_monotonicity(
         period,
         CycleChaining::ArrivalClamped,
         &mut exec,
-        &mut NullSink,
+        &mut trace,
     );
+    rederive_trace(&trace, regions, Some(&relaxation), unclocked)
+        .map_err(|e| Violation::new("identity", format!("relaxed: {e}")))?;
     oracle!(
         "monotonicity",
         run.misses == 0 && run.infeasible == 0,

@@ -5,9 +5,7 @@
 use sqm_core::compiler::{compile_regions, compile_relaxation};
 use sqm_core::controller::OverheadModel;
 use sqm_core::engine::{CycleChaining, Engine, NullSink, RunSummary, TraceSink};
-use sqm_core::manager::{
-    HotLookupManager, HotRelaxedManager, LookupManager, NumericManager, RelaxedManager,
-};
+use sqm_core::manager::{LookupManager, NumericManager, RelaxedManager};
 use sqm_core::policy::MixedPolicy;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
@@ -121,46 +119,6 @@ impl PaperExperiment {
         burst: Option<(usize, usize, f64)>,
         sink: &mut S,
     ) -> RunSummary {
-        self.run_cycles_with(kind, false, frames, jitter, exec_seed, burst, sink)
-    }
-
-    /// The **fast-path** sibling of [`PaperExperiment::run_into`]: the
-    /// symbolic managers are swapped for their hot (incremental-search)
-    /// variants — [`ManagerKind::Regions`] runs [`HotLookupManager`],
-    /// [`ManagerKind::Relaxation`] runs [`HotRelaxedManager`], and
-    /// [`ManagerKind::Numeric`] is unchanged (it has no compiled table to
-    /// resume into). Byte-identical in the virtual time domain: same
-    /// decisions, same analytically-charged work, same records — only the
-    /// host-side search cost differs. `bench_hotpath` measures the two
-    /// against each other; `tests/conformance.rs` pins the identity.
-    pub fn run_into_fast<S: TraceSink>(
-        &self,
-        kind: ManagerKind,
-        frames: usize,
-        jitter: f64,
-        exec_seed: u64,
-        burst: Option<(usize, usize, f64)>,
-        sink: &mut S,
-    ) -> RunSummary {
-        self.run_cycles_with(kind, true, frames, jitter, exec_seed, burst, sink)
-    }
-
-    /// The one closed-loop body behind [`PaperExperiment::run_into`] and
-    /// [`PaperExperiment::run_into_fast`]: identical exec/overhead/shape
-    /// plumbing, dispatching on `(kind, fast)` only for the manager
-    /// constructor — so the naive and fast harness paths cannot drift
-    /// apart.
-    #[allow(clippy::too_many_arguments)] // private seam behind the two public entry points
-    fn run_cycles_with<S: TraceSink>(
-        &self,
-        kind: ManagerKind,
-        fast: bool,
-        frames: usize,
-        jitter: f64,
-        exec_seed: u64,
-        burst: Option<(usize, usize, f64)>,
-        sink: &mut S,
-    ) -> RunSummary {
         let sys = self.encoder.system();
         let period = self.encoder.config().frame_period;
         let mut exec = self.encoder.exec(jitter, exec_seed);
@@ -173,42 +131,21 @@ impl PaperExperiment {
             period,
             chaining: self.chaining,
         };
-        match (kind, fast) {
-            (ManagerKind::Numeric, _) => {
+        match kind {
+            ManagerKind::Numeric => {
                 let policy = MixedPolicy::new(sys);
                 let manager = NumericManager::new(sys, &policy);
                 drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
             }
-            (ManagerKind::Regions, false) => {
+            ManagerKind::Regions => {
                 let manager = LookupManager::new(&self.regions);
                 drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
             }
-            (ManagerKind::Regions, true) => {
-                let manager = HotLookupManager::new(&self.regions);
-                drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
-            }
-            (ManagerKind::Relaxation, false) => {
+            ManagerKind::Relaxation => {
                 let manager = RelaxedManager::new(&self.regions, &self.relaxation);
                 drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
             }
-            (ManagerKind::Relaxation, true) => {
-                let manager = HotRelaxedManager::new(&self.regions, &self.relaxation);
-                drive_cycles(sys, manager, overhead, shape, &mut exec, sink)
-            }
         }
-    }
-
-    /// Fast-path run without recording anything — the hot counterpart of
-    /// [`PaperExperiment::run_summary`].
-    pub fn run_summary_fast(
-        &self,
-        kind: ManagerKind,
-        frames: usize,
-        jitter: f64,
-        exec_seed: u64,
-        burst: Option<(usize, usize, f64)>,
-    ) -> RunSummary {
-        self.run_into_fast(kind, frames, jitter, exec_seed, burst, &mut NullSink)
     }
 
     /// Feed the encoder from an event-driven [`ArrivalSource`] instead of
@@ -418,21 +355,6 @@ mod tests {
     // NOTE: the "periodic + Block streaming ≡ closed loop" identity (and
     // the chaining knob's liveness) that used to be tested here is pinned
     // for all manager kinds and workloads by `tests/conformance.rs`.
-
-    #[test]
-    fn fast_path_matches_naive_path_for_every_manager_kind() {
-        let exp = tiny();
-        for kind in ManagerKind::ALL {
-            let mut naive = Trace::default();
-            let mut fast = Trace::default();
-            let s_naive = exp.run_into(kind, 3, 0.1, 11, None, &mut naive);
-            let s_fast = exp.run_into_fast(kind, 3, 0.1, 11, None, &mut fast);
-            assert_eq!(s_naive, s_fast, "{kind:?}");
-            for (a, b) in naive.cycles.iter().zip(&fast.cycles) {
-                assert_eq!(a.records, b.records, "{kind:?}");
-            }
-        }
-    }
 
     #[test]
     fn relaxation_makes_fewer_calls() {

@@ -40,7 +40,7 @@
 //!   versus worker count, gated on byte-identity with the serial path).
 //! * [`fuzz`] — the differential fuzzing + fault-injection campaign:
 //!   generated systems × fault/drift scenarios × every execution path,
-//!   checked against the five-part safety oracle (`cargo run -p
+//!   checked against the eight-part safety oracle (`cargo run -p
 //!   sqm-bench --release --bin fuzz_smoke` is the CI smoke sweep;
 //!   `bench_faults` emits `BENCH_faults.json`, the trajectory's
 //!   robustness point: oracle throughput and recalibration latency).

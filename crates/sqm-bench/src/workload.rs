@@ -20,7 +20,7 @@ use sqm_core::compiler::compile_regions;
 use sqm_core::controller::{ExecutionTimeSource, OverheadModel};
 use sqm_core::engine::{CycleChaining, Engine, RecordBuffer, RunSummary, TraceSink};
 use sqm_core::fleet::{StreamScratch, StreamSpec};
-use sqm_core::manager::{HotLookupManager, LookupManager};
+use sqm_core::manager::LookupManager;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::source::ArrivalSource;
 use sqm_core::stream::{StreamConfig, StreamSummary, StreamingRunner};
@@ -83,35 +83,6 @@ pub trait Workload {
         Engine::new(
             self.system(),
             LookupManager::new(self.regions()),
-            self.overhead(),
-        )
-        .run_cycles(
-            cycles,
-            self.period(),
-            chaining,
-            &mut self.exec_source(jitter, exec_seed),
-            sink,
-        )
-    }
-
-    /// The closed loop under the **hot** regions manager
-    /// ([`HotLookupManager`]): identical decisions and identical charged
-    /// work as [`Workload::run_closed`] — byte-for-byte the same
-    /// [`RunSummary`] and trace — but the host-side probe resumes from the
-    /// previous decision instead of rescanning from `qmax` (amortized O(1)
-    /// per decision). The cross-path conformance suite pins the identity
-    /// for every registered workload.
-    fn run_closed_hot<S: TraceSink>(
-        &self,
-        cycles: usize,
-        chaining: CycleChaining,
-        jitter: f64,
-        exec_seed: u64,
-        sink: &mut S,
-    ) -> RunSummary {
-        Engine::new(
-            self.system(),
-            HotLookupManager::new(self.regions()),
             self.overhead(),
         )
         .run_cycles(

@@ -139,6 +139,14 @@ pub enum ArtifactError {
     /// A delta-encoded archive ended mid-varint or decoded to the wrong
     /// cell count.
     BadVarint,
+    /// A config's tables break the structure the managers' hint-resuming
+    /// search relies on: a region row increases with quality
+    /// (Proposition 2), or relaxation intervals are not nested over `ρ`
+    /// (Proposition 3).
+    NotMonotone {
+        /// Config whose tables are malformed.
+        config: usize,
+    },
 }
 
 impl std::fmt::Display for ArtifactError {
@@ -178,6 +186,11 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::EmptyFleet => write!(f, "fleet artifact needs at least one config"),
             ArtifactError::MixedFleet(msg) => write!(f, "fleet configs disagree: {msg}"),
             ArtifactError::BadVarint => write!(f, "corrupt delta-encoded archive"),
+            ArtifactError::NotMonotone { config } => write!(
+                f,
+                "config {config}: region rows must be non-increasing in quality and \
+                 relaxation intervals nested over rho"
+            ),
         }
     }
 }
@@ -462,13 +475,15 @@ impl Artifact {
                 } else {
                     None
                 };
+                let tables = LoadedTables {
+                    regions,
+                    relaxation,
+                };
+                check_searchable(0, &tables)?;
                 Ok(Artifact {
                     arena,
                     kind: ArtifactKind::Single,
-                    configs: vec![LoadedTables {
-                        regions,
-                        relaxation,
-                    }],
+                    configs: vec![tables],
                 })
             }
             KIND_FLEET => {
@@ -520,10 +535,12 @@ impl Artifact {
                         None => None,
                     };
                     states_before += n;
-                    configs.push(LoadedTables {
+                    let tables = LoadedTables {
                         regions,
                         relaxation,
-                    });
+                    };
+                    check_searchable(c, &tables)?;
+                    configs.push(tables);
                 }
                 Ok(Artifact {
                     arena,
@@ -559,6 +576,22 @@ impl Artifact {
     /// The one shared arena every table view reads from.
     pub fn arena(&self) -> &TableArena {
         &self.arena
+    }
+}
+
+/// Every manager resumes its probes from the previous decision, which is
+/// exact only on monotone region rows and ρ-nested relaxation intervals;
+/// a checksum proves the bytes intact, not that whoever wrote them
+/// compiled them.
+fn check_searchable(config: usize, tables: &LoadedTables) -> Result<(), ArtifactError> {
+    let nested = tables
+        .relaxation
+        .as_ref()
+        .is_none_or(RelaxationTable::nested_over_rho);
+    if tables.regions.rows_monotone() && nested {
+        Ok(())
+    } else {
+        Err(ArtifactError::NotMonotone { config })
     }
 }
 
@@ -1068,6 +1101,44 @@ mod tests {
         let t = loaded.tables(0).unwrap();
         assert_eq!(t.regions, regions);
         assert!(t.relaxation.is_none());
+    }
+
+    /// Intact, checksum-valid bytes still fail to load when the tables
+    /// they carry break the structure the managers' hint walks rely on.
+    #[test]
+    fn rejects_tables_the_hint_walk_cannot_search() {
+        let (regions, relax) = tables(100);
+        let mut cells = regions.raw().to_vec();
+        cells.swap(0, 2); // state 0's row now rises with quality
+        let rising = QualityRegionTable::from_raw(3, regions.qualities(), cells).unwrap();
+        assert!(!rising.rows_monotone());
+        assert_eq!(
+            Artifact::load(&Artifact::encode(&rising, None)).err(),
+            Some(ArtifactError::NotMonotone { config: 0 })
+        );
+
+        let (lower, upper) = relax.raw();
+        let unnested = RelaxationTable::from_raw(
+            3,
+            relax.qualities(),
+            relax.rho().clone(),
+            upper.to_vec(),
+            lower.to_vec(),
+        )
+        .unwrap();
+        assert!(!unnested.nested_over_rho());
+        assert_eq!(
+            Artifact::load(&Artifact::encode(&regions, Some(&unnested))).err(),
+            Some(ArtifactError::NotMonotone { config: 0 })
+        );
+
+        // In a fleet the error names the offending config.
+        let (bytes, _) =
+            Artifact::encode_fleet(&[(&regions, Some(&relax)), (&rising, Some(&relax))]).unwrap();
+        assert_eq!(
+            Artifact::load(&bytes).err(),
+            Some(ArtifactError::NotMonotone { config: 1 })
+        );
     }
 
     #[test]

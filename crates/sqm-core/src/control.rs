@@ -686,8 +686,9 @@ impl<M: QualityManager> QualityManager for CappedManager<M> {
 /// * two degrade rungs — [`CappedManager`]s at the mid quality `qmax/2`
 ///   and at the floor `qmin` (slack bought with quality).
 ///
-/// Callers wanting a `HotLookupManager`/`AdaptiveLookupManager` mix
-/// build their own `Vec<Rung>` — any [`QualityManager`] can be a rung.
+/// Callers wanting other rungs (an `AdaptiveLookupManager` over a
+/// recalibrated table, say) build their own `Vec<Rung>` — any
+/// [`QualityManager`] can be a rung.
 pub fn standard_slate<'a>(
     regions: &'a QualityRegionTable,
     relaxations: &[&'a RelaxationTable],

@@ -29,10 +29,11 @@
 //!    (re-computes `tD` per call), lookup (table-driven), and relaxed
 //!    (skips control for `r` steps inside `Rrq`); [`smoothness`] scores
 //!    their fluctuation, and `SmoothedManager` rate-limits it. The
-//!    **hot-path** variants (`HotLookupManager` / `HotRelaxedManager`)
-//!    resume each probe from the previous decision — amortized O(1) host
-//!    work per decision, byte-identical in the virtual time domain
-//!    because `Decision::work` is charged analytically.
+//!    table-driven managers (lookup, relaxed and
+//!    [`recalib::AdaptiveLookupManager`]) share one region lookup that
+//!    resumes each probe from the previous decision — amortized O(1) host
+//!    work per decision — while `Decision::work` is charged analytically,
+//!    as the top-down reference scan `QualityRegionTable::choose` would.
 //! 6. **Engine** — [`engine`]: the *monomorphized, allocation-free* hot
 //!    loop (decide → charge overhead → execute → check deadline), generic
 //!    over manager and execution-time source, streaming records into
@@ -154,8 +155,7 @@ pub mod prelude {
         CachePadded, FleetRunner, FleetSummary, StreamScratch, StreamSpec, STATIC_SHARD_MAX_STREAMS,
     };
     pub use crate::manager::{
-        Decision, HotLookupManager, HotRelaxedManager, LookupManager, NumericManager,
-        QualityManager, RelaxedManager, SmoothedManager,
+        Decision, LookupManager, NumericManager, QualityManager, RelaxedManager, SmoothedManager,
     };
     pub use crate::policy::{choose_quality, AveragePolicy, MixedPolicy, Policy, SafePolicy};
     pub use crate::quality::{Quality, QualitySet};

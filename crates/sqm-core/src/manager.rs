@@ -14,13 +14,15 @@
 //!   table ([`crate::relaxation::RelaxationTable`]) and asks the controller
 //!   to skip the next `r − 1` calls entirely.
 //!
-//! Two **hot-path** variants, [`HotLookupManager`] and
-//! [`HotRelaxedManager`], make the same choices as their symbolic
-//! counterparts but resume each probe from the previous decision instead
-//! of rescanning from `qmax` — amortized O(1) host work per decision.
-//! Their [`Decision::work`] stays the *analytic* top-down probe count
+//! The table-driven managers — [`LookupManager`], [`RelaxedManager`] and
+//! [`crate::recalib::AdaptiveLookupManager`] — share one region lookup
+//! that resumes each probe from the previous decision instead of
+//! rescanning from `qmax` (amortized O(1) host probes per decision). Their
+//! [`Decision::work`] is the *analytic* top-down probe count
 //! ([`QualityRegionTable::scan_work`]), so every virtual-time quantity is
-//! byte-identical to the plain managers'.
+//! what the reference scans [`QualityRegionTable::choose`] /
+//! [`RelaxationTable::choose_relaxation`] would produce; the tests and the
+//! fuzz campaign re-derive every decision from those scans.
 //!
 //! All managers are *equivalent in their choices* — they realize the same
 //! function `Γ` (property-tested in the workspace integration tests); they
@@ -51,10 +53,10 @@ pub struct Decision {
     /// managers this is defined **analytically** from the chosen quality
     /// (`|Q| − q` probes, see
     /// [`crate::regions::QualityRegionTable::scan_work`]), *not* from the
-    /// host work actually performed — which is how the incremental
-    /// fast-path managers stay byte-identical in the virtual time domain
-    /// while doing strictly less host work. The controller converts this
-    /// into time overhead.
+    /// host work actually performed — which is how the managers'
+    /// hint-resuming search charges exactly what the top-down scan would
+    /// while doing less host work. The controller converts this into time
+    /// overhead.
     pub work: u64,
     /// `true` when not even `qmin` satisfied the policy constraint — the
     /// state lies outside every quality region. Under correct worst-case
@@ -124,52 +126,91 @@ impl<P: Policy> QualityManager for NumericManager<'_, P> {
     }
 }
 
+/// The region lookup every table-driven manager shares: the maximal `q`
+/// with `tD(s_state, q) ≥ t`, found by resuming the probe from `hint`
+/// ([`QualityRegionTable::choose_from`]) instead of rescanning from
+/// `qmax`, then storing the outcome back as the next call's hint.
+/// Consecutive decisions within a cycle rarely move more than a level, so
+/// the host work is amortized O(1) probes per decision.
+///
+/// The charged [`Decision::work`] is the analytic top-down probe count
+/// ([`QualityRegionTable::scan_work`]), so every virtual-time quantity
+/// equals what the reference scan [`QualityRegionTable::choose`] would
+/// charge. The walk is exact from *any* hint on rows non-increasing in
+/// `q` — every compiled table, and every table the text and binary
+/// loaders accept.
+#[inline]
+pub(crate) fn hinted_lookup(
+    table: &QualityRegionTable,
+    hint: &mut Quality,
+    state: usize,
+    t: Time,
+) -> Decision {
+    let choice = table.choose_from(state, t, *hint);
+    *hint = choice.unwrap_or(Quality::MIN);
+    Decision {
+        quality: *hint,
+        hold: 1,
+        work: table.scan_work(choice),
+        infeasible: choice.is_none(),
+    }
+}
+
 /// Symbolic Quality Manager over pre-computed quality regions: pure table
-/// lookups (Proposition 2).
+/// lookups (Proposition 2), each resumed from the previous decision. The
+/// choice and the charged work equal those of the reference scan
+/// [`QualityRegionTable::choose`].
 #[derive(Clone, Debug)]
 pub struct LookupManager<'a> {
     table: &'a QualityRegionTable,
+    hint: Quality,
 }
 
 impl<'a> LookupManager<'a> {
     /// A lookup manager over a compiled region table.
     pub fn new(table: &'a QualityRegionTable) -> LookupManager<'a> {
-        LookupManager { table }
+        debug_assert!(table.rows_monotone(), "the hint walk needs monotone rows");
+        LookupManager {
+            table,
+            hint: table.qualities().max(),
+        }
     }
 }
 
 impl QualityManager for LookupManager<'_> {
+    // Inlined into the monomorphized engine loop (as are the relaxed and
+    // adaptive managers'): an out-of-line call costs more than the lookup.
+    #[inline]
     fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let (choice, probes) = self.table.choose(state, t);
-        match choice {
-            Some(quality) => Decision {
-                quality,
-                hold: 1,
-                work: probes,
-                infeasible: false,
-            },
-            None => Decision {
-                quality: Quality::MIN,
-                hold: 1,
-                work: probes,
-                infeasible: true,
-            },
-        }
+        hinted_lookup(self.table, &mut self.hint, state, t)
     }
 
     fn name(&self) -> &'static str {
         "regions"
+    }
+
+    fn reset(&mut self) {
+        // A fresh cycle restarts the budget: resume from `qmax`, where
+        // the first decision of a cycle usually lands.
+        self.hint = self.table.qualities().max();
     }
 }
 
 /// Symbolic Quality Manager with control relaxation: after the region
 /// lookup it probes the relaxation table for the largest admissible step
 /// `r ∈ ρ` and asks the controller to hold the chosen quality for `r`
-/// actions (Proposition 3).
+/// actions (Proposition 3). Both probes resume from the previous decision
+/// ([`QualityRegionTable::choose_from`] /
+/// [`RelaxationTable::choose_relaxation_from`]) and charge the analytic
+/// scan count of each table, so holds and charged work equal those of
+/// the reference scans [`QualityRegionTable::choose`] /
+/// [`RelaxationTable::choose_relaxation`].
 #[derive(Clone, Debug)]
 pub struct RelaxedManager<'a> {
     regions: &'a QualityRegionTable,
     relaxation: &'a RelaxationTable,
+    hint_q: Quality,
+    hint_ri: usize,
 }
 
 impl<'a> RelaxedManager<'a> {
@@ -179,181 +220,12 @@ impl<'a> RelaxedManager<'a> {
         relaxation: &'a RelaxationTable,
     ) -> RelaxedManager<'a> {
         debug_assert_eq!(regions.n_states(), relaxation.n_states());
-        RelaxedManager {
-            regions,
-            relaxation,
-        }
-    }
-}
-
-impl QualityManager for RelaxedManager<'_> {
-    fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let (choice, probes) = self.regions.choose(state, t);
-        match choice {
-            Some(quality) => {
-                let (r, r_probes) = self.relaxation.choose_relaxation(state, t, quality);
-                let remaining = self.regions.n_states() - state;
-                Decision {
-                    quality,
-                    hold: r.min(remaining).max(1),
-                    work: probes + r_probes,
-                    infeasible: false,
-                }
-            }
-            None => Decision {
-                quality: Quality::MIN,
-                hold: 1,
-                work: probes,
-                infeasible: true,
-            },
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "relaxation"
-    }
-}
-
-/// Amortized-O(1) symbolic Quality Manager: realizes the same `Γ` as
-/// [`LookupManager`] but resumes each probe from the previously chosen
-/// quality ([`QualityRegionTable::choose_from`]) instead of rescanning
-/// from `qmax`. The charged [`Decision::work`] is the analytic top-down
-/// probe count ([`QualityRegionTable::scan_work`]), so runs are
-/// byte-identical to [`LookupManager`]'s in the virtual time domain while
-/// the host-side search cost stops scaling with `|Q|`.
-///
-/// # Examples
-///
-/// ```
-/// use sqm_core::compiler::compile_regions;
-/// use sqm_core::manager::{HotLookupManager, LookupManager, QualityManager};
-/// use sqm_core::system::SystemBuilder;
-/// use sqm_core::time::Time;
-///
-/// let sys = SystemBuilder::new(3)
-///     .action("a", &[10, 25, 40], &[4, 9, 14])
-///     .action("b", &[12, 22, 35], &[6, 11, 17])
-///     .deadline_last(Time::from_ns(80))
-///     .build()
-///     .unwrap();
-/// let regions = compile_regions(&sys);
-/// let mut naive = LookupManager::new(&regions);
-/// let mut hot = HotLookupManager::new(&regions);
-/// for (state, t) in [(0, 0), (1, 30)] {
-///     // Identical decisions *and* identical charged work.
-///     assert_eq!(hot.decide(state, Time::from_ns(t)), naive.decide(state, Time::from_ns(t)));
-/// }
-/// ```
-#[derive(Clone, Debug)]
-pub struct HotLookupManager<'a> {
-    table: &'a QualityRegionTable,
-    hint: Quality,
-}
-
-impl<'a> HotLookupManager<'a> {
-    /// A hot lookup manager over a compiled region table.
-    pub fn new(table: &'a QualityRegionTable) -> HotLookupManager<'a> {
-        // The hint walk is only exact on Proposition-2 monotone rows;
-        // policy-compiled tables always have them, hand-built `from_raw`
-        // tables might not.
-        debug_assert!(table.rows_monotone(), "choose_from needs monotone rows");
-        HotLookupManager {
-            table,
-            hint: table.qualities().max(),
-        }
-    }
-}
-
-impl QualityManager for HotLookupManager<'_> {
-    fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let choice = self.table.choose_from(state, t, self.hint);
-        let work = self.table.scan_work(choice);
-        match choice {
-            Some(quality) => {
-                self.hint = quality;
-                Decision {
-                    quality,
-                    hold: 1,
-                    work,
-                    infeasible: false,
-                }
-            }
-            None => {
-                self.hint = Quality::MIN;
-                Decision {
-                    quality: Quality::MIN,
-                    hold: 1,
-                    work,
-                    infeasible: true,
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "regions-hot"
-    }
-
-    fn reset(&mut self) {
-        // A fresh cycle restarts the budget; resume from `qmax` like the
-        // naive scan's first probe.
-        self.hint = self.table.qualities().max();
-    }
-}
-
-/// Amortized-O(1) relaxed manager: the fast-path sibling of
-/// [`RelaxedManager`]. Both the region probe and the relaxation-step probe
-/// resume from the previous decision
-/// ([`QualityRegionTable::choose_from`] /
-/// [`RelaxationTable::choose_relaxation_from`]); the charged work is the
-/// analytic scan count of each table, so holds, overheads and every
-/// summary byte match [`RelaxedManager`]'s.
-///
-/// # Examples
-///
-/// ```
-/// use sqm_core::compiler::{compile_regions, compile_relaxation};
-/// use sqm_core::manager::{HotRelaxedManager, QualityManager, RelaxedManager};
-/// use sqm_core::relaxation::StepSet;
-/// use sqm_core::system::SystemBuilder;
-/// use sqm_core::time::Time;
-///
-/// let sys = SystemBuilder::new(2)
-///     .action("a", &[10, 20], &[4, 9])
-///     .action("b", &[12, 22], &[6, 11])
-///     .action("c", &[8, 18], &[3, 8])
-///     .deadline_last(Time::from_ns(90))
-///     .build()
-///     .unwrap();
-/// let regions = compile_regions(&sys);
-/// let relax = compile_relaxation(&sys, &regions, StepSet::new(vec![1, 2]).unwrap());
-/// let mut naive = RelaxedManager::new(&regions, &relax);
-/// let mut hot = HotRelaxedManager::new(&regions, &relax);
-/// assert_eq!(hot.decide(0, Time::ZERO), naive.decide(0, Time::ZERO));
-/// ```
-#[derive(Clone, Debug)]
-pub struct HotRelaxedManager<'a> {
-    regions: &'a QualityRegionTable,
-    relaxation: &'a RelaxationTable,
-    hint_q: Quality,
-    hint_ri: usize,
-}
-
-impl<'a> HotRelaxedManager<'a> {
-    /// A hot relaxed manager over compiled region + relaxation tables.
-    pub fn new(
-        regions: &'a QualityRegionTable,
-        relaxation: &'a RelaxationTable,
-    ) -> HotRelaxedManager<'a> {
-        debug_assert_eq!(regions.n_states(), relaxation.n_states());
-        // Both hint walks need the compiled tables' monotone/nested
-        // structure (see `HotLookupManager::new`).
-        debug_assert!(regions.rows_monotone(), "choose_from needs monotone rows");
+        debug_assert!(regions.rows_monotone(), "the hint walk needs monotone rows");
         debug_assert!(
             relaxation.nested_over_rho(),
-            "choose_relaxation_from needs ρ-nested intervals"
+            "the relaxation hint walk needs ρ-nested intervals"
         );
-        HotRelaxedManager {
+        RelaxedManager {
             regions,
             relaxation,
             hint_q: regions.qualities().max(),
@@ -362,49 +234,25 @@ impl<'a> HotRelaxedManager<'a> {
     }
 }
 
-impl QualityManager for HotRelaxedManager<'_> {
+impl QualityManager for RelaxedManager<'_> {
+    #[inline]
     fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let choice = self.regions.choose_from(state, t, self.hint_q);
-        let probes = self.regions.scan_work(choice);
-        match choice {
-            Some(quality) => {
-                self.hint_q = quality;
-                let found = self
-                    .relaxation
-                    .choose_relaxation_from(state, t, quality, self.hint_ri);
-                let r_probes = self.relaxation.scan_work(found);
-                let r = match found {
-                    Some(ri) => {
-                        self.hint_ri = ri;
-                        self.relaxation.rho().steps()[ri]
-                    }
-                    None => {
-                        self.hint_ri = 0;
-                        1
-                    }
-                };
-                let remaining = self.regions.n_states() - state;
-                Decision {
-                    quality,
-                    hold: r.min(remaining).max(1),
-                    work: probes + r_probes,
-                    infeasible: false,
-                }
-            }
-            None => {
-                self.hint_q = Quality::MIN;
-                Decision {
-                    quality: Quality::MIN,
-                    hold: 1,
-                    work: probes,
-                    infeasible: true,
-                }
-            }
+        let mut decision = hinted_lookup(self.regions, &mut self.hint_q, state, t);
+        if !decision.infeasible {
+            let found =
+                self.relaxation
+                    .choose_relaxation_from(state, t, decision.quality, self.hint_ri);
+            self.hint_ri = found.unwrap_or(0);
+            let r = found.map_or(1, |ri| self.relaxation.rho().steps()[ri]);
+            let remaining = self.regions.n_states() - state;
+            decision.hold = r.min(remaining).max(1);
+            decision.work += self.relaxation.scan_work(found);
         }
+        decision
     }
 
     fn name(&self) -> &'static str {
-        "relaxation-hot"
+        "relaxation"
     }
 
     fn reset(&mut self) {
@@ -417,6 +265,7 @@ impl QualityManager for HotRelaxedManager<'_> {
 mod tests {
     use super::*;
     use crate::policy::MixedPolicy;
+    use crate::recalib::{AdaptiveLookupManager, TableCell};
     use crate::relaxation::StepSet;
     use crate::system::{ParameterizedSystem, SystemBuilder};
 
@@ -496,40 +345,73 @@ mod tests {
         assert!(dl.work <= 3, "lookup work bounded by |Q|");
     }
 
+    /// The reference scans' decision at `(state, t)`: what every
+    /// table-driven manager must return, charged work included.
+    fn scan_decision(
+        regions: &QualityRegionTable,
+        relaxation: Option<&RelaxationTable>,
+        state: usize,
+        t: Time,
+    ) -> Decision {
+        let (choice, probes) = regions.choose(state, t);
+        let (hold, r_probes) = match (choice, relaxation) {
+            (Some(q), Some(relaxation)) => {
+                let (r, r_probes) = relaxation.choose_relaxation(state, t, q);
+                (r.min(regions.n_states() - state).max(1), r_probes)
+            }
+            _ => (1, 0),
+        };
+        Decision {
+            quality: choice.unwrap_or(Quality::MIN),
+            hold,
+            work: probes + r_probes,
+            infeasible: choice.is_none(),
+        }
+    }
+
     #[test]
-    fn hot_managers_match_naive_managers_decision_for_decision() {
+    fn table_managers_match_scan_oracle_decision_for_decision() {
         let s = sys();
         let p = MixedPolicy::new(&s);
         let regions = QualityRegionTable::from_policy(&s, &p);
         let relaxation = RelaxationTable::compile(&s, &regions, StepSet::new(vec![1, 2]).unwrap());
+        let relaxed_table = regions.shifted(Time::from_ns(40));
+        let cell = TableCell::new(regions.clone());
         let mut lookup = LookupManager::new(&regions);
-        let mut hot_lookup = HotLookupManager::new(&regions);
         let mut relaxed = RelaxedManager::new(&regions, &relaxation);
-        let mut hot_relaxed = HotRelaxedManager::new(&regions, &relaxation);
-        // Sweep *sequentially* without resets so the hot managers' hints
-        // carry real state between calls, including the infeasible tail.
-        for state in 0..4 {
-            for t_ns in -20..200 {
-                let t = Time::from_ns(t_ns);
-                assert_eq!(
-                    hot_lookup.decide(state, t),
-                    lookup.decide(state, t),
-                    "lookup state {state} t {t}"
-                );
-                assert_eq!(
-                    hot_relaxed.decide(state, t),
-                    relaxed.decide(state, t),
-                    "relaxed state {state} t {t}"
-                );
+        let mut adaptive = AdaptiveLookupManager::new(&cell);
+        // Sweep *sequentially* without resets so the hints carry real
+        // state between calls: down through every region into the
+        // infeasible tail, then back up at the next state. The second
+        // pass follows a publish and the adaptive manager's cycle-start
+        // reset, so its hint must be valid on the swapped table too.
+        for (pass, adaptive_table) in [&regions, &relaxed_table].into_iter().enumerate() {
+            for state in 0..4 {
+                for t_ns in -20..200 {
+                    let t = Time::from_ns(t_ns);
+                    assert_eq!(
+                        lookup.decide(state, t),
+                        scan_decision(&regions, None, state, t),
+                        "lookup state {state} t {t}"
+                    );
+                    assert_eq!(
+                        relaxed.decide(state, t),
+                        scan_decision(&regions, Some(&relaxation), state, t),
+                        "relaxed state {state} t {t}"
+                    );
+                    assert_eq!(
+                        adaptive.decide(state, t),
+                        scan_decision(adaptive_table, None, state, t),
+                        "adaptive state {state} t {t}"
+                    );
+                }
+            }
+            if pass == 0 {
+                cell.publish(relaxed_table.clone());
+                adaptive.reset();
             }
         }
-        // And after a cycle reset.
-        hot_lookup.reset();
-        lookup.reset();
-        assert_eq!(
-            hot_lookup.decide(0, Time::ZERO),
-            lookup.decide(0, Time::ZERO)
-        );
+        assert_eq!(adaptive.swaps_seen(), 1);
     }
 
     #[test]
@@ -544,10 +426,7 @@ mod tests {
             RelaxedManager::new(&regions, &relaxation).name(),
             "relaxation"
         );
-        assert_eq!(HotLookupManager::new(&regions).name(), "regions-hot");
-        assert_eq!(
-            HotRelaxedManager::new(&regions, &relaxation).name(),
-            "relaxation-hot"
-        );
+        let cell = TableCell::new(regions.clone());
+        assert_eq!(AdaptiveLookupManager::new(&cell).name(), "regions-adaptive");
     }
 }

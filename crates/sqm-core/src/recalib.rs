@@ -16,7 +16,9 @@
 //!   new one — never a torn mix.
 //! * [`AdaptiveLookupManager`] — realizes the same `Γ` as
 //!   [`LookupManager`](crate::manager::LookupManager) over the cell's
-//!   current table. It refreshes its snapshot in
+//!   current table, through the same hint-resuming region lookup (the
+//!   hint restarts from `qmax` at every cycle start, so it is valid on a
+//!   swapped table too). It refreshes its snapshot in
 //!   [`QualityManager::reset`], which the engine calls at every cycle
 //!   start ([`Engine::run_cycle`](crate::engine::Engine::run_cycle)), so
 //!   the swap granularity is the **cycle boundary**: every decision
@@ -34,7 +36,7 @@
 //!
 //! [`ExecutionTimeSource`]: crate::controller::ExecutionTimeSource
 
-use crate::manager::{Decision, QualityManager};
+use crate::manager::{hinted_lookup, Decision, QualityManager};
 use crate::quality::Quality;
 use crate::regions::QualityRegionTable;
 use crate::time::Time;
@@ -90,8 +92,10 @@ impl TableCell {
 ///
 /// Identical choices and identical charged work as
 /// [`LookupManager`](crate::manager::LookupManager) over whatever table
-/// is current; the snapshot refreshes at cycle boundaries (see the
-/// module docs for the atomicity contract).
+/// is current — both run the same hint-resuming lookup, whose choices
+/// and charged work equal the reference scan
+/// [`QualityRegionTable::choose`]. The snapshot refreshes at cycle
+/// boundaries (see the module docs for the atomicity contract).
 ///
 /// # Examples
 ///
@@ -124,6 +128,7 @@ impl TableCell {
 pub struct AdaptiveLookupManager<'c> {
     cell: &'c TableCell,
     table: Arc<QualityRegionTable>,
+    hint: Quality,
     epoch: u64,
     swaps_seen: u64,
 }
@@ -132,8 +137,10 @@ impl<'c> AdaptiveLookupManager<'c> {
     /// A manager reading its table from `cell`.
     pub fn new(cell: &'c TableCell) -> AdaptiveLookupManager<'c> {
         let (epoch, table) = cell.load();
+        debug_assert!(table.rows_monotone(), "the hint walk needs monotone rows");
         AdaptiveLookupManager {
             cell,
+            hint: table.qualities().max(),
             table,
             epoch,
             swaps_seen: 0,
@@ -156,6 +163,7 @@ impl<'c> AdaptiveLookupManager<'c> {
     pub fn refresh(&mut self) {
         if self.cell.epoch() != self.epoch {
             let (epoch, table) = self.cell.load();
+            debug_assert!(table.rows_monotone(), "the hint walk needs monotone rows");
             self.epoch = epoch;
             self.table = table;
             self.swaps_seen += 1;
@@ -164,22 +172,9 @@ impl<'c> AdaptiveLookupManager<'c> {
 }
 
 impl QualityManager for AdaptiveLookupManager<'_> {
+    #[inline]
     fn decide(&mut self, state: usize, t: Time) -> Decision {
-        let (choice, probes) = self.table.choose(state, t);
-        match choice {
-            Some(quality) => Decision {
-                quality,
-                hold: 1,
-                work: probes,
-                infeasible: false,
-            },
-            None => Decision {
-                quality: Quality::MIN,
-                hold: 1,
-                work: probes,
-                infeasible: true,
-            },
-        }
+        hinted_lookup(&self.table, &mut self.hint, state, t)
     }
 
     fn name(&self) -> &'static str {
@@ -188,6 +183,7 @@ impl QualityManager for AdaptiveLookupManager<'_> {
 
     fn reset(&mut self) {
         self.refresh();
+        self.hint = self.table.qualities().max();
     }
 }
 

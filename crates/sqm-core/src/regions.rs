@@ -224,10 +224,10 @@ impl QualityRegionTable {
 
     /// `true` when every row is non-increasing in `q` — the Proposition-2
     /// structure every policy-compiled table has, and the premise of the
-    /// incremental search ([`QualityRegionTable::choose_from`]). Tables
-    /// rebuilt through [`QualityRegionTable::from_raw`] are only
-    /// length-checked, so fast-path consumers `debug_assert!` this before
-    /// trusting the hint walk.
+    /// incremental search ([`QualityRegionTable::choose_from`]) every
+    /// table-driven manager runs. [`QualityRegionTable::from_raw`] only
+    /// checks the length; the text and binary loaders reject a table that
+    /// fails this check.
     pub fn rows_monotone(&self) -> bool {
         (0..self.n_states).all(|state| self.row(state).windows(2).all(|w| w[0] >= w[1]))
     }
@@ -250,14 +250,15 @@ impl QualityRegionTable {
         lower < t && t <= upper
     }
 
-    /// The symbolic Quality Manager's choice: the maximal `q` with
+    /// The reference scan of Proposition 2: the maximal `q` with
     /// `tD(s_state, q) ≥ t`, found by probing levels from `qmax` down.
-    /// Returns the number of table probes alongside (the symbolic manager's
-    /// per-call work, at most `|Q|`).
+    /// Returns the number of table probes alongside — the per-call work
+    /// the symbolic managers are charged, at most `|Q|`.
     ///
-    /// The probe runs over the hoisted [`QualityRegionTable::row`] slice, so
-    /// the per-call `state · |Q|` offset is computed once and the loop is
-    /// bounds-check-free.
+    /// The managers reach the same choice through the hint-resuming
+    /// [`QualityRegionTable::choose_from`] and charge
+    /// [`QualityRegionTable::scan_work`]; this scan is the oracle the tests
+    /// and the fuzz campaign re-derive their decisions from.
     pub fn choose(&self, state: usize, t: Time) -> (Option<Quality>, u64) {
         let row = self.row(state);
         let mut probes = 0;
@@ -276,8 +277,9 @@ impl QualityRegionTable {
     /// feasible. This is the paper's abstract per-decision work model —
     /// [`crate::manager::Decision::work`] is defined by this formula, not
     /// by whatever host-side search strategy produced the choice, which is
-    /// what lets the incremental fast path ([`QualityRegionTable::choose_from`])
-    /// stay byte-identical in the virtual time domain.
+    /// what lets the managers' incremental search
+    /// ([`QualityRegionTable::choose_from`]) charge exactly what this scan
+    /// would.
     #[inline]
     pub fn scan_work(&self, choice: Option<Quality>) -> u64 {
         let nq = self.qualities.len() as u64;
@@ -296,9 +298,10 @@ impl QualityRegionTable {
     /// the maximal feasible level. Consecutive decisions within a cycle
     /// rarely move more than a level apart, making the amortized cost O(1)
     /// table probes instead of `O(|Q|)`. (The walk relies on the
-    /// Proposition-2 monotone structure, which every policy-compiled table
-    /// has; a hand-built [`QualityRegionTable::from_raw`] table with
-    /// non-monotone rows must use [`QualityRegionTable::choose`].)
+    /// Proposition-2 monotone structure, which every policy-compiled or
+    /// loaded table has; a hand-built [`QualityRegionTable::from_raw`]
+    /// table with non-monotone rows must use
+    /// [`QualityRegionTable::choose`].)
     ///
     /// Host-side work only: charge [`QualityRegionTable::scan_work`] for
     /// the virtual accounting, never the number of probes this method
@@ -518,46 +521,6 @@ mod tests {
             assert_eq!(row.len(), 3);
             for q in s.qualities().iter() {
                 assert_eq!(row[q.index()], table.t_d(state, q));
-            }
-        }
-    }
-
-    #[test]
-    fn hinted_choice_matches_linear_choice_for_every_hint() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let table = QualityRegionTable::from_policy(&s, &p);
-        for state in 0..3 {
-            for t_ns in -30..130 {
-                let t = Time::from_ns(t_ns);
-                let (naive, probes) = table.choose(state, t);
-                assert_eq!(table.scan_work(naive), probes, "state {state} t {t}");
-                for hint in s.qualities().iter() {
-                    assert_eq!(
-                        table.choose_from(state, t, hint),
-                        naive,
-                        "state {state} t {t} hint {hint}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hinted_choice_at_exact_region_boundaries() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let table = QualityRegionTable::from_policy(&s, &p);
-        for state in 0..3 {
-            for q in s.qualities().iter() {
-                let boundary = table.t_d(state, q);
-                for delta in [-1i64, 0, 1] {
-                    let t = boundary + Time::from_ns(delta);
-                    let (naive, _) = table.choose(state, t);
-                    for hint in s.qualities().iter() {
-                        assert_eq!(table.choose_from(state, t, hint), naive);
-                    }
-                }
             }
         }
     }

@@ -207,8 +207,16 @@ pub fn regions_from_str(s: &str) -> Result<QualityRegionTable, ParseError> {
             got: td.len(),
         });
     }
-    QualityRegionTable::from_raw(states, qualities, td)
-        .ok_or_else(|| ParseError::Inconsistent("shape mismatch".into()))
+    let table = QualityRegionTable::from_raw(states, qualities, td)
+        .ok_or_else(|| ParseError::Inconsistent("shape mismatch".into()))?;
+    // Every manager resumes its probe from the previous decision, which is
+    // exact only on rows non-increasing in quality (Proposition 2).
+    if !table.rows_monotone() {
+        return Err(ParseError::Inconsistent(
+            "region row increases with quality".into(),
+        ));
+    }
+    Ok(table)
 }
 
 /// Serialize a relaxation table.
@@ -297,8 +305,16 @@ pub fn relaxation_from_str(s: &str) -> Result<RelaxationTable, ParseError> {
             got: lower.len() + upper.len(),
         });
     }
-    RelaxationTable::from_raw(states, qualities, rho, lower, upper)
-        .ok_or_else(|| ParseError::Inconsistent("shape mismatch".into()))
+    let table = RelaxationTable::from_raw(states, qualities, rho, lower, upper)
+        .ok_or_else(|| ParseError::Inconsistent("shape mismatch".into()))?;
+    // The relaxed manager's step walk is exact only on intervals nested
+    // over ρ (Proposition 3).
+    if !table.nested_over_rho() {
+        return Err(ParseError::Inconsistent(
+            "relaxation intervals not nested over rho".into(),
+        ));
+    }
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -378,6 +394,38 @@ mod tests {
         ));
     }
 
+    /// A well-formed file whose rows break the Proposition 2/3 structure
+    /// the managers' hint walks rely on is rejected, not loaded.
+    #[test]
+    fn rejects_tables_the_hint_walk_cannot_search() {
+        let s = sys();
+        let rising = QualityRegionTable::from_raw(
+            1,
+            s.qualities(),
+            vec![Time::from_ns(5), Time::from_ns(9), Time::from_ns(1)],
+        )
+        .unwrap();
+        assert!(matches!(
+            regions_from_str(&regions_to_string(&rising)),
+            Err(ParseError::Inconsistent(_))
+        ));
+
+        let c = compile_all(&s, Some(StepSet::new(vec![1, 2]).unwrap()));
+        let relax = c.relaxation.unwrap();
+        let (lower, upper) = relax.raw();
+        let mut lower = lower.to_vec();
+        // Interval r = 2 of (state 0, qmin) starts before interval r = 1.
+        lower[1] = lower[0] - Time::from_ns(1);
+        let unnested =
+            RelaxationTable::from_raw(3, s.qualities(), relax.rho().clone(), lower, upper.to_vec())
+                .unwrap();
+        assert!(!unnested.nested_over_rho());
+        assert!(matches!(
+            relaxation_from_str(&relaxation_to_string(&unnested)),
+            Err(ParseError::Inconsistent(_))
+        ));
+    }
+
     #[test]
     fn scanner_accepts_signs_extremes_and_loose_layout() {
         // Tokens may be distributed across lines arbitrarily; '+' signs and
@@ -419,9 +467,9 @@ mod tests {
     #[test]
     fn format_line_is_optional_but_checked() {
         // Pre-PR-8 files carry no `format=` line; they still parse.
-        let legacy = "SQM-REGIONS v1\nstates=1 qualities=2\n1 2\n";
+        let legacy = "SQM-REGIONS v1\nstates=1 qualities=2\n2 1\n";
         let t = regions_from_str(legacy).unwrap();
-        assert_eq!(t.raw(), &[Time::from_ns(1), Time::from_ns(2)]);
+        assert_eq!(t.raw(), &[Time::from_ns(2), Time::from_ns(1)]);
 
         // A present-but-future version is a typed rejection, not a
         // misparse of the payload.

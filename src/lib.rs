@@ -45,7 +45,9 @@
 //!   feeds observed times into an [`platform::OnlineEstimator`] and
 //!   atomically republishes the recompiled region table through
 //!   [`core::recalib::TableCell`], picked up by an
-//!   [`core::recalib::AdaptiveLookupManager`] at the next cycle boundary.
+//!   [`core::recalib::AdaptiveLookupManager`] (the lookup manager's
+//!   hint-resuming search over a swappable table) at the next cycle
+//!   boundary.
 //! * [`mpeg`] — the MPEG-like encoder workload of the paper's evaluation
 //!   (1,189 actions per frame, 7 quality levels).
 //! * [`power`] — the DVFS extension sketched in the paper's conclusion
@@ -93,8 +95,6 @@
 //! --bin bench_baseline` emits the workspace's performance baseline,
 //! `… --bin bench_fleet` the multi-stream scaling point,
 //! `… --bin bench_stream` the live-traffic backlog/latency point,
-//! `… --bin bench_hotpath` the decision-core fast-path point (naive scan
-//! vs incremental search, byte-identical in virtual time) and
 //! `… --bin bench_elastic` the elastic-scheduler stress point (10⁵ live
 //! streams, streams/sec and ns/action versus worker count) and
 //! `… --bin bench_faults` the robustness point (differential-fuzzing

@@ -15,7 +15,10 @@
 //! diverse sources, every workload added to the workspace doubles as an
 //! independent witness that the reductions agree.
 //!
-//! The approachability control layer joins the identity as path 7: a
+//! The serial path's decisions must also re-derive one by one from the
+//! top-down reference scans, which pins the managers' hint-resuming
+//! search on every workload. The elastic scheduler joins the identity as
+//! path 5 and the approachability control layer as path 6: a
 //! [`ControlledManager`] over the trivial safe set (`ℝ⁴` — the
 //! controller can never find the average outside) must be byte-identical
 //! to the plain baseline on every one of those paths, which pins the
@@ -28,6 +31,7 @@ use common::{arb_system, cycle_fraction_exec, OVERHEAD};
 use proptest::prelude::*;
 use speed_qm::core::prelude::*;
 use speed_qm::mpeg::EncoderConfig;
+use sqm_bench::fuzz::{rederive_decisions, unclocked};
 use sqm_bench::{
     AudioExperiment, InferExperiment, ManagerKind, NetExperiment, PaperExperiment, Workload,
 };
@@ -41,6 +45,15 @@ fn mpeg_tiny() -> PaperExperiment {
         EncoderConfig::tiny(3),
         StepSet::new(vec![1, 2, 3, 4]).unwrap(),
     )
+}
+
+/// Every decided record of `trace` re-derives from the reference scans.
+fn rederive(trace: &Trace, regions: &QualityRegionTable, relaxation: Option<&RelaxationTable>) {
+    for cycle in &trace.cycles {
+        if let Err(e) = rederive_decisions(&cycle.records, regions, relaxation, unclocked) {
+            panic!("cycle {}: {e}", cycle.cycle);
+        }
+    }
 }
 
 /// The parameterized core of the suite: all four execution paths produce
@@ -131,20 +144,11 @@ where
             "{label} {chaining:?}: periodic fleet spec != serial"
         );
 
-        // Path 5 — the hot (incremental-search) regions manager: the fast
-        // path is byte-identical to the naive scan in the virtual time
-        // domain, records included.
-        let mut hot_trace = speed_qm::core::trace::Trace::default();
-        let hot = w.run_closed_hot(CYCLES, chaining, JITTER, SEED, &mut hot_trace);
-        assert_eq!(hot, serial, "{label} {chaining:?}: hot managers != serial");
-        for (a, b) in trace.cycles.iter().zip(&hot_trace.cycles) {
-            assert_eq!(
-                a.records, b.records,
-                "{label} {chaining:?}: hot trace != serial trace"
-            );
-        }
+        // Every serial decision re-derives from the top-down reference
+        // scan: the hint-resuming lookup the manager runs is exact.
+        rederive(&trace, w.regions(), None);
 
-        // Path 6 — the elastic scheduler: per-cycle interleaving of many
+        // Path 5 — the elastic scheduler: per-cycle interleaving of many
         // live streams must reproduce the per-stream streaming fold under
         // unbounded admission — the full struct, `max_backlog` included —
         // byte-identically for every worker count.
@@ -190,7 +194,7 @@ where
             );
         }
 
-        // Path 7 — the approachability control layer with the trivial
+        // Path 6 — the approachability control layer with the trivial
         // safe set (ℝ⁴): the averaged payoff is always inside, so the
         // controller never steers off rung 0 and the `ControlledManager`
         // must be byte-identical to the plain baseline on every path —
@@ -316,9 +320,9 @@ fn infer_workload_conforms_across_all_paths() {
 
 /// The MPEG harness's manager-specific paths (numeric and relaxation are
 /// not reachable through the uniform `Workload` seam) honour the same
-/// identities: closed `run_into` ≡ fast-path `run_into_fast` ≡
-/// trace-replay ≡ Periodic+Block `run_stream_into`, for every manager
-/// kind × both chaining variants.
+/// identities: closed `run_into` ≡ trace-replay ≡ Periodic+Block
+/// `run_stream_into`, for every manager kind × both chaining variants,
+/// and the symbolic kinds' decisions re-derive from the reference scans.
 #[test]
 fn mpeg_manager_kinds_conform_across_paths() {
     for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
@@ -327,14 +331,10 @@ fn mpeg_manager_kinds_conform_across_paths() {
         for kind in ManagerKind::ALL {
             let mut trace = speed_qm::core::trace::Trace::default();
             let serial = exp.run_into(kind, CYCLES, JITTER, SEED, None, &mut trace);
-            let mut fast_trace = speed_qm::core::trace::Trace::default();
-            let fast = exp.run_into_fast(kind, CYCLES, JITTER, SEED, None, &mut fast_trace);
-            assert_eq!(fast, serial, "{kind:?} {chaining:?}: fast path != serial");
-            for (a, b) in trace.cycles.iter().zip(&fast_trace.cycles) {
-                assert_eq!(
-                    a.records, b.records,
-                    "{kind:?} {chaining:?}: fast trace != serial trace"
-                );
+            match kind {
+                ManagerKind::Numeric => {}
+                ManagerKind::Regions => rederive(&trace, &exp.regions, None),
+                ManagerKind::Relaxation => rederive(&trace, &exp.regions, Some(&exp.relaxation)),
             }
             assert_eq!(
                 trace.run_summary(),

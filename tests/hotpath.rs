@@ -1,21 +1,22 @@
-//! Fast-path ≡ naive-path identities for the decision core.
+//! The decision core's hint-resuming search against the top-down
+//! reference scans.
 //!
-//! The hot managers ([`HotLookupManager`] / [`HotRelaxedManager`]) and the
-//! table-level incremental searches (`choose_from` /
+//! The table-level incremental searches (`choose_from` /
 //! `choose_relaxation_from`) must make **exactly** the choices of the
-//! naive top-down scans and charge **exactly** the analytic probe count —
-//! over arbitrary feasible systems, from *every* possible hint, including
-//! exact region-boundary times (`t = tD(s, q)` and ±1 ns) and the
-//! infeasible tail beyond `tD(s, qmin)`. Engine-level, a hot run's records
-//! must be byte-identical to the naive manager's.
+//! scans and charge **exactly** the analytic probe count — over arbitrary
+//! feasible systems, from *every* possible hint, including exact
+//! region-boundary times (`t = tD(s, q)` and ±1 ns) and the infeasible
+//! tail beyond `tD(s, qmin)`. Engine-level, every decision a
+//! table-driven manager makes in a run must re-derive from the scans.
 
 mod common;
 
-use common::{arb_system, cycle_fraction_exec, OVERHEAD};
+use common::{arb_system, cycle_fraction_exec, ArbSystem, OVERHEAD};
 use proptest::prelude::*;
 use speed_qm::core::compiler::{compile_regions, compile_relaxation};
 use speed_qm::core::prelude::*;
 use speed_qm::core::trace::Trace;
+use sqm_bench::fuzz::{rederive_decisions, unclocked};
 
 /// Decision times that exercise every structural case at `state`: each
 /// region boundary exactly, one below, one above, far past (infeasible
@@ -43,6 +44,26 @@ fn probe_times(regions: &QualityRegionTable, relax: &RelaxationTable, state: usi
         }
     }
     times
+}
+
+/// Run `cycles` cycles of the generated system under `manager`,
+/// recording every action.
+fn record<M: QualityManager>(
+    arb: &ArbSystem,
+    manager: M,
+    cycles: usize,
+    chaining: CycleChaining,
+) -> Trace {
+    let sys = &arb.system;
+    let mut trace = Trace::default();
+    Engine::new(sys, manager, OVERHEAD).run_cycles(
+        cycles,
+        sys.final_deadline(),
+        chaining,
+        &mut cycle_fraction_exec(sys, &arb.fractions),
+        &mut trace,
+    );
+    trace
 }
 
 proptest! {
@@ -86,62 +107,31 @@ proptest! {
         }
     }
 
-    /// Engine-level: a run under the hot managers is byte-identical —
-    /// summaries *and* records — to the same run under the naive managers,
-    /// for both chaining variants.
+    /// Engine-level: every decided record of a run under the lookup,
+    /// relaxed and adaptive managers re-derives from the reference scans
+    /// — quality, infeasibility, charged work and hold — for both
+    /// chaining variants.
     #[test]
-    fn hot_managers_run_byte_identical(arb in arb_system(), cycles in 1usize..5) {
+    fn managers_rederive_from_scan_oracle(arb in arb_system(), cycles in 1usize..5) {
         let sys = &arb.system;
         let regions = compile_regions(sys);
         let n = sys.n_actions();
         let rho = StepSet::new((1..=n.min(3)).collect()).unwrap();
         let relax = compile_relaxation(sys, &regions, rho);
-        let period = sys.final_deadline();
+        let cell = TableCell::new(regions.clone());
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-            // Lookup pair.
-            let mut naive_trace = Trace::default();
-            let naive = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
-                cycles,
-                period,
-                chaining,
-                &mut cycle_fraction_exec(sys, &arb.fractions),
-                &mut naive_trace,
-            );
-            let mut hot_trace = Trace::default();
-            let hot = Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
-                cycles,
-                period,
-                chaining,
-                &mut cycle_fraction_exec(sys, &arb.fractions),
-                &mut hot_trace,
-            );
-            prop_assert_eq!(naive, hot, "{:?}", chaining);
-            for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-                prop_assert_eq!(&a.records, &b.records);
-            }
-
-            // Relaxed pair.
-            let mut naive_trace = Trace::default();
-            let naive = Engine::new(sys, RelaxedManager::new(&regions, &relax), OVERHEAD)
-                .run_cycles(
-                    cycles,
-                    period,
-                    chaining,
-                    &mut cycle_fraction_exec(sys, &arb.fractions),
-                    &mut naive_trace,
-                );
-            let mut hot_trace = Trace::default();
-            let hot = Engine::new(sys, HotRelaxedManager::new(&regions, &relax), OVERHEAD)
-                .run_cycles(
-                    cycles,
-                    period,
-                    chaining,
-                    &mut cycle_fraction_exec(sys, &arb.fractions),
-                    &mut hot_trace,
-                );
-            prop_assert_eq!(naive, hot, "{:?}", chaining);
-            for (a, b) in naive_trace.cycles.iter().zip(&hot_trace.cycles) {
-                prop_assert_eq!(&a.records, &b.records);
+            let traces = [
+                (record(&arb, LookupManager::new(&regions), cycles, chaining), None),
+                (record(&arb, RelaxedManager::new(&regions, &relax), cycles, chaining), Some(&relax)),
+                (record(&arb, AdaptiveLookupManager::new(&cell), cycles, chaining), None),
+            ];
+            for (trace, relaxation) in &traces {
+                prop_assert_eq!(trace.cycles.len(), cycles);
+                for cycle in &trace.cycles {
+                    let rederived =
+                        rederive_decisions(&cycle.records, &regions, *relaxation, unclocked);
+                    prop_assert!(rederived.is_ok(), "{:?}: {:?}", chaining, rederived);
+                }
             }
         }
     }
@@ -158,7 +148,7 @@ proptest! {
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
             let recorded = {
                 let mut trace = Trace::default();
-                Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
+                Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
                     cycles,
                     period,
                     chaining,
@@ -166,7 +156,7 @@ proptest! {
                     &mut trace,
                 )
             };
-            let null = Engine::new(sys, HotLookupManager::new(&regions), OVERHEAD).run_cycles(
+            let null = Engine::new(sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
                 cycles,
                 period,
                 chaining,
