@@ -3,8 +3,9 @@
 //!
 //! Every variant produces byte-identical per-stream results (the unit and
 //! conformance suites pin that), so the measured difference is pure
-//! scheduler cost — heap churn, ring handoff, barrier crossings — plus,
-//! on multi-core hosts, the parallel speedup of the execution phase.
+//! scheduler cost — heap churn, ring publication, claims and round
+//! hand-offs — plus, on multi-core hosts, the execution that overlaps the
+//! serial fill.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqm_bench::ElasticExperiment;

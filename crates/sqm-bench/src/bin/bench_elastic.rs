@@ -3,11 +3,12 @@
 //!
 //! Where `bench_fleet` shards whole streams over workers, this measures
 //! `sqm_core::elastic` interleaving **100,000 tiny live streams** per
-//! cycle: sharded arrival heaps, a fixed-capacity ready ring,
-//! deterministic stealing and fleet-wide admission. Reported per worker
-//! count (1/2/4/8): host wall-clock (median of 5), streams/sec and
-//! ns/action — machine-dependent numbers (track deltas, not absolutes; on
-//! a single-core container extra workers only add scheduling overhead).
+//! cycle: arrival and start event heaps, a fixed-capacity ready ring that
+//! the workers run while it is still being filled, and fleet-wide
+//! admission. Reported per worker count (1/2/4/8): host wall-clock
+//! (median of 5), streams/sec and ns/action, plus the host's core count —
+//! machine-dependent numbers (track deltas, not absolutes; with more
+//! workers than cores the extra ones only add scheduling overhead).
 //!
 //! Correctness gates run before anything is published, and a failed gate
 //! aborts without writing the artifact:
@@ -123,12 +124,14 @@ fn main() {
         ledger.shed, ledger.arrived, ledger.peak_backlog
     );
 
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
         concat!(
             "{{\n",
             "  \"schema\": \"speed-qm/bench-elastic/v1\",\n",
             "  \"config\": \"ElasticExperiment::micro({}, {}): {} live micro streams x {} frames, ring 4096, unbounded admission\",\n",
             "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes); results are byte-identical across worker counts by construction\",\n",
+            "  \"nproc\": {},\n",
             "  \"workers_byte_identical_to_one_worker\": true,\n",
             "  \"one_worker_matches_serial_streaming_fold\": true,\n",
             "  \"aggregate\": {{\n",
@@ -156,6 +159,7 @@ fn main() {
         frames,
         streams,
         frames,
+        nproc,
         reference.n_streams(),
         exp.total_frames(),
         reference.run().cycles,

@@ -6,18 +6,18 @@
 //! live deployment has many mostly-idle streams whose cycles *interleave*
 //! in time. This module schedules at cycle granularity:
 //!
-//! * a **sharded binary event heap** ([`ShardedEventHeap`], one lane per
-//!   worker) keyed by each stream's next virtual arrival time — obtained
-//!   without consumption via [`ArrivalSource::peek`];
-//! * a **start-event heap** ([`EventHeap`]) keyed by the absolute start
-//!   time of each stream's next runnable cycle;
+//! * an **arrival event heap** ([`EventHeap`]) keyed by each stream's
+//!   next virtual arrival time — obtained without consumption via
+//!   [`ArrivalSource::peek`];
+//! * a **start-event heap** (another [`EventHeap`]) keyed by the absolute
+//!   start time of each stream's next runnable cycle;
 //! * a fixed-capacity **ready ring**: each scheduling round drains due
 //!   events into at most [`ElasticConfig::ring_capacity`] ready cycles;
-//! * **per-worker run queues with deterministic stealing**: the ring is
-//!   split into one contiguous segment per worker, each with its own
-//!   cacheline-padded claim cursor; a worker that drains its segment
-//!   steals from victims chosen by `(worker + step + round) % workers` —
-//!   a function of worker index and round counter, never host timing;
+//! * a **pipelined round**: the filling thread publishes committed ring
+//!   entries in fixed batches while it is still filling, and every worker
+//!   claims published entries through one cursor that carries the round
+//!   number — so the other workers run a round's first cycles while its
+//!   last ones are still being scheduled;
 //! * **fleet-wide admission control** ([`Admission::DropNewest`]): a
 //!   shared [`ShedLedger`] counts the *aggregate* backlog, and a frame is
 //!   shed iff its stream is already behind **and** the fleet as a whole
@@ -32,14 +32,15 @@
 //! 1. *Virtual-time scheduling* — which frames are admitted or shed, and
 //!    when each admitted cycle starts — is computed by a serial,
 //!    deterministic discrete-event loop over the heaps. Nothing in it
-//!    reads the worker count: the sharded heap pops the global minimum
-//!    across lanes (keys are unique per stream, so lane count cannot
-//!    change pop order), and the ring capacity is configuration, not
-//!    `workers`.
+//!    reads the worker count (the ring capacity is configuration, not
+//!    `workers`), and nothing in it reads a completion of the round it
+//!    is filling — clocks advance only between rounds — so running a
+//!    round's published entries while the loop is still filling it
+//!    cannot change what the loop decides.
 //! 2. *Host execution* — which worker runs which ready cycle — only maps
 //!    already-scheduled work onto threads. Streams are independent and a
-//!    stream has at most one cycle per round, so assignment (and
-//!    stealing) changes wall-clock time, never results.
+//!    stream has at most one cycle per round, so claim order changes
+//!    wall-clock time, never results.
 //!
 //! ## Who owns what
 //!
@@ -95,8 +96,8 @@ use crate::source::ArrivalSource;
 use crate::stream::{StreamCursor, StreamStats, StreamSummary};
 use crate::time::Time;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Pack an event into one integer key whose unsigned order is the
 /// `(time, stream)` order: the time's sign bit is flipped so signed
@@ -242,87 +243,6 @@ impl EventHeap {
             i = child;
         }
         keys[i] = key;
-    }
-}
-
-/// One [`EventHeap`] lane per worker, keyed by stream id (`stream %
-/// lanes`), popped globally smallest-first.
-///
-/// Each stream has at most one pending arrival event, so every key is
-/// unique and the pop order across lanes is exactly the sorted order of
-/// all queued events — **independent of the lane count**. That is what
-/// lets the lane count track the worker count (locality: a worker's
-/// streams cluster in its lane) without the worker count ever leaking
-/// into scheduling decisions.
-#[derive(Clone, Debug)]
-pub struct ShardedEventHeap {
-    lanes: Vec<EventHeap>,
-}
-
-impl ShardedEventHeap {
-    /// A heap with `lanes` lanes (clamped to at least 1).
-    pub fn new(lanes: usize) -> ShardedEventHeap {
-        ShardedEventHeap {
-            lanes: vec![EventHeap::new(); lanes.max(1)],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Total queued events across lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(EventHeap::len).sum()
-    }
-
-    /// `true` when every lane is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(EventHeap::is_empty)
-    }
-
-    /// The lane holding the global minimum.
-    #[inline]
-    fn min_lane(&self) -> Option<usize> {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.keys.first().map(|&k| (k, i)))
-            .min()
-            .map(|(_, i)| i)
-    }
-
-    /// Queue an event in its stream's lane.
-    #[inline]
-    pub fn push(&mut self, time: Time, stream: u32) {
-        let lane = stream as usize % self.lanes.len();
-        self.lanes[lane].push(time, stream);
-    }
-
-    /// The globally minimum event across lanes, without removing it.
-    #[inline]
-    pub fn peek_min(&self) -> Option<(Time, u32)> {
-        self.lanes[self.min_lane()?].peek()
-    }
-
-    /// Remove and return the globally minimum event.
-    #[inline]
-    pub fn pop_min(&mut self) -> Option<(Time, u32)> {
-        let lane = self.min_lane()?;
-        self.lanes[lane].pop()
-    }
-
-    /// Re-key the globally minimum event: remove it and queue its
-    /// stream's next event at `time`, in one [`EventHeap::replace_top`]
-    /// sift of the stream's lane. Returns the removed event, or `None`
-    /// (queueing nothing) if the heap is empty.
-    #[inline]
-    pub fn rekey_min(&mut self, time: Time) -> Option<(Time, u32)> {
-        let min = self.min_lane()?;
-        let lane = &mut self.lanes[min];
-        let (_, stream) = lane.peek()?;
-        lane.replace_top(time, stream)
     }
 }
 
@@ -632,7 +552,7 @@ struct Scheduler<A> {
     ring_capacity: usize,
     streams: Vec<SchedStream<A>>,
     start_heap: EventHeap,
-    arrivals: ShardedEventHeap,
+    arrivals: EventHeap,
     /// Latest start time ever scheduled: arrivals beyond it wait, which
     /// bounds queue growth and keeps admission decisions near the
     /// execution frontier. Monotone, worker-count independent.
@@ -643,8 +563,8 @@ struct Scheduler<A> {
 }
 
 impl<A: ArrivalSource> Scheduler<A> {
-    fn new(config: ElasticConfig, lanes: usize, sources: Vec<A>) -> Scheduler<A> {
-        let mut arrivals = ShardedEventHeap::new(lanes);
+    fn new(config: ElasticConfig, sources: Vec<A>) -> Scheduler<A> {
+        let mut arrivals = EventHeap::new();
         let mut streams = Vec::with_capacity(sources.len());
         for (i, mut source) in sources.into_iter().enumerate() {
             let floor = Time::ZERO;
@@ -679,11 +599,22 @@ impl<A: ArrivalSource> Scheduler<A> {
     /// order; an arrival is *due* once it is at or before the horizon, or
     /// unconditionally when nothing is scheduled at all (bootstrap). An
     /// empty ring on return means the run is complete.
-    fn fill(&mut self, ring: &mut Vec<Ready>) {
+    ///
+    /// Each time another [`PUBLISH_BATCH`] entries are committed, `publish`
+    /// sees the ring so far. Committed entries are final: nothing later in
+    /// the fill reads or changes them, and the fill never reads a
+    /// completion of the round it is filling, so the entries may run
+    /// while the fill goes on.
+    fn fill(&mut self, ring: &mut Vec<Ready>, mut publish: impl FnMut(&[Ready])) {
         ring.clear();
+        let mut batch_end = PUBLISH_BATCH;
         while ring.len() < self.ring_capacity {
+            if ring.len() == batch_end {
+                publish(ring);
+                batch_end += PUBLISH_BATCH;
+            }
             let start_top = self.start_heap.peek();
-            let arrival_top = self.arrivals.peek_min();
+            let arrival_top = self.arrivals.peek();
             let arrival_due = match arrival_top {
                 Some((ta, _)) => ta <= self.horizon || (ring.is_empty() && start_top.is_none()),
                 None => false,
@@ -781,8 +712,8 @@ impl<A: ArrivalSource> Scheduler<A> {
                 }
             }
         }
-        // Consume the peeked timestamp and re-key the stream's lane on
-        // the following one. peek-then-next ≡ next keeps this exact.
+        // Consume the peeked timestamp and re-key the stream on the
+        // following one. peek-then-next ≡ next keeps this exact.
         let st = &mut self.streams[s as usize];
         let consumed = st
             .source
@@ -792,8 +723,8 @@ impl<A: ArrivalSource> Scheduler<A> {
         st.floor = consumed;
         debug_assert_eq!(consumed, ta, "peeked and consumed timestamps agree");
         let handled = match st.source.peek() {
-            Some(next) => self.arrivals.rekey_min(next.max(st.floor)),
-            None => self.arrivals.pop_min(),
+            Some(next) => self.arrivals.replace_top(next.max(st.floor), s),
+            None => self.arrivals.pop(),
         };
         debug_assert_eq!(handled, Some((ta, s)), "the handled event was the minimum");
     }
@@ -820,12 +751,15 @@ impl<A: ArrivalSource> Scheduler<A> {
 ///
 /// Construction fixes the worker count and the [`ElasticConfig`]; one
 /// runner value can drive many fleets. The calling thread is worker 0:
-/// each round it fills the ring, releases `workers − 1` helper threads,
-/// drains its own ring segment (and steals) like any helper, then folds
-/// the completions back in once every worker is through. With one worker
-/// (or one stream) there are no helpers and no barrier — which is also
-/// the reference schedule every multi-worker run is guaranteed to
-/// reproduce byte-for-byte.
+/// each round it fills the ring and publishes its entries in batches as
+/// it goes, so the `workers − 1` helper threads run the round's first
+/// cycles while the rest are still being scheduled. Once the fill ends,
+/// worker 0 seals the round, claims entries like any helper until none
+/// is left, and folds the completions back in once every entry has run.
+/// With one worker (or one stream) there are no helpers and nothing is
+/// shared — which is also the reference schedule every multi-worker run
+/// is guaranteed to reproduce byte-for-byte. A driver or source that
+/// panics on any worker makes [`ElasticRunner::run`] panic.
 ///
 /// # Examples
 ///
@@ -921,7 +855,7 @@ impl ElasticRunner {
                 completions: HeadQueue::new(),
             }));
         }
-        let mut sched = Scheduler::new(self.config, workers, sources);
+        let mut sched = Scheduler::new(self.config, sources);
         if workers == 1 {
             run_inline(&mut sched, &mut slots);
         } else {
@@ -959,7 +893,7 @@ fn run_inline<A: ArrivalSource, D: CycleDriver>(
     let mut ring = Vec::with_capacity(sched.ring_capacity);
     let mut completed = vec![Time::ZERO; sched.ring_capacity];
     loop {
-        sched.fill(&mut ring);
+        sched.fill(&mut ring, |_| {});
         if ring.is_empty() {
             return;
         }
@@ -971,85 +905,256 @@ fn run_inline<A: ArrivalSource, D: CycleDriver>(
     }
 }
 
+/// How many committed ring entries the filling worker hands to the pool at
+/// a time: one Release store per batch instead of one per entry, while
+/// the helpers start on a round's first cycles long before its fill ends.
+/// Chosen by measurement; results never depend on it.
+const PUBLISH_BATCH: usize = 32;
+
+/// A [`Ready`] entry as the pool shares it, one atomic per field. Worker 0
+/// writes an entry before the Release store of the published count that
+/// covers it, and nobody rewrites it until every claim of its round has
+/// run, so Relaxed accesses suffice.
+#[derive(Default)]
+struct SharedReady {
+    stream: AtomicU32,
+    frame: AtomicUsize,
+    arrival: AtomicI64,
+    start: AtomicI64,
+}
+
+impl SharedReady {
+    #[inline]
+    fn store(&self, r: &Ready) {
+        self.stream.store(r.stream, Ordering::Relaxed);
+        self.frame.store(r.frame, Ordering::Relaxed);
+        self.arrival.store(r.arrival.as_ns(), Ordering::Relaxed);
+        self.start.store(r.start.as_ns(), Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn load(&self) -> Ready {
+        Ready {
+            stream: self.stream.load(Ordering::Relaxed),
+            frame: self.frame.load(Ordering::Relaxed),
+            arrival: Time::from_ns(self.arrival.load(Ordering::Relaxed)),
+            start: Time::from_ns(self.start.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Bit of a published word that marks its round sealed: the fill is over
+/// and the count is the round's final length.
+const SEALED: u64 = 1 << 31;
+
+/// `(round, index)` in one word: the claim cursor, or (with [`SEALED`]
+/// possibly set) the published count. Rounds wrap at 2³²; only adjacent
+/// rounds are ever compared.
+#[inline]
+fn round_word(round: u32, index: usize) -> u64 {
+    (u64::from(round) << 32) | index as u64
+}
+
+/// Set a pool's poison flag if the thread that holds the guard unwinds, so
+/// that no worker waits forever for one that died.
+struct PoisonOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The pool's waits: spin briefly, then yield the core. Every wait is for
+/// another worker's progress, so none sleeps or sets a timer.
+struct Backoff(u32);
+
+impl Backoff {
+    const SPINS: u32 = 64;
+
+    /// Wait a little. Returns `false` once any worker has panicked.
+    #[inline]
+    fn wait(&mut self, poisoned: &AtomicBool) -> bool {
+        if poisoned.load(Ordering::Relaxed) {
+            return false;
+        }
+        if self.0 < Self::SPINS {
+            self.0 += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        true
+    }
+}
+
+/// What the workers of [`run_pool`] share for one run.
+///
+/// Each round, worker 0 resets `cursor` to `(round, 0)`, fills the ring,
+/// publishing batches of entries through `published` as it goes, then
+/// seals the round. Every worker claims published entries one at a time by
+/// compare-and-swap on `cursor`; because the round is part of the cursor,
+/// a claim that raced past the end of its round fails instead of taking an
+/// entry of the next one. A helper adds what it ran to `finished` once the
+/// sealed round has no entry left to claim, and worker 0 folds the round's
+/// completions in once `finished` accounts for every entry it did not run
+/// itself.
+struct Pool<'a, D> {
+    slots: &'a [Mutex<Slot<D>>],
+    entries: Box<[SharedReady]>,
+    /// Completion time of each ring entry, written (Relaxed) by whoever
+    /// ran it; a helper's writes reach worker 0 through `finished`.
+    completed: Box<[AtomicI64]>,
+    /// Set when any worker panics. Publishes no other data (Relaxed).
+    poisoned: AtomicBool,
+    /// `(round, next unclaimed entry)`. It only decides who runs which
+    /// entry and publishes no data, so every access is Relaxed.
+    cursor: CachePadded<AtomicU64>,
+    /// `(round, entries published)`, plus [`SEALED`] once the fill is done.
+    /// Worker 0 stores it with Release after writing the entries it
+    /// covers; claimers load it with Acquire before reading them.
+    published: CachePadded<AtomicU64>,
+    /// Entries the helpers have run, summed over every round so far
+    /// (wrapping). Helpers add with Release after writing their
+    /// `completed` times; worker 0 loads it with Acquire before reading
+    /// them.
+    finished: CachePadded<AtomicUsize>,
+}
+
+impl<D: CycleDriver> Pool<'_, D> {
+    /// Claim entry `index` of `cursor`'s round, and run it if the claim
+    /// wins. Returns whether it did.
+    #[inline]
+    fn try_run(&self, cursor: u64, index: usize) -> bool {
+        if self
+            .cursor
+            .compare_exchange_weak(cursor, cursor + 1, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            return false;
+        }
+        let r = self.entries[index].load();
+        let mut slot = self.slots[r.stream as usize].lock().expect("slot lock");
+        let done = execute(&r, &mut slot);
+        self.completed[index].store(done.as_ns(), Ordering::Relaxed);
+        true
+    }
+
+    /// Make `ring[from..]` visible to the claimers as entries of `round`.
+    fn publish(&self, round: u32, ring: &[Ready], from: usize, sealed: bool) {
+        for (entry, r) in self.entries[from..].iter().zip(&ring[from..]) {
+            entry.store(r);
+        }
+        let word = round_word(round, ring.len()) | if sealed { SEALED } else { 0 };
+        self.published.store(word, Ordering::Release);
+    }
+
+    /// A helper's life: run whatever is published and unclaimed, report
+    /// each round's share, and return after the empty round that ends the
+    /// run (or once another worker has panicked).
+    fn help(&self) {
+        let _guard = PoisonOnUnwind(&self.poisoned);
+        let mut ran = 0usize;
+        let mut backoff = Backoff(0);
+        loop {
+            let cursor = self.cursor.load(Ordering::Relaxed);
+            let published = self.published.load(Ordering::Acquire);
+            if cursor >> 32 == published >> 32 {
+                let next = cursor as u32 as usize;
+                let count = (published & (SEALED - 1)) as usize;
+                if next < count {
+                    ran += usize::from(self.try_run(cursor, next));
+                    backoff = Backoff(0);
+                    continue;
+                }
+                if published & SEALED != 0 {
+                    if ran > 0 {
+                        self.finished.fetch_add(ran, Ordering::Release);
+                        ran = 0;
+                    }
+                    if count == 0 {
+                        return;
+                    }
+                }
+            }
+            if !backoff.wait(&self.poisoned) {
+                return;
+            }
+        }
+    }
+
+    /// Worker 0's life: fill, publish and seal each round, drain it
+    /// alongside the helpers, and fold it back in once every entry has
+    /// run. Returns when the run is complete, or early once a helper has
+    /// panicked (the scope then re-raises that panic).
+    fn lead<A: ArrivalSource>(&self, sched: &mut Scheduler<A>) {
+        let _guard = PoisonOnUnwind(&self.poisoned);
+        let mut ring = Vec::with_capacity(sched.ring_capacity);
+        let mut helpers_ran = 0usize;
+        let mut round = 0u32;
+        loop {
+            self.cursor.store(round_word(round, 0), Ordering::Relaxed);
+            let mut shared = 0;
+            sched.fill(&mut ring, |ring| {
+                self.publish(round, ring, shared, false);
+                shared = ring.len();
+            });
+            self.publish(round, &ring, shared, true);
+            if ring.is_empty() {
+                return;
+            }
+            let mut ran = 0;
+            loop {
+                let cursor = self.cursor.load(Ordering::Relaxed);
+                let next = cursor as u32 as usize;
+                if next >= ring.len() {
+                    break;
+                }
+                ran += usize::from(self.try_run(cursor, next));
+            }
+            helpers_ran = helpers_ran.wrapping_add(ring.len() - ran);
+            let mut backoff = Backoff(0);
+            while self.finished.load(Ordering::Acquire) != helpers_ran {
+                if !backoff.wait(&self.poisoned) {
+                    return;
+                }
+            }
+            sched.complete_round(&ring, |i| {
+                Time::from_ns(self.completed[i].load(Ordering::Relaxed))
+            });
+            round = round.wrapping_add(1);
+        }
+    }
+}
+
 /// `workers ≥ 2`: the calling thread fills the ring and is worker 0;
-/// `workers − 1` scoped helpers join it between the two waits of a
-/// `workers`-party barrier each round.
+/// `workers − 1` scoped helpers run its entries as they are published.
 fn run_pool<A: ArrivalSource, D: CycleDriver + Send>(
     sched: &mut Scheduler<A>,
     slots: &[Mutex<Slot<D>>],
     workers: usize,
 ) {
-    let ring_lock = RwLock::new(Vec::with_capacity(sched.ring_capacity));
-    let completed: Vec<AtomicI64> = (0..sched.ring_capacity)
-        .map(|_| AtomicI64::new(0))
-        .collect();
-    let cursors: Vec<CachePadded<AtomicUsize>> = (0..workers)
-        .map(|_| CachePadded::new(AtomicUsize::new(0)))
-        .collect();
-    // Per round: the first wait releases the helpers onto a filled ring,
-    // the second tells worker 0 that every cycle has run.
-    let barrier = Barrier::new(workers);
-    let done = AtomicBool::new(false);
-    let drain = |w: usize, round: usize, ring: &[Ready]| {
-        let len = ring.len();
-        // Own segment first, then steal; victim order is a function of
-        // (worker, round) only — deterministic policy, and result-neutral
-        // because every claim goes through the segment cursors.
-        for step in 0..workers {
-            let v = (w + step + round) % workers;
-            if step > 0 && v == w {
-                continue;
-            }
-            let v = if step == 0 { w } else { v };
-            let end = (v + 1) * len / workers;
-            loop {
-                let i = cursors[v].fetch_add(1, Ordering::Relaxed);
-                if i >= end {
-                    break;
-                }
-                let r = &ring[i];
-                let mut slot = slots[r.stream as usize].lock().expect("slot lock");
-                let t = execute(r, &mut slot);
-                completed[i].store(t.as_ns(), Ordering::Relaxed);
-            }
-        }
+    let capacity = sched.ring_capacity;
+    assert!(
+        (capacity as u64) < SEALED,
+        "ring capacity {capacity} must be below 2^31 with several workers"
+    );
+    let pool = Pool {
+        slots,
+        entries: (0..capacity).map(|_| SharedReady::default()).collect(),
+        completed: (0..capacity).map(|_| AtomicI64::new(0)).collect(),
+        poisoned: AtomicBool::new(false),
+        cursor: CachePadded::new(AtomicU64::new(round_word(0, 0))),
+        published: CachePadded::new(AtomicU64::new(round_word(0, 0))),
+        finished: CachePadded::new(AtomicUsize::new(0)),
     };
     std::thread::scope(|scope| {
-        for w in 1..workers {
-            let (ring_lock, barrier, done, drain) = (&ring_lock, &barrier, &done, &drain);
-            scope.spawn(move || {
-                for round in 0.. {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    drain(w, round, &ring_lock.read().expect("ring lock"));
-                    barrier.wait();
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(|| pool.help());
         }
-        for round in 0.. {
-            {
-                let mut ring = ring_lock.write().expect("ring lock");
-                sched.fill(&mut ring);
-                if ring.is_empty() {
-                    done.store(true, Ordering::Release);
-                    barrier.wait();
-                    break;
-                }
-                let len = ring.len();
-                for (v, cursor) in cursors.iter().enumerate() {
-                    cursor.store(v * len / workers, Ordering::Relaxed);
-                }
-            }
-            barrier.wait();
-            let ring = ring_lock.read().expect("ring lock");
-            drain(0, round, &ring);
-            barrier.wait();
-            sched.complete_round(&ring, |i| {
-                Time::from_ns(completed[i].load(Ordering::Relaxed))
-            });
-        }
+        pool.lead(sched);
     });
 }
 
@@ -1063,6 +1168,12 @@ mod tests {
     use crate::source::{Bursty, Jittered, PatternSource, Periodic};
     use crate::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
     use crate::system::{ParameterizedSystem, SystemBuilder};
+    use std::cell::Cell;
+    use std::panic::AssertUnwindSafe;
+    use std::rc::Rc;
+    use std::sync::{mpsc, Arc};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     const PERIOD: Time = Time::from_ns(130);
 
@@ -1173,44 +1284,11 @@ mod tests {
         events
     }
 
-    /// The operations both heaps share, for the model check below.
-    trait MinQueue {
-        fn push(&mut self, time: Time, stream: u32);
-        fn pop(&mut self) -> Option<(Time, u32)>;
-        /// Pop the minimum and queue its stream's next event at `time`.
-        fn rekey(&mut self, time: Time) -> Option<(Time, u32)>;
-    }
-
-    impl MinQueue for EventHeap {
-        fn push(&mut self, time: Time, stream: u32) {
-            EventHeap::push(self, time, stream);
-        }
-        fn pop(&mut self) -> Option<(Time, u32)> {
-            EventHeap::pop(self)
-        }
-        fn rekey(&mut self, time: Time) -> Option<(Time, u32)> {
-            let (_, stream) = self.peek()?;
-            self.replace_top(time, stream)
-        }
-    }
-
-    impl MinQueue for ShardedEventHeap {
-        fn push(&mut self, time: Time, stream: u32) {
-            ShardedEventHeap::push(self, time, stream);
-        }
-        fn pop(&mut self) -> Option<(Time, u32)> {
-            self.pop_min()
-        }
-        fn rekey(&mut self, time: Time) -> Option<(Time, u32)> {
-            self.rekey_min(time)
-        }
-    }
-
     /// An interleaved push / pop / re-key sequence checked step by step
     /// against a sorted `Vec`. Times are drawn from a narrow band (many
     /// ties across streams) and from the edge keys; pushes use fresh
     /// stream ids, so every pending stream id stays unique.
-    fn interleaved_matches_sorted_model(queue: &mut impl MinQueue) {
+    fn interleaved_matches_sorted_model(heap: &mut EventHeap) {
         let edges: Vec<Time> = edge_events().into_iter().map(|(t, _)| t).collect();
         let mut model: Vec<(Time, u32)> = Vec::new();
         let mut fresh = 0u32;
@@ -1231,18 +1309,23 @@ mod tests {
             };
             match (r >> 8) % 4 {
                 0 | 1 => {
-                    queue.push(time, fresh);
+                    heap.push(time, fresh);
                     insert(&mut model, (time, fresh));
                     fresh += 1;
                 }
                 2 => {
                     let want = (!model.is_empty()).then(|| model.remove(0));
-                    assert_eq!(queue.pop(), want, "pop at step {step}");
+                    assert_eq!(heap.pop(), want, "pop at step {step}");
                 }
                 _ => {
                     let want = model.first().copied();
-                    assert_eq!(queue.rekey(time), want, "re-key at step {step}");
+                    assert_eq!(heap.peek(), want, "peek at step {step}");
                     if let Some((_, stream)) = want {
+                        assert_eq!(
+                            heap.replace_top(time, stream),
+                            want,
+                            "re-key at step {step}"
+                        );
                         model.remove(0);
                         insert(&mut model, (time, stream));
                     }
@@ -1250,9 +1333,9 @@ mod tests {
             }
         }
         for (i, want) in model.into_iter().enumerate() {
-            assert_eq!(queue.pop(), Some(want), "drain {i}");
+            assert_eq!(heap.pop(), Some(want), "drain {i}");
         }
-        assert_eq!(queue.pop(), None);
+        assert_eq!(heap.pop(), None);
     }
 
     #[test]
@@ -1283,43 +1366,27 @@ mod tests {
         interleaved_matches_sorted_model(&mut EventHeap::new());
     }
 
-    /// The sharded heap pops the same global order for every lane count —
-    /// the property that makes per-worker lanes compatible with the
-    /// determinism contract.
-    #[test]
-    fn sharded_heap_order_is_lane_count_independent() {
-        let mut events: Vec<(Time, u32)> = (0..64u32)
-            .map(|s| (Time::from_ns(((s * 37) % 19) as i64 * 10), s))
-            .collect();
-        events.extend(edge_events());
-        let reference: Vec<(Time, u32)> = {
-            let mut h = ShardedEventHeap::new(1);
-            for &(t, s) in &events {
-                h.push(t, s);
-            }
-            std::iter::from_fn(move || h.pop_min()).collect()
-        };
-        let mut sorted = events.clone();
-        sorted.sort();
-        assert_eq!(reference, sorted);
-        for lanes in 1..=7 {
-            let mut h = ShardedEventHeap::new(lanes);
-            for &(t, s) in &events {
-                h.push(t, s);
-            }
-            assert_eq!(h.lanes(), lanes);
-            assert_eq!(h.len(), events.len());
-            assert_eq!(h.peek_min(), reference.first().copied());
-            let popped: Vec<(Time, u32)> = std::iter::from_fn(|| h.pop_min()).collect();
-            assert_eq!(popped, reference, "lanes = {lanes}");
-            interleaved_matches_sorted_model(&mut ShardedEventHeap::new(lanes));
-        }
-    }
+    /// Ring capacities around the pool's publish batch: a round that ends
+    /// one entry short of a batch, exactly on it, one entry into the next,
+    /// and one entry past two batches — plus a tiny and a large ring.
+    const RINGS: [usize; 6] = [
+        3,
+        PUBLISH_BATCH - 1,
+        PUBLISH_BATCH,
+        PUBLISH_BATCH + 1,
+        2 * PUBLISH_BATCH + 1,
+        256,
+    ];
 
-    /// The heart of the tentpole: the whole `ElasticSummary` — per-stream
-    /// summaries, aggregates and the ledger — is byte-identical for every
-    /// worker count, under both chainings, both admissions, and a tiny
-    /// ring that forces many rounds.
+    /// Enough streams that every ring in [`RINGS`] up to `2·batch + 1`
+    /// fills (a stream has at most one cycle per round).
+    const WIDE: usize = 3 * PUBLISH_BATCH;
+
+    /// The whole `ElasticSummary` — per-stream summaries, aggregates and
+    /// the ledger — is byte-identical for every worker count (2..=8, more
+    /// workers than this host has cores on purpose), under both chainings,
+    /// both admissions, and rings that end rounds on either side of a
+    /// publish batch.
     #[test]
     fn worker_counts_are_byte_identical() {
         let s = sys();
@@ -1329,18 +1396,18 @@ mod tests {
                 Admission::Unbounded,
                 Admission::DropNewest { global_capacity: 3 },
             ] {
-                for ring in [3usize, 256] {
+                for ring in RINGS {
                     let config = ElasticConfig::live()
                         .with_chaining(chaining)
                         .with_ring_capacity(ring)
                         .with_admission(admission);
                     let (reference, _) =
-                        ElasticRunner::new(1, config).run(drivers(&s, &p, 12, 8, source_mix));
-                    assert_eq!(reference.n_streams(), 12);
+                        ElasticRunner::new(1, config).run(drivers(&s, &p, WIDE, 8, source_mix));
+                    assert_eq!(reference.n_streams(), WIDE);
                     assert!(reference.stats().processed > 0);
-                    for workers in 2..=4 {
+                    for workers in 2..=8 {
                         let (out, _) = ElasticRunner::new(workers, config)
-                            .run(drivers(&s, &p, 12, 8, source_mix));
+                            .run(drivers(&s, &p, WIDE, 8, source_mix));
                         assert_eq!(
                             out, reference,
                             "workers={workers} ring={ring} {chaining:?} {admission:?}"
@@ -1471,21 +1538,32 @@ mod tests {
     /// differs only under global capacity pressure, absent here) —
     /// `max_backlog` included: each frame's depth is a function of its
     /// stream's arrival and completion sequences, so ring granularity
-    /// (like worker count) never moves it.
+    /// (like worker count) never moves it. So do the rings around the
+    /// publish batch, at every worker count from 2 to 8.
     #[test]
     fn ring_capacity_does_not_change_unbounded_results() {
         let s = sys();
         let p = MixedPolicy::new(&s);
         for (source, min_depth) in POPULATIONS {
-            let big = ElasticRunner::new(2, ElasticConfig::live().with_ring_capacity(1 << 12))
-                .run(drivers(&s, &p, 7, 6, source))
-                .0;
-            let tiny = ElasticRunner::new(2, ElasticConfig::live().with_ring_capacity(1))
-                .run(drivers(&s, &p, 7, 6, source))
-                .0;
+            let run = |workers: usize, ring: usize| {
+                ElasticRunner::new(workers, ElasticConfig::live().with_ring_capacity(ring))
+                    .run(drivers(&s, &p, WIDE, 6, source))
+                    .0
+            };
+            let big = run(2, 1 << 12);
+            let tiny = run(2, 1);
             assert_eq!(big.per_stream(), tiny.per_stream());
             assert!(tiny.ledger().rounds > big.ledger().rounds);
             assert!(big.stats().max_backlog >= min_depth, "{:?}", big.stats());
+            for ring in RINGS {
+                for workers in 2..=8 {
+                    assert_eq!(
+                        run(workers, ring).per_stream(),
+                        big.per_stream(),
+                        "ring={ring} workers={workers}"
+                    );
+                }
+            }
         }
     }
 
@@ -1516,5 +1594,157 @@ mod tests {
         assert_eq!(out.n_streams(), 3);
         assert_eq!(*out.run(), RunSummary::default());
         assert_eq!(out.ledger().arrived, 0);
+    }
+
+    /// A periodic source whose first arrival, if gated, is consumed only
+    /// after a signal from some driver — or after a generous timeout.
+    struct Gated {
+        inner: Periodic,
+        gate: Option<(mpsc::Receiver<()>, Rc<Cell<bool>>)>,
+    }
+
+    impl ArrivalSource for Gated {
+        fn next_arrival(&mut self) -> Option<Time> {
+            if let Some((signal, opened)) = self.gate.take() {
+                opened.set(signal.recv_timeout(Duration::from_secs(30)).is_ok());
+            }
+            self.inner.next_arrival()
+        }
+
+        fn peek(&mut self) -> Option<Time> {
+            self.inner.peek()
+        }
+    }
+
+    /// A driver that signals every time it runs a cycle.
+    struct Signalling<D> {
+        inner: D,
+        signal: Option<mpsc::Sender<()>>,
+    }
+
+    impl<D: CycleDriver> CycleDriver for Signalling<D> {
+        fn run_cycle(&mut self, cycle: usize, start: Time) -> CycleSummary {
+            if let Some(signal) = &self.signal {
+                let _ = signal.send(());
+            }
+            self.inner.run_cycle(cycle, start)
+        }
+    }
+
+    /// Helpers run a round's entries while worker 0 is still filling it.
+    /// Every stream's first frame arrives at 0, so round 0 commits one
+    /// entry per stream in stream order; the stream right after the first
+    /// publish batch holds the fill inside `next_arrival` until a driver
+    /// of that batch has run. Only a helper can run it then, so a pool
+    /// that ran entries only after sealing the round would time out here.
+    #[test]
+    fn helpers_run_published_entries_while_the_fill_goes_on() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        let (tx, rx) = mpsc::channel();
+        let opened = Rc::new(Cell::new(false));
+        let mut gate = Some((rx, Rc::clone(&opened)));
+        let streams: Vec<_> = (0..=PUBLISH_BATCH)
+            .map(|i| {
+                let source = Gated {
+                    inner: Periodic::new(PERIOD, 2),
+                    gate: if i == PUBLISH_BATCH {
+                        gate.take()
+                    } else {
+                        None
+                    },
+                };
+                let driver = Signalling {
+                    inner: EngineDriver::new(
+                        Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO),
+                        exec_for(&s, i as u64),
+                        NullSink,
+                    ),
+                    signal: (i < PUBLISH_BATCH).then(|| tx.clone()),
+                };
+                (source, driver)
+            })
+            .collect();
+        let (out, _) = ElasticRunner::new(2, ElasticConfig::live()).run(streams);
+        assert!(opened.get(), "no entry ran before round 0's fill ended");
+        assert_eq!(out.stats().processed, 2 * (PUBLISH_BATCH + 1));
+    }
+
+    /// A driver that panics on the first cycle it runs on one side of the
+    /// pool: the thread that called `run` (worker 0) or any helper. Cycles
+    /// on the other side first wait, for a bounded time, until the
+    /// panicking side has run one, so both sides are sure to run cycles.
+    struct Tripwire<D> {
+        inner: D,
+        worker0: ThreadId,
+        panic_on_worker0: bool,
+        tripped: Arc<AtomicBool>,
+    }
+
+    impl<D: CycleDriver> CycleDriver for Tripwire<D> {
+        fn run_cycle(&mut self, cycle: usize, start: Time) -> CycleSummary {
+            let on_worker0 = std::thread::current().id() == self.worker0;
+            if on_worker0 == self.panic_on_worker0 {
+                self.tripped.store(true, Ordering::SeqCst);
+                panic!("driver failure on cycle {cycle}");
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.tripped.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            self.inner.run_cycle(cycle, start)
+        }
+    }
+
+    /// A driver panic on any worker makes `run` panic instead of leaving
+    /// the other workers waiting forever. Each case runs on its own thread
+    /// and the test waits for its verdict with a timeout, so a hang fails
+    /// the test rather than stalling the suite.
+    #[test]
+    fn driver_panic_on_any_worker_propagates() {
+        for workers in [2usize, 3] {
+            for panic_on_worker0 in [false, true] {
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let worker0 = std::thread::current().id();
+                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let s = sys();
+                        let p = MixedPolicy::new(&s);
+                        let tripped = Arc::new(AtomicBool::new(false));
+                        let streams: Vec<_> = (0..12)
+                            .map(|i| {
+                                let driver = Tripwire {
+                                    inner: EngineDriver::new(
+                                        Engine::new(
+                                            &s,
+                                            NumericManager::new(&s, &p),
+                                            OverheadModel::ZERO,
+                                        ),
+                                        exec_for(&s, i as u64),
+                                        NullSink,
+                                    ),
+                                    worker0,
+                                    panic_on_worker0,
+                                    tripped: Arc::clone(&tripped),
+                                };
+                                (Periodic::new(PERIOD, 4), driver)
+                            })
+                            .collect();
+                        ElasticRunner::new(workers, ElasticConfig::live()).run(streams);
+                    }));
+                    let _ = tx.send(outcome.is_err());
+                });
+                let side = if panic_on_worker0 {
+                    "worker 0"
+                } else {
+                    "a helper"
+                };
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_secs(60)),
+                    Ok(true),
+                    "workers={workers}, panic on {side}: run must panic, not hang or finish"
+                );
+            }
+        }
     }
 }

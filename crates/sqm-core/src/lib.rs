@@ -59,16 +59,18 @@
 //!    variants.
 //! 10. **Elastic fleet** — [`elastic`]: per-cycle scheduling of very many
 //!     *live* streams onto few workers. A serial deterministic event loop
-//!     over sharded arrival heaps ([`elastic::ShardedEventHeap`]) and a
-//!     start-event heap admits or sheds frames fleet-wide
+//!     over an arrival heap and a start-event heap
+//!     ([`elastic::EventHeap`]) admits or sheds frames fleet-wide
 //!     ([`elastic::Admission`], [`elastic::ShedLedger`]) and fills a
-//!     fixed-capacity ready ring. The loop keeps only the per-stream
-//!     state that admission and start times need; the workers — the
-//!     calling thread is one of them — drain the ring with deterministic
-//!     stealing and compute everything else (engine aggregates, waits,
-//!     latencies, backlog depths) on the stream's own slot. Results are
-//!     byte-identical for every worker count, and per-stream identical to
-//!     [`stream`]'s runner under unbounded admission.
+//!     fixed-capacity ready ring, publishing its entries in batches as it
+//!     goes. The loop keeps only the per-stream state that admission and
+//!     start times need; the other workers claim published entries
+//!     through one round-stamped cursor while the fill goes on — the
+//!     filling thread joins them once the round is sealed — and compute
+//!     everything else (engine aggregates, waits, latencies, backlog
+//!     depths) on the stream's own slot. Results are byte-identical for
+//!     every worker count, and per-stream identical to [`stream`]'s
+//!     runner under unbounded admission.
 //!
 //! The engine seam — how 6–8 fit together: a
 //! [`manager::QualityManager`] makes the decisions, an
@@ -145,7 +147,7 @@ pub mod prelude {
     };
     pub use crate::elastic::{
         Admission, CycleDriver, ElasticConfig, ElasticRunner, ElasticSummary, EngineDriver,
-        EventHeap, ShardedEventHeap, ShedLedger,
+        EventHeap, ShedLedger,
     };
     pub use crate::engine::{
         CycleChaining, CycleSummary, Engine, NullSink, RecordBuffer, RunSummary, TraceSink,

@@ -18,10 +18,10 @@
 //!   many independent engine streams distributed over scoped OS threads,
 //!   merged deterministically into per-stream and aggregate summaries.
 //! * [`elastic`] (also `core::elastic`) — per-cycle elastic scheduling of
-//!   very many *live* streams onto few workers: sharded arrival event
-//!   heaps, a fixed-capacity ready ring, deterministic work stealing, and
-//!   fleet-wide admission control via a shared shed ledger. Byte-identical
-//!   results for every worker count.
+//!   very many *live* streams onto few workers: arrival and start event
+//!   heaps, a fixed-capacity ready ring whose entries the workers run
+//!   while it is still being filled, and fleet-wide admission control via
+//!   a shared shed ledger. Byte-identical results for every worker count.
 //! * [`source`] + [`stream`] (also `core::source` / `core::stream`) — the
 //!   event-driven front-end: arrival sources (periodic, jittered, bursty,
 //!   recorded-trace replay) feeding the engine through a bounded backlog
