@@ -3,9 +3,9 @@
 //!
 //! Where `bench_fleet` shards whole streams over workers, this measures
 //! `sqm_core::elastic` interleaving **100,000 tiny live streams** per
-//! cycle: arrival and start event heaps, a fixed-capacity ready ring that
-//! the workers run while it is still being filled, and fleet-wide
-//! admission. Reported per worker count (1/2/4/8): host wall-clock
+//! cycle: a monotone arrival queue and a start-event heap, a
+//! fixed-capacity ready ring that the workers run while it is still being
+//! filled, and fleet-wide admission. Reported per worker count (1/2/4/8): host wall-clock
 //! (median of 5), streams/sec and ns/action, plus the host's core count —
 //! machine-dependent numbers (track deltas, not absolutes; with more
 //! workers than cores the extra ones only add scheduling overhead).

@@ -6,18 +6,22 @@
 //! live deployment has many mostly-idle streams whose cycles *interleave*
 //! in time. This module schedules at cycle granularity:
 //!
-//! * an **arrival event heap** ([`EventHeap`]) keyed by each stream's
-//!   next virtual arrival time — obtained without consumption via
-//!   [`ArrivalSource::peek`];
-//! * a **start-event heap** (another [`EventHeap`]) keyed by the absolute
-//!   start time of each stream's next runnable cycle;
+//! * a **monotone arrival queue** keyed by each stream's next virtual
+//!   arrival time — obtained without consumption via
+//!   [`ArrivalSource::peek`]. Arrivals leave it in time order, so it is a
+//!   radix queue over the time (after Ahuja, Mehlhorn, Orlin and Tarjan,
+//!   JACM 37(2), 1990) whose earliest time is kept sorted by stream id;
+//! * a **start-event heap** ([`EventHeap`]) keyed by the absolute start
+//!   time of each stream's next runnable cycle — start times are not
+//!   monotone, so it stays a binary heap;
 //! * a fixed-capacity **ready ring**: each scheduling round drains due
 //!   events into at most [`ElasticConfig::ring_capacity`] ready cycles;
 //! * a **pipelined round**: the filling thread publishes committed ring
 //!   entries in fixed batches while it is still filling, and every worker
 //!   claims published entries through one cursor that carries the round
-//!   number — so the other workers run a round's first cycles while its
-//!   last ones are still being scheduled;
+//!   number, a guided share of the unclaimed entries per claim — so the
+//!   other workers run a round's first cycles while its last ones are
+//!   still being scheduled;
 //! * **fleet-wide admission control** ([`Admission::DropNewest`]): a
 //!   shared [`ShedLedger`] counts the *aggregate* backlog, and a frame is
 //!   shed iff its stream is already behind **and** the fleet as a whole
@@ -99,20 +103,30 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// A time as an unsigned key of the same order: the sign bit is flipped so
+/// signed nanoseconds (sentinels included) sort as unsigned ones.
+#[inline]
+fn time_key(time: Time) -> u64 {
+    (time.as_ns() as u64) ^ (1 << 63)
+}
+
+/// Inverse of [`time_key`].
+#[inline]
+fn key_time(key: u64) -> Time {
+    Time::from_ns((key ^ (1 << 63)) as i64)
+}
+
 /// Pack an event into one integer key whose unsigned order is the
-/// `(time, stream)` order: the time's sign bit is flipped so signed
-/// nanoseconds (sentinels included) sort as unsigned ones.
+/// `(time, stream)` order.
 #[inline]
 fn pack(time: Time, stream: u32) -> u128 {
-    let t = (time.as_ns() as u64) ^ (1 << 63);
-    (u128::from(t) << 32) | u128::from(stream)
+    (u128::from(time_key(time)) << 32) | u128::from(stream)
 }
 
 /// Inverse of [`pack`].
 #[inline]
 fn unpack(key: u128) -> (Time, u32) {
-    let t = ((key >> 32) as u64) ^ (1 << 63);
-    (Time::from_ns(t as i64), key as u32)
+    (key_time((key >> 32) as u64), key as u32)
 }
 
 /// A hand-rolled binary min-heap of `(time, stream)` events.
@@ -121,8 +135,9 @@ fn unpack(key: u128) -> (Time, u32) {
 /// in one integer each, so a comparison is a single integer compare.
 /// `push`/`pop`/`replace_top` are `O(log n)` with no allocation beyond
 /// the backing `Vec`, and sift by moving a hole rather than swapping —
-/// the only heap operations the scheduler's hot loop needs, without
-/// pulling in `BinaryHeap`'s max-order and `Reverse` wrappers.
+/// the only operations the scheduler needs on its start events, without
+/// pulling in `BinaryHeap`'s max-order and `Reverse` wrappers. Unlike the
+/// scheduler's arrival queue, it takes events in any time order.
 ///
 /// # Examples
 ///
@@ -243,6 +258,170 @@ impl EventHeap {
             i = child;
         }
         keys[i] = key;
+    }
+}
+
+/// The scheduler's arrival queue: a monotone radix queue of `(time,
+/// stream)` events, after the radix heaps of Ahuja, Mehlhorn, Orlin and
+/// Tarjan (JACM 37(2), 1990).
+///
+/// Arrivals leave the queue in time order and a stream is re-keyed only
+/// onto a time at or after the one just taken, so no push goes below the
+/// queue's minimum. The queue exploits that: `last` is the minimum as of
+/// the latest pop or peek, events at exactly `last` wait in `due`, sorted
+/// by stream id, and an event whose time key first differs from `last` in
+/// bit `b` waits in bucket `b`. Once `due` runs dry, the lowest non-empty
+/// bucket holds the next time; refilling spreads that bucket around its
+/// own minimum into `due` and lower buckets, so an event moves down at
+/// most once per bucket. Pops keep the exact `(time, stream)` order of
+/// [`EventHeap`].
+///
+/// A live fleet shares few distinct arrival times, so most pops come
+/// straight off the front of `due`, and a burst — the stream just popped,
+/// re-keyed onto the same time — goes straight back to that front.
+///
+/// Buckets grow and shrink a [`CHUNK`] of events at a time from one pool
+/// of equal-sized chunks, allocated up front for the expected number of
+/// pending events: the queue holds at most one part-filled chunk per
+/// bucket beyond its events, and its allocations never interleave with
+/// the run's.
+struct ArrivalQueue {
+    /// Time key of the minimum as of the latest pop or peek.
+    last: u64,
+    /// Streams whose event is at exactly `last`, in ascending id order.
+    due: VecDeque<u32>,
+    /// `buckets[b]`: the chunks of events whose time key's highest bit
+    /// differing from `last` is bit `b`; all but the last one are full.
+    buckets: [Vec<Vec<(u64, u32)>>; 64],
+    /// Emptied chunks, kept for reuse.
+    spare: Vec<Vec<(u64, u32)>>,
+    /// Bit `b` is set iff bucket `b` is non-empty.
+    occupied: u64,
+}
+
+/// Events per bucket chunk of an [`ArrivalQueue`].
+const CHUNK: usize = 512;
+
+impl ArrivalQueue {
+    /// An empty queue whose pushes never go below `floor`, with chunks
+    /// ready for `events` pending events.
+    fn new(floor: Time, events: usize) -> ArrivalQueue {
+        ArrivalQueue {
+            last: time_key(floor),
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            spare: (0..events / CHUNK + 64)
+                .map(|_| Vec::with_capacity(CHUNK))
+                .collect(),
+            occupied: 0,
+        }
+    }
+
+    /// Queue an event at or after the minimum as of the latest pop or
+    /// peek. Pending stream ids are unique.
+    #[inline]
+    fn push(&mut self, time: Time, stream: u32) {
+        let key = time_key(time);
+        debug_assert!(
+            key >= self.last,
+            "arrival of stream {stream} at {time:?} precedes the queue's minimum {:?}",
+            key_time(self.last)
+        );
+        if key == self.last {
+            self.push_due(stream);
+        } else {
+            self.push_bucket(key, stream);
+        }
+    }
+
+    /// Queue a stream at exactly `last`, keeping `due` sorted. The
+    /// scheduler's two cases are the fast ones: a re-key of the stream
+    /// just popped goes to the front, the initial population arrives in
+    /// id order at the back.
+    #[inline]
+    fn push_due(&mut self, stream: u32) {
+        if self.due.front().is_none_or(|&f| stream < f) {
+            self.due.push_front(stream);
+        } else if self.due.back().is_some_and(|&b| b < stream) {
+            self.due.push_back(stream);
+        } else {
+            let at = self.due.partition_point(|&s| s < stream);
+            self.due.insert(at, stream);
+        }
+    }
+
+    /// Queue an event above `last` in the bucket of its highest differing
+    /// bit.
+    #[inline]
+    fn push_bucket(&mut self, key: u64, stream: u32) {
+        let b = 63 - (key ^ self.last).leading_zeros();
+        let chunks = &mut self.buckets[b as usize];
+        match chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push((key, stream)),
+            _ => {
+                let mut chunk = self
+                    .spare
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(CHUNK));
+                chunk.push((key, stream));
+                chunks.push(chunk);
+            }
+        }
+        self.occupied |= 1 << b;
+    }
+
+    /// The minimum event without removing it.
+    #[inline]
+    fn peek(&mut self) -> Option<(Time, u32)> {
+        if self.due.is_empty() {
+            self.refill();
+        }
+        let &stream = self.due.front()?;
+        Some((key_time(self.last), stream))
+    }
+
+    /// Remove and return the minimum event.
+    #[inline]
+    fn pop(&mut self) -> Option<(Time, u32)> {
+        if self.due.is_empty() {
+            self.refill();
+        }
+        let stream = self.due.pop_front()?;
+        Some((key_time(self.last), stream))
+    }
+
+    /// With `due` empty, advance `last` to the lowest non-empty bucket's
+    /// minimum and spread that bucket into `due` and the buckets below.
+    /// Its events agree with the old `last` above their bucket's bit, so
+    /// they differ from the new one only below it.
+    fn refill(&mut self) {
+        if self.occupied == 0 {
+            return;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        // Only buckets below `b` receive events, so `b` can lend its
+        // chunk list out and take it back empty.
+        let mut chunks = std::mem::take(&mut self.buckets[b]);
+        self.last = chunks
+            .iter()
+            .flatten()
+            .map(|&(key, _)| key)
+            .min()
+            .expect("occupied buckets are non-empty");
+        for mut chunk in chunks.drain(..) {
+            for &(key, stream) in &chunk {
+                if key == self.last {
+                    self.due.push_back(stream);
+                } else {
+                    self.push_bucket(key, stream);
+                }
+            }
+            chunk.clear();
+            self.spare.push(chunk);
+        }
+        self.buckets[b] = chunks;
+        self.due.make_contiguous().sort_unstable();
     }
 }
 
@@ -542,17 +721,17 @@ struct SchedStream<A> {
     in_flight: bool,
 }
 
-/// The serial deterministic scheduling core: owns the heaps, the queues
-/// and the ledger; fills the ring each round and folds completions back
-/// in between rounds. Never sees the worker count, and never touches a
-/// worker-side slot.
+/// The serial deterministic scheduling core: owns the event queues, the
+/// per-stream queues and the ledger; fills the ring each round and folds
+/// completions back in between rounds. Never sees the worker count, and
+/// never touches a worker-side slot.
 struct Scheduler<A> {
     chaining: CycleChaining,
     admission: Admission,
     ring_capacity: usize,
     streams: Vec<SchedStream<A>>,
     start_heap: EventHeap,
-    arrivals: EventHeap,
+    arrivals: ArrivalQueue,
     /// Latest start time ever scheduled: arrivals beyond it wait, which
     /// bounds queue growth and keeps admission decisions near the
     /// execution frontier. Monotone, worker-count independent.
@@ -563,35 +742,49 @@ struct Scheduler<A> {
 }
 
 impl<A: ArrivalSource> Scheduler<A> {
-    fn new(config: ElasticConfig, sources: Vec<A>) -> Scheduler<A> {
-        let mut arrivals = EventHeap::new();
-        let mut streams = Vec::with_capacity(sources.len());
-        for (i, mut source) in sources.into_iter().enumerate() {
-            let floor = Time::ZERO;
-            if let Some(t) = source.peek() {
-                arrivals.push(t.max(floor), i as u32);
-            }
-            streams.push(SchedStream {
-                source,
-                floor,
-                next_frame: 0,
-                shed: 0,
-                now: Time::ZERO,
-                queue: HeadQueue::new(),
-                in_flight: false,
-            });
-        }
+    /// A scheduler with room for `streams` streams and none added yet.
+    fn new(config: ElasticConfig, streams: usize) -> Scheduler<A> {
         Scheduler {
             chaining: config.chaining,
             admission: config.admission,
             ring_capacity: config.ring_capacity.max(1),
-            streams,
+            streams: Vec::with_capacity(streams),
             start_heap: EventHeap::new(),
-            arrivals,
+            // Every arrival is clamped to at least the floor of zero, and
+            // each stream has at most one pending.
+            arrivals: ArrivalQueue::new(Time::ZERO, streams),
             horizon: Time::NEG_INF,
             backlog: 0,
             ledger: ShedLedger::default(),
         }
+    }
+
+    /// Add the next stream, keyed on its first arrival.
+    fn add_stream(&mut self, mut source: A) {
+        let floor = Time::ZERO;
+        if let Some(t) = source.peek() {
+            self.arrivals.push(t.max(floor), self.streams.len() as u32);
+        }
+        self.streams.push(SchedStream {
+            source,
+            floor,
+            next_frame: 0,
+            shed: 0,
+            now: Time::ZERO,
+            queue: HeadQueue::new(),
+            in_flight: false,
+        });
+    }
+
+    /// The ledger and each stream's `(arrived, shed)` counts, freeing
+    /// every other scheduler record.
+    fn finish(self) -> (ShedLedger, Vec<(usize, usize)>) {
+        let counts = self
+            .streams
+            .iter()
+            .map(|st| (st.next_frame, st.shed))
+            .collect();
+        (self.ledger, counts)
     }
 
     /// Drain due events into `ring` (cleared first), up to capacity.
@@ -630,7 +823,7 @@ impl<A: ArrivalSource> Scheduler<A> {
                 let (ts, s) = self.start_heap.pop().expect("peeked");
                 self.process_start(ts, s, ring);
             } else if arrival_due {
-                let (ta, s) = arrival_top.expect("due implies queued");
+                let (ta, s) = self.arrivals.pop().expect("peeked");
                 self.process_arrival(ta, s, ring);
             } else {
                 break;
@@ -665,7 +858,7 @@ impl<A: ArrivalSource> Scheduler<A> {
         ring.push(r);
     }
 
-    /// Judge the arrival at the top of the arrival heap, then re-key its
+    /// Judge the arrival just popped off the arrival queue, then re-key its
     /// stream on the following timestamp.
     fn process_arrival(&mut self, ta: Time, s: u32, ring: &mut Vec<Ready>) {
         let st = &mut self.streams[s as usize];
@@ -722,11 +915,9 @@ impl<A: ArrivalSource> Scheduler<A> {
             .max(st.floor);
         st.floor = consumed;
         debug_assert_eq!(consumed, ta, "peeked and consumed timestamps agree");
-        let handled = match st.source.peek() {
-            Some(next) => self.arrivals.replace_top(next.max(st.floor), s),
-            None => self.arrivals.pop(),
-        };
-        debug_assert_eq!(handled, Some((ta, s)), "the handled event was the minimum");
+        if let Some(next) = st.source.peek() {
+            self.arrivals.push(next.max(st.floor), s);
+        }
     }
 
     /// Fold a finished round back in: `completed(i)` is the completion
@@ -845,36 +1036,36 @@ impl ElasticRunner {
         );
         let n = streams.len();
         let workers = self.workers.min(n.max(1));
-        let mut sources = Vec::with_capacity(n);
+        let mut sched = Scheduler::new(self.config, n);
         let mut slots = Vec::with_capacity(n);
         for (source, driver) in streams {
-            sources.push(source);
+            sched.add_stream(source);
             slots.push(Mutex::new(Slot {
                 driver,
                 cursor: StreamCursor::new(),
                 completions: HeadQueue::new(),
             }));
         }
-        let mut sched = Scheduler::new(self.config, sources);
         if workers == 1 {
             run_inline(&mut sched, &mut slots);
         } else {
             run_pool(&mut sched, &slots, workers);
         }
 
+        let (ledger, counts) = sched.finish();
         let mut summary = ElasticSummary {
             per_stream: Vec::with_capacity(n),
             run: RunSummary::default(),
             stats: StreamStats::default(),
-            ledger: sched.ledger,
+            ledger,
         };
         let mut drivers = Vec::with_capacity(n);
-        for (slot, st) in slots.into_iter().zip(&sched.streams) {
+        for (slot, (arrived, shed)) in slots.into_iter().zip(counts) {
             let slot = slot.into_inner().expect("slot lock");
             let mut s = slot.cursor.summary();
             // Arrivals and sheds were counted by the scheduler.
-            s.stats.arrived = st.next_frame;
-            s.stats.dropped = st.shed;
+            s.stats.arrived = arrived;
+            s.stats.dropped = shed;
             summary.run.merge(&s.run);
             summary.stats.merge(&s.stats);
             summary.per_stream.push(s);
@@ -943,6 +1134,13 @@ impl SharedReady {
     }
 }
 
+/// The most entries one claim takes. A claim takes a quarter of the
+/// entries still unclaimed, between 1 and this cap (guided self-scheduling,
+/// Polychronopoulos and Kuck, IEEE TC 36(12), 1987): few compare-and-swaps
+/// while a round is long, an even split of its tail. Chosen by
+/// measurement; results never depend on it.
+const CLAIM_BATCH: usize = 16;
+
 /// Bit of a published word that marks its round sealed: the fill is over
 /// and the count is the round's final length.
 const SEALED: u64 = 1 << 31;
@@ -994,10 +1192,11 @@ impl Backoff {
 ///
 /// Each round, worker 0 resets `cursor` to `(round, 0)`, fills the ring,
 /// publishing batches of entries through `published` as it goes, then
-/// seals the round. Every worker claims published entries one at a time by
-/// compare-and-swap on `cursor`; because the round is part of the cursor,
-/// a claim that raced past the end of its round fails instead of taking an
-/// entry of the next one. A helper adds what it ran to `finished` once the
+/// seals the round. Every worker claims runs of published entries by
+/// compare-and-swap on `cursor`, each a guided share of what is unclaimed
+/// (see [`CLAIM_BATCH`]); because the round is part of the cursor, a claim
+/// that raced past the end of its round fails instead of taking entries of
+/// the next one. A helper adds what it ran to `finished` once the
 /// sealed round has no entry left to claim, and worker 0 folds the round's
 /// completions in once `finished` accounts for every entry it did not run
 /// itself.
@@ -1024,22 +1223,32 @@ struct Pool<'a, D> {
 }
 
 impl<D: CycleDriver> Pool<'_, D> {
-    /// Claim entry `index` of `cursor`'s round, and run it if the claim
-    /// wins. Returns whether it did.
+    /// Claim a guided share of the entries from `cursor` up to `count`, the
+    /// round's published count, and run them if the claim wins. Returns how
+    /// many it ran.
     #[inline]
-    fn try_run(&self, cursor: u64, index: usize) -> bool {
+    fn try_run(&self, cursor: u64, count: usize) -> usize {
+        let next = cursor as u32 as usize;
+        let take = ((count - next) / 4).clamp(1, CLAIM_BATCH);
         if self
             .cursor
-            .compare_exchange_weak(cursor, cursor + 1, Ordering::Relaxed, Ordering::Relaxed)
+            .compare_exchange_weak(
+                cursor,
+                cursor + take as u64,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            )
             .is_err()
         {
-            return false;
+            return 0;
         }
-        let r = self.entries[index].load();
-        let mut slot = self.slots[r.stream as usize].lock().expect("slot lock");
-        let done = execute(&r, &mut slot);
-        self.completed[index].store(done.as_ns(), Ordering::Relaxed);
-        true
+        for index in next..next + take {
+            let r = self.entries[index].load();
+            let mut slot = self.slots[r.stream as usize].lock().expect("slot lock");
+            let done = execute(&r, &mut slot);
+            self.completed[index].store(done.as_ns(), Ordering::Relaxed);
+        }
+        take
     }
 
     /// Make `ring[from..]` visible to the claimers as entries of `round`.
@@ -1065,7 +1274,7 @@ impl<D: CycleDriver> Pool<'_, D> {
                 let next = cursor as u32 as usize;
                 let count = (published & (SEALED - 1)) as usize;
                 if next < count {
-                    ran += usize::from(self.try_run(cursor, next));
+                    ran += self.try_run(cursor, count);
                     backoff = Backoff(0);
                     continue;
                 }
@@ -1108,11 +1317,10 @@ impl<D: CycleDriver> Pool<'_, D> {
             let mut ran = 0;
             loop {
                 let cursor = self.cursor.load(Ordering::Relaxed);
-                let next = cursor as u32 as usize;
-                if next >= ring.len() {
+                if cursor as u32 as usize >= ring.len() {
                     break;
                 }
-                ran += usize::from(self.try_run(cursor, next));
+                ran += self.try_run(cursor, ring.len());
             }
             helpers_ran = helpers_ran.wrapping_add(ring.len() - ran);
             let mut backoff = Backoff(0);
@@ -1284,13 +1492,84 @@ mod tests {
         events
     }
 
+    /// The operations the sorted-`Vec` model checks, on either event queue.
+    trait EventQueue {
+        fn push(&mut self, time: Time, stream: u32);
+        fn pop(&mut self) -> Option<(Time, u32)>;
+        fn peek(&mut self) -> Option<(Time, u32)>;
+        /// Remove the minimum and queue `(time, stream)`.
+        fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)>;
+    }
+
+    impl EventQueue for EventHeap {
+        fn push(&mut self, time: Time, stream: u32) {
+            EventHeap::push(self, time, stream);
+        }
+        fn pop(&mut self) -> Option<(Time, u32)> {
+            EventHeap::pop(self)
+        }
+        fn peek(&mut self) -> Option<(Time, u32)> {
+            EventHeap::peek(self)
+        }
+        fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)> {
+            EventHeap::replace_top(self, time, stream)
+        }
+    }
+
+    impl EventQueue for ArrivalQueue {
+        fn push(&mut self, time: Time, stream: u32) {
+            ArrivalQueue::push(self, time, stream);
+        }
+        fn pop(&mut self) -> Option<(Time, u32)> {
+            ArrivalQueue::pop(self)
+        }
+        fn peek(&mut self) -> Option<(Time, u32)> {
+            ArrivalQueue::peek(self)
+        }
+        fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)> {
+            let top = ArrivalQueue::pop(self);
+            ArrivalQueue::push(self, time, stream);
+            top
+        }
+    }
+
+    /// Draws the model test's event times from a random word `r`, the step
+    /// number and the floor: the latest popped time, or the time of the
+    /// event a re-key replaces.
+    type TimeGen = fn(usize, usize, Time) -> Time;
+
+    /// Any time: one draw in five is an edge key, the rest fall in a
+    /// narrow band around zero (many ties across streams).
+    fn any_time(r: usize, _step: usize, _floor: Time) -> Time {
+        let edges = edge_events();
+        if r.is_multiple_of(5) {
+            edges[(r / 5) % edges.len()].0
+        } else {
+            Time::from_ns((r % 61) as i64 - 30)
+        }
+    }
+
+    /// A time never below `floor`, as an arrival queue takes them. One draw
+    /// in five is an edge key (raised to `floor` if below it) and one is
+    /// `floor` itself (ties with events already popped, and a re-key onto
+    /// the very time it replaces, as a burst does). The rest fall up to
+    /// 60 ns above a base that drifts from −300 ns to +300 ns over the run,
+    /// or above `floor` once that is higher, so the floor climbs through
+    /// negative times and zero.
+    fn monotone_time(r: usize, step: usize, floor: Time) -> Time {
+        match r % 5 {
+            0 => any_time(r, step, floor).max(floor),
+            1 => floor,
+            _ => floor.max(Time::from_ns(step as i64 / 5 - 300)) + Time::from_ns((r % 61) as i64),
+        }
+    }
+
     /// An interleaved push / pop / re-key sequence checked step by step
-    /// against a sorted `Vec`. Times are drawn from a narrow band (many
-    /// ties across streams) and from the edge keys; pushes use fresh
+    /// against a sorted `Vec`, with times from `draw`; pushes use fresh
     /// stream ids, so every pending stream id stays unique.
-    fn interleaved_matches_sorted_model(heap: &mut EventHeap) {
-        let edges: Vec<Time> = edge_events().into_iter().map(|(t, _)| t).collect();
+    fn interleaved_matches_sorted_model(queue: &mut impl EventQueue, draw: TimeGen) {
         let mut model: Vec<(Time, u32)> = Vec::new();
+        let mut floor = Time::NEG_INF;
         let mut fresh = 0u32;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for step in 0..3_000 {
@@ -1298,34 +1577,35 @@ mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let r = (x >> 33) as usize;
-            let time = if r.is_multiple_of(5) {
-                edges[(r / 5) % edges.len()]
-            } else {
-                Time::from_ns((r % 61) as i64 - 30)
-            };
             let insert = |model: &mut Vec<(Time, u32)>, e: (Time, u32)| {
                 let at = model.partition_point(|m| *m < e);
                 model.insert(at, e);
             };
             match (r >> 8) % 4 {
                 0 | 1 => {
-                    heap.push(time, fresh);
+                    let time = draw(r, step, floor);
+                    queue.push(time, fresh);
                     insert(&mut model, (time, fresh));
                     fresh += 1;
                 }
                 2 => {
                     let want = (!model.is_empty()).then(|| model.remove(0));
-                    assert_eq!(heap.pop(), want, "pop at step {step}");
+                    assert_eq!(queue.pop(), want, "pop at step {step}");
+                    if let Some((t, _)) = want {
+                        floor = t;
+                    }
                 }
                 _ => {
                     let want = model.first().copied();
-                    assert_eq!(heap.peek(), want, "peek at step {step}");
-                    if let Some((_, stream)) = want {
+                    assert_eq!(queue.peek(), want, "peek at step {step}");
+                    if let Some((top, stream)) = want {
+                        let time = draw(r, step, top);
                         assert_eq!(
-                            heap.replace_top(time, stream),
+                            queue.replace_top(time, stream),
                             want,
                             "re-key at step {step}"
                         );
+                        floor = top;
                         model.remove(0);
                         insert(&mut model, (time, stream));
                     }
@@ -1333,9 +1613,9 @@ mod tests {
             }
         }
         for (i, want) in model.into_iter().enumerate() {
-            assert_eq!(heap.pop(), Some(want), "drain {i}");
+            assert_eq!(queue.pop(), Some(want), "drain {i}");
         }
-        assert_eq!(heap.pop(), None);
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]
@@ -1363,14 +1643,142 @@ mod tests {
         );
         assert_eq!(heap.pop(), Some((Time::NEG_INF, 3)));
 
-        interleaved_matches_sorted_model(&mut EventHeap::new());
+        interleaved_matches_sorted_model(&mut EventHeap::new(), any_time);
     }
 
-    /// Ring capacities around the pool's publish batch: a round that ends
-    /// one entry short of a batch, exactly on it, one entry into the next,
-    /// and one entry past two batches — plus a tiny and a large ring.
-    const RINGS: [usize; 6] = [
+    /// The arrival queue against the same model, on times that never go
+    /// below its latest pop: the edge keys fill the top buckets and the
+    /// sentinels, the band the low ones.
+    #[test]
+    fn arrival_queue_matches_sorted_model() {
+        interleaved_matches_sorted_model(&mut ArrivalQueue::new(Time::NEG_INF, 0), monotone_time);
+    }
+
+    /// Many streams at one time pop in stream-id order whatever order they
+    /// were pushed in, and a stream re-keyed onto the time just popped (a
+    /// burst) is the next pop again.
+    #[test]
+    fn arrival_queue_orders_ties_by_stream_and_takes_bursts_back() {
+        let mut queue = ArrivalQueue::new(Time::ZERO, 0);
+        let shared = Time::from_ns(50);
+        for i in 0..1_000u32 {
+            queue.push(shared, (i * 7_919) % 1_000 + 10);
+        }
+        queue.push(Time::from_ns(60), 3);
+        queue.push(Time::from_ns(40), 5);
+        queue.push(shared, 4);
+        assert_eq!(queue.pop(), Some((Time::from_ns(40), 5)));
+        assert_eq!(queue.pop(), Some((shared, 4)));
+        queue.push(shared, 4);
+        queue.push(shared, 4_000);
+        assert_eq!(
+            queue.peek(),
+            Some((shared, 4)),
+            "the burst goes back in front"
+        );
+        assert_eq!(queue.pop(), Some((shared, 4)));
+        for s in 10..1_010 {
+            assert_eq!(queue.pop(), Some((shared, s)));
+            if s == 500 {
+                // Re-keyed onto the shared time mid-way: still in id order.
+                queue.push(shared, 500);
+                assert_eq!(queue.pop(), Some((shared, 500)));
+            }
+        }
+        assert_eq!(queue.pop(), Some((shared, 4_000)));
+        assert_eq!(queue.pop(), Some((Time::from_ns(60), 3)));
+        assert_eq!(queue.pop(), None);
+        assert_eq!(queue.peek(), None);
+    }
+
+    /// A push below the queue's minimum breaks the monotone contract.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "precedes the queue's minimum")]
+    fn arrival_queue_rejects_a_push_below_its_minimum() {
+        let mut queue = ArrivalQueue::new(Time::ZERO, 0);
+        queue.push(Time::from_ns(20), 1);
+        queue.push(Time::from_ns(30), 2);
+        assert_eq!(queue.pop(), Some((Time::from_ns(20), 1)));
+        queue.push(Time::from_ns(10), 1);
+    }
+
+    /// Splitmix64 finaliser mixing a run seed with a stream index.
+    fn mix(seed: u64, i: u64) -> u64 {
+        let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Stream `i` of the benchmark's `live-fleet` population: 4 frames,
+    /// periodic / jittered / bursty round-robin at a 130 ns period, seeded
+    /// by mixing the run seed with the stream index.
+    fn live_fleet_source(seed: u64, i: usize) -> PatternSource {
+        let period = Time::from_ns(130);
+        let seed = mix(seed, i as u64);
+        match i % 3 {
+            0 => PatternSource::Periodic(Periodic::new(period, 4)),
+            1 => PatternSource::Jittered(Jittered::new(
+                period,
+                Time::from_ns(period.as_ns() / 4),
+                4,
+                seed,
+            )),
+            _ => PatternSource::Bursty(Bursty::new(period, 4, 4, seed)),
+        }
+    }
+
+    /// Every arrival of `sources`, in the order `queue` hands them out when
+    /// each stream is stepped and re-keyed as it pops, the way the
+    /// scheduler's fill does.
+    fn arrival_order(
+        mut sources: Vec<PatternSource>,
+        queue: &mut impl EventQueue,
+    ) -> Vec<(Time, u32)> {
+        for (i, source) in sources.iter_mut().enumerate() {
+            if let Some(t) = source.peek() {
+                queue.push(t.max(Time::ZERO), i as u32);
+            }
+        }
+        let mut floors = vec![Time::ZERO; sources.len()];
+        let mut order = Vec::new();
+        while let Some((t, s)) = queue.pop() {
+            order.push((t, s));
+            let (source, floor) = (&mut sources[s as usize], &mut floors[s as usize]);
+            *floor = source.next_arrival().expect("queued").max(*floor);
+            if let Some(next) = source.peek() {
+                queue.push(next.max(*floor), s);
+            }
+        }
+        order
+    }
+
+    /// On the `live-fleet` population's 400k arrivals, the arrival queue
+    /// pops exactly the sequence the binary heap pops, at seeds 1, 2 and
+    /// 9001.
+    #[test]
+    fn arrival_queue_pops_the_heap_order_on_live_fleet_arrivals() {
+        for seed in [1, 2, 9001] {
+            let population = || (0..100_000).map(|i| live_fleet_source(seed, i)).collect();
+            let want = arrival_order(population(), &mut EventHeap::new());
+            assert_eq!(want.len(), 400_000);
+            let got = arrival_order(population(), &mut ArrivalQueue::new(Time::ZERO, 100_000));
+            assert!(got == want, "seed {seed}: orders differ");
+        }
+    }
+
+    /// Ring capacities around the pool's claim cap and publish batch: a
+    /// round that ends one entry short of either, exactly on it, one entry
+    /// past it, and one entry past four claims or two batches — plus a
+    /// tiny and a large ring.
+    const RINGS: [usize; 10] = [
         3,
+        CLAIM_BATCH - 1,
+        CLAIM_BATCH,
+        CLAIM_BATCH + 1,
+        4 * CLAIM_BATCH + 1,
         PUBLISH_BATCH - 1,
         PUBLISH_BATCH,
         PUBLISH_BATCH + 1,
@@ -1386,7 +1794,7 @@ mod tests {
     /// the ledger — is byte-identical for every worker count (2..=8, more
     /// workers than this host has cores on purpose), under both chainings,
     /// both admissions, and rings that end rounds on either side of a
-    /// publish batch.
+    /// claim or a publish batch.
     #[test]
     fn worker_counts_are_byte_identical() {
         let s = sys();
@@ -1539,7 +1947,7 @@ mod tests {
     /// `max_backlog` included: each frame's depth is a function of its
     /// stream's arrival and completion sequences, so ring granularity
     /// (like worker count) never moves it. So do the rings around the
-    /// publish batch, at every worker count from 2 to 8.
+    /// claim cap and the publish batch, at every worker count from 2 to 8.
     #[test]
     fn ring_capacity_does_not_change_unbounded_results() {
         let s = sys();

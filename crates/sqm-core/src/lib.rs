@@ -59,13 +59,14 @@
 //!    variants.
 //! 10. **Elastic fleet** — [`elastic`]: per-cycle scheduling of very many
 //!     *live* streams onto few workers. A serial deterministic event loop
-//!     over an arrival heap and a start-event heap
-//!     ([`elastic::EventHeap`]) admits or sheds frames fleet-wide
-//!     ([`elastic::Admission`], [`elastic::ShedLedger`]) and fills a
-//!     fixed-capacity ready ring, publishing its entries in batches as it
-//!     goes. The loop keeps only the per-stream state that admission and
-//!     start times need; the other workers claim published entries
-//!     through one round-stamped cursor while the fill goes on — the
+//!     over a monotone arrival queue (a radix queue over arrival times)
+//!     and a start-event heap ([`elastic::EventHeap`]) admits or sheds
+//!     frames fleet-wide ([`elastic::Admission`],
+//!     [`elastic::ShedLedger`]) and fills a fixed-capacity ready ring,
+//!     publishing its entries in batches as it goes. The loop keeps only
+//!     the per-stream state that admission and start times need; the
+//!     other workers claim runs of published entries through one
+//!     round-stamped cursor while the fill goes on — the
 //!     filling thread joins them once the round is sealed — and compute
 //!     everything else (engine aggregates, waits, latencies, backlog
 //!     depths) on the stream's own slot. Results are byte-identical for

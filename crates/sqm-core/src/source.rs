@@ -71,7 +71,7 @@ pub trait ArrivalSource {
     /// Arrival time of the next frame *without consuming it*: the next
     /// [`ArrivalSource::next_arrival`] call returns exactly this value.
     ///
-    /// Schedulers use `peek` to key event heaps by each stream's next
+    /// Schedulers use `peek` to key event queues by each stream's next
     /// virtual arrival before committing to admit the frame
     /// ([`crate::elastic`]); `peek` must therefore be side-effect-free as
     /// observed through `next_arrival` — peek-then-next ≡ next, for every

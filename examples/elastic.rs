@@ -5,7 +5,8 @@
 //!
 //! Where `examples/fleet.rs` gives each worker whole streams, here the
 //! scheduler orders every stream's next cycle by virtual arrival time in
-//! sharded event heaps and hands rounds of ready cycles to the workers.
+//! one monotone arrival queue and hands rounds of ready cycles to the
+//! workers.
 //! Results are byte-identical for every worker count — the example checks
 //! that, then demonstrates deterministic global load shedding.
 //!

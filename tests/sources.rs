@@ -13,7 +13,7 @@
 //!   reproduces the live run exactly;
 //! * [`ArrivalSource::peek`] is **transparent**: peeking never changes the
 //!   sequence `next_arrival` yields — the contract the elastic
-//!   scheduler's event heaps are keyed on.
+//!   scheduler's arrival queue is keyed on.
 //!
 //! (Folded out of `tests/streaming.rs`, which now owns only overload
 //! behaviour; cross-path identities live in `tests/conformance.rs`.)
