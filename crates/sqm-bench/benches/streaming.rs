@@ -4,8 +4,8 @@
 //!
 //! Streaming results are deterministic per scenario, so the variants do
 //! identical decision/execution work — the measured difference is the
-//! queue bookkeeping. Same shape as `benches/fleet.rs`: a closed-loop
-//! reference next to the new layer's variants.
+//! queue bookkeeping: a closed-loop reference next to the layer's
+//! variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqm_bench::{ManagerKind, StreamingExperiment};

@@ -1,9 +1,8 @@
 //! Emit `BENCH_elastic.json` — the many-live-streams point of the
-//! workspace's performance trajectory, next to `BENCH_fleet.json`.
+//! workspace's performance trajectory.
 //!
-//! Where `bench_fleet` shards whole streams over workers, this measures
-//! `sqm_core::elastic` interleaving **100,000 tiny live streams** per
-//! cycle: a monotone arrival queue and a start-event heap, a
+//! This measures `sqm_core::elastic`, the workspace's one multi-stream
+//! runner, interleaving **100,000 tiny live streams** per cycle: a monotone arrival queue and a start-event heap, a
 //! fixed-capacity ready ring that the workers run while it is still being
 //! filled, and fleet-wide admission. Reported per worker count (1/2/4/8): host wall-clock
 //! (median of 5), streams/sec and ns/action, plus the host's core count —

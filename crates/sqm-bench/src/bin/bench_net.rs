@@ -1,7 +1,6 @@
 //! Emit `BENCH_net.json` — the fourth point of the workspace's
 //! performance trajectory, next to `BENCH_baseline.json` (single-stream
-//! cost), `BENCH_fleet.json` (multi-stream throughput) and
-//! `BENCH_stream.json` (live-traffic backlog/latency).
+//! cost) and `BENCH_stream.json` (live-traffic backlog/latency).
 //!
 //! This point measures the **packet pipeline**: the `sqm-net` workload in
 //! its natural regime — bursty line-rate arrivals through a bounded NIC
@@ -9,12 +8,9 @@
 //! depth, waits and latencies in the deterministic virtual-time domain,
 //! plus host wall-clock per scenario (machine-dependent; track deltas).
 //!
-//! The binary pins correctness before publishing numbers:
-//!
-//! * a periodic source under the `Block` policy must be **byte-identical**
-//!   to the closed loop under both `CycleChaining` variants;
-//! * the sharded net fleet must be byte-identical to its serial reference
-//!   for every worker count it reports.
+//! The binary pins correctness before publishing numbers: a periodic
+//! source under the `Block` policy must be **byte-identical** to the
+//! closed loop under both `CycleChaining` variants.
 //!
 //! ```text
 //! cargo run -p sqm-bench --release --bin bench_net [out.json]
@@ -36,7 +32,7 @@ fn main() {
     let batches = 24;
     let exec_seed = 11;
 
-    // Correctness gate 1: streaming(Periodic, Block) ≡ the closed loop,
+    // Correctness gate: streaming(Periodic, Block) ≡ the closed loop,
     // byte for byte, under both chaining variants.
     for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
         let closed = exp.run_closed(batches, chaining, exp.jitter(), exec_seed, &mut NullSink);
@@ -57,18 +53,6 @@ fn main() {
         );
         println!("identity check: streaming(Periodic, Block) == closed loop under {chaining:?} ✓");
     }
-
-    // Correctness gate 2: the sharded net fleet is deterministic.
-    let specs = exp.streaming_specs(8, 4);
-    let serial = exp.run_serial(&specs);
-    for workers in [1usize, 2, 4] {
-        assert_eq!(
-            serial,
-            exp.run_fleet(&specs, workers),
-            "net fleet must be byte-identical to serial at {workers} workers"
-        );
-    }
-    println!("identity check: net fleet(1/2/4 workers) == serial reference ✓");
 
     let mut entries = Vec::new();
     let mut scenarios_with_stats = 0usize;
@@ -149,7 +133,6 @@ fn main() {
         "acceptance check: {scenarios_with_stats} scenarios with backlog/latency stats (≥3) ✓"
     );
 
-    let agg = serial.aggregate();
     let json = format!(
         concat!(
             "{{\n",
@@ -157,21 +140,10 @@ fn main() {
             "  \"config\": \"NetExperiment::small(7): 64-packet batches, 400 Mbit/s of 1500 B packets, {} batches, regions manager, arrival-clamped\",\n",
             "  \"note\": \"virtual-time stats (waits/latencies/backlog/drops) are deterministic; host_wall_ns is machine-dependent (track deltas, not absolutes)\",\n",
             "  \"periodic_block_byte_identical_to_closed_loop\": true,\n",
-            "  \"net_fleet_byte_identical_to_serial\": true,\n",
-            "  \"fleet_aggregate\": {{\n",
-            "    \"streams\": {},\n",
-            "    \"cycles\": {},\n",
-            "    \"avg_quality\": {:.4},\n",
-            "    \"deadline_misses\": {}\n",
-            "  }},\n",
             "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),
         batches,
-        serial.n_streams(),
-        agg.cycles,
-        agg.avg_quality(),
-        agg.misses,
         entries.join(",\n")
     );
 

@@ -1,6 +1,6 @@
 //! Emit `BENCH_stream.json` — the third point of the workspace's
 //! performance trajectory, next to `BENCH_baseline.json` (single-stream
-//! cost) and `BENCH_fleet.json` (multi-stream throughput).
+//! cost) and `BENCH_elastic.json` (multi-stream throughput).
 //!
 //! This point measures **live operation**: the encoder fed from
 //! event-driven arrival sources (`sqm_core::source`) through the

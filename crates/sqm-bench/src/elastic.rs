@@ -1,9 +1,8 @@
 //! Elastic-scheduler workload: the very-many-live-streams stress the
 //! `bench_elastic` binary and the elastic criterion bench share.
 //!
-//! The fleet harness ([`crate::fleet`]) measures throughput when each
-//! worker owns whole streams; this module measures the opposite regime —
-//! `sqm_core::elastic` interleaving 10⁵ *tiny* live streams per cycle.
+//! This module measures `sqm_core::elastic`, the workspace's one
+//! multi-stream runner, interleaving 10⁵ *tiny* live streams per cycle.
 //! To keep a 100k-stream scenario inside CI budgets each stream runs a
 //! **micro system** (four actions, three quality levels) under the
 //! symbolic [`LookupManager`] against one shared compiled region table:

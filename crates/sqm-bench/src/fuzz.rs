@@ -3,18 +3,17 @@
 //! Hand-written proptests cover each execution path against a reference,
 //! one pairing at a time; this module covers the *product space* —
 //! arbitrary systems × fault/drift scenarios × every execution path
-//! (serial, streaming, fleet, elastic) — against one eight-part
+//! (serial, streaming, elastic) — against one eight-part
 //! **safety oracle**: five numbered parts plus the inference, admission
 //! and control axes below.
 //!
-//! 1. **Identity** — every decided record of the serial, streaming,
-//!    fleet and elastic paths (and of a relaxed-manager run) re-derives
-//!    from the top-down reference scans ([`rederive_decisions`]), so the
-//!    managers' hint-resuming search is checked decision by decision; and
-//!    the optimized paths are byte-identical to the serial reference:
-//!    Periodic+Block streaming, every fleet worker count, every elastic
-//!    worker count, and the elastic per-stream fold, all under the
-//!    injected fault.
+//! 1. **Identity** — every decided record of the serial, streaming and
+//!    elastic paths (and of a relaxed-manager run) re-derives from the
+//!    top-down reference scans ([`rederive_decisions`]), so the managers'
+//!    hint-resuming search is checked decision by decision; and the
+//!    optimized paths are byte-identical to the serial reference:
+//!    Periodic+Block streaming, every elastic worker count, and the
+//!    elastic per-stream fold, all under the injected fault.
 //! 2. **Safety** — with zero manager overhead, an unquantized clock and
 //!    a period equal to the final deadline, a run whose execution times
 //!    honour the compiled contract (`C ≤ Cwc`, checked live by a
@@ -84,7 +83,6 @@ use sqm_core::control::{
 use sqm_core::controller::{ConstantExec, ExecutionTimeSource, OverheadModel};
 use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, EngineDriver};
 use sqm_core::engine::{CycleChaining, Engine, NullSink};
-use sqm_core::fleet::{FleetRunner, FleetSummary, StreamSpec};
 use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager};
 use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
@@ -264,7 +262,7 @@ impl FaultKind {
     }
 
     /// The same fault with seeds offset by `i` — distinct per-stream
-    /// instances for fleet/elastic fan-outs.
+    /// instances for elastic fan-outs.
     pub fn with_seed_offset(self, i: u64) -> FaultKind {
         match self {
             FaultKind::Stochastic {
@@ -785,38 +783,6 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
             streamed.stats.processed,
             "periodic Block stream must process everything"
         );
-    }
-
-    // Fleet: every worker count produces the same fold, and every
-    // worker's records re-derive from the scan.
-    let specs: Vec<StreamSpec<()>> = (0..3u64)
-        .map(|i| StreamSpec::new((), i, scenario.cycles))
-        .collect();
-    let fleet_error = std::sync::Mutex::new(None);
-    let fleet_drive = |spec: &StreamSpec<()>, scratch: &mut sqm_core::fleet::StreamScratch| {
-        let mut exec = scenario.fault.with_seed_offset(spec.seed).exec(sys.table());
-        let mut sink = sqm_core::engine::RecordBuffer::new(&mut scratch.records);
-        let run = Engine::new(&sys, LookupManager::new(&regions), OVERHEAD).run_cycles(
-            spec.cycles,
-            period,
-            scenario.chaining,
-            &mut exec,
-            &mut sink,
-        );
-        if let Err(e) = rederive_decisions(&scratch.records, &regions, None, unclocked) {
-            fleet_error
-                .lock()
-                .expect("no drive panicked")
-                .get_or_insert(e);
-        }
-        run
-    };
-    let fleet_one: FleetSummary = FleetRunner::new(1).run(&specs, fleet_drive);
-    let fleet_two: FleetSummary = FleetRunner::new(2).run(&specs, fleet_drive);
-    paths += 2;
-    oracle_eq!("identity", fleet_two, fleet_one, "fleet(2) != fleet(1)");
-    if let Some(e) = fleet_error.into_inner().expect("no drive panicked") {
-        return Err(Violation::new("identity", format!("fleet: {e}")));
     }
 
     // Elastic: worker counts agree, the per-stream results equal the

@@ -3,8 +3,8 @@
 //! and `benches/infer.rs` share.
 //!
 //! An [`InferExperiment`] compiles the batch's quality regions **once**
-//! and serves every path from them — closed loop, event-driven streaming,
-//! fleet sharding, and the elastic scheduler. The serving regime combines
+//! and serves every path from them — closed loop, event-driven streaming
+//! and the elastic scheduler. The serving regime combines
 //! the other workloads' stress axes: requests arrive in **bursts** (a
 //! chat burst, a batch-job submission), overload is answered by
 //! **admission control** ([`OverloadPolicy::DropNewest`] per stream,
@@ -17,7 +17,6 @@
 use sqm_core::compiler::compile_regions;
 use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, ElasticSummary, EngineDriver};
 use sqm_core::engine::{CycleChaining, Engine, NullSink};
-use sqm_core::fleet::{FleetRunner, FleetSummary, StreamScratch, StreamSpec};
 use sqm_core::manager::LookupManager;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::source::{ArrivalSpec, Bursty, Jittered, PatternSource, Periodic};
@@ -86,43 +85,19 @@ impl InferExperiment {
         }
     }
 
-    /// A spec list in the serving regime: mostly bursty arrivals (three
-    /// streams in four; the fourth is periodic as the control group), one
-    /// seed per stream.
-    pub fn streaming_specs(&self, streams: usize, cycles: usize) -> Vec<StreamSpec<()>> {
+    /// The serving regime's per-stream arrival pattern: mostly bursty
+    /// arrivals (three streams in four; the fourth is periodic as the
+    /// control group), one entry per stream.
+    pub fn streaming_specs(streams: usize) -> Vec<ArrivalSpec> {
         (0..streams)
             .map(|i| {
-                let arrival = if i % 4 == 3 {
+                if i % 4 == 3 {
                     ArrivalSpec::Periodic
                 } else {
                     ArrivalSpec::Bursty { max_burst: 6 }
-                };
-                StreamSpec::new((), 1_700 + i as u64, cycles).with_arrival(arrival)
+                }
             })
             .collect()
-    }
-
-    /// Shard `specs` over `workers` threads under [`Self::serve_config`].
-    pub fn run_fleet(&self, specs: &[StreamSpec<()>], workers: usize) -> FleetSummary {
-        let config = self.serve_config(4);
-        FleetRunner::new(workers).run(specs, |spec, scratch| {
-            self.run_spec(config, spec, self.jitter, scratch)
-        })
-    }
-
-    /// The serial reference every [`Self::run_fleet`] result must equal.
-    pub fn run_serial(&self, specs: &[StreamSpec<()>]) -> FleetSummary {
-        let config = self.serve_config(4);
-        let mut scratch = StreamScratch::default();
-        FleetSummary::from_streams(
-            specs
-                .iter()
-                .map(|spec| {
-                    scratch.records.clear();
-                    self.run_spec(config, spec, self.jitter, &mut scratch)
-                })
-                .collect(),
-        )
     }
 
     /// The scenario menu `bench_infer` reports: nominal-rate traffic
@@ -364,19 +339,21 @@ mod tests {
         assert_eq!(out.stats.processed + out.stats.dropped, 24);
     }
 
+    /// The serving pattern is event-sourced throughout, with one periodic
+    /// control stream in four.
     #[test]
-    fn infer_fleet_is_deterministic_across_worker_counts() {
-        let exp = InferExperiment::tiny(7);
-        let specs = exp.streaming_specs(8, 2);
+    fn serving_streams_are_event_sourced() {
+        let specs = InferExperiment::streaming_specs(8);
         assert!(specs
             .iter()
-            .any(|s| s.arrival == ArrivalSpec::Bursty { max_burst: 6 }));
-        assert!(specs.iter().any(|s| s.arrival == ArrivalSpec::Periodic));
-        let serial = exp.run_serial(&specs);
-        assert_eq!(serial.n_streams(), 8);
-        for workers in 1..=4 {
-            assert_eq!(serial, exp.run_fleet(&specs, workers), "workers={workers}");
-        }
+            .all(|s| s.build(Time::from_ns(100), 2, 1).is_some()));
+        assert_eq!(
+            specs
+                .iter()
+                .filter(|&&s| s == ArrivalSpec::Periodic)
+                .count(),
+            2
+        );
     }
 
     #[test]

@@ -12,11 +12,6 @@
 //! * [`harness`] — the single-stream paper experiment: encoder + compiled
 //!   tables + the three §4.1 managers, all routed through the shared
 //!   `sqm_core::engine`.
-//! * [`fleet`] — the multi-stream workload: many independent MPEG/audio
-//!   streams sharded over `sqm_core::fleet` workers against one set of
-//!   compiled tables (`cargo run -p sqm-bench --release --bin
-//!   bench_fleet` emits `BENCH_fleet.json`, the perf trajectory's
-//!   multi-stream point next to `BENCH_baseline.json`).
 //! * [`streaming`] — the event-driven workload: the encoder fed from
 //!   `sqm_core::source` arrival patterns through the bounded-backlog
 //!   `sqm_core::stream` front-end (`cargo run -p sqm-bench --release
@@ -33,8 +28,9 @@
 //!   sqm-bench --release --bin bench_infer` emits `BENCH_infer.json`, the
 //!   trajectory's serving point: decisions/sec, worst SLO slack, and shed
 //!   rate at 1k/10k/100k concurrent request streams).
-//! * [`elastic`] — the elastic-scheduler stress: 10⁵ micro live streams
-//!   interleaved per-cycle through `sqm_core::elastic` (`cargo run -p
+//! * [`elastic`] — the multi-stream workload: 10⁵ micro live streams
+//!   interleaved per-cycle through `sqm_core::elastic`, the workspace's one
+//!   multi-stream runner (`cargo run -p
 //!   sqm-bench --release --bin bench_elastic` emits `BENCH_elastic.json`,
 //!   the trajectory's many-streams point: streams/sec and ns/action
 //!   versus worker count, gated on byte-identity with the serial path).
@@ -57,7 +53,6 @@
 
 pub mod control;
 pub mod elastic;
-pub mod fleet;
 pub mod fuzz;
 pub mod harness;
 pub mod infer;
@@ -71,7 +66,6 @@ pub use control::{
     ShapedExec,
 };
 pub use elastic::ElasticExperiment;
-pub use fleet::{FleetExperiment, FleetWorkload};
 pub use fuzz::{
     format_repro, minimize, run_campaign, run_case, CampaignReport, FaultKind, FuzzCase, Scenario,
     SourceKind, SystemSpec, Violation,

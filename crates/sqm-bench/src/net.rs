@@ -3,16 +3,16 @@
 //! binary and `benches/net.rs` share.
 //!
 //! A [`NetExperiment`] compiles the pipeline's quality regions **once**
-//! and serves every path from them — closed loop, event-driven streaming,
-//! fleet sharding. The natural operating regime is the one the MPEG and
-//! audio workloads never enter: packets arrive in **bursts** at line
-//! rate, the backlog is a real NIC queue, and under overload the right
-//! policy is **tail drop** ([`OverloadPolicy::DropNewest`]) — routers
-//! shed load, they do not backpressure the wire.
+//! and serves every path from them — closed loop, event-driven streaming
+//! and the elastic multi-stream runner. The natural operating regime is
+//! the one the MPEG and audio workloads never enter: packets arrive in
+//! **bursts** at line rate, the backlog is a real NIC queue, and under
+//! overload the right policy is **tail drop**
+//! ([`OverloadPolicy::DropNewest`]) — routers shed load, they do not
+//! backpressure the wire.
 
 use sqm_core::compiler::compile_regions;
 use sqm_core::engine::CycleChaining;
-use sqm_core::fleet::{FleetRunner, FleetSummary, StreamScratch, StreamSpec};
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::source::ArrivalSpec;
 use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamSummary};
@@ -59,13 +59,12 @@ impl NetExperiment {
     }
 
     /// The content-jitter fraction the experiment's own entry points
-    /// (`run_scenario`, `run_fleet`, `run_serial`, `bench_net`) use.
+    /// (`run_scenario`, `bench_net`) use.
     ///
     /// The uniform [`Workload`] seam threads jitter as an explicit
-    /// parameter instead, so harnesses that own their jitter knob (e.g.
-    /// [`crate::FleetExperiment`]) pass their own value through
-    /// [`Workload::run_spec`] — both knobs are currently the workspace
-    /// default of 0.1.
+    /// parameter instead, so harnesses that own their jitter knob pass
+    /// their own value — both knobs are currently the workspace default
+    /// of 0.1.
     pub fn jitter(&self) -> f64 {
         self.jitter
     }
@@ -79,45 +78,6 @@ impl NetExperiment {
             capacity,
             policy: OverloadPolicy::DropNewest,
         }
-    }
-
-    /// A spec list in the natural regime: mostly bursty arrivals (three
-    /// streams in four; the fourth is periodic as the control group), one
-    /// seed per stream.
-    pub fn streaming_specs(&self, streams: usize, cycles: usize) -> Vec<StreamSpec<()>> {
-        (0..streams)
-            .map(|i| {
-                let arrival = if i % 4 == 3 {
-                    ArrivalSpec::Periodic
-                } else {
-                    ArrivalSpec::Bursty { max_burst: 8 }
-                };
-                StreamSpec::new((), 900 + i as u64, cycles).with_arrival(arrival)
-            })
-            .collect()
-    }
-
-    /// Shard `specs` over `workers` threads under [`Self::line_config`].
-    pub fn run_fleet(&self, specs: &[StreamSpec<()>], workers: usize) -> FleetSummary {
-        let config = self.line_config(4);
-        FleetRunner::new(workers).run(specs, |spec, scratch| {
-            self.run_spec(config, spec, self.jitter, scratch)
-        })
-    }
-
-    /// The serial reference every [`Self::run_fleet`] result must equal.
-    pub fn run_serial(&self, specs: &[StreamSpec<()>]) -> FleetSummary {
-        let config = self.line_config(4);
-        let mut scratch = StreamScratch::default();
-        FleetSummary::from_streams(
-            specs
-                .iter()
-                .map(|spec| {
-                    scratch.records.clear();
-                    self.run_spec(config, spec, self.jitter, &mut scratch)
-                })
-                .collect(),
-        )
     }
 
     /// The scenario menu `bench_net` reports: nominal-rate traffic under
@@ -264,20 +224,5 @@ mod tests {
         let out = exp.run_scenario(overload, 24, 11);
         assert!(out.stats.dropped > 0, "1.43x overload must shed");
         assert_eq!(out.stats.processed + out.stats.dropped, 24);
-    }
-
-    #[test]
-    fn net_fleet_is_deterministic_across_worker_counts() {
-        let exp = NetExperiment::tiny(7);
-        let specs = exp.streaming_specs(8, 2);
-        assert!(specs
-            .iter()
-            .any(|s| s.arrival == ArrivalSpec::Bursty { max_burst: 8 }));
-        assert!(specs.iter().any(|s| s.arrival == ArrivalSpec::Periodic));
-        let serial = exp.run_serial(&specs);
-        assert_eq!(serial.n_streams(), 8);
-        for workers in 1..=4 {
-            assert_eq!(serial, exp.run_fleet(&specs, workers), "workers={workers}");
-        }
     }
 }

@@ -55,8 +55,8 @@ pub struct StreamingExperiment {
 }
 
 impl StreamingExperiment {
-    /// CI-scale setup matching `FleetExperiment::small`: the `small`
-    /// encoder (298 actions) with content jitter 0.1.
+    /// CI-scale setup: the `small` encoder (298 actions) with content
+    /// jitter 0.1.
     pub fn small(seed: u64) -> StreamingExperiment {
         StreamingExperiment {
             mpeg: PaperExperiment::with_config(sqm_mpeg::EncoderConfig::small(seed)),

@@ -1,15 +1,16 @@
 //! The workload seam: how an application domain plugs into the harness.
 //!
 //! Before this module existed the "workload → harness" contract was
-//! implicit: the fleet, streaming and figure code each rebuilt the same
-//! recipe — take the domain's [`ParameterizedSystem`], compile quality
-//! regions, wrap a [`LookupManager`] in an [`Engine`] under the calibrated
-//! regions overhead, and feed it the domain's content-driven
+//! implicit: the multi-stream, streaming and figure code each rebuilt the
+//! same recipe — take the domain's [`ParameterizedSystem`], compile
+//! quality regions, wrap a [`LookupManager`] in an [`Engine`] under the
+//! calibrated regions overhead, and feed it the domain's content-driven
 //! execution-time source. [`Workload`] names that recipe once, so MPEG
 //! ([`PaperExperiment`]), audio ([`AudioExperiment`]) and the packet
 //! pipeline ([`NetExperiment`](crate::net::NetExperiment)) register
 //! uniformly, and every execution path — closed loop, event-driven
-//! streaming, fleet sharding — is written once against the trait.
+//! streaming, the elastic multi-stream runner — is written once against
+//! the trait.
 //!
 //! The trait stays statically dispatched: `Exec` is a generic associated
 //! type, so each workload's engine run monomorphizes exactly like the
@@ -18,8 +19,7 @@
 use sqm_audio::{AudioCodec, AudioConfig, AudioExec};
 use sqm_core::compiler::compile_regions;
 use sqm_core::controller::{ExecutionTimeSource, OverheadModel};
-use sqm_core::engine::{CycleChaining, Engine, RecordBuffer, RunSummary, TraceSink};
-use sqm_core::fleet::{StreamScratch, StreamSpec};
+use sqm_core::engine::{CycleChaining, Engine, RunSummary, TraceSink};
 use sqm_core::manager::LookupManager;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::source::ArrivalSource;
@@ -36,12 +36,12 @@ use crate::harness::PaperExperiment;
 /// content-driven execution-time source.
 ///
 /// The provided methods are the **uniform execution seam** every path
-/// shares — the closed loop ([`Workload::run_closed`]), the event-driven
-/// front-end ([`Workload::run_streaming`]), and the fleet drive
-/// ([`Workload::run_spec`], which dispatches on the spec's
-/// [`ArrivalSpec`](sqm_core::source::ArrivalSpec)). The cross-path
-/// conformance suite (`tests/conformance.rs`) is written once against
-/// these methods and holds for every implementor.
+/// shares — the closed loop ([`Workload::run_closed`]) and the
+/// event-driven front-end ([`Workload::run_streaming`]); the required
+/// methods supply what an elastic population of
+/// [`EngineDriver`](sqm_core::elastic::EngineDriver)s is built from. The
+/// cross-path conformance suite (`tests/conformance.rs`) is written once
+/// against the trait and holds for every implementor.
 pub trait Workload {
     /// The workload's content-driven execution-time source.
     type Exec<'a>: ExecutionTimeSource
@@ -115,28 +115,6 @@ pub trait Workload {
             sink,
         )
     }
-
-    /// Run one fleet stream spec to completion, recording into the
-    /// worker's scratch buffer — the drive-closure body shared by the
-    /// serial reference and every worker count. Closed specs run the
-    /// engine's own chaining; event-sourced specs route through
-    /// [`Workload::run_streaming`] under `config`.
-    fn run_spec<W>(
-        &self,
-        config: StreamConfig,
-        spec: &StreamSpec<W>,
-        jitter: f64,
-        scratch: &mut StreamScratch,
-    ) -> RunSummary {
-        let mut sink = RecordBuffer::new(&mut scratch.records);
-        match spec.arrival.build(self.period(), spec.cycles, spec.seed) {
-            None => self.run_closed(spec.cycles, config.chaining, jitter, spec.seed, &mut sink),
-            Some(mut source) => {
-                self.run_streaming(config, &mut source, jitter, spec.seed, &mut sink)
-                    .run
-            }
-        }
-    }
 }
 
 /// The MPEG encoder under the symbolic regions manager — the paper
@@ -182,8 +160,7 @@ impl AudioExperiment {
     }
 
     /// The test- and CI-scale setup (the `tiny` codec — the audio system
-    /// is small enough that one configuration serves both roles; the
-    /// fleet harness uses it too).
+    /// is small enough that one configuration serves both roles).
     pub fn tiny(seed: u64) -> AudioExperiment {
         AudioExperiment::new(AudioConfig::tiny(seed))
     }
@@ -248,32 +225,5 @@ mod tests {
             );
             assert_eq!(streamed.run, closed, "{chaining:?}");
         }
-    }
-
-    /// `run_spec` dispatches on the arrival spec: a closed spec and a
-    /// periodic event-sourced spec produce identical summaries.
-    #[test]
-    fn run_spec_dispatch_is_seamless() {
-        use sqm_core::source::ArrivalSpec;
-        let w = AudioExperiment::tiny(5);
-        let config = StreamConfig {
-            chaining: CycleChaining::ArrivalClamped,
-            capacity: 4,
-            policy: OverloadPolicy::Block,
-        };
-        let mut scratch = StreamScratch::default();
-        let closed_spec: StreamSpec<()> = StreamSpec::new((), 7, 3);
-        let closed = w.run_spec(config, &closed_spec, 0.1, &mut scratch);
-        let records_closed = scratch.records.len();
-        scratch.records.clear();
-        let periodic = w.run_spec(
-            config,
-            &closed_spec.with_arrival(ArrivalSpec::Periodic),
-            0.1,
-            &mut scratch,
-        );
-        assert_eq!(closed, periodic);
-        assert_eq!(records_closed, scratch.records.len());
-        assert!(records_closed > 0, "specs record into the scratch buffer");
     }
 }

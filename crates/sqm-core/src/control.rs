@@ -611,7 +611,7 @@ pub struct Rung<'a> {
 impl<'a> Rung<'a> {
     /// A rung running `manager`, advertised to the controller as
     /// producing `effect`. The manager must be `Send` so a
-    /// [`ControlledManager`] stays shardable over the fleet/elastic
+    /// [`ControlledManager`] can move between the elastic runner's
     /// worker threads like any plain manager.
     pub fn new(manager: impl QualityManager + Send + 'a, effect: [i64; PAYOFF_DIMS]) -> Rung<'a> {
         Rung {

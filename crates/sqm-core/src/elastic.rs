@@ -1,10 +1,13 @@
 //! Elastic fleet scheduling — 10⁵–10⁶ *live* streams multiplexed onto few
 //! workers, interleaved **by arrival time** instead of sharded whole.
 //!
-//! [`crate::fleet::FleetRunner`] scales out by giving each worker entire
-//! streams; that is the right unit when streams are closed loops, but a
-//! live deployment has many mostly-idle streams whose cycles *interleave*
-//! in time. This module schedules at cycle granularity:
+//! This is the workspace's one multi-stream runner. A live deployment has
+//! many mostly-idle streams whose cycles *interleave* in time, so this
+//! module schedules at cycle granularity rather than handing each worker
+//! whole streams. A fleet of closed loops is the special case of
+//! [`Periodic`](crate::source::Periodic) sources under
+//! [`Admission::Unbounded`]: each stream then runs exactly as the engine's
+//! closed loop would. The pieces:
 //!
 //! * a **monotone arrival queue** keyed by each stream's next virtual
 //!   arrival time — obtained without consumption via
@@ -94,12 +97,12 @@
 
 use crate::controller::ExecutionTimeSource;
 use crate::engine::{CycleChaining, CycleSummary, Engine, RunSummary, TraceSink};
-use crate::fleet::CachePadded;
 use crate::manager::QualityManager;
 use crate::source::ArrivalSource;
 use crate::stream::{StreamCursor, StreamStats, StreamSummary};
 use crate::time::Time;
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -1185,6 +1188,25 @@ impl Backoff {
             std::thread::yield_now();
         }
         true
+    }
+}
+
+/// Pads and aligns `T` to a 64-byte cache line, so the pool's hot atomics
+/// never share one (false sharing). Dereferences to `T`.
+#[repr(align(64))]
+struct CachePadded<T>(T);
+
+impl<T> CachePadded<T> {
+    fn new(value: T) -> CachePadded<T> {
+        CachePadded(value)
+    }
+}
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 

@@ -289,9 +289,9 @@ impl RunSummary {
     }
 
     /// Fold another run's aggregates into this one — the reduction step of
-    /// sharded execution ([`crate::fleet`]): each worker accumulates its
-    /// own `RunSummary`, and the fleet merges them in a deterministic
-    /// order afterwards.
+    /// multi-stream execution ([`crate::elastic`]): each stream
+    /// accumulates its own `RunSummary`, and the runner merges them in
+    /// submission order afterwards.
     ///
     /// All counters add; `last_end` keeps the later of the two completion
     /// times (the merged runs are concurrent, not consecutive), with an

@@ -42,12 +42,7 @@
 //! 7. **Controller** — [`controller`]: the execution-time sources and the
 //!    overhead model, plus the trace-building `CycleRunner` /
 //!    `CyclicRunner` shells over the engine.
-//! 8. **Fleet** — [`fleet`]: sharded multi-stream execution. Each worker
-//!    thread owns complete [`engine::Engine`] runs (own virtual clock, own
-//!    [`engine::RunSummary`]); a [`fleet::FleetRunner`] distributes
-//!    [`fleet::StreamSpec`]s over scoped threads and merges the results in
-//!    deterministic submission order into a [`fleet::FleetSummary`].
-//! 9. **Streaming** — [`source`] + [`stream`]: the event-driven front-end.
+//! 8. **Streaming** — [`source`] + [`stream`]: the event-driven front-end.
 //!    An [`source::ArrivalSource`] yields cycle arrival timestamps
 //!    (periodic, jittered, bursty, recorded-trace replay, all
 //!    deterministic per seed); a [`stream::StreamingRunner`] pulls them
@@ -57,29 +52,30 @@
 //!    periodic source under the `Block` policy — byte-identical to
 //!    [`engine::Engine::run_cycles`] for both [`engine::CycleChaining`]
 //!    variants.
-//! 10. **Elastic fleet** — [`elastic`]: per-cycle scheduling of very many
-//!     *live* streams onto few workers. A serial deterministic event loop
-//!     over a monotone arrival queue (a radix queue over arrival times)
-//!     and a start-event heap ([`elastic::EventHeap`]) admits or sheds
-//!     frames fleet-wide ([`elastic::Admission`],
-//!     [`elastic::ShedLedger`]) and fills a fixed-capacity ready ring,
-//!     publishing its entries in batches as it goes. The loop keeps only
-//!     the per-stream state that admission and start times need; the
-//!     other workers claim runs of published entries through one
-//!     round-stamped cursor while the fill goes on — the
-//!     filling thread joins them once the round is sealed — and compute
-//!     everything else (engine aggregates, waits, latencies, backlog
-//!     depths) on the stream's own slot. Results are byte-identical for
-//!     every worker count, and per-stream identical to [`stream`]'s
-//!     runner under unbounded admission.
+//! 9. **Elastic fleet** — [`elastic`]: the one multi-stream runner,
+//!    per-cycle scheduling of very many *live* streams onto few workers. A
+//!    serial deterministic event loop over a monotone arrival queue (a
+//!    radix queue over arrival times) and a start-event heap
+//!    ([`elastic::EventHeap`]) admits or sheds frames fleet-wide
+//!    ([`elastic::Admission`], [`elastic::ShedLedger`]) and fills a
+//!    fixed-capacity ready ring, publishing its entries in batches as it
+//!    goes. The loop keeps only the per-stream state that admission and
+//!    start times need; the other workers claim runs of published entries
+//!    through one round-stamped cursor while the fill goes on — the
+//!    filling thread joins them once the round is sealed — and compute
+//!    everything else (engine aggregates, waits, latencies, backlog
+//!    depths) on the stream's own slot. Results are byte-identical for
+//!    every worker count, and per-stream identical to [`stream`]'s runner
+//!    under unbounded admission. A fleet of closed loops is the special
+//!    case of periodic sources under unbounded admission.
 //!
-//! The engine seam — how 6–8 fit together: a
+//! The engine seam — how 6–9 fit together: a
 //! [`manager::QualityManager`] makes the decisions, an
 //! [`controller::ExecutionTimeSource`] supplies the actual times, and a
 //! [`engine::TraceSink`] receives the records; [`engine::Engine`] is
 //! generic over all three, so every pairing monomorphizes to its own
 //! straight-line loop, and every runner in the workspace — including each
-//! fleet worker — is a thin shell over that one loop.
+//! elastic worker — is a thin shell over that one loop.
 //!
 //! Extensions from the paper's conclusion: [`multi`] (multiple statically
 //! interleaved tasks and their engine-backed `MultiTaskRunner`) and
@@ -109,7 +105,6 @@ pub mod controller;
 pub mod elastic;
 pub mod engine;
 pub mod error;
-pub mod fleet;
 pub mod manager;
 mod manager_smooth;
 pub mod multi;
@@ -154,9 +149,6 @@ pub mod prelude {
         CycleChaining, CycleSummary, Engine, NullSink, RecordBuffer, RunSummary, TraceSink,
     };
     pub use crate::error::{BuildError, ParseError};
-    pub use crate::fleet::{
-        CachePadded, FleetRunner, FleetSummary, StreamScratch, StreamSpec, STATIC_SHARD_MAX_STREAMS,
-    };
     pub use crate::manager::{
         Decision, LookupManager, NumericManager, QualityManager, RelaxedManager, SmoothedManager,
     };

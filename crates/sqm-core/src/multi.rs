@@ -189,8 +189,8 @@ impl TaskSummary {
 
     /// Fold another run's per-task aggregates into this one — the
     /// multi-task counterpart of [`crate::engine::RunSummary::merge`],
-    /// used when independent streams of the *same* interleaving run on a
-    /// [`crate::fleet`] and their per-task attributions are combined.
+    /// used when independent streams of the *same* interleaving run side
+    /// by side and their per-task attributions are combined.
     pub fn merge(&mut self, other: &TaskSummary) {
         self.actions += other.actions;
         self.quality_sum += other.quality_sum;
@@ -593,8 +593,8 @@ mod tests {
         use crate::controller::{ConstantExec, OverheadModel};
         use crate::manager::NumericManager;
         use crate::policy::MixedPolicy;
-        // Two independent streams of the same interleaving (e.g. two fleet
-        // shards): merging their per-task attributions must equal the sum
+        // Two independent streams of the same interleaving (e.g. two
+        // streams of one elastic run): merging their per-task attributions must equal the sum
         // of every field, and leave derived stats consistent.
         let t0 = task(3, 150);
         let t1 = task(2, 160);

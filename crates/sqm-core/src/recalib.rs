@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(q_first(3), q_first(5), "new table persists");
     }
 
-    /// The cell is shareable across threads (fleet workers) and a
+    /// The cell is shareable across threads (elastic workers) and a
     /// publish is picked up exactly once per manager.
     #[test]
     fn cell_is_sync_and_swaps_count_once() {

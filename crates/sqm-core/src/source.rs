@@ -24,9 +24,8 @@
 //!   traffic byte-for-byte.
 //! * [`FnSource`] — closure-backed, for tests and custom feeds.
 //!
-//! All sources are deterministic: the streaming layer inherits the fleet
-//! layer's property that results depend only on specs and seeds, never on
-//! host scheduling. Timestamps must be non-decreasing; every built-in
+//! All sources are deterministic: results depend only on patterns and
+//! seeds, never on host scheduling. Timestamps must be non-decreasing; every built-in
 //! source guarantees it, and the runner clamps defensively.
 //!
 //! Sources never yield the [`Time::INF`] sentinel: a grid position whose
@@ -388,10 +387,10 @@ impl<F: FnMut() -> Option<Time>> ArrivalSource for FnSource<F> {
     }
 }
 
-/// A *description* of an arrival pattern — plain data a
-/// [`crate::fleet::StreamSpec`] can carry across threads, turned into a
-/// concrete source per stream via [`ArrivalSpec::build`] (the stream's
-/// period, frame count and seed fill in the parameters).
+/// A *description* of an arrival pattern — plain `Copy` data a scenario
+/// table or a stream population can carry, turned into a concrete source
+/// per stream via [`ArrivalSpec::build`] (the stream's period, frame
+/// count and seed fill in the parameters).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ArrivalSpec {
     /// Closed loop: input pre-buffered, the engine's own
@@ -448,7 +447,8 @@ impl ArrivalSpec {
 }
 
 /// A concrete source built from an [`ArrivalSpec`] — an enum, not a trait
-/// object, so fleet drive closures stay statically dispatched.
+/// object, so a population of mixed patterns is one `ArrivalSource` type
+/// for [`crate::elastic::ElasticRunner`] and stays statically dispatched.
 #[derive(Clone, Debug)]
 pub enum PatternSource {
     /// Built from [`ArrivalSpec::Periodic`].

@@ -33,8 +33,9 @@
 //!   resolved by the [`OverloadPolicy`].
 //!
 //! Everything is deterministic: results depend only on the source, the
-//! seeds and the config — never on host scheduling — so streaming runs
-//! shard over [`crate::fleet::FleetRunner`] workers unchanged.
+//! seeds and the config — never on host scheduling. Many streams run
+//! together on [`crate::elastic::ElasticRunner`], which reproduces this
+//! runner per stream under `Block` and unbounded admission.
 //!
 //! [`CycleChaining`]: crate::engine::CycleChaining
 //! [`CycleChaining::WorkConserving`]: crate::engine::CycleChaining::WorkConserving

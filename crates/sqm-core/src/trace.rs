@@ -213,9 +213,9 @@ impl Trace {
     /// Reconstruct the engine's in-place aggregates from a materialized
     /// trace: `engine.run_cycles(…, &mut trace)` followed by
     /// `trace.run_summary()` yields exactly the [`RunSummary`] the engine
-    /// returned. Lets recorded streams (e.g. one shard of a
-    /// [`crate::fleet`] run) feed the same merge path as summary-only
-    /// streams.
+    /// returned. Lets recorded streams (e.g. one stream of a
+    /// [`crate::elastic`] run whose driver records a trace) feed the same
+    /// merge path as summary-only streams.
     ///
     /// [`RunSummary`]: crate::engine::RunSummary
     pub fn run_summary(&self) -> crate::engine::RunSummary {

@@ -3,10 +3,11 @@
 //! interleaved cycle-by-cycle onto a small worker pool, with fleet-wide
 //! admission control when the offered load exceeds capacity.
 //!
-//! Where `examples/fleet.rs` gives each worker whole streams, here the
-//! scheduler orders every stream's next cycle by virtual arrival time in
-//! one monotone arrival queue and hands rounds of ready cycles to the
-//! workers.
+//! This is the workspace's one multi-stream runner. The scheduler orders
+//! every stream's next cycle by virtual arrival time in one monotone
+//! arrival queue and hands rounds of ready cycles to the workers. A fleet
+//! of closed loops is the special case of `Periodic` sources under
+//! `Admission::Unbounded`.
 //! Results are byte-identical for every worker count — the example checks
 //! that, then demonstrates deterministic global load shedding.
 //!

@@ -11,17 +11,16 @@
 //!   managers — all executed by one shared engine (`core::engine`): a
 //!   monomorphized, allocation-free decide → charge-overhead → execute →
 //!   check-deadline loop that every runner (single-task, cyclic,
-//!   multi-task, fleet worker, bench harness) routes through, streaming
+//!   multi-task, elastic worker, bench harness) routes through, streaming
 //!   records into pluggable sinks (full traces, caller-provided buffers,
 //!   or in-place summaries).
-//! * [`fleet`] (also `core::fleet`) — sharded multi-stream execution:
-//!   many independent engine streams distributed over scoped OS threads,
-//!   merged deterministically into per-stream and aggregate summaries.
-//! * [`elastic`] (also `core::elastic`) — per-cycle elastic scheduling of
-//!   very many *live* streams onto few workers: arrival and start event
-//!   heaps, a fixed-capacity ready ring whose entries the workers run
-//!   while it is still being filled, and fleet-wide admission control via
-//!   a shared shed ledger. Byte-identical results for every worker count.
+//! * [`elastic`] (also `core::elastic`) — the one multi-stream runner:
+//!   per-cycle scheduling of very many *live* streams onto few workers, a
+//!   monotone arrival queue and a start-event heap, a fixed-capacity ready
+//!   ring whose entries the workers run while it is still being filled,
+//!   and fleet-wide admission control via a shared shed ledger.
+//!   Byte-identical results for every worker count; a fleet of closed
+//!   loops is the case of periodic sources under unbounded admission.
 //! * [`source`] + [`stream`] (also `core::source` / `core::stream`) — the
 //!   event-driven front-end: arrival sources (periodic, jittered, bursty,
 //!   recorded-trace replay) feeding the engine through a bounded backlog
@@ -68,7 +67,7 @@
 //!   (`infer::BatchCoupledExec`).
 //!
 //! See `ARCHITECTURE.md` at the repository root for how the layers stack
-//! (workloads → managers → engine → fleet → bench).
+//! (workloads → managers → engine → streaming/elastic → bench).
 //!
 //! ## The engine seam
 //!
@@ -87,13 +86,12 @@
 //!
 //! [`core::engine::Engine`] is generic over all three, so each
 //! combination monomorphizes to its own straight-line hot loop. The
-//! `fleet` layer scales *out* on the same seam: one engine per stream,
-//! one worker thread per shard, zero shared mutable state.
+//! `elastic` layer scales *out* on the same seam: one engine per stream,
+//! its cycles run by whichever worker claims them.
 //!
 //! The experiment harness and figure/table binaries live in the
 //! (unre-exported) `sqm-bench` crate; `cargo run -p sqm-bench --release
 //! --bin bench_baseline` emits the workspace's performance baseline,
-//! `… --bin bench_fleet` the multi-stream scaling point,
 //! `… --bin bench_stream` the live-traffic backlog/latency point,
 //! `… --bin bench_elastic` the elastic-scheduler stress point (10⁵ live
 //! streams, streams/sec and ns/action versus worker count) and
@@ -124,7 +122,7 @@
 //! assert!(d.quality.index() <= 1);
 //! ```
 //!
-//! ## Sharding streams
+//! ## Many streams
 //!
 //! ```
 //! use speed_qm::core::controller::{ConstantExec, OverheadModel};
@@ -133,7 +131,8 @@
 //! use speed_qm::core::policy::MixedPolicy;
 //! use speed_qm::core::system::SystemBuilder;
 //! use speed_qm::core::time::Time;
-//! use speed_qm::fleet::{FleetRunner, StreamSpec};
+//! use speed_qm::elastic::{ElasticConfig, ElasticRunner, EngineDriver};
+//! use speed_qm::source::Periodic;
 //!
 //! let system = SystemBuilder::new(2)
 //!     .action("decode", &[100, 200], &[60, 120])
@@ -143,21 +142,24 @@
 //!     .unwrap();
 //! let policy = MixedPolicy::new(&system);
 //!
-//! let specs: Vec<StreamSpec<()>> = (0..8)
-//!     .map(|seed| StreamSpec::new((), seed, 4))
-//!     .collect();
-//! let fleet = FleetRunner::new(4).run(&specs, |spec, _scratch| {
-//!     Engine::new(&system, NumericManager::new(&system, &policy), OverheadModel::ZERO)
-//!         .run_cycles(
-//!             spec.cycles,
-//!             Time::from_ns(500),
-//!             CycleChaining::WorkConserving,
-//!             &mut ConstantExec::average(system.table()),
-//!             &mut NullSink,
+//! // Eight closed loops: periodic sources under the default unbounded
+//! // admission, cycles chained work-conserving.
+//! let streams: Vec<_> = (0..8)
+//!     .map(|_| {
+//!         (
+//!             Periodic::new(Time::from_ns(500), 4),
+//!             EngineDriver::new(
+//!                 Engine::new(&system, NumericManager::new(&system, &policy), OverheadModel::ZERO),
+//!                 ConstantExec::average(system.table()),
+//!                 NullSink,
+//!             ),
 //!         )
-//! });
-//! assert_eq!(fleet.aggregate().cycles, 32);
-//! assert!(fleet.miss_free());
+//!     })
+//!     .collect();
+//! let config = ElasticConfig::live().with_chaining(CycleChaining::WorkConserving);
+//! let (fleet, _drivers) = ElasticRunner::new(4, config).run(streams);
+//! assert_eq!(fleet.run().cycles, 32);
+//! assert_eq!(fleet.run().misses, 0);
 //! ```
 //!
 //! ## Live streaming
@@ -197,7 +199,6 @@
 pub use sqm_audio as audio;
 pub use sqm_core as core;
 pub use sqm_core::elastic;
-pub use sqm_core::fleet;
 pub use sqm_core::source;
 pub use sqm_core::stream;
 pub use sqm_infer as infer;

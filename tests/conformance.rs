@@ -1,29 +1,31 @@
 //! Cross-path conformance suite — the single source of truth for the
 //! workspace's execution-path identities.
 //!
-//! Four reductions of the same run exist: the **serial** closed loop
+//! Three reductions of the same run exist: the **serial** closed loop
 //! (`Engine::run_cycles`), the **trace-replay** reconstruction
-//! (`Trace::run_summary`), the **1-worker fleet** (`FleetRunner` driving
-//! one spec), and **Periodic + Block streaming**
+//! (`Trace::run_summary`) and **Periodic + Block streaming**
 //! (`StreamingRunner`). They must agree **byte for byte** — one
 //! `RunSummary` semantics, no matter which path computed it — for *every*
 //! registered workload (MPEG, audio, net, inference) under *both* [`CycleChaining`]
 //! variants, and over arbitrary feasible systems. This file replaces the
 //! per-path identity tests that used to be scattered across
-//! `tests/streaming.rs`, the fleet harness and the bench binaries'
-//! inline gates; per the II-CC-FF idea of combining evidence across
-//! diverse sources, every workload added to the workspace doubles as an
-//! independent witness that the reductions agree.
+//! `tests/streaming.rs`, the multi-stream harnesses and the bench
+//! binaries' inline gates; per the II-CC-FF idea of combining evidence
+//! across diverse sources, every workload added to the workspace doubles
+//! as an independent witness that the reductions agree.
 //!
 //! The serial path's decisions must also re-derive one by one from the
 //! top-down reference scans, which pins the managers' hint-resuming
-//! search on every workload. The elastic scheduler joins the identity as
-//! path 5 and the approachability control layer as path 6: a
+//! search on every workload. The elastic scheduler — the workspace's one
+//! multi-stream runner — joins the identity as path 4: a fleet of closed
+//! loops is an elastic fleet of `Periodic` sources under
+//! `Admission::Unbounded`. The approachability control layer is path 5: a
 //! [`ControlledManager`] over the trivial safe set (`ℝ⁴` — the
 //! controller can never find the average outside) must be byte-identical
 //! to the plain baseline on every one of those paths, which pins the
 //! design claim that steering happens *only* at cycle boundaries and an
-//! inactive controller is free.
+//! inactive controller is free. The merge invariants every multi-stream
+//! aggregate rests on close the file.
 
 mod common;
 
@@ -56,7 +58,7 @@ fn rederive(trace: &Trace, regions: &QualityRegionTable, relaxation: Option<&Rel
     }
 }
 
-/// The parameterized core of the suite: all four execution paths produce
+/// The parameterized core of the suite: every execution path produces
 /// the same `RunSummary` for workload `w`, under both chaining variants;
 /// the two chaining variants themselves must differ (the knob is live).
 fn assert_conformance<W: Workload + Sync>(w: &W)
@@ -85,40 +87,7 @@ where
             "{label} {chaining:?}: trace-replay != serial"
         );
 
-        // Path 3 — the fleet: a single closed spec on one worker is the
-        // stream itself; a spec list folded serially equals every worker
-        // count.
-        let specs: Vec<StreamSpec<()>> = (0..3)
-            .map(|i| StreamSpec::new((), SEED + i, CYCLES))
-            .collect();
-        let serial_fold = {
-            let mut scratch = StreamScratch::default();
-            FleetSummary::from_streams(
-                specs
-                    .iter()
-                    .map(|spec| {
-                        scratch.records.clear();
-                        w.run_spec(config, spec, JITTER, &mut scratch)
-                    })
-                    .collect(),
-            )
-        };
-        assert_eq!(
-            *serial_fold.stream(0),
-            serial,
-            "{label} {chaining:?}: fleet spec != serial"
-        );
-        for workers in 1..=3 {
-            let fleet = FleetRunner::new(workers).run(&specs, |spec, scratch| {
-                w.run_spec(config, spec, JITTER, scratch)
-            });
-            assert_eq!(
-                fleet, serial_fold,
-                "{label} {chaining:?}: fleet({workers}) != serial fold"
-            );
-        }
-
-        // Path 4 — Periodic + Block streaming: the closed loop is a
+        // Path 3 — Periodic + Block streaming: the closed loop is a
         // special case of the event-driven front-end.
         let streamed = w.run_streaming(
             config,
@@ -134,29 +103,23 @@ where
         assert_eq!(streamed.stats.processed, CYCLES);
         assert_eq!(streamed.stats.dropped, 0);
 
-        // And a periodic event-sourced fleet spec collapses to the same
-        // stream as the closed spec.
-        let periodic_spec = StreamSpec::new((), SEED, CYCLES).with_arrival(ArrivalSpec::Periodic);
-        let mut scratch = StreamScratch::default();
-        assert_eq!(
-            w.run_spec(config, &periodic_spec, JITTER, &mut scratch),
-            serial,
-            "{label} {chaining:?}: periodic fleet spec != serial"
-        );
-
         // Every serial decision re-derives from the top-down reference
         // scan: the hint-resuming lookup the manager runs is exact.
         rederive(&trace, w.regions(), None);
 
-        // Path 5 — the elastic scheduler: per-cycle interleaving of many
+        // Path 4 — the elastic scheduler: per-cycle interleaving of many
         // live streams must reproduce the per-stream streaming fold under
         // unbounded admission — the full struct, `max_backlog` included —
-        // byte-identically for every worker count.
+        // byte-identically for every worker count. The sources are built
+        // from `ArrivalSpec::Periodic`, the fold's from `Periodic::new`,
+        // so the recipe collapses to the source it names.
         let elastic_streams = || -> Vec<_> {
             (0..3u64)
                 .map(|i| {
                     (
-                        Periodic::new(w.period(), CYCLES),
+                        ArrivalSpec::Periodic
+                            .build(w.period(), CYCLES, SEED + i)
+                            .expect("periodic is event-sourced"),
                         EngineDriver::new(
                             Engine::new(w.system(), LookupManager::new(w.regions()), w.overhead()),
                             w.exec_source(JITTER, SEED + i),
@@ -186,6 +149,11 @@ where
             &serial_streams[..],
             "{label} {chaining:?}: elastic(1) != per-stream streaming fold"
         );
+        assert_eq!(
+            elastic_one.stream(0).run,
+            serial,
+            "{label} {chaining:?}: elastic stream != closed loop"
+        );
         for workers in 2..=3 {
             let (elastic_n, _) = ElasticRunner::new(workers, elastic_config).run(elastic_streams());
             assert_eq!(
@@ -194,11 +162,11 @@ where
             );
         }
 
-        // Path 6 — the approachability control layer with the trivial
+        // Path 5 — the approachability control layer with the trivial
         // safe set (ℝ⁴): the averaged payoff is always inside, so the
         // controller never steers off rung 0 and the `ControlledManager`
         // must be byte-identical to the plain baseline on every path —
-        // serial (records included), streaming, fleet and elastic. This
+        // serial (records included), streaming and elastic. This
         // is the conformance face of the control design: steering is
         // confined to the cycle boundary, so an inactive controller
         // cannot perturb a single decision.
@@ -242,24 +210,6 @@ where
             ctl_streamed, streamed,
             "{label} {chaining:?}: controlled(trivial) streaming != streaming"
         );
-        let ctl_fleet_drive = |spec: &StreamSpec<()>, scratch: &mut StreamScratch| {
-            let mut exec = w.exec_source(JITTER, spec.seed);
-            let mut sink = speed_qm::core::engine::RecordBuffer::new(&mut scratch.records);
-            Engine::new(w.system(), trivial(), w.overhead()).run_cycles(
-                spec.cycles,
-                w.period(),
-                chaining,
-                &mut exec,
-                &mut sink,
-            )
-        };
-        for workers in 1..=2 {
-            let ctl_fleet = FleetRunner::new(workers).run(&specs, ctl_fleet_drive);
-            assert_eq!(
-                ctl_fleet, serial_fold,
-                "{label} {chaining:?}: controlled(trivial) fleet({workers}) != serial fold"
-            );
-        }
         let ctl_elastic_streams = || -> Vec<_> {
             (0..3u64)
                 .map(|i| {
@@ -365,7 +315,7 @@ fn mpeg_manager_kinds_conform_across_paths() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The same four-path identity over *arbitrary* feasible systems under
+    /// The same three-path identity over *arbitrary* feasible systems under
     /// the numeric manager — summaries *and* full streaming traces.
     #[test]
     fn all_paths_agree_on_arbitrary_systems(arb in arb_system(), cycles in 1usize..5) {
@@ -387,21 +337,7 @@ proptest! {
             // Path 2 — trace replay.
             prop_assert_eq!(closed_trace.run_summary(), closed, "{:?}", chaining);
 
-            // Path 3 — 1-worker fleet over a single spec.
-            let specs = [StreamSpec::new((), 0u64, cycles)];
-            let fleet = FleetRunner::new(1).run(&specs, |spec, scratch| {
-                let mut sink = RecordBuffer::new(&mut scratch.records);
-                Engine::new(sys, NumericManager::new(sys, &policy), OVERHEAD).run_cycles(
-                    spec.cycles,
-                    period,
-                    chaining,
-                    &mut cycle_fraction_exec(sys, &arb.fractions),
-                    &mut sink,
-                )
-            });
-            prop_assert_eq!(*fleet.stream(0), closed, "{:?}", chaining);
-
-            // Path 4 — Periodic + Block streaming, traces compared record
+            // Path 3 — Periodic + Block streaming, traces compared record
             // by record.
             let mut stream_trace = Trace::default();
             let out = StreamingRunner::new(StreamConfig {
@@ -427,25 +363,32 @@ proptest! {
         }
     }
 
-    /// The elastic scheduler over *arbitrary* feasible systems: for any
-    /// worker count the full summary equals the 1-worker run byte for
-    /// byte, and the 1-worker run reproduces the per-stream streaming
-    /// fold under unbounded admission, `max_backlog` included.
+    /// The elastic scheduler over *arbitrary* feasible systems, stream
+    /// counts and arrival patterns: for any worker count the full summary
+    /// equals the 1-worker run byte for byte, and the 1-worker run
+    /// reproduces the per-stream streaming fold under unbounded
+    /// admission, `max_backlog` included.
     #[test]
     fn elastic_agrees_on_arbitrary_systems(
         arb in arb_system(),
         cycles in 1usize..5,
         workers in 1usize..=8,
+        arrivals in proptest::collection::vec(arb_arrival(), 1usize..10),
     ) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
         let period = sys.final_deadline();
+        let source = |i: usize| {
+            arrivals[i]
+                .build(period, cycles, 7 + i as u64)
+                .expect("every generated pattern is event-sourced")
+        };
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
             let streams = || -> Vec<_> {
-                (0..4)
-                    .map(|_| {
+                (0..arrivals.len())
+                    .map(|i| {
                         (
-                            Periodic::new(period, cycles),
+                            source(i),
                             EngineDriver::new(
                                 Engine::new(sys, NumericManager::new(sys, &policy), OVERHEAD),
                                 cycle_fraction_exec(sys, &arb.fractions),
@@ -462,8 +405,8 @@ proptest! {
             let (many, _) = ElasticRunner::new(workers, config).run(streams());
             prop_assert_eq!(&many, &one, "workers = {} {:?}", workers, chaining);
 
-            let serial: Vec<StreamSummary> = (0..4)
-                .map(|_| {
+            let serial: Vec<StreamSummary> = (0..arrivals.len())
+                .map(|i| {
                     StreamingRunner::new(StreamConfig {
                         chaining,
                         capacity: 3,
@@ -471,7 +414,7 @@ proptest! {
                     })
                     .run(
                         &mut Engine::new(sys, NumericManager::new(sys, &policy), OVERHEAD),
-                        &mut Periodic::new(period, cycles),
+                        &mut source(i),
                         &mut cycle_fraction_exec(sys, &arb.fractions),
                         &mut NullSink,
                     )
@@ -479,5 +422,115 @@ proptest! {
                 .collect();
             prop_assert_eq!(one.per_stream(), &serial[..], "{:?}", chaining);
         }
+    }
+
+    /// A recorded stream feeds the same merge path as a summary-only
+    /// stream: reconstructing the RunSummary from a materialized trace
+    /// equals the engine's in-place aggregates.
+    #[test]
+    fn trace_run_summary_equals_engine_summary(arb in arb_system()) {
+        let sys = &arb.system;
+        let policy = MixedPolicy::new(sys);
+        let manager = NumericManager::new(sys, &policy);
+        let mut trace = speed_qm::core::trace::Trace::default();
+        let n = arb.fractions.len();
+        let summary = Engine::new(sys, manager, OverheadModel::new(Time::from_ns(2), Time::from_ns(1)))
+            .run_cycles(
+                3,
+                sys.final_deadline(),
+                CycleChaining::WorkConserving,
+                &mut FnExec(|cycle: usize, action: usize, q: Quality| {
+                    let wc = sys.table().wc(action, q).as_ns() as f64;
+                    Time::from_ns((wc * arb.fractions[(action + cycle) % n]).floor() as i64)
+                }),
+                &mut trace,
+            );
+        prop_assert_eq!(summary, trace.run_summary());
+    }
+}
+
+/// Any event-sourced arrival pattern: periodic, jittered up to half a
+/// period, or bursty with bursts of up to five frames.
+fn arb_arrival() -> impl Strategy<Value = ArrivalSpec> {
+    (0u8..3, 0u8..=50, 1u8..6).prop_map(|(kind, jitter_pct, max_burst)| match kind {
+        0 => ArrivalSpec::Periodic,
+        1 => ArrivalSpec::Jittered { jitter_pct },
+        _ => ArrivalSpec::Bursty { max_burst },
+    })
+}
+
+/// Regression for the `last_end` aggregation drift: under work-conserving
+/// earliness every cycle after the first finishes at an ever-earlier
+/// (negative) relative time, so a "take the final cycle" reduction drags
+/// `last_end` backwards. All three reduction paths — the engine's serial
+/// absorb, the trace-replay reconstruction, and the elastic runner's
+/// merge of per-stream summaries — must take the max and agree
+/// byte-for-byte.
+#[test]
+fn last_end_agrees_across_serial_trace_replay_and_elastic_merge() {
+    // Two actions averaging 10 ns against a 100 ns period: cycle ends run
+    // 10, -80, -170, … — the final cycle's end is negative and minimal.
+    let sys = SystemBuilder::new(1)
+        .action("a", &[10], &[5])
+        .action("b", &[10], &[5])
+        .deadline_last(Time::from_ns(100))
+        .build()
+        .unwrap();
+    let policy = MixedPolicy::new(&sys);
+    let engine = || {
+        Engine::new(
+            &sys,
+            NumericManager::new(&sys, &policy),
+            OverheadModel::ZERO,
+        )
+    };
+
+    // Serial path: the engine's in-place absorb.
+    let mut trace = Trace::default();
+    let serial = engine().run_cycles(
+        3,
+        Time::from_ns(100),
+        CycleChaining::WorkConserving,
+        &mut ConstantExec::average(sys.table()),
+        &mut trace,
+    );
+    assert_eq!(serial.last_end, Time::from_ns(10), "max, not the final end");
+    assert_eq!(
+        trace.cycles.last().unwrap().stats().end,
+        Time::from_ns(-170),
+        "the final cycle really finishes early"
+    );
+
+    // Trace-replay path: reconstructing from the materialized records.
+    assert_eq!(trace.run_summary(), serial);
+
+    // Elastic-merge path: per-stream summaries folded by RunSummary::merge.
+    // Stream 0 runs the serial stream; stream i runs each action in 5 − i
+    // ns, so the last stream submitted ends earliest (at 4 ns) and a merge
+    // that kept the last stream's end instead of the max would show it.
+    let streams = || -> Vec<_> {
+        (0..4i64)
+            .map(|i| {
+                (
+                    Periodic::new(Time::from_ns(100), 3),
+                    EngineDriver::new(
+                        engine(),
+                        FnExec(move |_: usize, _: usize, _: Quality| Time::from_ns(5 - i)),
+                        NullSink,
+                    ),
+                )
+            })
+            .collect()
+    };
+    let config = ElasticConfig::live().with_chaining(CycleChaining::WorkConserving);
+    for workers in 1..=4 {
+        let (fleet, _) = ElasticRunner::new(workers, config).run(streams());
+        assert_eq!(fleet.stream(0).run, serial, "workers = {workers}");
+        assert_eq!(fleet.stream(3).run.last_end, Time::from_ns(4));
+        assert_eq!(
+            fleet.run().last_end,
+            Time::from_ns(10),
+            "workers = {workers}"
+        );
     }
 }

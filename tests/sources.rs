@@ -5,10 +5,8 @@
 //!   **seed-deterministic** (same seed → byte-identical sequence) over
 //!   arbitrary periods, jitter bounds, burst sizes and frame counts;
 //! * an [`ArrivalSpec`] is a faithful *recipe*: building it twice yields
-//!   identical sources, and a spec carried through the fleet path
-//!   (`StreamSpec::arrival` → worker → `StreamingRunner`) round-trips —
-//!   byte-identical results for every worker count and across repeated
-//!   runs;
+//!   identical sources (the elastic runner's worker-count identity over
+//!   every pattern lives in `tests/conformance.rs`);
 //! * recording a source and replaying it through [`TraceReplay`]
 //!   reproduces the live run exactly;
 //! * [`ArrivalSource::peek`] is **transparent**: peeking never changes the
@@ -136,66 +134,6 @@ proptest! {
             prop_assert_eq!(a, b, "{:?}", spec);
         }
         prop_assert!(ArrivalSpec::Closed.build(period, frames, seed).is_none());
-    }
-
-    /// The fleet round-trip: specs carrying every `ArrivalSpec` variant
-    /// produce byte-identical `FleetSummary`s for every worker count and
-    /// across repeated runs — the recipe survives the thread boundary.
-    #[test]
-    fn arrival_specs_round_trip_through_the_fleet_path(
-        arb in arb_system(),
-        cycles in 1usize..4,
-        jitter_pct in 0u8..=50,
-        max_burst in 1u8..6,
-    ) {
-        let sys = &arb.system;
-        let policy = MixedPolicy::new(sys);
-        let period = sys.final_deadline();
-        let config = StreamConfig {
-            chaining: CycleChaining::ArrivalClamped,
-            capacity: 2,
-            policy: OverloadPolicy::DropNewest,
-        };
-        let specs: Vec<StreamSpec<()>> = [
-            ArrivalSpec::Closed,
-            ArrivalSpec::Periodic,
-            ArrivalSpec::Jittered { jitter_pct },
-            ArrivalSpec::Bursty { max_burst },
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, arrival)| StreamSpec::new((), 7 + i as u64, cycles).with_arrival(arrival))
-        .collect();
-
-        let drive = |spec: &StreamSpec<()>, scratch: &mut StreamScratch| -> RunSummary {
-            let mut sink = RecordBuffer::new(&mut scratch.records);
-            match spec.arrival.build(period, spec.cycles, spec.seed) {
-                None => Engine::new(sys, NumericManager::new(sys, &policy), OVERHEAD).run_cycles(
-                    spec.cycles,
-                    period,
-                    config.chaining,
-                    &mut cycle_fraction_exec(sys, &arb.fractions),
-                    &mut sink,
-                ),
-                Some(mut source) => {
-                    StreamingRunner::new(config)
-                        .run(
-                            &mut Engine::new(sys, NumericManager::new(sys, &policy), OVERHEAD),
-                            &mut source,
-                            &mut cycle_fraction_exec(sys, &arb.fractions),
-                            &mut sink,
-                        )
-                        .run
-                }
-            }
-        };
-
-        let reference = FleetRunner::new(1).run(&specs, drive);
-        prop_assert_eq!(reference.n_streams(), specs.len());
-        for workers in 1..=4 {
-            let fleet = FleetRunner::new(workers).run(&specs, drive);
-            prop_assert_eq!(&fleet, &reference, "workers = {}", workers);
-        }
     }
 
     /// `peek` is transparent for every source kind, period, seed and
