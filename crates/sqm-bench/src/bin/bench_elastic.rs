@@ -5,9 +5,12 @@
 //! runner, interleaving **100,000 tiny live streams** per cycle: a monotone arrival queue and a start-event heap, a
 //! fixed-capacity ready ring that the workers run while it is still being
 //! filled, and fleet-wide admission. Reported per worker count (1/2/4/8): host wall-clock
-//! (median of 5), streams/sec and ns/action, plus the host's core count —
-//! machine-dependent numbers (track deltas, not absolutes; with more
-//! workers than cores the extra ones only add scheduling overhead).
+//! (median of 5), streams/sec and ns/action, and the minor page faults
+//! per run (median of the same 5 runs, population build included; read
+//! from field 10 of `/proc/self/stat` on Linux, `null` elsewhere), plus
+//! the host's core count — machine-dependent numbers (track deltas, not
+//! absolutes; with more workers than cores the extra ones only add
+//! scheduling overhead).
 //!
 //! Correctness gates run before anything is published, and a failed gate
 //! aborts without writing the artifact:
@@ -29,10 +32,29 @@ use std::time::Instant;
 use sqm_bench::ElasticExperiment;
 use sqm_core::elastic::{Admission, ElasticConfig};
 
-fn median_of_5(mut sample: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// Minor page faults of this process (every thread, live or exited) so
+/// far: field 10 of `/proc/self/stat` on Linux, `None` elsewhere.
+fn minor_faults() -> Option<u64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 3 follows the parenthesised command name, which may hold spaces.
+    let fields = &stat[stat.rfind(')')? + 1..];
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// The median of five samples of `(host ns, minor faults)`, each taken
+/// separately.
+fn median_of_5(mut sample: impl FnMut() -> (f64, Option<u64>)) -> (f64, Option<u64>) {
+    let (mut ns, faults): (Vec<f64>, Vec<Option<u64>>) = (0..5).map(|_| sample()).unzip();
+    ns.sort_by(f64::total_cmp);
+    let mut faults: Option<Vec<u64>> = faults.into_iter().collect();
+    let faults = faults.as_mut().map(|f| {
+        f.sort_unstable();
+        f[f.len() / 2]
+    });
+    (ns[ns.len() / 2], faults)
 }
 
 fn main() {
@@ -70,21 +92,27 @@ fn main() {
             out, reference,
             "workers = {workers} changed the result — determinism contract broken"
         );
-        let host_ns = median_of_5(|| {
+        let (host_ns, faults) = median_of_5(|| {
+            let faults_before = minor_faults();
             let t0 = Instant::now();
             let out = exp.run(workers, config);
             let ns = t0.elapsed().as_nanos() as f64;
+            let faults = minor_faults()
+                .zip(faults_before)
+                .map(|(after, before)| after - before);
             assert_eq!(
                 out, reference,
                 "workers = {workers} diverged mid-measurement"
             );
-            ns
+            (ns, faults)
         });
         let streams_per_sec = streams as f64 / (host_ns / 1e9);
         let ns_per_action = host_ns / actions as f64;
+        let faults = faults.map_or_else(|| "null".to_string(), |f| f.to_string());
         println!(
             "workers {workers}: host {host_ns:.0} ns (median of 5), \
-             {streams_per_sec:.0} streams/sec, {ns_per_action:.1} ns/action",
+             {streams_per_sec:.0} streams/sec, {ns_per_action:.1} ns/action, \
+             {faults} minor faults/run",
         );
         entries.push(format!(
             concat!(
@@ -92,10 +120,11 @@ fn main() {
                 "      \"workers\": {},\n",
                 "      \"host_wall_ns\": {:.0},\n",
                 "      \"streams_per_sec\": {:.0},\n",
-                "      \"ns_per_action\": {:.2}\n",
+                "      \"ns_per_action\": {:.2},\n",
+                "      \"minor_faults_per_run\": {}\n",
                 "    }}"
             ),
-            workers, host_ns, streams_per_sec, ns_per_action,
+            workers, host_ns, streams_per_sec, ns_per_action, faults,
         ));
     }
 
@@ -129,7 +158,7 @@ fn main() {
             "{{\n",
             "  \"schema\": \"speed-qm/bench-elastic/v1\",\n",
             "  \"config\": \"ElasticExperiment::micro({}, {}): {} live micro streams x {} frames, ring 4096, unbounded admission\",\n",
-            "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes); results are byte-identical across worker counts by construction\",\n",
+            "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes); minor_faults_per_run counts the process's minor page faults over one timed run, population build included (null off Linux); results are byte-identical across worker counts by construction\",\n",
             "  \"nproc\": {},\n",
             "  \"workers_byte_identical_to_one_worker\": true,\n",
             "  \"one_worker_matches_serial_streaming_fold\": true,\n",

@@ -228,4 +228,17 @@ mod tests {
         assert_eq!(out.ledger().arrived, exp.total_frames());
         assert_eq!(exp.run(3, config), out);
     }
+
+    /// `sqm_core::elastic` checks that its scheduler records fit in a
+    /// `(PatternSource, driver)` population buffer using a 56-byte stand-in
+    /// driver; the driver the elastic bench and the benchmark run must be
+    /// no smaller, or that check would no longer cover them.
+    #[test]
+    fn micro_driver_is_no_smaller_than_the_core_stand_in() {
+        assert!(std::mem::size_of::<MicroDriver<'_>>() >= 56);
+        assert_eq!(
+            std::mem::align_of::<(PatternSource, MicroDriver<'_>)>(),
+            std::mem::align_of::<(PatternSource, [u64; 7])>()
+        );
+    }
 }

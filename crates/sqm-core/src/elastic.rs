@@ -63,6 +63,30 @@
 //! to advance its clocks; the two halves meet again only when the run's
 //! summary is collected.
 //!
+//! The pass's memory plan keeps first-touch page faults off the serial
+//! path. Each per-stream record lives in one buffer, built and first
+//! touched by one thread:
+//!
+//! * **Scheduler records** take over the buffer of the `(source, driver)`
+//!   population handed to [`ElasticRunner::run`]. Worker 0 builds them in
+//!   place, moving each source in and each driver out. The standard
+//!   library reuses the buffer whenever a record is no larger than a pair
+//!   and equally aligned (with [`PatternSource`] sources, for drivers of
+//!   56 bytes or more) and allocates afresh otherwise. The caller already
+//!   touched those pages.
+//! * **Worker-side slots** go in a buffer that worker 0 reserves and
+//!   worker 1 fills, so worker 1 first-touches it. With several workers,
+//!   the pool's one thread scope opens before set-up: worker 0 hands the
+//!   drivers over in chunks while it builds the scheduler, worker 1
+//!   builds the slots from them, and then both join the rounds. With one
+//!   worker the calling thread builds the slots as it builds the
+//!   scheduler.
+//! * **Per-stream summaries** are folded in place into the scheduler
+//!   records' buffer, so the population's buffer is the one returned in
+//!   the [`ElasticSummary`]. The slot buffer is freed whole once the
+//!   drivers are moved out of it, so the allocator can hand it back to
+//!   the next run's slots without new faults.
+//!
 //! Per-stream results under [`Admission::Unbounded`] are identical to
 //! running each stream through [`crate::stream::StreamingRunner`] with
 //! [`OverloadPolicy::Block`] — the per-stream recurrence (`start =
@@ -93,6 +117,7 @@
 //! [`crate::stream`]).
 //!
 //! [`OverloadPolicy::Block`]: crate::stream::OverloadPolicy::Block
+//! [`PatternSource`]: crate::source::PatternSource
 //! [`StreamStats::max_backlog`]: crate::stream::StreamStats::max_backlog
 
 use crate::controller::ExecutionTimeSource;
@@ -104,7 +129,8 @@ use crate::time::Time;
 use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Mutex, OnceLock};
 
 /// A time as an unsigned key of the same order: the sign bit is flipped so
 /// signed nanoseconds (sentinels included) sort as unsigned ones.
@@ -641,6 +667,17 @@ struct Slot<D> {
     completions: HeadQueue<Time>,
 }
 
+impl<D> Slot<D> {
+    /// A stream's slot before its first cycle, behind its lock.
+    fn shared(driver: D) -> Mutex<Slot<D>> {
+        Mutex::new(Slot {
+            driver,
+            cursor: StreamCursor::new(),
+            completions: HeadQueue::new(),
+        })
+    }
+}
+
 /// A FIFO queue that keeps its front element inline. Most streams never
 /// fall behind, so their queues hold at most one element: they never
 /// allocate, and reading the front stays within the owner's cache lines.
@@ -703,25 +740,123 @@ fn execute<D: CycleDriver>(r: &Ready, slot: &mut Slot<D>) -> Time {
 }
 
 /// Scheduler-side per-stream state (never crosses a thread boundary).
+///
+/// [`ElasticRunner::run`] builds these records in the buffer of the
+/// population it is handed, which the standard library reuses in place
+/// when a record is no larger than a `(source, driver)` pair and equally
+/// aligned; the fields beyond the source are kept to 56 bytes so that it
+/// is, for drivers down to that size.
 struct SchedStream<A> {
     source: A,
     /// Monotonicity clamp for source timestamps (same contract as
     /// `StreamingRunner`).
     floor: Time,
-    /// Next frame index; shed frames consume theirs, so this is also the
-    /// stream's arrived count.
-    next_frame: usize,
-    /// Frames shed at admission.
-    shed: usize,
     /// Completion time of the stream's last executed frame — the
     /// worker-side cursor's clock, as of the last finished round.
     now: Time,
-    /// Admitted frames not yet started: `(frame, arrival, counted)`,
-    /// where `counted` records whether the frame was charged to the
-    /// global backlog at admission.
-    queue: HeadQueue<(usize, Time, bool)>,
+    /// Next frame index; shed frames consume theirs, so this is also the
+    /// stream's arrived count. A stream that delivers more than
+    /// `u32::MAX` frames panics.
+    arrived: u32,
+    /// Frames shed at admission (never more than `arrived`).
+    shed: u32,
+    /// Admitted frames not yet started.
+    queue: FrameQueue,
     /// A cycle of this stream is in the current round's ring.
     in_flight: bool,
+}
+
+/// An admitted frame waiting for its start: `(frame, arrival, counted)`,
+/// where `counted` records whether the frame was charged to the global
+/// backlog at admission.
+type Admitted = (u32, Time, bool);
+
+/// No node: the end of a [`Backlogs`] list.
+const NIL: u32 = u32::MAX;
+
+/// A stream's admitted frames not yet started, oldest first: the first
+/// one inline, the rest in a list in the scheduler's [`Backlogs`].
+struct FrameQueue {
+    head: Option<Admitted>,
+    /// The first and last node of the list behind `head`; `NIL` when
+    /// empty.
+    rest: [u32; 2],
+}
+
+impl FrameQueue {
+    const EMPTY: FrameQueue = FrameQueue {
+        head: None,
+        rest: [NIL; 2],
+    };
+}
+
+/// One pool of list nodes for every stream's frames queued behind its
+/// first, with a free list. A stream that falls behind then costs no
+/// allocation once the pool has grown to the fleet's deepest total
+/// backlog, and its record holds two indices (8 bytes) where a
+/// `VecDeque` would take 32.
+struct Backlogs {
+    /// `(frame, next node or NIL)`.
+    nodes: Vec<(Admitted, u32)>,
+    /// First free node, or `NIL`.
+    free: u32,
+}
+
+impl Backlogs {
+    fn new() -> Backlogs {
+        Backlogs {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Queue `frame` behind the rest of `queue`.
+    #[inline]
+    fn push_back(&mut self, queue: &mut FrameQueue, frame: Admitted) {
+        if queue.head.is_none() {
+            queue.head = Some(frame);
+            return;
+        }
+        let node = if self.free == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&node| node != NIL)
+                .expect("fewer than u32::MAX frames queued fleet-wide");
+            self.nodes.push((frame, NIL));
+            node
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].1;
+            self.nodes[node as usize] = (frame, NIL);
+            node
+        };
+        match queue.rest {
+            [NIL, _] => queue.rest = [node, node],
+            [_, last] => {
+                self.nodes[last as usize].1 = node;
+                queue.rest[1] = node;
+            }
+        }
+    }
+
+    /// Take the oldest frame of `queue`.
+    #[inline]
+    fn pop_front(&mut self, queue: &mut FrameQueue) -> Option<Admitted> {
+        let frame = queue.head.take()?;
+        let first = queue.rest[0];
+        if first != NIL {
+            let (next_frame, next) = self.nodes[first as usize];
+            queue.head = Some(next_frame);
+            queue.rest = if next == NIL {
+                [NIL; 2]
+            } else {
+                [next, queue.rest[1]]
+            };
+            self.nodes[first as usize].1 = self.free;
+            self.free = first;
+        }
+        Some(frame)
+    }
 }
 
 /// The serial deterministic scheduling core: owns the event queues, the
@@ -733,6 +868,8 @@ struct Scheduler<A> {
     admission: Admission,
     ring_capacity: usize,
     streams: Vec<SchedStream<A>>,
+    /// The frames each stream has queued behind its first.
+    backlogs: Backlogs,
     start_heap: EventHeap,
     arrivals: ArrivalQueue,
     /// Latest start time ever scheduled: arrivals beyond it wait, which
@@ -745,49 +882,49 @@ struct Scheduler<A> {
 }
 
 impl<A: ArrivalSource> Scheduler<A> {
-    /// A scheduler with room for `streams` streams and none added yet.
-    fn new(config: ElasticConfig, streams: usize) -> Scheduler<A> {
+    /// The scheduler of `population`'s sources, keyed on their first
+    /// arrivals. Its records take over the population's buffer (see
+    /// [`SchedStream`]); each driver goes to `take_driver`, in stream
+    /// order, as its record is built.
+    fn new<D>(
+        config: ElasticConfig,
+        population: Vec<(A, D)>,
+        mut take_driver: impl FnMut(D),
+    ) -> Scheduler<A> {
+        // Every arrival is clamped to at least the floor of zero, and
+        // each stream has at most one pending.
+        let mut arrivals = ArrivalQueue::new(Time::ZERO, population.len());
+        let streams = population
+            .into_iter()
+            .enumerate()
+            .map(|(i, (mut source, driver))| {
+                take_driver(driver);
+                if let Some(t) = source.peek() {
+                    arrivals.push(t.max(Time::ZERO), i as u32);
+                }
+                SchedStream {
+                    source,
+                    floor: Time::ZERO,
+                    now: Time::ZERO,
+                    arrived: 0,
+                    shed: 0,
+                    queue: FrameQueue::EMPTY,
+                    in_flight: false,
+                }
+            })
+            .collect();
         Scheduler {
             chaining: config.chaining,
             admission: config.admission,
             ring_capacity: config.ring_capacity.max(1),
-            streams: Vec::with_capacity(streams),
+            streams,
+            backlogs: Backlogs::new(),
             start_heap: EventHeap::new(),
-            // Every arrival is clamped to at least the floor of zero, and
-            // each stream has at most one pending.
-            arrivals: ArrivalQueue::new(Time::ZERO, streams),
+            arrivals,
             horizon: Time::NEG_INF,
             backlog: 0,
             ledger: ShedLedger::default(),
         }
-    }
-
-    /// Add the next stream, keyed on its first arrival.
-    fn add_stream(&mut self, mut source: A) {
-        let floor = Time::ZERO;
-        if let Some(t) = source.peek() {
-            self.arrivals.push(t.max(floor), self.streams.len() as u32);
-        }
-        self.streams.push(SchedStream {
-            source,
-            floor,
-            next_frame: 0,
-            shed: 0,
-            now: Time::ZERO,
-            queue: HeadQueue::new(),
-            in_flight: false,
-        });
-    }
-
-    /// The ledger and each stream's `(arrived, shed)` counts, freeing
-    /// every other scheduler record.
-    fn finish(self) -> (ShedLedger, Vec<(usize, usize)>) {
-        let counts = self
-            .streams
-            .iter()
-            .map(|st| (st.next_frame, st.shed))
-            .collect();
-        (self.ledger, counts)
     }
 
     /// Drain due events into `ring` (cleared first), up to capacity.
@@ -836,9 +973,9 @@ impl<A: ArrivalSource> Scheduler<A> {
 
     fn process_start(&mut self, ts: Time, s: u32, ring: &mut Vec<Ready>) {
         let st = &mut self.streams[s as usize];
-        let (frame, arrival, counted) = st
-            .queue
-            .pop_front()
+        let (frame, arrival, counted) = self
+            .backlogs
+            .pop_front(&mut st.queue)
             .expect("a start event implies a queued frame");
         if counted {
             self.backlog -= 1;
@@ -846,7 +983,7 @@ impl<A: ArrivalSource> Scheduler<A> {
         self.launch(
             Ready {
                 stream: s,
-                frame,
+                frame: frame as usize,
                 arrival,
                 start: ts,
             },
@@ -865,12 +1002,14 @@ impl<A: ArrivalSource> Scheduler<A> {
     /// stream on the following timestamp.
     fn process_arrival(&mut self, ta: Time, s: u32, ring: &mut Vec<Ready>) {
         let st = &mut self.streams[s as usize];
-        let frame = st.next_frame;
-        st.next_frame += 1;
+        let frame = st.arrived;
+        st.arrived = frame
+            .checked_add(1)
+            .unwrap_or_else(|| panic!("stream {s} delivered more than {} frames", u32::MAX));
         self.ledger.arrived += 1;
         // A frame counts toward the global backlog iff its stream is
         // already behind; only counted frames are ever shed.
-        let counted = st.in_flight || st.queue.front().is_some();
+        let counted = st.in_flight || st.queue.head.is_some();
         let shed = match self.admission {
             Admission::Unbounded => false,
             Admission::DropNewest { global_capacity } => counted && self.backlog >= global_capacity,
@@ -883,7 +1022,7 @@ impl<A: ArrivalSource> Scheduler<A> {
             if counted {
                 self.backlog += 1;
                 self.ledger.peak_backlog = self.ledger.peak_backlog.max(self.backlog);
-                st.queue.push_back((frame, ta, true));
+                self.backlogs.push_back(&mut st.queue, (frame, ta, true));
             } else {
                 // Idle stream: its clock is current, so the frame's start
                 // is known now. `fill` takes every start at or before an
@@ -896,14 +1035,14 @@ impl<A: ArrivalSource> Scheduler<A> {
                     self.launch(
                         Ready {
                             stream: s,
-                            frame,
+                            frame: frame as usize,
                             arrival: ta,
                             start: ts,
                         },
                         ring,
                     );
                 } else {
-                    st.queue.push_back((frame, ta, false));
+                    self.backlogs.push_back(&mut st.queue, (frame, ta, false));
                     self.start_heap.push(ts, s);
                 }
             }
@@ -931,7 +1070,7 @@ impl<A: ArrivalSource> Scheduler<A> {
             let st = &mut self.streams[r.stream as usize];
             st.in_flight = false;
             st.now = completed(i);
-            if let Some((_, arrival, _)) = st.queue.front() {
+            if let Some((_, arrival, _)) = st.queue.head {
                 self.start_heap
                     .push(self.chaining.start_at(st.now, arrival), r.stream);
             }
@@ -944,9 +1083,10 @@ impl<A: ArrivalSource> Scheduler<A> {
 /// fixed-size pool of scoped OS threads.
 ///
 /// Construction fixes the worker count and the [`ElasticConfig`]; one
-/// runner value can drive many fleets. The calling thread is worker 0:
-/// each round it fills the ring and publishes its entries in batches as
-/// it goes, so the `workers − 1` helper threads run the round's first
+/// runner value can drive many fleets. The calling thread is worker 0: it
+/// builds the scheduler while worker 1 builds the worker-side slots, and
+/// then each round it fills the ring and publishes its entries in batches
+/// as it goes, so the `workers − 1` helper threads run the round's first
 /// cycles while the rest are still being scheduled. Once the fill ends,
 /// worker 0 seals the round, claims entries like any helper until none
 /// is left, and folds the completions back in once every entry has run.
@@ -1039,43 +1179,56 @@ impl ElasticRunner {
         );
         let n = streams.len();
         let workers = self.workers.min(n.max(1));
-        let mut sched = Scheduler::new(self.config, n);
-        let mut slots = Vec::with_capacity(n);
-        for (source, driver) in streams {
-            sched.add_stream(source);
-            slots.push(Mutex::new(Slot {
-                driver,
-                cursor: StreamCursor::new(),
-                completions: HeadQueue::new(),
-            }));
-        }
-        if workers == 1 {
+        let (sched, slots) = if workers == 1 {
+            let mut slots = Vec::with_capacity(n);
+            let mut sched = Scheduler::new(self.config, streams, |driver| {
+                slots.push(Slot::shared(driver))
+            });
             run_inline(&mut sched, &mut slots);
+            (sched, slots)
         } else {
-            run_pool(&mut sched, &slots, workers);
-        }
-
-        let (ledger, counts) = sched.finish();
-        let mut summary = ElasticSummary {
-            per_stream: Vec::with_capacity(n),
-            run: RunSummary::default(),
-            stats: StreamStats::default(),
-            ledger,
+            run_pool(self.config, streams, workers, Slot::shared)
         };
-        let mut drivers = Vec::with_capacity(n);
-        for (slot, (arrived, shed)) in slots.into_iter().zip(counts) {
+        summarize(sched, slots)
+    }
+}
+
+/// Fold a finished run into its summary and drivers. Each stream's
+/// [`StreamSummary`] takes its scheduler record's place, in the buffer the
+/// population came in (a summary is no larger and equally aligned), and
+/// the slot buffer is freed whole once the drivers are out of it.
+fn summarize<A, D>(sched: Scheduler<A>, slots: Vec<Mutex<Slot<D>>>) -> (ElasticSummary, Vec<D>) {
+    // Free the scheduler's queues before the fold; keep its records.
+    let Scheduler {
+        streams, ledger, ..
+    } = sched;
+    let mut run = RunSummary::default();
+    let mut stats = StreamStats::default();
+    let mut drivers = Vec::with_capacity(slots.len());
+    let mut per_stream: Vec<StreamSummary> = streams
+        .into_iter()
+        .zip(slots)
+        .map(|(st, slot)| {
             let slot = slot.into_inner().expect("slot lock");
             let mut s = slot.cursor.summary();
             // Arrivals and sheds were counted by the scheduler.
-            s.stats.arrived = arrived;
-            s.stats.dropped = shed;
-            summary.run.merge(&s.run);
-            summary.stats.merge(&s.stats);
-            summary.per_stream.push(s);
+            s.stats.arrived = st.arrived as usize;
+            s.stats.dropped = st.shed as usize;
+            run.merge(&s.run);
+            stats.merge(&s.stats);
             drivers.push(slot.driver);
-        }
-        (summary, drivers)
-    }
+            s
+        })
+        .collect();
+    // Hand back the tail that the smaller summaries leave unused.
+    per_stream.shrink_to_fit();
+    let summary = ElasticSummary {
+        per_stream,
+        run,
+        stats,
+        ledger,
+    };
+    (summary, drivers)
 }
 
 /// One worker: every round runs each ready cycle on the calling thread,
@@ -1212,7 +1365,9 @@ impl<T> Deref for CachePadded<T> {
 
 /// What the workers of [`run_pool`] share for one run.
 ///
-/// Each round, worker 0 resets `cursor` to `(round, 0)`, fills the ring,
+/// Worker 1 builds `slots` while worker 0 builds the scheduler; every
+/// other worker waits for them before it claims anything. Then each
+/// round, worker 0 resets `cursor` to `(round, 0)`, fills the ring,
 /// publishing batches of entries through `published` as it goes, then
 /// seals the round. Every worker claims runs of published entries by
 /// compare-and-swap on `cursor`, each a guided share of what is unclaimed
@@ -1222,8 +1377,10 @@ impl<T> Deref for CachePadded<T> {
 /// sealed round has no entry left to claim, and worker 0 folds the round's
 /// completions in once `finished` accounts for every entry it did not run
 /// itself.
-struct Pool<'a, D> {
-    slots: &'a [Mutex<Slot<D>>],
+struct Pool<D> {
+    /// Every stream's slot in stream order, set once worker 1 has built
+    /// them all.
+    slots: OnceLock<Vec<Mutex<Slot<D>>>>,
     entries: Box<[SharedReady]>,
     /// Completion time of each ring entry, written (Relaxed) by whoever
     /// ran it; a helper's writes reach worker 0 through `finished`.
@@ -1244,12 +1401,64 @@ struct Pool<'a, D> {
     finished: CachePadded<AtomicUsize>,
 }
 
-impl<D: CycleDriver> Pool<'_, D> {
+/// Drivers per chunk that worker 0 hands to worker 1 while the two build
+/// a pool's scheduler and slots: one channel message per thousand
+/// streams, and worker 1 starts after the first thousand. Results never
+/// depend on it.
+const HANDOFF_CHUNK: usize = 1024;
+
+/// Full chunks the hand-over channel holds while worker 1 catches up.
+const HANDOFF_DEPTH: usize = 2;
+
+/// Worker 0's end of the slot hand-over.
+struct Handoff<D> {
+    /// Drivers not yet handed over, in stream order.
+    chunk: Vec<D>,
+    /// Full chunks to worker 1. A send waits while the channel is full and
+    /// fails, dropping the chunk, once worker 1 has stopped receiving.
+    full: SyncSender<Vec<D>>,
+}
+
+impl<D> Handoff<D> {
+    /// Queue the next stream's driver, handing the chunk over once full.
+    #[inline]
+    fn push(&mut self, driver: D) {
+        self.chunk.push(driver);
+        if self.chunk.len() == HANDOFF_CHUNK {
+            let next = Vec::with_capacity(HANDOFF_CHUNK);
+            let _ = self.full.send(std::mem::replace(&mut self.chunk, next));
+        }
+    }
+
+    /// Hand over the last drivers and close the channel, which ends
+    /// worker 1's build.
+    fn finish(self) {
+        if !self.chunk.is_empty() {
+            let _ = self.full.send(self.chunk);
+        }
+    }
+}
+
+impl<D: CycleDriver> Pool<D> {
+    /// The slots, once worker 1 has built them, or `None` once any worker
+    /// has panicked.
+    fn slots(&self) -> Option<&[Mutex<Slot<D>>]> {
+        let mut backoff = Backoff(0);
+        loop {
+            if let Some(slots) = self.slots.get() {
+                return Some(slots);
+            }
+            if !backoff.wait(&self.poisoned) {
+                return None;
+            }
+        }
+    }
+
     /// Claim a guided share of the entries from `cursor` up to `count`, the
     /// round's published count, and run them if the claim wins. Returns how
     /// many it ran.
     #[inline]
-    fn try_run(&self, cursor: u64, count: usize) -> usize {
+    fn try_run(&self, slots: &[Mutex<Slot<D>>], cursor: u64, count: usize) -> usize {
         let next = cursor as u32 as usize;
         let take = ((count - next) / 4).clamp(1, CLAIM_BATCH);
         if self
@@ -1266,7 +1475,7 @@ impl<D: CycleDriver> Pool<'_, D> {
         }
         for index in next..next + take {
             let r = self.entries[index].load();
-            let mut slot = self.slots[r.stream as usize].lock().expect("slot lock");
+            let mut slot = slots[r.stream as usize].lock().expect("slot lock");
             let done = execute(&r, &mut slot);
             self.completed[index].store(done.as_ns(), Ordering::Relaxed);
         }
@@ -1282,11 +1491,34 @@ impl<D: CycleDriver> Pool<'_, D> {
         self.published.store(word, Ordering::Release);
     }
 
-    /// A helper's life: run whatever is published and unclaimed, report
-    /// each round's share, and return after the empty round that ends the
-    /// run (or once another worker has panicked).
+    /// Worker 1's set-up: fill `slots`, empty but allocated for all `n`
+    /// streams, building each slot from the driver chunks worker 0 hands
+    /// over through `chunks`, then share them. The slots are thus first
+    /// touched on this thread, while worker 0 builds the scheduler.
+    /// Returns `false` if worker 0 unwound first (its sender is dropped
+    /// before `n` drivers came through).
+    fn build_slots(
+        &self,
+        mut slots: Vec<Mutex<Slot<D>>>,
+        n: usize,
+        chunks: Receiver<Vec<D>>,
+        new_slot: fn(D) -> Mutex<Slot<D>>,
+    ) -> bool {
+        let _guard = PoisonOnUnwind(&self.poisoned);
+        for chunk in chunks {
+            slots.extend(chunk.into_iter().map(new_slot));
+        }
+        slots.len() == n && self.slots.set(slots).is_ok()
+    }
+
+    /// A helper's life: wait for the slots, run whatever is published and
+    /// unclaimed, report each round's share, and return after the empty
+    /// round that ends the run (or once another worker has panicked).
     fn help(&self) {
         let _guard = PoisonOnUnwind(&self.poisoned);
+        let Some(slots) = self.slots() else {
+            return;
+        };
         let mut ran = 0usize;
         let mut backoff = Backoff(0);
         loop {
@@ -1296,7 +1528,7 @@ impl<D: CycleDriver> Pool<'_, D> {
                 let next = cursor as u32 as usize;
                 let count = (published & (SEALED - 1)) as usize;
                 if next < count {
-                    ran += self.try_run(cursor, count);
+                    ran += self.try_run(slots, cursor, count);
                     backoff = Backoff(0);
                     continue;
                 }
@@ -1316,12 +1548,21 @@ impl<D: CycleDriver> Pool<'_, D> {
         }
     }
 
-    /// Worker 0's life: fill, publish and seal each round, drain it
-    /// alongside the helpers, and fold it back in once every entry has
-    /// run. Returns when the run is complete, or early once a helper has
-    /// panicked (the scope then re-raises that panic).
-    fn lead<A: ArrivalSource>(&self, sched: &mut Scheduler<A>) {
+    /// Worker 0's life: build the scheduler in the population's buffer,
+    /// handing the drivers to worker 1 as it goes, then fill, publish and
+    /// seal each round, drain it alongside the helpers, and fold it back
+    /// in once every entry has run. Returns the scheduler when the run is
+    /// complete, or early once another worker has panicked (the scope then
+    /// re-raises that panic).
+    fn lead<A: ArrivalSource>(
+        &self,
+        config: ElasticConfig,
+        population: Vec<(A, D)>,
+        mut handoff: Handoff<D>,
+    ) -> Scheduler<A> {
         let _guard = PoisonOnUnwind(&self.poisoned);
+        let mut sched = Scheduler::new(config, population, |driver| handoff.push(driver));
+        handoff.finish();
         let mut ring = Vec::with_capacity(sched.ring_capacity);
         let mut helpers_ran = 0usize;
         let mut round = 0u32;
@@ -1334,21 +1575,24 @@ impl<D: CycleDriver> Pool<'_, D> {
             });
             self.publish(round, &ring, shared, true);
             if ring.is_empty() {
-                return;
+                return sched;
             }
+            let Some(slots) = self.slots() else {
+                return sched;
+            };
             let mut ran = 0;
             loop {
                 let cursor = self.cursor.load(Ordering::Relaxed);
                 if cursor as u32 as usize >= ring.len() {
                     break;
                 }
-                ran += self.try_run(cursor, ring.len());
+                ran += self.try_run(slots, cursor, ring.len());
             }
             helpers_ran = helpers_ran.wrapping_add(ring.len() - ran);
             let mut backoff = Backoff(0);
             while self.finished.load(Ordering::Acquire) != helpers_ran {
                 if !backoff.wait(&self.poisoned) {
-                    return;
+                    return sched;
                 }
             }
             sched.complete_round(&ring, |i| {
@@ -1359,20 +1603,26 @@ impl<D: CycleDriver> Pool<'_, D> {
     }
 }
 
-/// `workers ≥ 2`: the calling thread fills the ring and is worker 0;
-/// `workers − 1` scoped helpers run its entries as they are published.
+/// `workers ≥ 2`, in one thread scope from set-up to the last round. The
+/// calling thread is worker 0: it builds the scheduler and then fills the
+/// ring. Worker 1 builds the slots, each with `new_slot`, from the drivers
+/// worker 0 hands over; then it and the other `workers − 2` helpers run
+/// ring entries as they are published. Returns the scheduler and the
+/// slots.
 fn run_pool<A: ArrivalSource, D: CycleDriver + Send>(
-    sched: &mut Scheduler<A>,
-    slots: &[Mutex<Slot<D>>],
+    config: ElasticConfig,
+    population: Vec<(A, D)>,
     workers: usize,
-) {
-    let capacity = sched.ring_capacity;
+    new_slot: fn(D) -> Mutex<Slot<D>>,
+) -> (Scheduler<A>, Vec<Mutex<Slot<D>>>) {
+    let capacity = config.ring_capacity.max(1);
     assert!(
         (capacity as u64) < SEALED,
         "ring capacity {capacity} must be below 2^31 with several workers"
     );
+    let n = population.len();
     let pool = Pool {
-        slots,
+        slots: OnceLock::new(),
         entries: (0..capacity).map(|_| SharedReady::default()).collect(),
         completed: (0..capacity).map(|_| AtomicI64::new(0)).collect(),
         poisoned: AtomicBool::new(false),
@@ -1380,12 +1630,29 @@ fn run_pool<A: ArrivalSource, D: CycleDriver + Send>(
         published: CachePadded::new(AtomicU64::new(round_word(0, 0))),
         finished: CachePadded::new(AtomicUsize::new(0)),
     };
-    std::thread::scope(|scope| {
-        for _ in 1..workers {
+    let (full, chunks) = mpsc::sync_channel(HANDOFF_DEPTH);
+    let handoff = Handoff {
+        chunk: Vec::with_capacity(HANDOFF_CHUNK),
+        full,
+    };
+    // Allocated here but first touched by worker 1: the calling thread's
+    // allocator can then hand back the buffer the previous run freed here,
+    // whichever thread worker 1 is.
+    let slots = Vec::with_capacity(n);
+    let sched = std::thread::scope(|scope| {
+        let pool = &pool;
+        scope.spawn(move || {
+            if pool.build_slots(slots, n, chunks, new_slot) {
+                pool.help();
+            }
+        });
+        for _ in 2..workers {
             scope.spawn(|| pool.help());
         }
-        pool.lead(sched);
+        pool.lead(config, population, handoff)
     });
+    let slots = pool.slots.into_inner().expect("worker 1 built the slots");
+    (sched, slots)
 }
 
 #[cfg(test)]
@@ -2126,18 +2393,72 @@ mod tests {
         }
     }
 
-    /// A driver panic on any worker makes `run` panic instead of leaving
-    /// the other workers waiting forever. Each case runs on its own thread
-    /// and the test waits for its verdict with a timeout, so a hang fails
-    /// the test rather than stalling the suite.
+    /// A source whose `peek` panics when armed.
+    struct PeekBomb {
+        inner: Periodic,
+        armed: bool,
+    }
+
+    impl ArrivalSource for PeekBomb {
+        fn next_arrival(&mut self) -> Option<Time> {
+            self.inner.next_arrival()
+        }
+
+        fn peek(&mut self) -> Option<Time> {
+            assert!(!self.armed, "source failure during set-up");
+            self.inner.peek()
+        }
+    }
+
+    /// A driver carrying a mark that a test's slot constructor can react to.
+    struct Marked<D> {
+        inner: D,
+        marked: bool,
+    }
+
+    impl<D: CycleDriver> CycleDriver for Marked<D> {
+        fn run_cycle(&mut self, cycle: usize, start: Time) -> CycleSummary {
+            self.inner.run_cycle(cycle, start)
+        }
+    }
+
+    /// Run `case` on its own thread and require that it panics. The verdict
+    /// is awaited with a timeout, so a hang fails the test rather than
+    /// stalling the suite.
+    fn assert_panics_without_hanging(what: &str, case: impl FnOnce(ThreadId) + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let worker0 = std::thread::current().id();
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| case(worker0)));
+            let _ = tx.send(outcome.is_err());
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(60)),
+            Ok(true),
+            "{what}: run must panic, not hang or finish"
+        );
+    }
+
+    /// A driver or source panic on any worker makes `run` panic instead of
+    /// leaving the other workers waiting forever: a driver on worker 0 or
+    /// on a helper during the rounds, a source on worker 0 while it builds
+    /// the scheduler, and worker 1 while it builds the slots. The set-up
+    /// cases fail mid-way through a fleet of five hand-over chunks, so
+    /// the other side is waiting on the hand-over when it happens.
     #[test]
     fn driver_panic_on_any_worker_propagates() {
+        let fleet = 5 * HANDOFF_CHUNK;
+        let fail_at = 3 * HANDOFF_CHUNK + 5;
         for workers in [2usize, 3] {
             for panic_on_worker0 in [false, true] {
-                let (tx, rx) = mpsc::channel();
-                std::thread::spawn(move || {
-                    let worker0 = std::thread::current().id();
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let side = if panic_on_worker0 {
+                    "worker 0"
+                } else {
+                    "a helper"
+                };
+                assert_panics_without_hanging(
+                    &format!("workers={workers}, driver panic on {side}"),
+                    move |worker0| {
                         let s = sys();
                         let p = MixedPolicy::new(&s);
                         let tripped = Arc::new(AtomicBool::new(false));
@@ -2161,20 +2482,146 @@ mod tests {
                             })
                             .collect();
                         ElasticRunner::new(workers, ElasticConfig::live()).run(streams);
-                    }));
-                    let _ = tx.send(outcome.is_err());
-                });
-                let side = if panic_on_worker0 {
-                    "worker 0"
-                } else {
-                    "a helper"
-                };
-                assert_eq!(
-                    rx.recv_timeout(Duration::from_secs(60)),
-                    Ok(true),
-                    "workers={workers}, panic on {side}: run must panic, not hang or finish"
+                    },
                 );
             }
+            assert_panics_without_hanging(
+                &format!("workers={workers}, source panic on worker 0 during set-up"),
+                move |_| {
+                    let s = sys();
+                    let p = MixedPolicy::new(&s);
+                    let streams: Vec<_> = drivers(&s, &p, fleet, 2, source_mix)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (_, driver))| {
+                            let source = PeekBomb {
+                                inner: Periodic::new(PERIOD, 2),
+                                armed: i == fail_at,
+                            };
+                            (source, driver)
+                        })
+                        .collect();
+                    ElasticRunner::new(workers, ElasticConfig::live()).run(streams);
+                },
+            );
+            assert_panics_without_hanging(
+                &format!("workers={workers}, worker 1 panic while building the slots"),
+                move |_| {
+                    let s = sys();
+                    let p = MixedPolicy::new(&s);
+                    let streams: Vec<_> = drivers(&s, &p, fleet, 2, source_mix)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (source, inner))| {
+                            let marked = i == fail_at;
+                            (source, Marked { inner, marked })
+                        })
+                        .collect();
+                    run_pool(ElasticConfig::live(), streams, workers, |driver| {
+                        assert!(!driver.marked, "slot build failure");
+                        Slot::shared(driver)
+                    });
+                },
+            );
         }
+    }
+
+    /// A 56-byte stand-in for the benchmark's `MicroDriver`, which
+    /// `sqm-core` cannot name (`sqm-bench` pins its size).
+    #[derive(Default)]
+    #[allow(dead_code)]
+    struct StandInDriver([u64; 7]);
+
+    /// The scheduler's records fit in the buffer of the population they
+    /// are built from, and the per-stream summaries in the scheduler's
+    /// records: no larger and equally aligned. A field added to either
+    /// that broke this would silently turn an in-place build back into a
+    /// fresh allocation of the whole fleet's records.
+    #[test]
+    fn records_fit_in_the_buffer_they_reuse() {
+        use std::mem::{align_of, size_of};
+        type Pair = (PatternSource, StandInDriver);
+        type Record = SchedStream<PatternSource>;
+        assert_eq!(size_of::<StandInDriver>(), 56);
+        assert!(
+            size_of::<Record>() <= size_of::<Pair>(),
+            "SchedStream is {} bytes, the population's element {}",
+            size_of::<Record>(),
+            size_of::<Pair>()
+        );
+        assert_eq!(align_of::<Record>(), align_of::<Pair>());
+        assert!(size_of::<StreamSummary>() <= size_of::<Record>());
+        assert_eq!(align_of::<StreamSummary>(), align_of::<Record>());
+
+        // And the standard library does reuse the buffer, both times.
+        let population: Vec<Pair> = (0..1_000)
+            .map(|i| (source_mix(i, 3), StandInDriver::default()))
+            .collect();
+        let buffer = population.as_ptr() as usize;
+        let mut slots = Vec::new();
+        let sched = Scheduler::new(ElasticConfig::live(), population, |driver| {
+            slots.push(Slot::shared(driver))
+        });
+        assert_eq!(sched.streams.as_ptr() as usize, buffer, "scheduler");
+        let (summary, drivers) = summarize(sched, slots);
+        assert_eq!(summary.per_stream.as_ptr() as usize, buffer, "summaries");
+        assert_eq!(drivers.len(), 1_000);
+    }
+
+    /// Streams' frame queues in one node pool stay FIFO per stream while
+    /// their lists interleave, grow, drain and reuse freed nodes: checked
+    /// step by step against one `VecDeque` per stream.
+    #[test]
+    fn backlog_lists_match_per_stream_fifos() {
+        let mut pool = Backlogs::new();
+        let mut queues: Vec<FrameQueue> = (0..5).map(|_| FrameQueue::EMPTY).collect();
+        let mut model: Vec<VecDeque<Admitted>> = vec![VecDeque::new(); 5];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..4_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let q = (x % 5) as usize;
+            // Pushes outnumber pops early and pops outnumber pushes late,
+            // so lists grow several deep, drain and grow again.
+            if (x >> 8) % 10 < if step < 2_000 { 6 } else { 4 } {
+                let frame = (step, Time::from_ns(i64::from(step)), x & 1 == 0);
+                pool.push_back(&mut queues[q], frame);
+                model[q].push_back(frame);
+            } else {
+                assert_eq!(
+                    pool.pop_front(&mut queues[q]),
+                    model[q].pop_front(),
+                    "step {step}"
+                );
+            }
+            assert_eq!(queues[q].head, model[q].front().copied(), "step {step}");
+        }
+        for (queue, model) in queues.iter_mut().zip(&mut model) {
+            while let Some(want) = model.pop_front() {
+                assert_eq!(pool.pop_front(queue), Some(want));
+            }
+            assert_eq!(pool.pop_front(queue), None);
+        }
+        let pooled = pool.nodes.len();
+        assert!(pooled > 5, "lists grew several nodes deep: {pooled}");
+        let mut free = 0;
+        let mut node = pool.free;
+        while node != NIL {
+            free += 1;
+            node = pool.nodes[node as usize].1;
+        }
+        assert_eq!(free, pooled, "every node is back on the free list");
+    }
+
+    /// A stream's frame counter is 32 bits wide: one frame past `u32::MAX`
+    /// panics, naming the stream, instead of wrapping.
+    #[test]
+    #[should_panic(expected = "stream 2 delivered more than 4294967295 frames")]
+    fn frame_counter_overflow_names_the_stream() {
+        let population: Vec<_> = (0..4).map(|_| (Periodic::new(PERIOD, 2), ())).collect();
+        let mut sched = Scheduler::new(ElasticConfig::live(), population, drop);
+        sched.streams[2].arrived = u32::MAX;
+        sched.fill(&mut Vec::new(), |_| {});
     }
 }
