@@ -274,7 +274,8 @@ impl ExecutionTimeSource for AudioExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_core::controller::{CycleRunner, OverheadModel};
+    use sqm_core::controller::OverheadModel;
+    use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
 
@@ -333,15 +334,11 @@ mod tests {
         let c = AudioCodec::new(AudioConfig::streaming(3)).unwrap();
         let sys = c.system();
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
+        let mut engine = Engine::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let mut exec = c.exec(0.15, 7);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert_eq!(trace.stats().misses, 0);
-        assert!(
-            trace.stats().avg_quality > 1.0,
-            "budget converted into quality"
-        );
+        let summary = engine.run_cycle(0, Time::ZERO, &mut exec, &mut NullSink);
+        assert_eq!(summary.misses, 0);
+        assert!(summary.avg_quality() > 1.0, "budget converted into quality");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 use sqm_audio::{AudioCodec, AudioConfig};
 use sqm_bench::report;
 use sqm_core::compiler::{compile_regions, compile_relaxation, TableStats};
-use sqm_core::controller::CyclicRunner;
+use sqm_core::engine::{CycleChaining, Engine};
 use sqm_core::manager::{LookupManager, NumericManager, RelaxedManager};
 use sqm_core::policy::MixedPolicy;
 use sqm_core::quality::Quality;
 use sqm_core::relaxation::StepSet;
+use sqm_core::trace::Trace;
 use sqm_platform::overhead;
 
 fn main() {
@@ -52,28 +53,19 @@ fn main() {
     let mut overheads = Vec::new();
     for kind in 0..3usize {
         let mut exec = codec.exec(0.15, 7);
-        let trace = match kind {
-            0 => CyclicRunner::new(
-                sys,
-                NumericManager::new(sys, &policy),
-                overhead::numeric(),
-                period,
-            )
-            .run(cycles, &mut exec),
-            1 => CyclicRunner::new(
-                sys,
-                LookupManager::new(&regions),
-                overhead::regions(),
-                period,
-            )
-            .run(cycles, &mut exec),
-            _ => CyclicRunner::new(
+        let mut trace = Trace::default();
+        let chaining = CycleChaining::WorkConserving;
+        let run = match kind {
+            0 => Engine::new(sys, NumericManager::new(sys, &policy), overhead::numeric())
+                .run_cycles(cycles, period, chaining, &mut exec, &mut trace),
+            1 => Engine::new(sys, LookupManager::new(&regions), overhead::regions())
+                .run_cycles(cycles, period, chaining, &mut exec, &mut trace),
+            _ => Engine::new(
                 sys,
                 RelaxedManager::new(&regions, &relaxation),
                 overhead::relaxation(),
-                period,
             )
-            .run(cycles, &mut exec),
+            .run_cycles(cycles, period, chaining, &mut exec, &mut trace),
         };
         // Measured rate: bits actually allocated at the chosen qualities.
         let mut bits = 0usize;
@@ -89,16 +81,16 @@ fn main() {
             }
         }
         let label = ["numeric", "symbolic -- regions", "symbolic -- relaxation"][kind];
-        overheads.push(trace.overhead_ratio() * 100.0);
+        overheads.push(run.overhead_ratio() * 100.0);
         rows.push(vec![
             label.to_string(),
-            format!("{:.2}", trace.overhead_ratio() * 100.0),
-            format!("{}", trace.total_qm_calls()),
-            format!("{:.3}", trace.avg_quality()),
+            format!("{:.2}", run.overhead_ratio() * 100.0),
+            format!("{}", run.qm_calls),
+            format!("{:.3}", run.avg_quality()),
             format!("{:.1}", bits as f64 / cycles as f64 / 1_000.0),
-            format!("{}", trace.total_misses()),
+            format!("{}", run.misses),
         ]);
-        assert_eq!(trace.total_misses(), 0);
+        assert_eq!(run.misses, 0);
     }
     print!("{}", report::table(&rows));
     println!(

@@ -11,9 +11,10 @@
 
 use sqm_bench::report;
 use sqm_core::compiler::{compile_regions, compile_relaxation};
-use sqm_core::controller::CyclicRunner;
+use sqm_core::engine::{CycleChaining, Engine};
 use sqm_core::manager::RelaxedManager;
 use sqm_core::relaxation::StepSet;
+use sqm_core::trace::Trace;
 use sqm_mpeg::{metrics, rate, EncoderConfig, GopPattern, MpegEncoder};
 use sqm_platform::overhead;
 
@@ -35,18 +36,28 @@ fn main() {
         if let Some(g) = gop.clone() {
             exec = exec.with_gop(g);
         }
-        let trace = CyclicRunner::new(
+        let mut trace = Trace::default();
+        let run = Engine::new(
             sys,
             RelaxedManager::new(&regions, &relaxation),
             overhead::relaxation(),
-            period,
         )
-        .run(frames, &mut exec);
-        assert_eq!(trace.total_misses(), 0, "{label}");
-        let quality: Vec<f64> = trace.cycle_stats().iter().map(|s| s.avg_quality).collect();
+        .run_cycles(
+            frames,
+            period,
+            CycleChaining::WorkConserving,
+            &mut exec,
+            &mut trace,
+        );
+        assert_eq!(run.misses, 0, "{label}");
+        let quality: Vec<f64> = trace
+            .cycles
+            .iter()
+            .map(|c| c.summary().avg_quality())
+            .collect();
         let bits = rate::bitrate_series(&enc, &trace, gop.as_ref());
         let psnr = metrics::video_quality_series(&enc, &trace);
-        results.push((label, gop, trace, quality, bits, psnr));
+        results.push((label, gop, run, quality, bits, psnr));
     }
 
     println!("== GOP ablation ({frames} frames, relaxation manager) ==\n");
@@ -58,15 +69,15 @@ fn main() {
         "peak kbit/frame".to_string(),
         "misses".to_string(),
     ]];
-    for (label, _gop, trace, _quality, bits, psnr) in &results {
+    for (label, _gop, run, _quality, bits, psnr) in &results {
         let summary = rate::summarize(bits, period.as_secs_f64());
         rows.push(vec![
             label.to_string(),
-            format!("{:.3}", trace.avg_quality()),
+            format!("{:.3}", run.avg_quality()),
             format!("{:.2}", psnr.iter().sum::<f64>() / psnr.len() as f64),
             format!("{:.1}", summary.mean_bits / 1_000.0),
             format!("{:.1}", summary.peak_bits / 1_000.0),
-            format!("{}", trace.total_misses()),
+            format!("{}", run.misses),
         ]);
     }
     print!("{}", report::table(&rows));

@@ -13,7 +13,7 @@
 use sqm_bench::report;
 use sqm_core::approx::ApproxRegionTable;
 use sqm_core::compiler::compile_regions;
-use sqm_core::controller::CyclicRunner;
+use sqm_core::engine::{CycleChaining, Engine, NullSink};
 use sqm_core::manager::{Decision, QualityManager};
 use sqm_core::quality::Quality;
 use sqm_core::time::Time;
@@ -56,13 +56,13 @@ fn main() {
 
     // Reference run over the exact table.
     let mut exec = enc.exec(0.12, 7);
-    let exact_trace = CyclicRunner::new(
+    let chaining = CycleChaining::WorkConserving;
+    let exact_run = Engine::new(
         sys,
         sqm_core::manager::LookupManager::new(&exact),
         overhead::regions(),
-        period,
     )
-    .run(12, &mut exec);
+    .run_cycles(12, period, chaining, &mut exec, &mut NullSink);
 
     println!("== ablation: linear approximation of Rq (12 frames) ==\n");
     let mut rows = vec![vec![
@@ -77,26 +77,17 @@ fn main() {
         "exact".into(),
         format!("{}", exact.integer_count()),
         "100.0".into(),
-        format!("{:.3}", exact_trace.avg_quality()),
+        format!("{:.3}", exact_run.avg_quality()),
         "0.000".into(),
-        format!("{}", exact_trace.total_misses()),
+        format!("{}", exact_run.misses),
     ]);
 
     for tol_us in [0i64, 100, 500, 2_000, 10_000] {
         let approx = ApproxRegionTable::compress(&exact, Time::from_us(tol_us));
         let mut exec = enc.exec(0.12, 7);
-        let trace = CyclicRunner::new(
-            sys,
-            ApproxManager { table: &approx },
-            overhead::regions(),
-            period,
-        )
-        .run(12, &mut exec);
-        assert_eq!(
-            trace.total_misses(),
-            0,
-            "conservative approximation must stay safe"
-        );
+        let run = Engine::new(sys, ApproxManager { table: &approx }, overhead::regions())
+            .run_cycles(12, period, chaining, &mut exec, &mut NullSink);
+        assert_eq!(run.misses, 0, "conservative approximation must stay safe");
         rows.push(vec![
             format!("{tol_us} us"),
             format!("{}", approx.integer_count()),
@@ -104,9 +95,9 @@ fn main() {
                 "{:.1}",
                 100.0 * approx.integer_count() as f64 / exact.integer_count() as f64
             ),
-            format!("{:.3}", trace.avg_quality()),
-            format!("{:.3}", exact_trace.avg_quality() - trace.avg_quality()),
-            format!("{}", trace.total_misses()),
+            format!("{:.3}", run.avg_quality()),
+            format!("{:.3}", exact_run.avg_quality() - run.avg_quality()),
+            format!("{}", run.misses),
         ]);
     }
     print!("{}", report::table(&rows));

@@ -12,7 +12,8 @@
 //! ```
 
 use sqm_bench::report;
-use sqm_core::controller::{CyclicRunner, OverheadModel};
+use sqm_core::controller::OverheadModel;
+use sqm_core::engine::{CycleChaining, Engine};
 use sqm_core::manager::NumericManager;
 use sqm_core::policy::{AveragePolicy, MixedPolicy, Policy, SafePolicy};
 use sqm_core::smoothness::Smoothness;
@@ -28,8 +29,15 @@ fn run_policy<P: Policy>(enc: &MpegEncoder, policy: &P, hot: bool) -> Trace {
         exec = exec.with_burst(100, 250, 1.8);
     }
     let manager = NumericManager::new(sys, policy);
-    CyclicRunner::new(sys, manager, OverheadModel::ZERO, enc.config().frame_period)
-        .run(12, &mut exec)
+    let mut trace = Trace::default();
+    Engine::new(sys, manager, OverheadModel::ZERO).run_cycles(
+        12,
+        enc.config().frame_period,
+        CycleChaining::WorkConserving,
+        &mut exec,
+        &mut trace,
+    );
+    trace
 }
 
 fn summarize(name: &str, trace: &Trace) -> Vec<String> {
@@ -39,10 +47,11 @@ fn summarize(name: &str, trace: &Trace) -> Vec<String> {
         .flat_map(|c| c.quality_sequence())
         .collect();
     let s = Smoothness::of(&all_levels);
+    let run = trace.run_summary();
     vec![
         name.to_string(),
-        format!("{}", trace.total_misses()),
-        format!("{:.3}", trace.avg_quality()),
+        format!("{}", run.misses),
+        format!("{:.3}", run.avg_quality()),
         format!("{}", s.switches),
         format!("{}", s.total_variation),
         format!("{}", s.max_jump),
@@ -87,12 +96,12 @@ fn main() {
     // The structural claims.
     let mixed_trace = run_policy(&enc, &mixed, true);
     assert_eq!(
-        mixed_trace.total_misses(),
+        mixed_trace.run_summary().misses,
         0,
         "mixed must stay safe under hot content"
     );
     let safe_trace = run_policy(&enc, &safe, true);
-    assert_eq!(safe_trace.total_misses(), 0, "safe must stay safe");
+    assert_eq!(safe_trace.run_summary().misses, 0, "safe must stay safe");
     println!("shape check: mixed and safe miss nothing; average may miss under hot content;");
     println!("mixed's fluctuation (variation/std-dev) should sit well below safe's.");
 }

@@ -10,10 +10,12 @@
 //! ```
 
 use sqm_bench::report;
-use sqm_core::controller::{CycleRunner, OverheadModel};
+use sqm_core::controller::OverheadModel;
+use sqm_core::engine::Engine;
 use sqm_core::manager::NumericManager;
 use sqm_core::policy::MixedPolicy;
 use sqm_core::time::Time;
+use sqm_core::trace::Trace;
 use sqm_power::{CycleExec, DvfsTask, EnergyModel, FrequencyLadder};
 
 fn main() {
@@ -38,15 +40,16 @@ fn main() {
             continue; // infeasible at this deadline even at f_max
         };
         let policy = MixedPolicy::new(&sys);
-        let mut runner = CycleRunner::new(
+        let mut exec = CycleExec::new(&task, &ladder, 0.15, 42);
+        let mut trace = Trace::default();
+        let summary = Engine::new(
             &sys,
             NumericManager::new(&sys, &policy),
             OverheadModel::ZERO,
-        );
-        let mut exec = CycleExec::new(&task, &ladder, 0.15, 42);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
+        )
+        .run_cycle(0, Time::ZERO, &mut exec, &mut trace);
 
-        let managed = model.cycle_energy_nj(&ladder, &exec.consumed, &trace, deadline);
+        let managed = model.cycle_energy_nj(&ladder, &exec.consumed, &trace.cycles[0], deadline);
         let baseline = model.baseline_energy_nj(&ladder, &exec, deadline);
         let total_cycles: u64 = exec.consumed.iter().map(|&(_, _, c)| c).sum();
         let busy_at_fmax = ladder.time_for_cycles(total_cycles, sqm_core::quality::Quality::new(0));
@@ -65,11 +68,10 @@ fn main() {
             format!("{baseline:.0}"),
             format!("{:.1}", 100.0 * (baseline - managed) / baseline),
             format!("{avg_freq:.0}"),
-            format!("{}", trace.stats().misses),
+            format!("{}", summary.misses),
         ]);
         assert_eq!(
-            trace.stats().misses,
-            0,
+            summary.misses, 0,
             "energy saving must never cost a deadline"
         );
     }

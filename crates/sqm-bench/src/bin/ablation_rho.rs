@@ -40,21 +40,17 @@ fn main() {
     for (label, steps) in menus {
         let rho = StepSet::new(steps).expect("menus are valid");
         let exp = PaperExperiment::with_config_and_rho(EncoderConfig::paper(2024), rho.clone());
-        let trace = exp.run(ManagerKind::Relaxation, 29, 0.12, 7, None);
+        let run = exp.run_summary(ManagerKind::Relaxation, 29, 0.12, 7, None);
         let stats = TableStats::of_relaxation(&exp.relaxation);
         rows.push(vec![
             label.to_string(),
             format!("{}", stats.integers),
             format!("{:.0}", stats.bytes as f64 / 1024.0),
-            format!("{}", trace.total_qm_calls()),
-            format!("{:.2}", trace.overhead_ratio() * 100.0),
-            format!("{:.3}", trace.avg_quality()),
+            format!("{}", run.qm_calls),
+            format!("{:.2}", run.overhead_ratio() * 100.0),
+            format!("{:.3}", run.avg_quality()),
         ]);
-        assert_eq!(
-            trace.total_misses(),
-            0,
-            "relaxation must stay safe for ρ = {label}"
-        );
+        assert_eq!(run.misses, 0, "relaxation must stay safe for ρ = {label}");
     }
     print!("{}", report::table(&rows));
     println!("\nshape check: calls and overhead fall as ρ grows richer, then saturate;");

@@ -7,10 +7,11 @@
 //! ```
 
 use sqm_bench::report;
-use sqm_core::controller::CyclicRunner;
+use sqm_core::engine::{CycleChaining, Engine};
 use sqm_core::manager::{NumericManager, SmoothedManager};
 use sqm_core::policy::MixedPolicy;
 use sqm_core::smoothness::Smoothness;
+use sqm_core::trace::Trace;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 use sqm_platform::overhead;
 
@@ -24,22 +25,19 @@ fn main() {
     // Bursty content: alternating easy/hard regions per frame.
     let run = |max_step_up: Option<(u8, u32)>| {
         let mut exec = enc.exec(0.15, 99).with_burst(120, 260, 1.6);
-        match max_step_up {
-            None => CyclicRunner::new(
-                sys,
-                NumericManager::new(sys, &policy),
-                overhead::numeric(),
-                period,
-            )
-            .run(frames, &mut exec),
-            Some((step, hyst)) => CyclicRunner::new(
+        let mut trace = Trace::default();
+        let chaining = CycleChaining::WorkConserving;
+        let run = match max_step_up {
+            None => Engine::new(sys, NumericManager::new(sys, &policy), overhead::numeric())
+                .run_cycles(frames, period, chaining, &mut exec, &mut trace),
+            Some((step, hyst)) => Engine::new(
                 sys,
                 SmoothedManager::new(NumericManager::new(sys, &policy), step, hyst),
                 overhead::numeric(),
-                period,
             )
-            .run(frames, &mut exec),
-        }
+            .run_cycles(frames, period, chaining, &mut exec, &mut trace),
+        };
+        (trace, run)
     };
 
     println!("== smoothness ablation ({frames} frames, bursty content) ==\n");
@@ -58,7 +56,7 @@ fn main() {
         ("step≤2, hyst 2", Some((2, 2))),
     ];
     for (label, cfg) in configs {
-        let trace = run(cfg);
+        let (trace, run) = run(cfg);
         let levels: Vec<usize> = trace
             .cycles
             .iter()
@@ -67,13 +65,13 @@ fn main() {
         let s = Smoothness::of(&levels);
         rows.push(vec![
             label.to_string(),
-            format!("{}", trace.total_misses()),
-            format!("{:.3}", trace.avg_quality()),
+            format!("{}", run.misses),
+            format!("{:.3}", run.avg_quality()),
             format!("{}", s.switches),
             format!("{}", s.total_variation),
             format!("{}", s.max_jump),
         ]);
-        assert_eq!(trace.total_misses(), 0, "smoothing must preserve safety");
+        assert_eq!(run.misses, 0, "smoothing must preserve safety");
     }
     print!("{}", report::table(&rows));
     println!("\nshape check: variation and max jump fall as smoothing tightens, at a small");

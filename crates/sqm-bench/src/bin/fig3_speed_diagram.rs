@@ -7,11 +7,13 @@
 //! ```
 
 use sqm_bench::report;
-use sqm_core::controller::{CyclicRunner, OverheadModel};
+use sqm_core::controller::OverheadModel;
+use sqm_core::engine::Engine;
 use sqm_core::manager::NumericManager;
 use sqm_core::policy::MixedPolicy;
 use sqm_core::speed::{ascii_plot, SpeedDiagram};
 use sqm_core::time::Time;
+use sqm_core::trace::Trace;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 
 fn main() {
@@ -22,13 +24,13 @@ fn main() {
 
     // Execute one frame and plot its trajectory.
     let mut exec = encoder.exec(0.12, 7);
-    let mut runner = CyclicRunner::new(
-        sys,
-        NumericManager::new(sys, &policy),
-        OverheadModel::ZERO,
-        encoder.config().frame_period,
+    let mut trace = Trace::default();
+    Engine::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO).run_cycle(
+        0,
+        Time::ZERO,
+        &mut exec,
+        &mut trace,
     );
-    let trace = runner.run(1, &mut exec);
     let trajectory = diagram.trajectory(&trace.cycles[0]);
 
     println!(

@@ -1,5 +1,5 @@
 //! CI fuzz smoke: a fixed-seed sweep of the differential fuzzing
-//! campaign (~200 system×scenario×path cases at the default budget).
+//! campaign (427 system×scenario×path cases at the default budget).
 //!
 //! On any oracle violation the minimized, self-contained repro —
 //! replay seed, system spec and scenario literal — is printed to

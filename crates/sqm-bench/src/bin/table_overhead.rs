@@ -35,9 +35,9 @@ fn main() {
             } else {
                 format!("{paper_pct}")
             },
-            format!("{}", r.trace.total_qm_calls()),
+            format!("{}", r.trace.run_summary().qm_calls),
             format!("{:.2}", r.avg_quality()),
-            format!("{}", r.trace.total_misses()),
+            format!("{}", r.trace.run_summary().misses),
         ]);
     }
     print!("{}", report::table(&rows));

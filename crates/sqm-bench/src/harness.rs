@@ -281,20 +281,20 @@ pub struct ExperimentResult {
 impl ExperimentResult {
     /// Execution-time overhead ratio (the 5.7 % / 1.9 % / 1.1 % metric).
     pub fn overhead_percent(&self) -> f64 {
-        self.trace.overhead_ratio() * 100.0
+        self.trace.run_summary().overhead_ratio() * 100.0
     }
 
     /// Mean quality level across all actions.
     pub fn avg_quality(&self) -> f64 {
-        self.trace.avg_quality()
+        self.trace.run_summary().avg_quality()
     }
 
     /// Per-cycle average quality (Fig. 7 series).
     pub fn quality_per_frame(&self) -> Vec<f64> {
         self.trace
-            .cycle_stats()
+            .cycles
             .iter()
-            .map(|s| s.avg_quality)
+            .map(|c| c.summary().avg_quality())
             .collect()
     }
 }
@@ -334,21 +334,38 @@ mod tests {
         for kind in ManagerKind::ALL {
             let trace = exp.run(kind, 4, 0.1, 11, None);
             assert_eq!(trace.cycles.len(), 4);
-            assert_eq!(trace.total_misses(), 0, "{kind:?}");
+            assert_eq!(trace.run_summary().misses, 0, "{kind:?}");
+        }
+    }
+
+    /// Collects the engine's per-cycle summaries.
+    #[derive(Default)]
+    struct PerCycle(Vec<sqm_core::engine::CycleSummary>);
+
+    impl TraceSink for PerCycle {
+        fn end_cycle(&mut self, summary: &sqm_core::engine::CycleSummary) {
+            self.0.push(*summary);
         }
     }
 
     #[test]
     fn summary_path_matches_trace_path() {
-        let exp = tiny();
-        for kind in ManagerKind::ALL {
-            let trace = exp.run(kind, 3, 0.1, 11, None);
-            let summary = exp.run_summary(kind, 3, 0.1, 11, None);
-            assert_eq!(summary.actions, trace.total_actions(), "{kind:?}");
-            assert_eq!(summary.qm_calls, trace.total_qm_calls());
-            assert_eq!(summary.misses, trace.total_misses());
-            assert!((summary.avg_quality() - trace.avg_quality()).abs() < 1e-12);
-            assert!((summary.overhead_ratio() - trace.overhead_ratio()).abs() < 1e-12);
+        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+            let exp = tiny().with_chaining(chaining);
+            for kind in ManagerKind::ALL {
+                assert_ne!(kind.overhead_model(), OverheadModel::ZERO);
+                let mut trace = Trace::default();
+                let mut per_cycle = PerCycle::default();
+                let sink = &mut sqm_core::engine::Tee(&mut trace, &mut per_cycle);
+                let recorded = exp.run_into(kind, 3, 0.1, 11, None, sink);
+                for (summary, cycle) in per_cycle.0.iter().zip(&trace.cycles) {
+                    assert_eq!(*summary, cycle.summary(), "{kind:?} {chaining:?}");
+                }
+                assert_eq!(per_cycle.0.len(), 3);
+                assert_eq!(recorded, trace.run_summary(), "{kind:?} {chaining:?}");
+                let summary = exp.run_summary(kind, 3, 0.1, 11, None);
+                assert_eq!(summary, recorded, "{kind:?} {chaining:?}");
+            }
         }
     }
 
@@ -361,8 +378,9 @@ mod tests {
         let exp = tiny();
         let regions = exp.run(ManagerKind::Regions, 4, 0.1, 11, None);
         let relaxed = exp.run(ManagerKind::Relaxation, 4, 0.1, 11, None);
-        assert!(relaxed.total_qm_calls() < regions.total_qm_calls());
-        assert_eq!(regions.total_qm_calls(), regions.total_actions());
+        let (regions, relaxed) = (regions.run_summary(), relaxed.run_summary());
+        assert!(relaxed.qm_calls < regions.qm_calls);
+        assert_eq!(regions.qm_calls, regions.actions);
     }
 
     #[test]
@@ -392,7 +410,7 @@ mod tests {
         assert!(q[1] >= q[0], "regions {} ≥ numeric {}", q[1], q[0]);
         assert!(q[2] >= q[0], "relaxation {} ≥ numeric {}", q[2], q[0]);
         for r in &results {
-            assert_eq!(r.trace.total_misses(), 0);
+            assert_eq!(r.trace.run_summary().misses, 0);
         }
     }
 }

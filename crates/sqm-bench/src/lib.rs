@@ -47,10 +47,15 @@
 //!   emits `BENCH_control.json`, the trajectory's graceful-degradation
 //!   point).
 //! * [`report`] — ASCII tables/plots for the figure binaries.
+//! * [`architecture`] — the workspace's `ARCHITECTURE.md`, compiled in
+//!   here because this crate depends on every crate it names: its type
+//!   names are intra-doc links, so `cargo doc` with `-D warnings` fails
+//!   when one of them is renamed or deleted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod architecture;
 pub mod control;
 pub mod elastic;
 pub mod fuzz;

@@ -222,19 +222,25 @@ mod tests {
 
     #[test]
     fn envelope_matches_actual_average_run() {
-        use crate::controller::{ConstantExec, CycleRunner, OverheadModel};
+        use crate::controller::{ConstantExec, OverheadModel};
+        use crate::engine::Engine;
         use crate::manager::NumericManager;
         let s = sys(1_500);
         let p = MixedPolicy::new(&s);
-        let trace = CycleRunner::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO)
-            .run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
+        let mut trace = crate::trace::Trace::default();
+        Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO).run_cycle(
+            0,
+            Time::ZERO,
+            &mut ConstantExec::average(s.table()),
+            &mut trace,
+        );
         let predicted: Vec<usize> = quality_envelope(&s)
             .iter()
             .map(|(_, q)| q.index())
             .collect();
         assert_eq!(
             predicted,
-            trace.quality_sequence(),
+            trace.cycles[0].quality_sequence(),
             "prediction = execution"
         );
     }

@@ -1,6 +1,7 @@
-//! The controlled system `PS ‖ Γ`.
+//! The controlled system's inputs: execution-time sources and the overhead
+//! model.
 //!
-//! The controller composes the application software with a Quality Manager
+//! The controlled system `PS ‖ Γ` composes the application software with a Quality Manager
 //! (the paper's Figure 2): before each action it invokes the manager (unless
 //! a relaxation hold is active), **charges the manager's own execution time
 //! to the clock**, runs the action with the chosen quality, and checks
@@ -8,24 +9,20 @@
 //! paper's Fig. 7: a cheaper manager leaves more budget for the application,
 //! which the policy then converts into higher quality levels.
 //!
-//! The loop itself lives in [`crate::engine`]; this module keeps the
-//! execution-time sources, the overhead model, and the trace-building
-//! runner API: [`CycleRunner`] executes a single cycle, [`CyclicRunner`]
-//! iterates cycles (video frames), carrying earliness/lateness across
-//! cycle boundaries the way a streaming encoder does. Both are thin shells
-//! over [`crate::engine::Engine`] — use the engine directly for
-//! allocation-free or custom-sink runs, and
-//! [`crate::stream::StreamingRunner`] when cycles arrive from an event
-//! source ([`crate::source`]) rather than the closed loop.
+//! That loop is [`crate::engine::Engine`]: `run_cycle` for one cycle,
+//! `run_cycles` for consecutive cycles (video frames) chained onto one
+//! clock, with records streaming into a [`crate::engine::TraceSink`] such
+//! as a [`crate::trace::Trace`]. [`crate::stream::StreamingRunner`] drives
+//! the same loop when cycles arrive from an event source
+//! ([`crate::source`]) rather than the closed loop. This module holds the
+//! loop's two inputs besides the manager: where actual execution times
+//! come from ([`ExecutionTimeSource`]) and what a decision costs
+//! ([`OverheadModel`]).
 
 use crate::action::ActionId;
-use crate::engine::{CycleChaining, Engine, TraceSink};
-use crate::manager::QualityManager;
 use crate::quality::Quality;
-use crate::system::ParameterizedSystem;
 use crate::time::Time;
 use crate::timing::TimeTable;
-use crate::trace::{ActionRecord, CycleTrace, Trace};
 
 /// Source of *actual* execution times `C(a, q) ≤ Cwc(a, q)` — the unknown
 /// the paper's whole construction defends against. Implementations live in
@@ -120,295 +117,9 @@ impl OverheadModel {
     }
 }
 
-/// Runs single cycles of `PS ‖ Γ`, materializing a [`CycleTrace`] per
-/// cycle. A convenience shell over [`Engine`].
-pub struct CycleRunner<'a, M: QualityManager> {
-    engine: Engine<'a, M>,
-}
-
-impl<'a, M: QualityManager> CycleRunner<'a, M> {
-    /// A runner composing `sys` with `manager` under an overhead model.
-    pub fn new(sys: &'a ParameterizedSystem, manager: M, overhead: OverheadModel) -> Self {
-        CycleRunner {
-            engine: Engine::new(sys, manager, overhead),
-        }
-    }
-
-    /// Access the wrapped manager.
-    pub fn manager(&mut self) -> &mut M {
-        self.engine.manager()
-    }
-
-    /// Execute one cycle starting at cycle-relative time `start` (negative
-    /// when the previous cycle finished early), drawing actual times from
-    /// `exec`.
-    pub fn run_cycle<E: ExecutionTimeSource>(
-        &mut self,
-        cycle: usize,
-        start: Time,
-        exec: &mut E,
-    ) -> CycleTrace {
-        let mut collector = CycleCollector {
-            trace: CycleTrace {
-                cycle,
-                start,
-                records: Vec::with_capacity(self.engine.system().n_actions()),
-            },
-        };
-        self.engine.run_cycle(cycle, start, exec, &mut collector);
-        collector.trace
-    }
-}
-
-/// Sink building a single [`CycleTrace`].
-struct CycleCollector {
-    trace: CycleTrace,
-}
-
-impl TraceSink for CycleCollector {
-    fn record(&mut self, record: &ActionRecord) {
-        self.trace.records.push(*record);
-    }
-}
-
-/// Runs many consecutive cycles (frames), carrying time across cycle
-/// boundaries. A convenience shell over [`Engine::run_cycles`].
-pub struct CyclicRunner<'a, M: QualityManager> {
-    engine: Engine<'a, M>,
-    period: Time,
-    chaining: CycleChaining,
-}
-
-impl<'a, M: QualityManager> CyclicRunner<'a, M> {
-    /// A cyclic runner with the given per-cycle period (= per-cycle
-    /// deadline spacing).
-    pub fn new(
-        sys: &'a ParameterizedSystem,
-        manager: M,
-        overhead: OverheadModel,
-        period: Time,
-    ) -> Self {
-        CyclicRunner {
-            engine: Engine::new(sys, manager, overhead),
-            period,
-            chaining: CycleChaining::WorkConserving,
-        }
-    }
-
-    /// Clamp cycle starts at their period boundary (live-capture mode).
-    pub fn with_arrival_clamping(mut self) -> Self {
-        self.chaining = CycleChaining::ArrivalClamped;
-        self
-    }
-
-    /// Run `cycles` consecutive cycles.
-    pub fn run<E: ExecutionTimeSource>(&mut self, cycles: usize, exec: &mut E) -> Trace {
-        let mut trace = Trace::default();
-        self.engine
-            .run_cycles(cycles, self.period, self.chaining, exec, &mut trace);
-        trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::NumericManager;
-    use crate::policy::{MixedPolicy, Policy};
-    use crate::system::SystemBuilder;
-
-    fn sys() -> ParameterizedSystem {
-        SystemBuilder::new(3)
-            .action("a", &[10, 25, 40], &[4, 9, 14])
-            .action("b", &[12, 22, 35], &[6, 11, 17])
-            .action("c", &[8, 18, 28], &[3, 8, 12])
-            .action("d", &[15, 24, 33], &[7, 12, 16])
-            .deadline_last(Time::from_ns(130))
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn average_run_meets_deadline_at_high_quality() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let m = NumericManager::new(&s, &p);
-        let mut runner = CycleRunner::new(&s, m, OverheadModel::ZERO);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
-        assert_eq!(trace.records.len(), 4);
-        assert_eq!(trace.stats().misses, 0);
-        // With averages well below the deadline the manager should reach
-        // above-minimum quality.
-        assert!(trace.stats().avg_quality > 0.0);
-    }
-
-    #[test]
-    fn worst_case_run_is_safe() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let m = NumericManager::new(&s, &p);
-        let mut runner = CycleRunner::new(&s, m, OverheadModel::ZERO);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(s.table()));
-        assert_eq!(
-            trace.stats().misses,
-            0,
-            "mixed policy must absorb worst case"
-        );
-    }
-
-    #[test]
-    fn overhead_is_charged_to_the_clock() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let free = CycleRunner::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO)
-            .run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
-        let costly = CycleRunner::new(
-            &s,
-            NumericManager::new(&s, &p),
-            OverheadModel::new(Time::from_ns(3), Time::from_ns(1)),
-        )
-        .run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
-        let free_end = free.records.last().unwrap().end;
-        let costly_end = costly.records.last().unwrap().end;
-        assert!(costly_end > free_end);
-        assert!(costly.stats().qm_overhead > Time::ZERO);
-        assert!(costly.stats().overhead_ratio > 0.0);
-    }
-
-    #[test]
-    fn decision_quality_satisfies_policy_at_decision_time() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let m = NumericManager::new(&s, &p);
-        let mut runner = CycleRunner::new(&s, m, OverheadModel::ZERO);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(s.table()));
-        let mut t = Time::ZERO;
-        for r in &trace.records {
-            assert!(
-                p.t_d(r.action, r.quality) >= t,
-                "chosen quality feasible at decision time"
-            );
-            t = r.end;
-        }
-    }
-
-    #[test]
-    fn fn_exec_and_misses() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let m = NumericManager::new(&s, &p);
-        let mut runner = CycleRunner::new(&s, m, OverheadModel::ZERO);
-        // Violate the worst-case contract: actual times above Cwc. The
-        // controller must *detect* the resulting miss.
-        let mut exec = FnExec(|_c, _a, _q| Time::from_ns(100));
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert!(
-            trace.stats().misses > 0,
-            "contract violation must surface as a miss"
-        );
-    }
-
-    #[test]
-    fn cyclic_runner_carries_earliness() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let m = NumericManager::new(&s, &p);
-        let mut runner = CyclicRunner::new(&s, m, OverheadModel::ZERO, Time::from_ns(130));
-        let trace = runner.run(3, &mut ConstantExec::average(s.table()));
-        assert_eq!(trace.cycles.len(), 3);
-        // Average times are far below the period, so later cycles start
-        // earlier and earlier (negative start).
-        assert!(trace.cycles[1].start < Time::ZERO);
-        assert!(trace.cycles[2].start <= trace.cycles[1].start);
-        assert_eq!(trace.total_misses(), 0);
-    }
-
-    #[test]
-    fn arrival_clamping_pins_start_at_zero() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let m = NumericManager::new(&s, &p);
-        let mut runner = CyclicRunner::new(&s, m, OverheadModel::ZERO, Time::from_ns(130))
-            .with_arrival_clamping();
-        let trace = runner.run(3, &mut ConstantExec::average(s.table()));
-        for c in &trace.cycles {
-            assert_eq!(c.start, Time::ZERO);
-        }
-    }
-
-    /// A manager that always demands an oversized hold: the runner must
-    /// clamp it to the remaining actions and still terminate.
-    struct GreedyHold;
-    impl crate::manager::QualityManager for GreedyHold {
-        fn decide(&mut self, _state: usize, _t: Time) -> crate::manager::Decision {
-            crate::manager::Decision {
-                quality: crate::quality::Quality::MIN,
-                hold: usize::MAX,
-                work: 1,
-                infeasible: false,
-            }
-        }
-        fn name(&self) -> &'static str {
-            "greedy-hold"
-        }
-    }
-
-    #[test]
-    fn oversized_holds_are_clamped() {
-        let s = sys();
-        let mut runner = CycleRunner::new(&s, GreedyHold, OverheadModel::ZERO);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
-        assert_eq!(trace.records.len(), 4);
-        assert_eq!(trace.records.iter().filter(|r| r.decided).count(), 1);
-        assert!(trace.records[1..].iter().all(|r| !r.decided));
-    }
-
-    /// A manager returning a zero hold must still make progress (treated
-    /// as hold = 1).
-    struct ZeroHold;
-    impl crate::manager::QualityManager for ZeroHold {
-        fn decide(&mut self, _state: usize, _t: Time) -> crate::manager::Decision {
-            crate::manager::Decision {
-                quality: crate::quality::Quality::MIN,
-                hold: 0,
-                work: 1,
-                infeasible: false,
-            }
-        }
-        fn name(&self) -> &'static str {
-            "zero-hold"
-        }
-    }
-
-    #[test]
-    fn zero_hold_still_progresses() {
-        let s = sys();
-        let mut runner = CycleRunner::new(&s, ZeroHold, OverheadModel::ZERO);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
-        assert_eq!(trace.records.len(), 4);
-        assert!(trace.records.iter().all(|r| r.decided));
-    }
-
-    #[test]
-    fn intermediate_deadline_miss_is_attributed_to_the_right_action() {
-        let s = SystemBuilder::new(1)
-            .action("a", &[100], &[50])
-            .action("b", &[100], &[50])
-            .deadline(0, Time::from_ns(100))
-            .deadline_last(Time::from_ns(400))
-            .build()
-            .unwrap();
-        let p = MixedPolicy::new(&s);
-        let mut runner = CycleRunner::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO);
-        // Violate the contract on the first action only.
-        let mut exec = FnExec(|_c, a: usize, _q| Time::from_ns(if a == 0 { 150 } else { 10 }));
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert!(trace.records[0].missed_deadline);
-        assert!(
-            !trace.records[1].missed_deadline,
-            "the final deadline still held"
-        );
-    }
 
     #[test]
     fn overhead_model_cost() {

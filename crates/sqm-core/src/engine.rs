@@ -1,12 +1,13 @@
 //! The monomorphized execution engine — the one decide → charge-overhead →
 //! execute → check-deadline loop every runner in the workspace shares.
 //!
-//! Before this module existed, that loop was duplicated across the
-//! single-cycle runner, the cyclic runner, the multi-task examples, and the
-//! bench harness. It is the system's hot path: the paper's whole argument
-//! (Fig. 7/8) is that cheap quality management leaves more budget for the
-//! application, so the loop itself must not spend time on bookkeeping. The
-//! engine therefore is:
+//! Every closed-loop caller — one cycle ([`Engine::run_cycle`]) or many
+//! chained onto one clock ([`Engine::run_cycles`]) — calls it directly with
+//! the sink it needs, and the streaming, elastic and multi-task layers
+//! drive the same loop. It is the system's hot path: the paper's whole
+//! argument (Fig. 7/8) is that cheap quality management leaves more budget
+//! for the application, so the loop itself must not spend time on
+//! bookkeeping. The engine therefore is:
 //!
 //! * **statically dispatched** — generic over `M:`[`QualityManager`] and
 //!   `X:`[`ExecutionTimeSource`]; every manager/source pairing
@@ -18,10 +19,10 @@
 //!   ([`RecordBuffer`]) whose capacity is reused across cycles. Recording
 //!   can be compiled out entirely with [`NullSink`].
 //!
-//! The legacy [`crate::controller::CycleRunner`] /
-//! [`crate::controller::CyclicRunner`] API, the multi-task runner
-//! ([`crate::multi::MultiTaskRunner`]) and the `sqm-bench` harness are all
-//! thin shells over this module.
+//! A caller who wants the records materializes them with a
+//! [`Trace`] sink (or a [`RecordBuffer`]); [`CycleTrace::summary`] and
+//! [`Trace::run_summary`] fold them back into exactly the aggregates the
+//! engine returned.
 
 use crate::controller::{ExecutionTimeSource, OverheadModel};
 use crate::manager::QualityManager;
@@ -141,8 +142,8 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
     }
 }
 
-/// In-place aggregates of one cycle — everything
-/// [`crate::trace::CycleStats`] reports, computed without storing records.
+/// In-place aggregates of one cycle, computed without storing records.
+/// [`CycleTrace::summary`] folds a recorded cycle into the same struct.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CycleSummary {
     /// Cycle index.
@@ -254,12 +255,12 @@ pub struct RunSummary {
     /// Under work-conserving earliness a *later* cycle can finish at an
     /// *earlier* relative time (even a negative one — and with prefetch
     /// ahead of late first arrivals, *every* end can be negative), so
-    /// every reduction path — [`RunSummary::absorb`],
-    /// [`RunSummary::merge`], [`crate::trace::Trace::run_summary`] —
-    /// seeds from the first non-empty contribution and takes the `max`
-    /// from there, never the final cycle's value and never the empty
-    /// default. One semantics for serial, trace-replay and fleet-merge
-    /// alike.
+    /// every reduction path — [`RunSummary::absorb`] (which
+    /// [`crate::trace::Trace::run_summary`] folds through) and
+    /// [`RunSummary::merge`] — seeds from the first non-empty contribution
+    /// and takes the `max` from there, never the final cycle's value and
+    /// never the empty default. One semantics for serial, trace-replay and
+    /// fleet-merge alike.
     pub last_end: Time,
 }
 
@@ -506,7 +507,7 @@ impl<'a, M: QualityManager> Engine<'a, M> {
             summary.end = t;
         }
         if summary.actions == 0 {
-            // Match `CycleStats` on empty cycles.
+            // Match `CycleTrace::summary` on empty cycles.
             summary.min_quality = Quality::MIN;
         }
         sink.end_cycle(&summary);
@@ -545,9 +546,11 @@ impl<'a, M: QualityManager> Engine<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{ConstantExec, CycleRunner, CyclicRunner};
-    use crate::manager::NumericManager;
-    use crate::policy::MixedPolicy;
+    use crate::compiler::{compile_regions, compile_relaxation};
+    use crate::controller::{ConstantExec, FnExec};
+    use crate::manager::{Decision, LookupManager, NumericManager, RelaxedManager};
+    use crate::policy::{MixedPolicy, Policy};
+    use crate::relaxation::StepSet;
     use crate::system::SystemBuilder;
 
     fn sys() -> ParameterizedSystem {
@@ -561,76 +564,270 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn summary_matches_trace_stats() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let overhead = OverheadModel::new(Time::from_ns(2), Time::from_ns(1));
-        let mut engine = Engine::new(&s, NumericManager::new(&s, &p), overhead);
+    /// One cycle from time 0, materialized.
+    fn one_cycle<M: QualityManager, X: ExecutionTimeSource>(
+        s: &ParameterizedSystem,
+        manager: M,
+        overhead: OverheadModel,
+        exec: &mut X,
+    ) -> CycleTrace {
         let mut trace = Trace::default();
-        let summary = engine.run_cycle(
-            0,
-            Time::ZERO,
-            &mut ConstantExec::average(s.table()),
-            &mut trace,
+        Engine::new(s, manager, overhead).run_cycle(0, Time::ZERO, exec, &mut trace);
+        trace.cycles.pop().unwrap()
+    }
+
+    /// Collects the engine's per-cycle summaries.
+    #[derive(Default)]
+    struct Summaries(Vec<CycleSummary>);
+
+    impl TraceSink for Summaries {
+        const WANTS_RECORDS: bool = false;
+
+        fn end_cycle(&mut self, summary: &CycleSummary) {
+            self.0.push(*summary);
+        }
+    }
+
+    /// The engine's hoisted, per-decision aggregates equal the per-record
+    /// fold of the trace it produced: every cycle's whole [`CycleSummary`]
+    /// and the whole [`RunSummary`].
+    fn assert_summaries_match<M: QualityManager>(
+        s: &ParameterizedSystem,
+        manager: M,
+        chaining: CycleChaining,
+    ) {
+        let overhead = OverheadModel::new(Time::from_ns(2), Time::from_ns(1));
+        let table = s.table();
+        // Average times with worst cases on every third action, plus one
+        // contract violation, so runs switch quality and miss.
+        let mut exec = FnExec(|c: usize, a: usize, q| match (c + a) % 3 {
+            _ if (c, a) == (2, 1) => table.wc(a, q) + Time::from_ns(60),
+            0 => table.wc(a, q),
+            _ => table.av(a, q),
+        });
+        let mut trace = Trace::default();
+        let mut summaries = Summaries::default();
+        let run = Engine::new(s, manager, overhead).run_cycles(
+            6,
+            Time::from_ns(130),
+            chaining,
+            &mut exec,
+            &mut Tee(&mut trace, &mut summaries),
         );
-        let stats = trace.cycles[0].stats();
-        assert_eq!(summary.actions, trace.cycles[0].records.len());
-        assert_eq!(summary.qm_calls, stats.qm_calls);
-        assert_eq!(summary.qm_overhead, stats.qm_overhead);
-        assert_eq!(summary.busy, stats.busy);
-        assert_eq!(summary.switches, stats.switches);
-        assert_eq!(summary.misses, stats.misses);
-        assert_eq!(summary.end, stats.end);
-        assert!((summary.avg_quality() - stats.avg_quality).abs() < 1e-12);
-        assert!((summary.overhead_ratio() - stats.overhead_ratio).abs() < 1e-12);
+        assert_eq!(summaries.0.len(), trace.cycles.len());
+        for (summary, cycle) in summaries.0.iter().zip(&trace.cycles) {
+            assert_eq!(*summary, cycle.summary(), "{chaining:?}");
+        }
+        assert_eq!(run, trace.run_summary(), "{chaining:?}");
+        assert!(run.qm_overhead > Time::ZERO);
     }
 
     #[test]
-    fn engine_agrees_with_legacy_runners() {
+    fn summaries_match_the_trace_fold() {
         let s = sys();
         let p = MixedPolicy::new(&s);
-        let overhead = OverheadModel::new(Time::from_ns(3), Time::from_ns(1));
+        let regions = compile_regions(&s);
+        let relaxation = compile_relaxation(&s, &regions, StepSet::new(vec![1, 2, 3]).unwrap());
+        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+            assert_summaries_match(&s, NumericManager::new(&s, &p), chaining);
+            assert_summaries_match(&s, LookupManager::new(&regions), chaining);
+            assert_summaries_match(&s, RelaxedManager::new(&regions, &relaxation), chaining);
+        }
+    }
 
-        // Single cycle vs CycleRunner.
-        let legacy = CycleRunner::new(&s, NumericManager::new(&s, &p), overhead).run_cycle(
-            0,
-            Time::ZERO,
+    #[test]
+    fn average_run_meets_deadline_at_high_quality() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        let c = one_cycle(
+            &s,
+            NumericManager::new(&s, &p),
+            OverheadModel::ZERO,
+            &mut ConstantExec::average(s.table()),
+        );
+        assert_eq!(c.records.len(), 4);
+        assert_eq!(c.summary().misses, 0);
+        // With averages well below the deadline the manager should reach
+        // above-minimum quality.
+        assert!(c.summary().avg_quality() > 0.0);
+    }
+
+    #[test]
+    fn worst_case_run_is_safe_and_decisions_feasible() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        let c = one_cycle(
+            &s,
+            NumericManager::new(&s, &p),
+            OverheadModel::ZERO,
             &mut ConstantExec::worst_case(s.table()),
         );
-        let mut engine = Engine::new(&s, NumericManager::new(&s, &p), overhead);
-        let mut trace = Trace::default();
-        engine.run_cycle(
-            0,
-            Time::ZERO,
-            &mut ConstantExec::worst_case(s.table()),
-            &mut trace,
-        );
-        assert_eq!(legacy.records, trace.cycles[0].records);
+        assert_eq!(c.summary().misses, 0, "mixed policy must absorb worst case");
+        let mut t = Time::ZERO;
+        for r in &c.records {
+            assert!(
+                p.t_d(r.action, r.quality) >= t,
+                "chosen quality feasible at decision time"
+            );
+            t = r.end;
+        }
+    }
 
-        // Multi-cycle vs CyclicRunner.
-        let period = Time::from_ns(130);
-        let legacy = CyclicRunner::new(&s, NumericManager::new(&s, &p), overhead, period)
-            .run(3, &mut ConstantExec::average(s.table()));
-        let mut engine = Engine::new(&s, NumericManager::new(&s, &p), overhead);
+    #[test]
+    fn overhead_is_charged_to_the_clock() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        let run = |overhead| {
+            one_cycle(
+                &s,
+                NumericManager::new(&s, &p),
+                overhead,
+                &mut ConstantExec::average(s.table()),
+            )
+        };
+        let free = run(OverheadModel::ZERO);
+        let costly = run(OverheadModel::new(Time::from_ns(3), Time::from_ns(1)));
+        assert!(costly.summary().end > free.summary().end);
+        assert!(costly.summary().qm_overhead > Time::ZERO);
+        assert!(costly.summary().overhead_ratio() > 0.0);
+    }
+
+    #[test]
+    fn contract_violation_surfaces_as_a_miss() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        // Actual times above Cwc: the engine must *detect* the miss.
+        let c = one_cycle(
+            &s,
+            NumericManager::new(&s, &p),
+            OverheadModel::ZERO,
+            &mut FnExec(|_c, _a, _q| Time::from_ns(100)),
+        );
+        assert!(c.summary().misses > 0);
+    }
+
+    #[test]
+    fn intermediate_deadline_miss_is_attributed_to_the_right_action() {
+        let s = SystemBuilder::new(1)
+            .action("a", &[100], &[50])
+            .action("b", &[100], &[50])
+            .deadline(0, Time::from_ns(100))
+            .deadline_last(Time::from_ns(400))
+            .build()
+            .unwrap();
+        let p = MixedPolicy::new(&s);
+        // Violate the contract on the first action only.
+        let c = one_cycle(
+            &s,
+            NumericManager::new(&s, &p),
+            OverheadModel::ZERO,
+            &mut FnExec(|_c, a: usize, _q| Time::from_ns(if a == 0 { 150 } else { 10 })),
+        );
+        assert!(c.records[0].missed_deadline);
+        assert!(
+            !c.records[1].missed_deadline,
+            "the final deadline still held"
+        );
+    }
+
+    /// A manager demanding a fixed hold on every decision.
+    struct FixedHold(usize);
+
+    impl QualityManager for FixedHold {
+        fn decide(&mut self, _state: usize, _t: Time) -> Decision {
+            Decision {
+                quality: Quality::MIN,
+                hold: self.0,
+                work: 1,
+                infeasible: false,
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "fixed-hold"
+        }
+    }
+
+    #[test]
+    fn oversized_hold_is_clamped_and_zero_hold_progresses() {
+        let s = sys();
+        let mut exec = ConstantExec::average(s.table());
+        let c = one_cycle(&s, FixedHold(usize::MAX), OverheadModel::ZERO, &mut exec);
+        assert_eq!(c.records.len(), 4);
+        assert!(c.records[0].decided);
+        assert!(c.records[1..].iter().all(|r| !r.decided));
+        let c = one_cycle(&s, FixedHold(0), OverheadModel::ZERO, &mut exec);
+        assert_eq!(c.records.len(), 4);
+        assert!(c.records.iter().all(|r| r.decided));
+    }
+
+    /// Counts the engine's per-cycle resets.
+    struct CountingResets(usize);
+
+    impl QualityManager for CountingResets {
+        fn decide(&mut self, _state: usize, _t: Time) -> Decision {
+            FixedHold(1).decide(0, Time::ZERO)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting-resets"
+        }
+
+        fn reset(&mut self) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn borrowed_manager_is_reset_once_per_cycle() {
+        let s = sys();
+        let mut manager = CountingResets(0);
+        Engine::new(&s, &mut manager, OverheadModel::ZERO).run_cycles(
+            5,
+            Time::from_ns(130),
+            CycleChaining::WorkConserving,
+            &mut ConstantExec::average(s.table()),
+            &mut NullSink,
+        );
+        assert_eq!(manager.0, 5);
+    }
+
+    #[test]
+    fn work_conserving_chaining_carries_earliness() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
         let mut trace = Trace::default();
-        let run = engine.run_cycles(
+        let run = Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO).run_cycles(
             3,
-            period,
+            Time::from_ns(130),
             CycleChaining::WorkConserving,
             &mut ConstantExec::average(s.table()),
             &mut trace,
         );
-        assert_eq!(legacy.cycles.len(), trace.cycles.len());
-        for (a, b) in legacy.cycles.iter().zip(&trace.cycles) {
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.records, b.records);
+        assert_eq!(trace.cycles.len(), 3);
+        // Average times are far below the period, so later cycles start
+        // earlier and earlier (negative start).
+        assert!(trace.cycles[1].start < Time::ZERO);
+        assert!(trace.cycles[2].start <= trace.cycles[1].start);
+        assert_eq!(run.misses, 0);
+    }
+
+    #[test]
+    fn arrival_clamping_pins_start_at_zero() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        let mut trace = Trace::default();
+        Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO).run_cycles(
+            3,
+            Time::from_ns(130),
+            CycleChaining::ArrivalClamped,
+            &mut ConstantExec::average(s.table()),
+            &mut trace,
+        );
+        assert_eq!(trace.cycles.len(), 3);
+        for c in &trace.cycles {
+            assert_eq!(c.start, Time::ZERO);
         }
-        assert_eq!(run.actions, legacy.total_actions());
-        assert_eq!(run.misses, legacy.total_misses());
-        assert_eq!(run.qm_calls, legacy.total_qm_calls());
-        assert!((run.avg_quality() - legacy.avg_quality()).abs() < 1e-12);
-        assert!((run.overhead_ratio() - legacy.overhead_ratio()).abs() < 1e-12);
     }
 
     #[test]
@@ -673,33 +870,6 @@ mod tests {
         assert!(run.avg_quality() > 0.0);
     }
 
-    #[test]
-    fn arrival_clamping_matches_legacy() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let legacy = CyclicRunner::new(
-            &s,
-            NumericManager::new(&s, &p),
-            OverheadModel::ZERO,
-            Time::from_ns(130),
-        )
-        .with_arrival_clamping()
-        .run(3, &mut ConstantExec::average(s.table()));
-        let mut engine = Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO);
-        let mut trace = Trace::default();
-        engine.run_cycles(
-            3,
-            Time::from_ns(130),
-            CycleChaining::ArrivalClamped,
-            &mut ConstantExec::average(s.table()),
-            &mut trace,
-        );
-        for (a, b) in legacy.cycles.iter().zip(&trace.cycles) {
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.records, b.records);
-        }
-    }
-
     /// Regression: an early-finishing final cycle (its relative end is
     /// *earlier* than a previous cycle's — even negative, thanks to
     /// work-conserving earliness) must not drag `last_end` backwards.
@@ -721,7 +891,7 @@ mod tests {
             &mut ConstantExec::average(s.table()),
             &mut trace,
         );
-        let ends: Vec<Time> = trace.cycles.iter().map(|c| c.stats().end).collect();
+        let ends: Vec<Time> = trace.cycles.iter().map(|c| c.summary().end).collect();
         let max_end = ends.iter().copied().fold(Time::NEG_INF, Time::max);
         assert!(
             ends.last().copied().unwrap() < max_end,

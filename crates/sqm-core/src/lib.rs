@@ -34,14 +34,17 @@
 //!    resumes each probe from the previous decision — amortized O(1) host
 //!    work per decision — while `Decision::work` is charged analytically,
 //!    as the top-down reference scan `QualityRegionTable::choose` would.
-//! 6. **Engine** — [`engine`]: the *monomorphized, allocation-free* hot
-//!    loop (decide → charge overhead → execute → check deadline), generic
-//!    over manager and execution-time source, streaming records into
-//!    pluggable [`engine::TraceSink`]s (full [`trace`]s, caller-provided
-//!    buffers, or in-place [`engine::RunSummary`] aggregation).
-//! 7. **Controller** — [`controller`]: the execution-time sources and the
-//!    overhead model, plus the trace-building `CycleRunner` /
-//!    `CyclicRunner` shells over the engine.
+//! 6. **Engine** — [`engine`]: the one closed loop `PS ‖ Γ`, the
+//!    *monomorphized, allocation-free* hot loop (decide → charge overhead →
+//!    execute → check deadline), generic over manager and execution-time
+//!    source, streaming records into pluggable [`engine::TraceSink`]s (full
+//!    [`trace`]s, caller-provided buffers, or in-place
+//!    [`engine::RunSummary`] aggregation). Callers run one cycle with
+//!    [`engine::Engine::run_cycle`] or many with
+//!    [`engine::Engine::run_cycles`]; [`trace::CycleTrace::summary`] folds
+//!    a recorded cycle into the same [`engine::CycleSummary`].
+//! 7. **Controller** — [`controller`]: the loop's inputs besides the
+//!    manager — the execution-time sources and the overhead model.
 //! 8. **Streaming** — [`source`] + [`stream`]: the event-driven front-end.
 //!    An [`source::ArrivalSource`] yields cycle arrival timestamps
 //!    (periodic, jittered, bursty, recorded-trace replay, all
@@ -78,7 +81,8 @@
 //! elastic worker — is a thin shell over that one loop.
 //!
 //! Extensions from the paper's conclusion: [`multi`] (multiple statically
-//! interleaved tasks and their engine-backed `MultiTaskRunner`) and
+//! interleaved tasks, run on the engine, with the [`multi::TaskSplitter`]
+//! sink attributing results per task) and
 //! [`approx`] (linear-constraint approximation of region tables).
 //! Beyond the paper: [`recalib`] — the online-recalibration seam
 //! ([`recalib::TableCell`] + [`recalib::AdaptiveLookupManager`]) that lets
@@ -138,15 +142,13 @@ pub mod prelude {
         HalfSpace, PayoffCell, PayoffSpec, PayoffVector, Rung, SafeSet, DIM_DROPS, DIM_OVERHEAD,
         DIM_QUALITY, DIM_SLACK, PAYOFF_DIMS,
     };
-    pub use crate::controller::{
-        ConstantExec, CycleRunner, CyclicRunner, ExecutionTimeSource, FnExec, OverheadModel,
-    };
+    pub use crate::controller::{ConstantExec, ExecutionTimeSource, FnExec, OverheadModel};
     pub use crate::elastic::{
         Admission, CycleDriver, ElasticConfig, ElasticRunner, ElasticSummary, EngineDriver,
         EventHeap, ShedLedger,
     };
     pub use crate::engine::{
-        CycleChaining, CycleSummary, Engine, NullSink, RecordBuffer, RunSummary, TraceSink,
+        CycleChaining, CycleSummary, Engine, NullSink, RecordBuffer, RunSummary, Tee, TraceSink,
     };
     pub use crate::error::{BuildError, ParseError};
     pub use crate::manager::{
@@ -168,5 +170,5 @@ pub mod prelude {
     pub use crate::system::{ParameterizedSystem, SystemBuilder};
     pub use crate::time::Time;
     pub use crate::timing::{TimeTable, TimeTableBuilder};
-    pub use crate::trace::{ActionRecord, CycleStats, Trace};
+    pub use crate::trace::{ActionRecord, CycleTrace, Trace};
 }

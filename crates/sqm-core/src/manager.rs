@@ -79,6 +79,23 @@ pub trait QualityManager {
     fn reset(&mut self) {}
 }
 
+/// A borrowed manager is a manager: the engine can drive `&mut m` and the
+/// caller keeps `m` (and its state) afterwards. Forwards every method,
+/// `reset` included.
+impl<M: QualityManager + ?Sized> QualityManager for &mut M {
+    fn decide(&mut self, state: usize, t: Time) -> Decision {
+        (**self).decide(state, t)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn reset(&mut self) {
+        (**self).reset();
+    }
+}
+
 /// The paper's numeric Quality Manager: straight online evaluation of the
 /// mixed policy at every call.
 #[derive(Clone, Debug)]

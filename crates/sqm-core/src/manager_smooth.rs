@@ -97,11 +97,13 @@ impl<M: QualityManager> QualityManager for SmoothedManager<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{ConstantExec, CycleRunner, FnExec, OverheadModel};
+    use crate::controller::{ConstantExec, FnExec, OverheadModel};
+    use crate::engine::{CycleChaining, Engine, NullSink};
     use crate::manager::NumericManager;
     use crate::policy::MixedPolicy;
     use crate::smoothness::Smoothness;
     use crate::system::{ParameterizedSystem, SystemBuilder};
+    use crate::trace::Trace;
 
     fn sys() -> ParameterizedSystem {
         let mut b = SystemBuilder::new(5);
@@ -135,17 +137,21 @@ mod tests {
         let s = sys();
         let p = MixedPolicy::new(&s);
 
-        let plain = CycleRunner::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO)
-            .run_cycle(0, Time::ZERO, &mut bouncy_exec(&s));
-        let smooth = CycleRunner::new(
-            &s,
-            SmoothedManager::new(NumericManager::new(&s, &p), 1, 1),
-            OverheadModel::ZERO,
-        )
-        .run_cycle(0, Time::ZERO, &mut bouncy_exec(&s));
+        let run = |manager: &mut dyn QualityManager| {
+            let mut trace = Trace::default();
+            Engine::new(&s, manager, OverheadModel::ZERO).run_cycle(
+                0,
+                Time::ZERO,
+                &mut bouncy_exec(&s),
+                &mut trace,
+            );
+            trace.cycles.pop().unwrap()
+        };
+        let plain = run(&mut NumericManager::new(&s, &p));
+        let smooth = run(&mut SmoothedManager::new(NumericManager::new(&s, &p), 1, 1));
 
-        assert_eq!(plain.stats().misses, 0);
-        assert_eq!(smooth.stats().misses, 0, "smoothing must preserve safety");
+        assert_eq!(plain.summary().misses, 0);
+        assert_eq!(smooth.summary().misses, 0, "smoothing must preserve safety");
 
         let sv = Smoothness::of(&plain.quality_sequence());
         let sw = Smoothness::of(&smooth.quality_sequence());
@@ -232,16 +238,21 @@ mod tests {
     }
 
     #[test]
-    fn works_under_cyclic_runner() {
+    fn works_over_consecutive_cycles() {
         let s = sys();
         let p = MixedPolicy::new(&s);
-        let mut runner = crate::controller::CyclicRunner::new(
+        let run = Engine::new(
             &s,
             SmoothedManager::new(NumericManager::new(&s, &p), 1, 1),
             OverheadModel::ZERO,
+        )
+        .run_cycles(
+            4,
             s.final_deadline(),
+            CycleChaining::WorkConserving,
+            &mut ConstantExec::average(s.table()),
+            &mut NullSink,
         );
-        let trace = runner.run(4, &mut ConstantExec::average(s.table()));
-        assert_eq!(trace.total_misses(), 0);
+        assert_eq!(run.misses, 0);
     }
 }

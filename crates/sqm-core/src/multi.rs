@@ -14,16 +14,18 @@
 //! The merge is driven by an explicit slot `pattern` (e.g. `[0, 0, 1]`
 //! interleaves two actions of task 0 with one of task 1), walked cyclically
 //! until every task is exhausted; slots of exhausted tasks are skipped.
+//!
+//! The merged system runs on the plain [`crate::engine::Engine`]; a
+//! [`TaskSplitter`] sink attributes its records back to the source tasks,
+//! and [`Interleaved::project_trace`] projects a recorded cycle onto one
+//! task.
 
 use crate::action::{ActionId, DeadlineMap};
-use crate::controller::{ExecutionTimeSource, OverheadModel};
-use crate::engine::{CycleChaining, CycleSummary, Engine, RunSummary, TraceSink};
+use crate::engine::TraceSink;
 use crate::error::BuildError;
-use crate::manager::QualityManager;
 use crate::system::ParameterizedSystem;
-use crate::time::Time;
 use crate::timing::TimeTableBuilder;
-use crate::trace::{ActionRecord, Trace};
+use crate::trace::ActionRecord;
 
 /// Provenance of one merged action: which task it came from and its index
 /// within that task.
@@ -169,8 +171,8 @@ pub fn interleave(
     Ok(Interleaved { system, provenance })
 }
 
-/// Per-task aggregates of a multi-task run, collected inline by
-/// [`MultiTaskRunner`] without a second pass over the trace.
+/// Per-task aggregates of a multi-task run, collected inline by a
+/// [`TaskSplitter`] without a second pass over the trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TaskSummary {
     /// Actions of this task that executed.
@@ -198,41 +200,15 @@ impl TaskSummary {
     }
 }
 
-/// Sink splitting the merged record stream into per-task aggregates via
-/// the interleaving's provenance map.
-struct TaskSplitter<'a, S> {
-    provenance: &'a [Provenance],
-    per_task: &'a mut [TaskSummary],
-    inner: S,
-}
-
-impl<S: TraceSink> TraceSink for TaskSplitter<'_, S> {
-    fn begin_cycle(&mut self, cycle: usize, start: Time, expected_actions: usize) {
-        self.inner.begin_cycle(cycle, start, expected_actions);
-    }
-
-    fn record(&mut self, record: &ActionRecord) {
-        let task = self.provenance[record.action].task;
-        let t = &mut self.per_task[task];
-        t.actions += 1;
-        t.quality_sum += record.quality.index() as u64;
-        t.misses += usize::from(record.missed_deadline);
-        self.inner.record(record);
-    }
-
-    fn end_cycle(&mut self, summary: &CycleSummary) {
-        self.inner.end_cycle(summary);
-    }
-}
-
-/// Runs a statically interleaved multi-task system through the shared
-/// [`Engine`], attributing results back to the source tasks.
+/// Sink splitting an interleaved system's record stream into per-task
+/// aggregates via the interleaving's provenance map.
 ///
 /// One Quality Manager controls the merged sequence (the paper
-/// conclusion's "adaption to multiple tasks"); this runner adds what the
-/// plain runners cannot: per-task quality/miss accounting collected during
-/// execution, with the same zero-per-action-allocation guarantee as the
-/// engine itself.
+/// conclusion's "adaption to multiple tasks"), run by the plain
+/// [`crate::engine::Engine`]; this sink attributes the results back to the
+/// source tasks as records are produced, allocating nothing per action.
+/// To keep the merged trace as well, pair it with a
+/// [`crate::trace::Trace`] through [`crate::engine::Tee`].
 ///
 /// # Examples
 ///
@@ -241,8 +217,9 @@ impl<S: TraceSink> TraceSink for TaskSplitter<'_, S> {
 ///
 /// ```
 /// use sqm_core::controller::{ConstantExec, OverheadModel};
+/// use sqm_core::engine::{CycleChaining, Engine};
 /// use sqm_core::manager::NumericManager;
-/// use sqm_core::multi::{interleave, MultiTaskRunner};
+/// use sqm_core::multi::{interleave, TaskSplitter};
 /// use sqm_core::policy::MixedPolicy;
 /// use sqm_core::system::SystemBuilder;
 /// use sqm_core::time::Time;
@@ -261,110 +238,69 @@ impl<S: TraceSink> TraceSink for TaskSplitter<'_, S> {
 ///
 /// let merged = interleave(&[&video, &audio], &[]).unwrap();
 /// let policy = MixedPolicy::new(&merged.system);
-/// let mut runner = MultiTaskRunner::new(
-///     &merged,
-///     NumericManager::new(&merged.system, &policy),
-///     OverheadModel::ZERO,
-///     Time::from_ns(900),
-/// );
-///
-/// let run = runner.run_into(
+/// let manager = NumericManager::new(&merged.system, &policy);
+/// let mut splitter = TaskSplitter::new(&merged);
+/// let run = Engine::new(&merged.system, manager, OverheadModel::ZERO).run_cycles(
 ///     3,
+///     Time::from_ns(900),
+///     CycleChaining::WorkConserving,
 ///     &mut ConstantExec::average(merged.system.table()),
-///     &mut sqm_core::engine::NullSink,
+///     &mut splitter,
 /// );
 /// assert_eq!(run.cycles, 3);
 ///
-/// let tasks = runner.task_summaries();
+/// let tasks = splitter.task_summaries();
 /// assert_eq!(tasks[0].actions, 6, "2 video actions × 3 cycles");
 /// assert_eq!(tasks[1].actions, 3, "1 audio action × 3 cycles");
 /// assert_eq!(tasks[0].misses + tasks[1].misses, run.misses);
 /// ```
-pub struct MultiTaskRunner<'a, M: QualityManager> {
-    interleaved: &'a Interleaved,
-    engine: Engine<'a, M>,
-    period: Time,
-    chaining: CycleChaining,
+#[derive(Clone, Debug)]
+pub struct TaskSplitter<'a> {
+    provenance: &'a [Provenance],
     per_task: Vec<TaskSummary>,
 }
 
-impl<'a, M: QualityManager> MultiTaskRunner<'a, M> {
-    /// A runner for `interleaved` under `manager` and `overhead`, with
-    /// per-cycle period `period` (work-conserving chaining by default).
-    pub fn new(
-        interleaved: &'a Interleaved,
-        manager: M,
-        overhead: OverheadModel,
-        period: Time,
-    ) -> Self {
+impl<'a> TaskSplitter<'a> {
+    /// An empty attribution for every task of `interleaved`.
+    pub fn new(interleaved: &'a Interleaved) -> TaskSplitter<'a> {
         let n_tasks = interleaved
             .provenance
             .iter()
             .map(|p| p.task + 1)
             .max()
             .unwrap_or(0);
-        MultiTaskRunner {
-            interleaved,
-            engine: Engine::new(&interleaved.system, manager, overhead),
-            period,
-            chaining: CycleChaining::WorkConserving,
+        TaskSplitter {
+            provenance: &interleaved.provenance,
             per_task: vec![TaskSummary::default(); n_tasks],
         }
     }
 
-    /// Clamp cycle starts at their period boundary (live-capture mode),
-    /// mirroring `CyclicRunner::with_arrival_clamping`.
-    pub fn with_arrival_clamping(mut self) -> Self {
-        self.chaining = CycleChaining::ArrivalClamped;
-        self
-    }
-
-    /// Access the wrapped manager.
-    pub fn manager(&mut self) -> &mut M {
-        self.engine.manager()
-    }
-
-    /// Per-task aggregates of everything run so far.
+    /// Per-task aggregates of everything recorded so far, indexed by task.
     pub fn task_summaries(&self) -> &[TaskSummary] {
         &self.per_task
     }
+}
 
-    /// Run `cycles` merged cycles, streaming records into `sink` and
-    /// folding per-task aggregates as records are produced.
-    pub fn run_into<X: ExecutionTimeSource, S: TraceSink>(
-        &mut self,
-        cycles: usize,
-        exec: &mut X,
-        sink: &mut S,
-    ) -> RunSummary {
-        let mut splitter = TaskSplitter {
-            provenance: &self.interleaved.provenance,
-            per_task: &mut self.per_task,
-            inner: sink,
-        };
-        self.engine
-            .run_cycles(cycles, self.period, self.chaining, exec, &mut splitter)
-    }
-
-    /// Run `cycles` merged cycles, materializing the full merged trace
-    /// (project per task with [`Interleaved::project_trace`]).
-    pub fn run<X: ExecutionTimeSource>(&mut self, cycles: usize, exec: &mut X) -> Trace {
-        let mut trace = Trace::default();
-        self.run_into(cycles, exec, &mut trace);
-        trace
-    }
-
-    /// Number of source tasks.
-    pub fn n_tasks(&self) -> usize {
-        self.per_task.len()
+impl TraceSink for TaskSplitter<'_> {
+    fn record(&mut self, record: &ActionRecord) {
+        let task = self.provenance[record.action].task;
+        let t = &mut self.per_task[task];
+        t.actions += 1;
+        t.quality_sum += record.quality.index() as u64;
+        t.misses += usize::from(record.missed_deadline);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{ConstantExec, ExecutionTimeSource, OverheadModel};
+    use crate::engine::{CycleChaining, Engine, RunSummary, Tee};
+    use crate::manager::NumericManager;
+    use crate::policy::MixedPolicy;
     use crate::system::SystemBuilder;
     use crate::time::Time;
+    use crate::trace::Trace;
 
     fn task(n: usize, deadline_ns: i64) -> ParameterizedSystem {
         let mut b = SystemBuilder::new(2);
@@ -461,25 +397,42 @@ mod tests {
         assert!(matches!(err, BuildError::InfeasibleAtMinQuality { .. }));
     }
 
+    /// Run `cycles` merged cycles of `m` under the numeric manager,
+    /// recording the trace and the per-task attribution.
+    fn run_split(
+        m: &Interleaved,
+        cycles: usize,
+        exec: &mut impl ExecutionTimeSource,
+    ) -> (Trace, RunSummary, Vec<TaskSummary>) {
+        let p = MixedPolicy::new(&m.system);
+        let mut trace = Trace::default();
+        let mut splitter = TaskSplitter::new(m);
+        let run = Engine::new(
+            &m.system,
+            NumericManager::new(&m.system, &p),
+            OverheadModel::ZERO,
+        )
+        .run_cycles(
+            cycles,
+            Time::from_ns(160),
+            CycleChaining::WorkConserving,
+            exec,
+            &mut Tee(&mut trace, &mut splitter),
+        );
+        (trace, run, splitter.task_summaries().to_vec())
+    }
+
     #[test]
     fn projection_restores_task_local_indices_and_timeline() {
-        use crate::controller::{ConstantExec, CycleRunner, OverheadModel};
-        use crate::manager::NumericManager;
-        use crate::policy::MixedPolicy;
         use crate::speed::SpeedDiagram;
         let t0 = task(3, 200);
         let t1 = task(2, 220);
         let m = interleave(&[&t0, &t1], &[]).unwrap();
-        let p = MixedPolicy::new(&m.system);
-        let mut runner = CycleRunner::new(
-            &m.system,
-            NumericManager::new(&m.system, &p),
-            OverheadModel::ZERO,
-        );
-        let merged = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::average(m.system.table()));
+        let (trace, _, _) = run_split(&m, 1, &mut ConstantExec::average(m.system.table()));
+        let merged = &trace.cycles[0];
 
-        let proj0 = m.project_trace(&merged, 0);
-        let proj1 = m.project_trace(&merged, 1);
+        let proj0 = m.project_trace(merged, 0);
+        let proj1 = m.project_trace(merged, 1);
         assert_eq!(proj0.records.len(), 3);
         assert_eq!(proj1.records.len(), 2);
         // Task-local indices are restored.
@@ -502,29 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn multi_task_runner_attributes_per_task_results() {
-        use crate::controller::{ConstantExec, OverheadModel};
-        use crate::manager::NumericManager;
-        use crate::policy::MixedPolicy;
+    fn task_splitter_attributes_per_task_results() {
         let t0 = task(3, 150);
         let t1 = task(2, 160);
         let m = interleave(&[&t0, &t1], &[]).unwrap();
-        let p = MixedPolicy::new(&m.system);
-        let period = Time::from_ns(160);
-        let mut runner = MultiTaskRunner::new(
-            &m,
-            NumericManager::new(&m.system, &p),
-            OverheadModel::ZERO,
-            period,
-        );
-        assert_eq!(runner.n_tasks(), 2);
-        let trace = runner.run(3, &mut ConstantExec::average(m.system.table()));
+        let (trace, run, tasks) = run_split(&m, 3, &mut ConstantExec::average(m.system.table()));
         assert_eq!(trace.cycles.len(), 3);
-        let tasks = runner.task_summaries();
         assert_eq!(tasks.len(), 2);
         assert_eq!(tasks[0].actions, 9, "3 actions × 3 cycles");
         assert_eq!(tasks[1].actions, 6, "2 actions × 3 cycles");
-        assert_eq!(tasks[0].misses + tasks[1].misses, trace.total_misses());
+        assert_eq!(tasks[0].misses + tasks[1].misses, run.misses);
         // Per-task aggregates must equal a post-hoc projection.
         for (ti, sum) in tasks.iter().enumerate() {
             let projected: usize = trace
@@ -538,86 +478,16 @@ mod tests {
     }
 
     #[test]
-    fn multi_task_runner_arrival_clamping_pins_starts() {
-        use crate::controller::{ConstantExec, OverheadModel};
-        use crate::manager::NumericManager;
-        use crate::policy::MixedPolicy;
-        let t0 = task(3, 150);
-        let t1 = task(2, 160);
-        let m = interleave(&[&t0, &t1], &[]).unwrap();
-        let p = MixedPolicy::new(&m.system);
-        let mut runner = MultiTaskRunner::new(
-            &m,
-            NumericManager::new(&m.system, &p),
-            OverheadModel::ZERO,
-            Time::from_ns(160),
-        )
-        .with_arrival_clamping();
-        let trace = runner.run(3, &mut ConstantExec::average(m.system.table()));
-        for c in &trace.cycles {
-            assert_eq!(c.start, Time::ZERO, "live-capture cycles never start early");
-        }
-    }
-
-    #[test]
-    fn multi_task_runner_agrees_with_plain_cyclic_runner() {
-        use crate::controller::{ConstantExec, CyclicRunner, OverheadModel};
-        use crate::manager::NumericManager;
-        use crate::policy::MixedPolicy;
-        let t0 = task(3, 150);
-        let t1 = task(3, 160);
-        let m = interleave(&[&t0, &t1], &[]).unwrap();
-        let p = MixedPolicy::new(&m.system);
-        let period = Time::from_ns(160);
-        let legacy = CyclicRunner::new(
-            &m.system,
-            NumericManager::new(&m.system, &p),
-            OverheadModel::ZERO,
-            period,
-        )
-        .run(2, &mut ConstantExec::worst_case(m.system.table()));
-        let mut runner = MultiTaskRunner::new(
-            &m,
-            NumericManager::new(&m.system, &p),
-            OverheadModel::ZERO,
-            period,
-        );
-        let trace = runner.run(2, &mut ConstantExec::worst_case(m.system.table()));
-        for (a, b) in legacy.cycles.iter().zip(&trace.cycles) {
-            assert_eq!(a.records, b.records);
-        }
-    }
-
-    #[test]
     fn task_summary_merge_combines_independent_streams() {
-        use crate::controller::{ConstantExec, OverheadModel};
-        use crate::manager::NumericManager;
-        use crate::policy::MixedPolicy;
         // Two independent streams of the same interleaving (e.g. two
-        // streams of one elastic run): merging their per-task attributions must equal the sum
-        // of every field, and leave derived stats consistent.
+        // streams of one elastic run): merging their per-task attributions
+        // must equal the sum of every field, and leave derived stats
+        // consistent.
         let t0 = task(3, 150);
         let t1 = task(2, 160);
         let m = interleave(&[&t0, &t1], &[]).unwrap();
-        let p = MixedPolicy::new(&m.system);
-        let period = Time::from_ns(160);
-        let run = |cycles: usize, worst: bool| -> Vec<TaskSummary> {
-            let mut runner = MultiTaskRunner::new(
-                &m,
-                NumericManager::new(&m.system, &p),
-                OverheadModel::ZERO,
-                period,
-            );
-            let mut exec = if worst {
-                ConstantExec::worst_case(m.system.table())
-            } else {
-                ConstantExec::average(m.system.table())
-            };
-            runner.run(cycles, &mut exec);
-            runner.task_summaries().to_vec()
-        };
-        let a = run(2, false);
-        let b = run(3, true);
+        let (_, _, a) = run_split(&m, 2, &mut ConstantExec::average(m.system.table()));
+        let (_, _, b) = run_split(&m, 3, &mut ConstantExec::worst_case(m.system.table()));
         let mut merged = a.clone();
         for (m_t, b_t) in merged.iter_mut().zip(&b) {
             m_t.merge(b_t);
@@ -638,20 +508,10 @@ mod tests {
 
     #[test]
     fn merged_system_is_controllable() {
-        use crate::controller::{ConstantExec, CycleRunner, OverheadModel};
-        use crate::manager::NumericManager;
-        use crate::policy::MixedPolicy;
         let t0 = task(3, 150);
         let t1 = task(3, 160);
         let m = interleave(&[&t0, &t1], &[]).unwrap();
-        let p = MixedPolicy::new(&m.system);
-        let mgr = NumericManager::new(&m.system, &p);
-        let mut runner = CycleRunner::new(&m.system, mgr, OverheadModel::ZERO);
-        let trace = runner.run_cycle(
-            0,
-            Time::ZERO,
-            &mut ConstantExec::worst_case(m.system.table()),
-        );
-        assert_eq!(trace.stats().misses, 0);
+        let (_, run, _) = run_split(&m, 1, &mut ConstantExec::worst_case(m.system.table()));
+        assert_eq!(run.misses, 0);
     }
 }

@@ -208,7 +208,8 @@ pub fn ascii_plot(series: &[(&[(f64, f64)], char)], width: usize, height: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{ConstantExec, CycleRunner, OverheadModel};
+    use crate::controller::{ConstantExec, OverheadModel};
+    use crate::engine::Engine;
     use crate::manager::NumericManager;
     use crate::system::{ParameterizedSystem, SystemBuilder};
 
@@ -347,9 +348,14 @@ mod tests {
         let s = sys();
         let p = MixedPolicy::new(&s);
         let d = SpeedDiagram::for_final_deadline(&p);
-        let mut runner = CycleRunner::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO);
-        let cycle = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::average(s.table()));
-        let pts = d.trajectory(&cycle);
+        let mut trace = crate::trace::Trace::default();
+        Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO).run_cycle(
+            0,
+            Time::ZERO,
+            &mut ConstantExec::average(s.table()),
+            &mut trace,
+        );
+        let pts = d.trajectory(&trace.cycles[0]);
         assert_eq!(pts.len(), 5);
         assert_eq!(pts[0].1, 0.0);
         assert!((pts.last().unwrap().1 - 130.0).abs() < 1e-9);

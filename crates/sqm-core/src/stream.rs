@@ -653,7 +653,7 @@ mod tests {
         assert_eq!(trace.cycles[3].start, Time::ZERO);
         assert_eq!(
             out.stats.makespan,
-            Time::from_ns(1_000) + trace.cycles[3].stats().end
+            Time::from_ns(1_000) + trace.cycles[3].summary().end
         );
         // The clump made frames 1 and 2 wait.
         assert!(out.stats.total_wait > Time::ZERO);
@@ -717,7 +717,7 @@ mod tests {
             &mut ConstantExec::average(s.table()),
             &mut trace,
         );
-        let ends: Vec<Time> = trace.cycles.iter().map(|c| c.stats().end).collect();
+        let ends: Vec<Time> = trace.cycles.iter().map(|c| c.summary().end).collect();
         assert!(ends.iter().all(|e| *e < Time::ZERO), "scenario: {ends:?}");
         let max_end = ends.iter().copied().fold(Time::NEG_INF, Time::max);
         assert_eq!(out.run.last_end, max_end, "no zero floor");

@@ -446,7 +446,8 @@ impl ExecutionTimeSource for BatchCoupledExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_core::controller::{CycleRunner, OverheadModel};
+    use sqm_core::controller::OverheadModel;
+    use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
 
@@ -609,15 +610,14 @@ mod tests {
         let infer = InferPipeline::new(InferConfig::small(3)).unwrap();
         let sys = infer.system();
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
+        let mut engine = Engine::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let mut exec = infer.exec(0.15, 7);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert_eq!(trace.stats().misses, 0);
+        let summary = engine.run_cycle(0, Time::ZERO, &mut exec, &mut NullSink);
+        assert_eq!(summary.misses, 0);
         assert!(
-            trace.stats().avg_quality > 1.0,
+            summary.avg_quality() > 1.0,
             "SLO budget converted into quality, got {}",
-            trace.stats().avg_quality
+            summary.avg_quality()
         );
     }
 }

@@ -59,10 +59,12 @@ pub fn video_quality_series(enc: &MpegEncoder, trace: &Trace) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::encoder::EncoderConfig;
-    use sqm_core::controller::{ConstantExec, CycleRunner, OverheadModel};
+    use sqm_core::controller::{ConstantExec, OverheadModel};
+    use sqm_core::engine::Engine;
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
     use sqm_core::time::Time;
+    use sqm_core::trace::Trace;
 
     #[test]
     fn psnr_increases_with_quality() {
@@ -86,10 +88,14 @@ mod tests {
         let enc = MpegEncoder::new(EncoderConfig::tiny(5)).unwrap();
         let sys = enc.system();
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
-        let cycle = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::average(sys.table()));
-        let psnr = frame_psnr(&enc, &cycle);
+        let mut trace = Trace::default();
+        Engine::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO).run_cycle(
+            0,
+            Time::ZERO,
+            &mut ConstantExec::average(sys.table()),
+            &mut trace,
+        );
+        let psnr = frame_psnr(&enc, &trace.cycles[0]);
         assert!(psnr > 20.0, "plausible PSNR, got {psnr}");
     }
 

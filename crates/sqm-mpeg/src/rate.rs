@@ -82,19 +82,24 @@ pub fn summarize(bits: &[f64], frame_period_s: f64) -> RateSummary {
 mod tests {
     use super::*;
     use crate::encoder::EncoderConfig;
-    use sqm_core::controller::{ConstantExec, CycleRunner, OverheadModel};
+    use sqm_core::controller::{ConstantExec, OverheadModel};
+    use sqm_core::engine::Engine;
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
     use sqm_core::time::Time;
+    use sqm_core::trace::Trace;
 
     fn run_cycle(enc: &MpegEncoder) -> CycleTrace {
         let sys = enc.system();
         let p = MixedPolicy::new(sys);
-        CycleRunner::new(sys, NumericManager::new(sys, &p), OverheadModel::ZERO).run_cycle(
+        let mut trace = Trace::default();
+        Engine::new(sys, NumericManager::new(sys, &p), OverheadModel::ZERO).run_cycle(
             0,
             Time::ZERO,
             &mut ConstantExec::average(sys.table()),
-        )
+            &mut trace,
+        );
+        trace.cycles.pop().unwrap()
     }
 
     #[test]

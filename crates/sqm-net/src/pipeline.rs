@@ -394,7 +394,8 @@ mod kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_core::controller::{CycleRunner, OverheadModel};
+    use sqm_core::controller::OverheadModel;
+    use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
 
@@ -462,15 +463,14 @@ mod tests {
         let net = NetPipeline::new(NetConfig::small(3)).unwrap();
         let sys = net.system();
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
+        let mut engine = Engine::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let mut exec = net.exec(0.15, 7);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert_eq!(trace.stats().misses, 0);
+        let summary = engine.run_cycle(0, Time::ZERO, &mut exec, &mut NullSink);
+        assert_eq!(summary.misses, 0);
         assert!(
-            trace.stats().avg_quality > 1.0,
+            summary.avg_quality() > 1.0,
             "line-rate budget converted into quality, got {}",
-            trace.stats().avg_quality
+            summary.avg_quality()
         );
     }
 

@@ -187,10 +187,12 @@ impl<M: QualityManager> QualityManager for ClockedManager<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_core::controller::{ConstantExec, CycleRunner, FnExec, OverheadModel};
+    use sqm_core::controller::{ConstantExec, FnExec, OverheadModel};
+    use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
     use sqm_core::system::{ParameterizedSystem, SystemBuilder};
+    use sqm_core::trace::Trace;
 
     fn sys() -> ParameterizedSystem {
         SystemBuilder::new(3)
@@ -235,13 +237,13 @@ mod tests {
         let p = MixedPolicy::new(&s);
         let clock = RtClock::new(Time::from_ns(64), Time::ZERO);
         let m = ClockedManager::new(NumericManager::new(&s, &p), clock, ClockRounding::Up, 5);
-        let mut runner = CycleRunner::new(&s, m, OverheadModel::ZERO);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(s.table()));
-        assert_eq!(
-            trace.stats().misses,
+        let summary = Engine::new(&s, m, OverheadModel::ZERO).run_cycle(
             0,
-            "up-rounding can only lower quality"
+            Time::ZERO,
+            &mut ConstantExec::worst_case(s.table()),
+            &mut NullSink,
         );
+        assert_eq!(summary.misses, 0, "up-rounding can only lower quality");
     }
 
     #[test]
@@ -275,7 +277,6 @@ mod tests {
         let p = MixedPolicy::new(&s);
         let clock = RtClock::new(Time::from_ns(50), Time::ZERO);
         let m = ClockedManager::new(NumericManager::new(&s, &p), clock, ClockRounding::Down, 0);
-        let mut runner = CycleRunner::new(&s, m, OverheadModel::ZERO);
         let table = s.table().clone();
         let mut exec = FnExec(move |_c, a: usize, q| {
             if a == 0 {
@@ -284,11 +285,13 @@ mod tests {
                 table.wc(a, q)
             }
         });
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
+        let mut trace = Trace::default();
+        let summary =
+            Engine::new(&s, m, OverheadModel::ZERO).run_cycle(0, Time::ZERO, &mut exec, &mut trace);
         assert!(
-            trace.stats().misses > 0,
+            summary.misses > 0,
             "down-rounding admitted an unsafe quality: {:?}",
-            trace.quality_sequence()
+            trace.cycles[0].quality_sequence()
         );
     }
 

@@ -82,9 +82,11 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use crate::workload::DvfsTask;
-    use sqm_core::controller::{CycleRunner, OverheadModel};
+    use sqm_core::controller::OverheadModel;
+    use sqm_core::engine::Engine;
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
+    use sqm_core::trace::Trace;
 
     #[test]
     fn dynamic_energy_is_quadratic_in_frequency() {
@@ -101,21 +103,19 @@ mod tests {
         let ladder = FrequencyLadder::embedded4();
         let sys = task.to_system(&ladder).unwrap();
         let policy = MixedPolicy::new(&sys);
-        let mut runner = CycleRunner::new(
+        let mut exec = CycleExec::new(&task, &ladder, 0.1, 7);
+        let mut trace = Trace::default();
+        let summary = Engine::new(
             &sys,
             NumericManager::new(&sys, &policy),
             OverheadModel::ZERO,
-        );
-        let mut exec = CycleExec::new(&task, &ladder, 0.1, 7);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert_eq!(
-            trace.stats().misses,
-            0,
-            "energy savings must not cost deadlines"
-        );
+        )
+        .run_cycle(0, Time::ZERO, &mut exec, &mut trace);
+        assert_eq!(summary.misses, 0, "energy savings must not cost deadlines");
+        let trace = &trace.cycles[0];
 
         let model = EnergyModel::default();
-        let managed = model.cycle_energy_nj(&ladder, &exec.consumed, &trace, Time::from_ms(60));
+        let managed = model.cycle_energy_nj(&ladder, &exec.consumed, trace, Time::from_ms(60));
         let baseline = model.baseline_energy_nj(&ladder, &exec, Time::from_ms(60));
         assert!(
             managed < baseline,

@@ -115,7 +115,8 @@ impl ExecutionTimeSource for CycleExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_core::controller::{ConstantExec, CycleRunner, OverheadModel};
+    use sqm_core::controller::{ConstantExec, OverheadModel};
+    use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
     use sqm_core::policy::MixedPolicy;
 
@@ -156,13 +157,18 @@ mod tests {
         let (task, ladder) = setup();
         let sys = task.to_system(&ladder).unwrap();
         let policy = MixedPolicy::new(&sys);
-        let mut runner = CycleRunner::new(
+        let summary = Engine::new(
             &sys,
             NumericManager::new(&sys, &policy),
             OverheadModel::ZERO,
+        )
+        .run_cycle(
+            0,
+            Time::ZERO,
+            &mut ConstantExec::worst_case(sys.table()),
+            &mut NullSink,
         );
-        let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(sys.table()));
-        assert_eq!(trace.stats().misses, 0);
+        assert_eq!(summary.misses, 0);
     }
 
     #[test]
@@ -170,21 +176,17 @@ mod tests {
         let (task, ladder) = setup();
         let sys = task.to_system(&ladder).unwrap();
         let policy = MixedPolicy::new(&sys);
-        let mut runner = CycleRunner::new(
+        let mut exec = CycleExec::new(&task, &ladder, 0.1, 5);
+        let summary = Engine::new(
             &sys,
             NumericManager::new(&sys, &policy),
             OverheadModel::ZERO,
-        );
-        let mut exec = CycleExec::new(&task, &ladder, 0.1, 5);
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        assert_eq!(trace.stats().misses, 0);
+        )
+        .run_cycle(0, Time::ZERO, &mut exec, &mut NullSink);
+        assert_eq!(summary.misses, 0);
         // With average demand ≈ 55 % of worst case, the manager should
         // spend most actions above the fastest frequency (quality > 0).
-        assert!(
-            trace.stats().avg_quality > 0.5,
-            "avg {}",
-            trace.stats().avg_quality
-        );
+        assert!(summary.avg_quality() > 0.5, "avg {}", summary.avg_quality());
         assert_eq!(exec.consumed.len(), 20);
     }
 

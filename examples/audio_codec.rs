@@ -8,9 +8,10 @@
 
 use speed_qm::audio::{AudioCodec, AudioConfig};
 use speed_qm::core::compiler::compile_regions;
-use speed_qm::core::controller::CyclicRunner;
+use speed_qm::core::engine::{CycleChaining, Engine};
 use speed_qm::core::manager::LookupManager;
 use speed_qm::core::time::Time;
+use speed_qm::core::trace::Trace;
 use speed_qm::platform::overhead;
 
 fn main() {
@@ -27,18 +28,19 @@ fn main() {
     let regions = compile_regions(sys);
 
     // Phase 1: nominal 21 ms packets.
-    let mut runner = CyclicRunner::new(
-        sys,
-        LookupManager::new(&regions),
-        overhead::regions(),
-        codec.config().cycle_period,
-    );
     let mut exec = codec.exec(0.15, 3);
-    let trace = runner.run(24, &mut exec);
+    let mut trace = Trace::default();
+    let run = Engine::new(sys, LookupManager::new(&regions), overhead::regions()).run_cycles(
+        24,
+        codec.config().cycle_period,
+        CycleChaining::WorkConserving,
+        &mut exec,
+        &mut trace,
+    );
     println!(
         "\nphase 1 (21 ms packets): avg quality {:.2}, {} misses",
-        trace.avg_quality(),
-        trace.total_misses()
+        run.avg_quality(),
+        run.misses
     );
 
     // Phase 2: the network asks for faster packets — shrink the deadline
@@ -52,22 +54,24 @@ fn main() {
         codec.config().cycle_period - Time::from_ms(1),
     )
     .expect("still feasible at qmin");
-    let mut runner = CyclicRunner::new(
-        &moved,
-        LookupManager::new(&tighter),
-        overhead::regions(),
-        codec.config().cycle_period - Time::from_ms(1),
-    );
     let mut exec = codec.exec(0.15, 4);
-    let fast = runner.run(24, &mut exec);
+    let mut fast = Trace::default();
+    let fast_run = Engine::new(&moved, LookupManager::new(&tighter), overhead::regions())
+        .run_cycles(
+            24,
+            codec.config().cycle_period - Time::from_ms(1),
+            CycleChaining::WorkConserving,
+            &mut exec,
+            &mut fast,
+        );
     println!(
         "phase 2 (20 ms packets, shifted table): avg quality {:.2}, {} misses",
-        fast.avg_quality(),
-        fast.total_misses()
+        fast_run.avg_quality(),
+        fast_run.misses
     );
 
     // Rate at the two operating points.
-    let packet_bits = |t: &speed_qm::core::trace::Trace| -> f64 {
+    let packet_bits = |t: &Trace| -> f64 {
         let mut bits = 0usize;
         for c in &t.cycles {
             for r in &c.records {
@@ -83,8 +87,8 @@ fn main() {
         packet_bits(&trace) / 1_000.0,
         packet_bits(&fast) / 1_000.0
     );
-    assert_eq!(trace.total_misses() + fast.total_misses(), 0);
-    assert!(fast.avg_quality() <= trace.avg_quality());
+    assert_eq!(run.misses + fast_run.misses, 0);
+    assert!(fast_run.avg_quality() <= run.avg_quality());
     println!(
         "\ntighter deadline → lower quality/rate, still zero misses — no recompilation needed."
     );

@@ -52,13 +52,20 @@ fn main() {
     }
 
     // The prediction is exact for the average-time run — cross-check.
-    use speed_qm::core::controller::{ConstantExec, CycleRunner, OverheadModel};
+    use speed_qm::core::controller::{ConstantExec, OverheadModel};
+    use speed_qm::core::engine::Engine;
     use speed_qm::core::manager::NumericManager;
     use speed_qm::core::policy::MixedPolicy;
+    use speed_qm::core::trace::Trace;
     let policy = MixedPolicy::new(sys);
-    let trace = CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO)
-        .run_cycle(0, Time::ZERO, &mut ConstantExec::average(sys.table()));
+    let mut trace = Trace::default();
+    Engine::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO).run_cycle(
+        0,
+        Time::ZERO,
+        &mut ConstantExec::average(sys.table()),
+        &mut trace,
+    );
     let predicted: Vec<usize> = envelope.iter().map(|(_, q)| q.index()).collect();
-    assert_eq!(predicted, trace.quality_sequence());
+    assert_eq!(predicted, trace.cycles[0].quality_sequence());
     println!("\nprediction cross-check against an executed average-time frame: exact match.");
 }

@@ -8,9 +8,10 @@
 //! ```
 
 use speed_qm::core::compiler::{compile_regions, compile_relaxation, TableStats};
-use speed_qm::core::controller::CyclicRunner;
+use speed_qm::core::engine::{CycleChaining, Engine};
 use speed_qm::core::manager::RelaxedManager;
 use speed_qm::core::relaxation::StepSet;
+use speed_qm::core::trace::Trace;
 use speed_qm::mpeg::{metrics, EncoderConfig, MpegEncoder};
 use speed_qm::platform::overhead;
 
@@ -40,32 +41,34 @@ fn main() {
     // Encode the 29-frame clip.
     let mut exec = encoder.exec(0.12, 7);
     let manager = RelaxedManager::new(&regions, &relaxation);
-    let mut runner = CyclicRunner::new(
-        sys,
-        manager,
-        overhead::relaxation(),
+    let mut trace = Trace::default();
+    let run = Engine::new(sys, manager, overhead::relaxation()).run_cycles(
+        29,
         encoder.config().frame_period,
+        CycleChaining::WorkConserving,
+        &mut exec,
+        &mut trace,
     );
-    let trace = runner.run(29, &mut exec);
 
     println!("frame  avg_quality  psnr_dB  qm_calls  overhead%  deadline");
-    for (i, (cycle, stats)) in trace.cycles.iter().zip(trace.cycle_stats()).enumerate() {
+    for (i, cycle) in trace.cycles.iter().enumerate() {
         let psnr = metrics::frame_psnr(&encoder, cycle);
+        let summary = cycle.summary();
         println!(
             "{i:5}  {:11.2}  {psnr:7.2}  {:8}  {:9.2}  {}",
-            stats.avg_quality,
-            stats.qm_calls,
-            stats.overhead_ratio * 100.0,
-            if stats.misses == 0 { "met" } else { "MISSED" }
+            summary.avg_quality(),
+            summary.qm_calls,
+            summary.overhead_ratio() * 100.0,
+            if summary.misses == 0 { "met" } else { "MISSED" }
         );
     }
 
     println!(
         "\ntotals: avg quality {:.2}, overhead {:.2} %, {} QM calls for {} actions, {} misses",
-        trace.avg_quality(),
-        trace.overhead_ratio() * 100.0,
-        trace.total_qm_calls(),
-        trace.total_actions(),
-        trace.total_misses()
+        run.avg_quality(),
+        run.overhead_ratio() * 100.0,
+        run.qm_calls,
+        run.actions,
+        run.misses
     );
 }

@@ -8,11 +8,13 @@
 //! ```
 
 use speed_qm::core::controller::{ConstantExec, OverheadModel};
+use speed_qm::core::engine::{Engine, Tee};
 use speed_qm::core::manager::NumericManager;
-use speed_qm::core::multi::{interleave, MultiTaskRunner};
+use speed_qm::core::multi::{interleave, TaskSplitter};
 use speed_qm::core::policy::MixedPolicy;
 use speed_qm::core::system::SystemBuilder;
 use speed_qm::core::time::Time;
+use speed_qm::core::trace::Trace;
 
 fn main() {
     // Task 0: "video" — heavier actions, late deadline.
@@ -47,18 +49,23 @@ fn main() {
     }
 
     // One Quality Manager controls both tasks; quality is degraded
-    // globally whenever either task's deadline tightens. The multi-task
-    // runner routes through the shared engine and attributes results back
-    // to each source task as records are produced.
+    // globally whenever either task's deadline tightens. The plain engine
+    // runs the merged system; a task splitter beside the trace attributes
+    // results back to each source task as records are produced.
     let policy = MixedPolicy::new(&merged.system);
-    let period = Time::from_ns(5_200);
-    let mut runner = MultiTaskRunner::new(
-        &merged,
+    let mut full = Trace::default();
+    let mut splitter = TaskSplitter::new(&merged);
+    let stats = Engine::new(
+        &merged.system,
         NumericManager::new(&merged.system, &policy),
         OverheadModel::ZERO,
-        period,
+    )
+    .run_cycle(
+        0,
+        Time::ZERO,
+        &mut ConstantExec::average(merged.system.table()),
+        &mut Tee(&mut full, &mut splitter),
     );
-    let full = runner.run(1, &mut ConstantExec::average(merged.system.table()));
     let trace = full.cycles.into_iter().next().expect("one cycle ran");
 
     println!("\nexecution:");
@@ -70,16 +77,16 @@ fn main() {
             r.end
         );
     }
-    let stats = trace.stats();
     println!(
         "\navg quality {:.2}, {} misses — both tasks' deadlines honoured by one manager",
-        stats.avg_quality, stats.misses
+        stats.avg_quality(),
+        stats.misses
     );
     assert_eq!(stats.misses, 0);
 
-    // Per-task attribution, collected inline by the runner's sink.
+    // Per-task attribution, collected inline by the splitter.
     println!("\nper-task results:");
-    for (t, s) in runner.task_summaries().iter().enumerate() {
+    for (t, s) in splitter.task_summaries().iter().enumerate() {
         println!(
             "  task{t}: {} actions, avg quality {:.2}, {} misses",
             s.actions,

@@ -6,10 +6,12 @@
 //! cargo run --release --example power_manager
 //! ```
 
-use speed_qm::core::controller::{CycleRunner, OverheadModel};
+use speed_qm::core::controller::OverheadModel;
+use speed_qm::core::engine::Engine;
 use speed_qm::core::manager::NumericManager;
 use speed_qm::core::policy::MixedPolicy;
 use speed_qm::core::time::Time;
+use speed_qm::core::trace::Trace;
 use speed_qm::power::{CycleExec, DvfsTask, EnergyModel, FrequencyLadder};
 
 fn main() {
@@ -25,14 +27,15 @@ fn main() {
     }
 
     let policy = MixedPolicy::new(&sys);
-    let mut runner = CycleRunner::new(
+    let mut exec = CycleExec::new(&task, &ladder, 0.15, 42);
+    let mut full = Trace::default();
+    let stats = Engine::new(
         &sys,
         NumericManager::new(&sys, &policy),
         OverheadModel::ZERO,
-    );
-    let mut exec = CycleExec::new(&task, &ladder, 0.15, 42);
-    let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-    let stats = trace.stats();
+    )
+    .run_cycle(0, Time::ZERO, &mut exec, &mut full);
+    let trace = &full.cycles[0];
 
     println!("\nper-action frequency schedule (first 15 actions):");
     for r in trace.records.iter().take(15) {
@@ -46,7 +49,7 @@ fn main() {
     }
 
     let model = EnergyModel::default();
-    let managed = model.cycle_energy_nj(&ladder, &exec.consumed, &trace, deadline);
+    let managed = model.cycle_energy_nj(&ladder, &exec.consumed, trace, deadline);
     let baseline = model.baseline_energy_nj(&ladder, &exec, deadline);
     println!(
         "\nfinished at {} (deadline {deadline}), {} misses",

@@ -41,27 +41,19 @@ fn main() {
     // Run one cycle per manager; actual times = the average column.
     let run = |name: &str, manager: &mut dyn QualityManager| {
         let mut exec = ConstantExec::average(system.table());
-        let trace = {
-            // Re-wrap by reference so each manager type can be used.
-            struct ByRef<'a>(&'a mut dyn QualityManager);
-            impl QualityManager for ByRef<'_> {
-                fn decide(&mut self, state: usize, t: Time) -> Decision {
-                    self.0.decide(state, t)
-                }
-                fn name(&self) -> &'static str {
-                    "by-ref"
-                }
-            }
-            let mut runner = CycleRunner::new(&system, ByRef(manager), OverheadModel::ZERO);
-            runner.run_cycle(0, Time::ZERO, &mut exec)
-        };
-        let stats = trace.stats();
+        let mut trace = Trace::default();
+        let summary = Engine::new(&system, manager, OverheadModel::ZERO).run_cycle(
+            0,
+            Time::ZERO,
+            &mut exec,
+            &mut trace,
+        );
         println!(
             "{name:12} qualities {:?}  avg {:.2}  misses {}  finished at {}",
-            trace.quality_sequence(),
-            stats.avg_quality,
-            stats.misses,
-            stats.end
+            trace.cycles[0].quality_sequence(),
+            summary.avg_quality(),
+            summary.misses,
+            summary.end
         );
     };
 

@@ -5,12 +5,14 @@
 //! cargo run --example speed_diagram
 //! ```
 
-use speed_qm::core::controller::{CycleRunner, FnExec, OverheadModel};
+use speed_qm::core::controller::{ExecutionTimeSource, FnExec, OverheadModel};
+use speed_qm::core::engine::Engine;
 use speed_qm::core::manager::NumericManager;
 use speed_qm::core::policy::MixedPolicy;
 use speed_qm::core::speed::{ascii_plot, SpeedDiagram};
 use speed_qm::core::system::SystemBuilder;
 use speed_qm::core::time::Time;
+use speed_qm::core::trace::Trace;
 
 fn main() {
     // A 24-action cycle, three quality levels.
@@ -27,33 +29,30 @@ fn main() {
         println!("  vidl(q{}) = {:.3}", q.index(), diagram.ideal_speed(q));
     }
 
-    // Easy run: actual times at 80 % of average → trajectory above the
-    // bisectrice, quality climbs.
-    let easy_cycle = {
-        let mut runner = CycleRunner::new(
+    // One cycle from time 0 under the numeric manager, recorded.
+    let run = |mut exec: &mut dyn ExecutionTimeSource| {
+        let mut trace = Trace::default();
+        Engine::new(
             &system,
             NumericManager::new(&system, &policy),
             OverheadModel::ZERO,
-        );
-        let table = system.table();
-        let mut exec = FnExec(|_c, a, q| Time::from_ns(table.av(a, q).as_ns() * 8 / 10));
-        runner.run_cycle(0, Time::ZERO, &mut exec)
+        )
+        .run_cycle(0, Time::ZERO, &mut exec, &mut trace);
+        trace.cycles.pop().expect("one cycle ran")
     };
+    let table = system.table();
+
+    // Easy run: actual times at 80 % of average → trajectory above the
+    // bisectrice, quality climbs.
+    let easy_cycle = run(&mut FnExec(|_c, a, q| {
+        Time::from_ns(table.av(a, q).as_ns() * 8 / 10)
+    }));
 
     // Hard run: actual times at 160 % of average (still ≤ Cwc) →
     // trajectory sags toward the bisectrice, quality degrades.
-    let hard_cycle = {
-        let mut runner = CycleRunner::new(
-            &system,
-            NumericManager::new(&system, &policy),
-            OverheadModel::ZERO,
-        );
-        let table = system.table();
-        let mut exec = FnExec(|_c, a, q| {
-            Time::from_ns((table.av(a, q).as_ns() * 16 / 10).min(table.wc(a, q).as_ns()))
-        });
-        runner.run_cycle(0, Time::ZERO, &mut exec)
-    };
+    let hard_cycle = run(&mut FnExec(|_c, a, q| {
+        Time::from_ns((table.av(a, q).as_ns() * 16 / 10).min(table.wc(a, q).as_ns()))
+    }));
 
     let easy = diagram.trajectory(&easy_cycle);
     let hard = diagram.trajectory(&hard_cycle);
@@ -66,7 +65,7 @@ fn main() {
     println!(
         "\nboth runs met the deadline ({} / {} misses); the manager converted the easy\n\
          run's slack into higher quality instead of finishing early.",
-        easy_cycle.stats().misses,
-        hard_cycle.stats().misses
+        easy_cycle.summary().misses,
+        hard_cycle.summary().misses
     );
 }

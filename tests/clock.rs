@@ -3,7 +3,6 @@
 //! [`ClockedManager`] stack.
 
 use proptest::prelude::*;
-use speed_qm::core::controller::{CycleRunner, OverheadModel};
 use speed_qm::core::manager::LookupManager;
 use speed_qm::core::prelude::*;
 use speed_qm::platform::clock::RtClock;
@@ -78,16 +77,15 @@ proptest! {
         let run = || {
             let clock = RtClock::new(Time::from_ns(quantum_ns), Time::ZERO);
             let m = ClockedManager::new(LookupManager::new(&regions), clock, rounding, 3);
-            let mut runner = CycleRunner::new(&s, m, OverheadModel::new(Time::from_ns(2), Time::from_ns(1)));
+            let mut engine = Engine::new(&s, m, OverheadModel::new(Time::from_ns(2), Time::from_ns(1)));
             let mut exec = StochasticExec::new(s.table(), ConstantLoad(1.0), 0.3, seed);
-            let mut qualities = Vec::new();
-            let mut misses = 0usize;
+            let mut trace = Trace::default();
             for cycle in 0..6 {
-                let trace = runner.run_cycle(cycle, Time::ZERO, &mut exec);
-                qualities.extend(trace.quality_sequence());
-                misses += trace.stats().misses;
+                engine.run_cycle(cycle, Time::ZERO, &mut exec, &mut trace);
             }
-            (qualities, misses)
+            let qualities: Vec<usize> =
+                trace.cycles.iter().flat_map(|c| c.quality_sequence()).collect();
+            (qualities, trace.run_summary().misses)
         };
         let first = run();
         let second = run();

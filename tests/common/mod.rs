@@ -110,3 +110,36 @@ pub fn fraction_exec<'a>(
         Time::from_ns((wc * fractions[action]).floor() as i64)
     }
 }
+
+/// One recorded cycle of `sys` under `manager`, started at time 0 with
+/// free decisions: the closed loop most single-cycle checks run.
+pub fn run_cycle<M: QualityManager>(
+    sys: &ParameterizedSystem,
+    manager: M,
+    mut exec: &mut (impl ExecutionTimeSource + ?Sized),
+) -> CycleTrace {
+    let mut trace = Trace::default();
+    Engine::new(sys, manager, OverheadModel::ZERO).run_cycle(0, Time::ZERO, &mut exec, &mut trace);
+    trace.cycles.pop().expect("one cycle ran")
+}
+
+/// `cycles` recorded work-conserving cycles of `sys` under `manager`,
+/// `period` apart, charging decisions per `overhead`.
+pub fn run_cycles<M: QualityManager>(
+    sys: &ParameterizedSystem,
+    manager: M,
+    overhead: OverheadModel,
+    period: Time,
+    cycles: usize,
+    mut exec: &mut (impl ExecutionTimeSource + ?Sized),
+) -> Trace {
+    let mut trace = Trace::default();
+    Engine::new(sys, manager, overhead).run_cycles(
+        cycles,
+        period,
+        CycleChaining::WorkConserving,
+        &mut exec,
+        &mut trace,
+    );
+    trace
+}

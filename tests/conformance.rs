@@ -496,7 +496,7 @@ fn last_end_agrees_across_serial_trace_replay_and_elastic_merge() {
     );
     assert_eq!(serial.last_end, Time::from_ns(10), "max, not the final end");
     assert_eq!(
-        trace.cycles.last().unwrap().stats().end,
+        trace.cycles.last().unwrap().summary().end,
         Time::from_ns(-170),
         "the final cycle really finishes early"
     );

@@ -8,6 +8,12 @@
 //! letter, so `sqm_core::elastic::ElasticRunner` checks `elastic`. A
 //! deleted or renamed module that the architecture still describes fails
 //! here instead of going stale.
+//!
+//! Type names are checked by the docs build: ARCHITECTURE.md is compiled
+//! into `sqm_bench::architecture`, and its prose names types as intra-doc
+//! links, which `cargo doc` with `-D warnings` resolves. Names inside the
+//! ```` ```text ```` diagram cannot be links, so each must also be linked
+//! somewhere in the prose.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -40,6 +46,72 @@ fn module_paths(text: &str) -> BTreeSet<(String, String)> {
         }
     }
     paths
+}
+
+/// The type-like names in `text`: identifiers with a CamelCase segment
+/// (at least two capitals, such as `ShedLedger`), read from the first
+/// capitalized `::` segment on, so `multi::TaskSplitter` yields
+/// `TaskSplitter` and `RunSummary::merge` stays whole.
+fn type_names(text: &str) -> BTreeSet<String> {
+    let camel = |seg: &str| {
+        seg.starts_with(|c: char| c.is_ascii_uppercase())
+            && seg
+                .char_indices()
+                .skip_while(|(_, c)| !c.is_ascii_lowercase())
+                .any(|(_, c)| c.is_ascii_uppercase())
+    };
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+        .filter_map(|token| {
+            let segments: Vec<&str> = token.trim_matches(':').split("::").collect();
+            let first = segments
+                .iter()
+                .position(|s| s.starts_with(|c: char| c.is_ascii_uppercase()))?;
+            let name = &segments[first..];
+            name.iter().any(|s| camel(s)).then(|| name.join("::"))
+        })
+        .collect()
+}
+
+#[test]
+fn diagram_type_names_are_linked_in_prose() {
+    let architecture = fs::read_to_string(root().join("ARCHITECTURE.md")).expect("ARCHITECTURE.md");
+    let (mut prose, mut diagrams) = (String::new(), String::new());
+    for (i, part) in architecture.split("```").enumerate() {
+        if i % 2 == 0 {
+            &mut prose
+        } else {
+            &mut diagrams
+        }
+        .push_str(part);
+    }
+    let names = type_names(&diagrams);
+    assert!(
+        names.contains("ShedLedger"),
+        "the scan must find known names: {names:?}"
+    );
+    for name in &names {
+        assert!(
+            prose.contains(&format!("[`{name}`]")) || prose.contains(&format!("::{name}`]")),
+            "ARCHITECTURE.md's diagram names {name}, but no intra-doc link [`{name}`] in its prose \
+             lets `cargo doc` check that it exists"
+        );
+    }
+}
+
+#[test]
+fn type_names_reads_camel_case_identifiers() {
+    let text = "Trace / RecordBuffer, multi::TaskSplitter, RunSummary::merge, \
+                Admission::DropNewest, BENCH_baseline.json, PS, Periodic, sqm_core::arena";
+    let found: Vec<String> = type_names(text).into_iter().collect();
+    assert_eq!(
+        found,
+        [
+            "Admission::DropNewest",
+            "RecordBuffer",
+            "RunSummary::merge",
+            "TaskSplitter"
+        ]
+    );
 }
 
 #[test]

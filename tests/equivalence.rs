@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{arb_system, fraction_exec};
+use common::{arb_system, fraction_exec, run_cycle, run_cycles, OVERHEAD};
 use proptest::prelude::*;
 use speed_qm::core::prelude::*;
 
@@ -15,9 +15,7 @@ fn run_qualities<M: QualityManager>(
     manager: M,
     fractions: &[f64],
 ) -> (Vec<usize>, usize, u64) {
-    let mut runner = CycleRunner::new(sys, manager, OverheadModel::ZERO);
-    let mut exec = FnExec(fraction_exec(sys, fractions));
-    let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
+    let trace = run_cycle(sys, manager, &mut FnExec(fraction_exec(sys, fractions)));
     let qualities = trace.quality_sequence();
     let calls = trace.records.iter().filter(|r| r.decided).count();
     let work: u64 = trace.records.iter().map(|r| r.qm_work).sum();
@@ -67,10 +65,8 @@ proptest! {
     fn choice_is_maximal(arb in arb_system()) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let mut exec = FnExec(fraction_exec(sys, &arb.fractions));
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
+        let trace = run_cycle(sys, NumericManager::new(sys, &policy), &mut exec);
         let mut t = Time::ZERO;
         for r in &trace.records {
             prop_assert!(policy.t_d(r.action, r.quality) >= t);
@@ -82,9 +78,10 @@ proptest! {
     }
 
     /// The engine's zero-allocation summary path reports exactly the
-    /// aggregates of the materialized trace, for every manager, across
-    /// randomized systems — the refactor that carved the runners' shared
-    /// loop into `core::engine` changed no observable behaviour.
+    /// aggregates of the materialized trace — each cycle's whole
+    /// `CycleSummary` and the whole `RunSummary` — for every manager, both
+    /// chaining modes and a nonzero overhead model, across randomized
+    /// systems.
     #[test]
     fn engine_summary_equals_trace_aggregates(arb in arb_system()) {
         let sys = &arb.system;
@@ -92,56 +89,59 @@ proptest! {
         let regions = compile_regions(sys);
         let relaxation =
             compile_relaxation(sys, &regions, StepSet::new(vec![1, 2, 4]).unwrap());
-        let overhead = OverheadModel::new(Time::from_ns(2), Time::from_ns(1));
-
-        macro_rules! check {
-            ($manager:expr) => {{
-                let mut trace = speed_qm::core::trace::Trace::default();
-                let summary = Engine::new(sys, $manager, overhead).run_cycles(
+        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+            let check = |manager: &mut dyn QualityManager| {
+                let mut trace = Trace::default();
+                let mut per_cycle = PerCycle::default();
+                let run = Engine::new(sys, manager, OVERHEAD).run_cycles(
                     3,
                     sys.final_deadline(),
-                    CycleChaining::WorkConserving,
+                    chaining,
                     &mut FnExec(fraction_exec(sys, &arb.fractions)),
-                    &mut trace,
+                    &mut Tee(&mut trace, &mut per_cycle),
                 );
-                prop_assert_eq!(summary.actions, trace.total_actions());
-                prop_assert_eq!(summary.qm_calls, trace.total_qm_calls());
-                prop_assert_eq!(summary.misses, trace.total_misses());
-                prop_assert!((summary.avg_quality() - trace.avg_quality()).abs() < 1e-12);
-                prop_assert!(
-                    (summary.overhead_ratio() - trace.overhead_ratio()).abs() < 1e-12
-                );
-            }};
+                let folded: Vec<CycleSummary> = trace.cycles.iter().map(CycleTrace::summary).collect();
+                assert_eq!(per_cycle.0, folded, "{chaining:?}");
+                assert_eq!(run, trace.run_summary(), "{chaining:?}");
+            };
+            check(&mut NumericManager::new(sys, &policy));
+            check(&mut LookupManager::new(&regions));
+            check(&mut RelaxedManager::new(&regions, &relaxation));
         }
-        check!(NumericManager::new(sys, &policy));
-        check!(LookupManager::new(&regions));
-        check!(RelaxedManager::new(&regions, &relaxation));
     }
 
     /// Under constant-average execution, all three managers agree with the
-    /// same trace across *cycles* too (the cyclic runner carry-over does
-    /// not break equivalence).
+    /// same trace across *cycles* too: work-conserving carry-over and the
+    /// engine's per-cycle `reset` do not break equivalence.
     #[test]
     fn cyclic_equivalence(arb in arb_system()) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
         let regions = compile_regions(sys);
         let period = sys.final_deadline();
+        let relaxation =
+            compile_relaxation(sys, &regions, StepSet::new(vec![1, 2, 4]).unwrap());
         let run = |manager: &mut dyn QualityManager| -> Vec<usize> {
-            struct ByRef<'a>(&'a mut dyn QualityManager);
-            impl QualityManager for ByRef<'_> {
-                fn decide(&mut self, state: usize, t: Time) -> Decision {
-                    self.0.decide(state, t)
-                }
-                fn name(&self) -> &'static str { "by-ref" }
-            }
-            let mut runner = CyclicRunner::new(sys, ByRef(manager), OverheadModel::ZERO, period);
             let mut exec = ConstantExec::average(sys.table());
-            let trace = runner.run(3, &mut exec);
+            let trace = run_cycles(sys, manager, OverheadModel::ZERO, period, 3, &mut exec);
             trace.cycles.iter().flat_map(|c| c.quality_sequence()).collect()
         };
         let n = run(&mut NumericManager::new(sys, &policy));
         let l = run(&mut LookupManager::new(&regions));
-        prop_assert_eq!(n, l);
+        let r = run(&mut RelaxedManager::new(&regions, &relaxation));
+        prop_assert_eq!(&n, &l);
+        prop_assert_eq!(&n, &r);
+    }
+}
+
+/// Collects the engine's per-cycle summaries.
+#[derive(Default)]
+struct PerCycle(Vec<CycleSummary>);
+
+impl TraceSink for PerCycle {
+    const WANTS_RECORDS: bool = false;
+
+    fn end_cycle(&mut self, summary: &CycleSummary) {
+        self.0.push(*summary);
     }
 }

@@ -1,9 +1,12 @@
 //! Integration tests for the paper-conclusion extensions: multi-task
 //! composition, linear region approximation, and DVFS power management.
 
+mod common;
+
+use common::run_cycle;
 use speed_qm::core::approx::ApproxRegionTable;
 use speed_qm::core::compiler::compile_regions;
-use speed_qm::core::controller::{ConstantExec, CycleRunner, OverheadModel};
+use speed_qm::core::controller::ConstantExec;
 use speed_qm::core::manager::{NumericManager, QualityManager};
 use speed_qm::core::multi::interleave;
 use speed_qm::core::policy::MixedPolicy;
@@ -31,17 +34,12 @@ fn interleaved_tasks_respect_both_deadline_sets() {
     assert_eq!(merged.system.n_actions(), 9);
 
     let policy = MixedPolicy::new(&merged.system);
-    let mut runner = CycleRunner::new(
+    let trace = run_cycle(
         &merged.system,
         NumericManager::new(&merged.system, &policy),
-        OverheadModel::ZERO,
-    );
-    let trace = runner.run_cycle(
-        0,
-        Time::ZERO,
         &mut ConstantExec::worst_case(merged.system.table()),
     );
-    assert_eq!(trace.stats().misses, 0);
+    assert_eq!(trace.summary().misses, 0);
 
     // Provenance partitions the merged index space.
     let mut seen = vec![false; merged.system.n_actions()];
@@ -97,14 +95,9 @@ fn dvfs_pipeline_end_to_end() {
         }
     }
 
-    let mut runner = CycleRunner::new(
-        &sys,
-        NumericManager::new(&sys, &policy),
-        OverheadModel::ZERO,
-    );
     let mut exec = CycleExec::new(&task, &ladder, 0.2, 99);
-    let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-    assert_eq!(trace.stats().misses, 0);
+    let trace = run_cycle(&sys, NumericManager::new(&sys, &policy), &mut exec);
+    assert_eq!(trace.summary().misses, 0);
 
     let model = EnergyModel::default();
     let managed = model.cycle_energy_nj(&ladder, &exec.consumed, &trace, Time::from_ms(80));
@@ -131,17 +124,12 @@ fn merged_system_quality_degrades_around_tight_deadline() {
         .unwrap();
     let merged = interleave(&[&light, &tight], &[0, 1, 0, 0, 0]).unwrap();
     let policy = MixedPolicy::new(&merged.system);
-    let mut runner = CycleRunner::new(
+    let trace = run_cycle(
         &merged.system,
         NumericManager::new(&merged.system, &policy),
-        OverheadModel::ZERO,
-    );
-    let trace = runner.run_cycle(
-        0,
-        Time::ZERO,
         &mut ConstantExec::average(merged.system.table()),
     );
-    assert_eq!(trace.stats().misses, 0);
+    assert_eq!(trace.summary().misses, 0);
     let qs = trace.quality_sequence();
     let before_deadline_max = qs[..2].iter().max().unwrap();
     let after_deadline_max = qs[2..].iter().max().unwrap();

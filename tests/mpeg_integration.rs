@@ -1,13 +1,17 @@
 //! Paper-scale integration: the full §4 pipeline — synthetic encoder →
 //! profiling → offline compilation → controlled execution — across crates.
 
+mod common;
+
+use common::run_cycles;
 use speed_qm::core::compiler::{compile_regions, compile_relaxation, TableStats};
-use speed_qm::core::controller::CyclicRunner;
+use speed_qm::core::engine::{CycleChaining, Engine, NullSink};
 use speed_qm::core::manager::{LookupManager, NumericManager, RelaxedManager};
 use speed_qm::core::policy::MixedPolicy;
 use speed_qm::core::relaxation::StepSet;
 use speed_qm::core::system::ParameterizedSystem;
 use speed_qm::core::time::Time;
+use speed_qm::core::trace::Trace;
 use speed_qm::mpeg::{metrics, EncoderConfig, MpegEncoder};
 use speed_qm::platform::overhead;
 use speed_qm::platform::{ProfileConfig, Profiler};
@@ -30,57 +34,53 @@ fn three_managers_reproduce_section_4_2_ordering() {
     let regions = compile_regions(sys);
     let relaxation = compile_relaxation(sys, &regions, StepSet::paper_mpeg());
 
-    let numeric = {
-        let mut exec = enc.exec(0.12, 3);
-        CyclicRunner::new(
-            sys,
-            NumericManager::new(sys, &policy),
-            overhead::numeric(),
-            period,
-        )
-        .run(3, &mut exec)
-    };
-    let lookup = {
-        let mut exec = enc.exec(0.12, 3);
-        CyclicRunner::new(
-            sys,
-            LookupManager::new(&regions),
-            overhead::regions(),
-            period,
-        )
-        .run(3, &mut exec)
-    };
-    let relaxed = {
-        let mut exec = enc.exec(0.12, 3);
-        CyclicRunner::new(
-            sys,
-            RelaxedManager::new(&regions, &relaxation),
-            overhead::relaxation(),
-            period,
-        )
-        .run(3, &mut exec)
-    };
+    let numeric = run_cycles(
+        sys,
+        NumericManager::new(sys, &policy),
+        overhead::numeric(),
+        period,
+        3,
+        &mut enc.exec(0.12, 3),
+    );
+    let lookup = run_cycles(
+        sys,
+        LookupManager::new(&regions),
+        overhead::regions(),
+        period,
+        3,
+        &mut enc.exec(0.12, 3),
+    );
+    let relaxed = run_cycles(
+        sys,
+        RelaxedManager::new(&regions, &relaxation),
+        overhead::relaxation(),
+        period,
+        3,
+        &mut enc.exec(0.12, 3),
+    );
+
+    let [n_run, l_run, r_run] = [&numeric, &lookup, &relaxed].map(|t| t.run_summary());
 
     // Safety everywhere.
-    assert_eq!(numeric.total_misses(), 0);
-    assert_eq!(lookup.total_misses(), 0);
-    assert_eq!(relaxed.total_misses(), 0);
+    assert_eq!(n_run.misses, 0);
+    assert_eq!(l_run.misses, 0);
+    assert_eq!(r_run.misses, 0);
 
     // §4.2 overhead ordering, with the paper's rough magnitudes.
-    let n = numeric.overhead_ratio() * 100.0;
-    let l = lookup.overhead_ratio() * 100.0;
-    let r = relaxed.overhead_ratio() * 100.0;
+    let n = n_run.overhead_ratio() * 100.0;
+    let l = l_run.overhead_ratio() * 100.0;
+    let r = r_run.overhead_ratio() * 100.0;
     assert!((3.0..12.0).contains(&n), "numeric ≈ 5.7 %, got {n:.2}");
     assert!((1.0..3.5).contains(&l), "regions ≈ 1.9 %, got {l:.2}");
     assert!(r < l, "relaxation {r:.2} < regions {l:.2}");
 
     // Fig. 7 ordering: symbolic at least matches numeric quality.
-    assert!(lookup.avg_quality() >= numeric.avg_quality());
-    assert!(relaxed.avg_quality() >= numeric.avg_quality());
+    assert!(l_run.avg_quality() >= n_run.avg_quality());
+    assert!(r_run.avg_quality() >= n_run.avg_quality());
 
     // Video quality follows the same ordering (within a small epsilon, as
     // PSNR saturates).
-    let psnr = |t: &speed_qm::core::trace::Trace| {
+    let psnr = |t: &Trace| {
         let s = metrics::video_quality_series(&enc, t);
         s.iter().sum::<f64>() / s.len() as f64
     };
@@ -106,21 +106,22 @@ fn profiled_tables_control_the_encoder_safely() {
             .expect("estimated tables remain feasible");
 
     let policy = MixedPolicy::new(&est_sys);
-    let mut runner = CyclicRunner::new(
+    // Fresh content seed — the estimates must generalize.
+    let mut exec = enc.exec(0.15, 1234);
+    let run = Engine::new(
         &est_sys,
         NumericManager::new(&est_sys, &policy),
         overhead::numeric(),
+    )
+    .run_cycles(
+        6,
         enc.config().frame_period,
+        CycleChaining::WorkConserving,
+        &mut exec,
+        &mut NullSink,
     );
-    // Fresh content seed — the estimates must generalize.
-    let mut exec = enc.exec(0.15, 1234);
-    let trace = runner.run(6, &mut exec);
-    assert_eq!(
-        trace.total_misses(),
-        0,
-        "profiled tables must keep the run safe"
-    );
-    assert!(trace.avg_quality() > 0.0);
+    assert_eq!(run.misses, 0, "profiled tables must keep the run safe");
+    assert!(run.avg_quality() > 0.0);
 }
 
 #[test]
@@ -128,16 +129,16 @@ fn arrival_clamped_mode_also_safe() {
     let enc = MpegEncoder::new(EncoderConfig::tiny(4)).unwrap();
     let sys = enc.system();
     let policy = MixedPolicy::new(sys);
-    let mut runner = CyclicRunner::new(
-        sys,
-        NumericManager::new(sys, &policy),
-        overhead::numeric(),
-        enc.config().frame_period,
-    )
-    .with_arrival_clamping();
     let mut exec = enc.exec(0.15, 8);
-    let trace = runner.run(6, &mut exec);
-    assert_eq!(trace.total_misses(), 0);
+    let mut trace = Trace::default();
+    let run = Engine::new(sys, NumericManager::new(sys, &policy), overhead::numeric()).run_cycles(
+        6,
+        enc.config().frame_period,
+        CycleChaining::ArrivalClamped,
+        &mut exec,
+        &mut trace,
+    );
+    assert_eq!(run.misses, 0);
     for c in &trace.cycles {
         assert!(
             c.start >= Time::ZERO,
@@ -153,15 +154,19 @@ fn relaxation_reduces_calls_at_paper_scale() {
     let regions = compile_regions(sys);
     let relaxation = compile_relaxation(sys, &regions, StepSet::paper_mpeg());
     let mut exec = enc.exec(0.12, 3);
-    let trace = CyclicRunner::new(
+    let run = Engine::new(
         sys,
         RelaxedManager::new(&regions, &relaxation),
         overhead::relaxation(),
-        enc.config().frame_period,
     )
-    .run(2, &mut exec);
-    let actions = trace.total_actions();
-    let calls = trace.total_qm_calls();
+    .run_cycles(
+        2,
+        enc.config().frame_period,
+        CycleChaining::WorkConserving,
+        &mut exec,
+        &mut NullSink,
+    );
+    let (actions, calls) = (run.actions, run.qm_calls);
     assert!(
         calls * 3 < actions * 2,
         "relaxation should skip a third of calls or more: {calls}/{actions}"

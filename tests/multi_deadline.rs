@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::fraction_exec;
+use common::{fraction_exec, run_cycle};
 use proptest::prelude::*;
 use speed_qm::core::action::{ActionInfo, DeadlineMap};
 use speed_qm::core::prelude::*;
@@ -45,13 +45,9 @@ fn sliced_system_is_safe_under_worst_case() {
     let sys = sliced_system(100);
     assert!(sys.deadlines().constrained_count() >= 12);
     let policy = MixedPolicy::new(&sys);
-    let mut runner = CycleRunner::new(
-        &sys,
-        NumericManager::new(&sys, &policy),
-        OverheadModel::ZERO,
-    );
-    let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(sys.table()));
-    assert_eq!(trace.stats().misses, 0);
+    let mut exec = ConstantExec::worst_case(sys.table());
+    let trace = run_cycle(&sys, NumericManager::new(&sys, &policy), &mut exec);
+    assert_eq!(trace.summary().misses, 0);
 }
 
 #[test]
@@ -66,20 +62,8 @@ fn sliced_symbolic_equals_numeric_at_scale() {
         .collect();
 
     let run = |manager: &mut dyn QualityManager| -> Vec<usize> {
-        struct ByRef<'a>(&'a mut dyn QualityManager);
-        impl QualityManager for ByRef<'_> {
-            fn decide(&mut self, state: usize, t: Time) -> Decision {
-                self.0.decide(state, t)
-            }
-            fn name(&self) -> &'static str {
-                "by-ref"
-            }
-        }
-        let mut runner = CycleRunner::new(&sys, ByRef(manager), OverheadModel::ZERO);
         let mut exec = FnExec(fraction_exec(&sys, &fractions));
-        runner
-            .run_cycle(0, Time::ZERO, &mut exec)
-            .quality_sequence()
+        run_cycle(&sys, manager, &mut exec).quality_sequence()
     };
 
     let numeric = run(&mut NumericManager::new(&sys, &policy));

@@ -4,9 +4,12 @@
 //! ("adequately overestimate average and worst-case execution times",
 //! §2.2.2).
 
+mod common;
+
+use common::run_cycles;
 use speed_qm::core::analysis;
-use speed_qm::core::controller::{CyclicRunner, OverheadModel};
-use speed_qm::core::manager::NumericManager;
+use speed_qm::core::controller::{ExecutionTimeSource, OverheadModel};
+use speed_qm::core::manager::{NumericManager, QualityManager};
 use speed_qm::core::policy::MixedPolicy;
 use speed_qm::core::system::ParameterizedSystem;
 use speed_qm::core::time::Time;
@@ -30,19 +33,11 @@ fn preemption_absorbed_by_wc_inflation() {
     // outside the declared worst case. Inflate Cwc by 15 % to cover it.
     let sys = inflated_system(&enc, 150);
     let policy = MixedPolicy::new(&sys);
-    let mut runner = CyclicRunner::new(
-        &sys,
-        NumericManager::new(&sys, &policy),
-        OverheadModel::ZERO,
-        enc.config().frame_period,
-    );
+    let period = enc.config().frame_period;
     let mut exec = PreemptionExec::new(enc.exec(0.1, 21), 0.3, Time::from_us(80), 77);
-    let trace = runner.run(8, &mut exec);
-    assert_eq!(
-        trace.total_misses(),
-        0,
-        "inflated margins absorb preemption"
-    );
+    let manager = NumericManager::new(&sys, &policy);
+    let run = run_cycles(&sys, manager, OverheadModel::ZERO, period, 8, &mut exec).run_summary();
+    assert_eq!(run.misses, 0, "inflated margins absorb preemption");
 }
 
 #[test]
@@ -53,34 +48,16 @@ fn slow_platform_absorbed_when_drift_within_margin() {
     // 25 % slower platform: still below the ~2× worst-case/average gap, so
     // the manager compensates by picking lower qualities — no misses, but
     // measurably lower average quality.
-    let clean_quality = {
-        let mut runner = CyclicRunner::new(
-            sys,
-            NumericManager::new(sys, &policy),
-            OverheadModel::ZERO,
-            enc.config().frame_period,
-        );
-        let mut exec = enc.exec(0.1, 3);
-        let t = runner.run(6, &mut exec);
-        assert_eq!(t.total_misses(), 0);
-        t.avg_quality()
+    let period = enc.config().frame_period;
+    let run = |exec: &mut dyn ExecutionTimeSource| {
+        let manager = NumericManager::new(sys, &policy);
+        run_cycles(sys, manager, OverheadModel::ZERO, period, 6, exec).run_summary()
     };
-    let drifted_quality = {
-        let mut runner = CyclicRunner::new(
-            sys,
-            NumericManager::new(sys, &policy),
-            OverheadModel::ZERO,
-            enc.config().frame_period,
-        );
-        let mut exec = DriftExec::new(enc.exec(0.1, 3), 1.25);
-        let t = runner.run(6, &mut exec);
-        assert_eq!(
-            t.total_misses(),
-            0,
-            "drift within the av/wc gap is absorbed"
-        );
-        t.avg_quality()
-    };
+    let clean = run(&mut enc.exec(0.1, 3));
+    assert_eq!(clean.misses, 0);
+    let drifted = run(&mut DriftExec::new(enc.exec(0.1, 3), 1.25));
+    assert_eq!(drifted.misses, 0, "drift within the av/wc gap is absorbed");
+    let (clean_quality, drifted_quality) = (clean.avg_quality(), drifted.avg_quality());
     assert!(
         drifted_quality < clean_quality,
         "the slowdown must cost quality: {drifted_quality} vs {clean_quality}"
@@ -94,31 +71,29 @@ fn conservative_clock_quantization_costs_quality_not_safety() {
     let policy = MixedPolicy::new(sys);
     // A very coarse 1 ms clock on a 35 ms frame.
     let clock = RtClock::new(Time::from_ms(1), Time::ZERO);
-    let mut runner = CyclicRunner::new(
-        sys,
-        ClockedManager::new(
-            NumericManager::new(sys, &policy),
-            clock,
-            ClockRounding::Up,
-            0,
-        ),
-        OverheadModel::ZERO,
-        enc.config().frame_period,
-    );
-    let mut exec = enc.exec(0.1, 3);
-    let trace = runner.run(8, &mut exec);
-    assert_eq!(trace.total_misses(), 0);
+    let period = enc.config().frame_period;
+    let run = |manager: &mut dyn QualityManager| {
+        run_cycles(
+            sys,
+            manager,
+            OverheadModel::ZERO,
+            period,
+            8,
+            &mut enc.exec(0.1, 3),
+        )
+        .run_summary()
+    };
+    let quantized = run(&mut ClockedManager::new(
+        NumericManager::new(sys, &policy),
+        clock,
+        ClockRounding::Up,
+        0,
+    ));
+    assert_eq!(quantized.misses, 0);
 
     // Against the exact-clock run: quality may only go down.
-    let mut exact_runner = CyclicRunner::new(
-        sys,
-        NumericManager::new(sys, &policy),
-        OverheadModel::ZERO,
-        enc.config().frame_period,
-    );
-    let mut exec = enc.exec(0.1, 3);
-    let exact = exact_runner.run(8, &mut exec);
-    assert!(trace.avg_quality() <= exact.avg_quality() + 1e-9);
+    let exact = run(&mut NumericManager::new(sys, &policy));
+    assert!(quantized.avg_quality() <= exact.avg_quality() + 1e-9);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{arb_system, fraction_exec};
+use common::{arb_system, fraction_exec, run_cycle, run_cycles};
 use proptest::prelude::*;
 use speed_qm::core::prelude::*;
 
@@ -18,12 +18,10 @@ proptest! {
     fn mixed_policy_is_safe(arb in arb_system()) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let mut exec = FnExec(fraction_exec(sys, &arb.fractions));
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        prop_assert_eq!(trace.stats().misses, 0);
-        prop_assert_eq!(trace.stats().infeasible, 0, "a safe run never leaves all regions");
+        let summary = run_cycle(sys, NumericManager::new(sys, &policy), &mut exec).summary();
+        prop_assert_eq!(summary.misses, 0);
+        prop_assert_eq!(summary.infeasible, 0, "a safe run never leaves all regions");
     }
 
     /// No miss even when *every* action takes exactly its worst case.
@@ -31,11 +29,9 @@ proptest! {
     fn mixed_policy_survives_all_worst_case(arb in arb_system()) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
-        let trace =
-            runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(sys.table()));
-        prop_assert_eq!(trace.stats().misses, 0);
+        let mut exec = ConstantExec::worst_case(sys.table());
+        let trace = run_cycle(sys, NumericManager::new(sys, &policy), &mut exec);
+        prop_assert_eq!(trace.summary().misses, 0);
     }
 
     /// The safe (worst-case) policy is safe too.
@@ -43,11 +39,9 @@ proptest! {
     fn safe_policy_is_safe(arb in arb_system()) {
         let sys = &arb.system;
         let policy = SafePolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let mut exec = FnExec(fraction_exec(sys, &arb.fractions));
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        prop_assert_eq!(trace.stats().misses, 0);
+        let trace = run_cycle(sys, NumericManager::new(sys, &policy), &mut exec);
+        prop_assert_eq!(trace.summary().misses, 0);
     }
 
     /// Abrupt load change mid-cycle: first half at zero cost, second half
@@ -57,14 +51,12 @@ proptest! {
         let sys = &arb.system;
         let n = sys.n_actions();
         let policy = MixedPolicy::new(sys);
-        let mut runner =
-            CycleRunner::new(sys, NumericManager::new(sys, &policy), OverheadModel::ZERO);
         let table = sys.table();
         let mut exec = FnExec(move |_c, a: usize, q| {
             if a < n / 2 { Time::ZERO } else { table.wc(a, q) }
         });
-        let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-        prop_assert_eq!(trace.stats().misses, 0);
+        let trace = run_cycle(sys, NumericManager::new(sys, &policy), &mut exec);
+        prop_assert_eq!(trace.summary().misses, 0);
     }
 
     /// Safety persists across cycles with carry-over.
@@ -72,14 +64,15 @@ proptest! {
     fn cyclic_runs_are_safe(arb in arb_system()) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
-        let mut runner = CyclicRunner::new(
+        let trace = run_cycles(
             sys,
             NumericManager::new(sys, &policy),
             OverheadModel::ZERO,
             sys.final_deadline(),
+            4,
+            &mut ConstantExec::worst_case(sys.table()),
         );
-        let trace = runner.run(4, &mut ConstantExec::worst_case(sys.table()));
-        prop_assert_eq!(trace.total_misses(), 0);
+        prop_assert_eq!(trace.run_summary().misses, 0);
     }
 }
 
@@ -95,19 +88,18 @@ fn average_policy_misses_on_adversarial_times() {
         .build()
         .unwrap();
     let avg = AveragePolicy::new(&sys);
-    let mut runner = CycleRunner::new(&sys, NumericManager::new(&sys, &avg), OverheadModel::ZERO);
-    let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(sys.table()));
+    let mut exec = ConstantExec::worst_case(sys.table());
+    let trace = run_cycle(&sys, NumericManager::new(&sys, &avg), &mut exec);
     assert!(
-        trace.stats().misses > 0,
+        trace.summary().misses > 0,
         "the average policy chose quality 1 (worst case 1000 each) against a 1200 budget"
     );
 
     // The mixed policy on the same system and the same adversarial times
     // stays safe.
     let mixed = MixedPolicy::new(&sys);
-    let mut runner = CycleRunner::new(&sys, NumericManager::new(&sys, &mixed), OverheadModel::ZERO);
-    let trace = runner.run_cycle(0, Time::ZERO, &mut ConstantExec::worst_case(sys.table()));
-    assert_eq!(trace.stats().misses, 0);
+    let trace = run_cycle(&sys, NumericManager::new(&sys, &mixed), &mut exec);
+    assert_eq!(trace.summary().misses, 0);
 }
 
 /// When the worst-case contract itself is violated, misses become possible
@@ -121,12 +113,7 @@ fn contract_violation_is_detected_not_masked() {
         .build()
         .unwrap();
     let policy = MixedPolicy::new(&sys);
-    let mut runner = CycleRunner::new(
-        &sys,
-        NumericManager::new(&sys, &policy),
-        OverheadModel::ZERO,
-    );
     let mut exec = FnExec(|_c, _a, _q| Time::from_ns(300)); // 3× the declared wc at q0
-    let trace = runner.run_cycle(0, Time::ZERO, &mut exec);
-    assert!(trace.stats().misses > 0);
+    let trace = run_cycle(&sys, NumericManager::new(&sys, &policy), &mut exec);
+    assert!(trace.summary().misses > 0);
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{arb_system, fraction_exec};
+use common::{arb_system, fraction_exec, run_cycle, run_cycles};
 use proptest::prelude::*;
 use speed_qm::audio::{AudioCodec, AudioConfig};
 use speed_qm::core::analysis;
@@ -57,14 +57,10 @@ proptest! {
     ) {
         let sys = &arb.system;
         let policy = MixedPolicy::new(sys);
-        let smoothed = {
-            let manager =
-                SmoothedManager::new(NumericManager::new(sys, &policy), step, hysteresis);
-            let mut runner = CycleRunner::new(sys, manager, OverheadModel::ZERO);
-            let mut exec = FnExec(fraction_exec(sys, &arb.fractions));
-            runner.run_cycle(0, Time::ZERO, &mut exec)
-        };
-        prop_assert_eq!(smoothed.stats().misses, 0);
+        let manager = SmoothedManager::new(NumericManager::new(sys, &policy), step, hysteresis);
+        let mut exec = FnExec(fraction_exec(sys, &arb.fractions));
+        let smoothed = run_cycle(sys, manager, &mut exec);
+        prop_assert_eq!(smoothed.summary().misses, 0);
 
         // Replay the same elapsed-time points against the raw policy: the
         // smoothed choice must always be admissible (≤ the maximal level).
@@ -82,25 +78,10 @@ fn audio_symbolic_managers_match_numeric() {
     let regions = compile_regions(sys);
     let relaxation = compile_relaxation(sys, &regions, StepSet::new(vec![1, 2, 4]).unwrap());
 
+    let period = codec.config().cycle_period;
     let run = |manager: &mut dyn QualityManager| -> Vec<usize> {
-        struct ByRef<'a>(&'a mut dyn QualityManager);
-        impl QualityManager for ByRef<'_> {
-            fn decide(&mut self, state: usize, t: Time) -> Decision {
-                self.0.decide(state, t)
-            }
-            fn name(&self) -> &'static str {
-                "by-ref"
-            }
-        }
-        let mut runner = CyclicRunner::new(
-            sys,
-            ByRef(manager),
-            OverheadModel::ZERO,
-            codec.config().cycle_period,
-        );
         let mut exec = codec.exec(0.15, 5);
-        runner
-            .run(4, &mut exec)
+        run_cycles(sys, manager, OverheadModel::ZERO, period, 4, &mut exec)
             .cycles
             .iter()
             .flat_map(|c| c.quality_sequence())
@@ -121,15 +102,11 @@ fn audio_codec_tracks_content_difficulty() {
     let codec = AudioCodec::new(AudioConfig::streaming(3)).unwrap();
     let sys = codec.system();
     let policy = MixedPolicy::new(sys);
-    let mut runner = CyclicRunner::new(
-        sys,
-        NumericManager::new(sys, &policy),
-        OverheadModel::ZERO,
-        codec.config().cycle_period,
-    );
+    let manager = NumericManager::new(sys, &policy);
+    let period = codec.config().cycle_period;
     let mut exec = codec.exec(0.1, 9);
-    let trace = runner.run(32, &mut exec);
-    assert_eq!(trace.total_misses(), 0);
+    let trace = run_cycles(sys, manager, OverheadModel::ZERO, period, 32, &mut exec);
+    assert_eq!(trace.run_summary().misses, 0);
 
     let mut noisy = (0.0f64, 0usize);
     let mut tonal = (0.0f64, 0usize);
@@ -171,14 +148,16 @@ fn shifted_table_controls_the_audio_codec_safely() {
         // misses against it, so rebuild the system's deadline map too.
         let moved = analysis::with_final_deadline(sys, codec.config().cycle_period + delta)
             .expect("within feasibility");
-        let mut runner = CyclicRunner::new(
+        let period = codec.config().cycle_period + delta;
+        let mut exec = codec.exec(0.15, 6);
+        let trace = run_cycles(
             &moved,
             LookupManager::new(&shifted),
             OverheadModel::ZERO,
-            codec.config().cycle_period + delta,
+            period,
+            12,
+            &mut exec,
         );
-        let mut exec = codec.exec(0.15, 6);
-        let trace = runner.run(12, &mut exec);
-        assert_eq!(trace.total_misses(), 0, "delta {delta_ms} ms");
+        assert_eq!(trace.run_summary().misses, 0, "delta {delta_ms} ms");
     }
 }
