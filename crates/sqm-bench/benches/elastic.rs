@@ -8,8 +8,9 @@
 //! serial fill.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sqm_bench::elastic::{mixed_fleet, serial_fold};
 use sqm_bench::ElasticExperiment;
-use sqm_core::elastic::ElasticConfig;
+use sqm_core::elastic::{ElasticConfig, ElasticRunner};
 use std::hint::black_box;
 
 fn bench_elastic(c: &mut Criterion) {
@@ -17,15 +18,16 @@ fn bench_elastic(c: &mut Criterion) {
     group.sample_size(10);
     let exp = ElasticExperiment::micro(4_000, 3);
     let config = ElasticConfig::live().with_ring_capacity(1024);
+    let fleet = || mixed_fleet(&exp, exp.streams(), exp.frames(), 1, 0);
     group.bench_function(BenchmarkId::new("serial_fold", exp.streams()), |b| {
-        b.iter(|| black_box(exp.serial_reference(black_box(config))));
+        b.iter(|| black_box(serial_fold(black_box(config).chaining, fleet())));
     });
     for workers in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new(format!("workers{workers}"), exp.streams()),
             &workers,
             |b, &w| {
-                b.iter(|| black_box(exp.run(w, black_box(config))));
+                b.iter(|| black_box(ElasticRunner::new(w, black_box(config)).run(fleet()).0));
             },
         );
     }

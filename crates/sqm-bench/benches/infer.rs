@@ -8,8 +8,9 @@
 //! batch-coupled decision loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqm_bench::{InferExperiment, Workload};
-use sqm_core::elastic::ElasticConfig;
+use sqm_bench::elastic::mixed_fleet;
+use sqm_bench::{InferExperiment, Workload, JITTER};
+use sqm_core::elastic::{ElasticConfig, ElasticRunner};
 use sqm_core::engine::{CycleChaining, NullSink};
 use std::hint::black_box;
 
@@ -23,7 +24,7 @@ fn bench_infer(c: &mut Criterion) {
             black_box(exp.run_closed(
                 black_box(8),
                 CycleChaining::ArrivalClamped,
-                0.1,
+                JITTER,
                 11,
                 &mut NullSink,
             ))
@@ -43,7 +44,10 @@ fn bench_infer(c: &mut Criterion) {
     let config = ElasticConfig::live().with_ring_capacity(256);
     for workers in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("elastic", workers), &workers, |b, &w| {
-            b.iter(|| black_box(tiny.run_elastic(w, black_box(config), 500, 2)));
+            b.iter(|| {
+                let fleet = mixed_fleet(&tiny, 500, 2, 1, 1_000);
+                black_box(ElasticRunner::new(w, black_box(config)).run(fleet).0)
+            });
         });
     }
     group.finish();

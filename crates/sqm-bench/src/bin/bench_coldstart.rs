@@ -23,7 +23,8 @@
 use std::time::Instant;
 
 use sqm_bench::net::NetExperiment;
-use sqm_bench::workload::{AudioExperiment, Workload};
+use sqm_bench::report::median_of_5;
+use sqm_bench::workload::{AudioExperiment, Workload, JITTER};
 use sqm_bench::PaperExperiment;
 use sqm_core::artifact::{Artifact, ArtifactView};
 use sqm_core::engine::{CycleChaining, Engine, RecordBuffer};
@@ -38,15 +39,8 @@ use sqm_mpeg::EncoderConfig;
 use sqm_platform::compile::compile_many;
 
 const CYCLES: usize = 3;
-const JITTER: f64 = 0.1;
 const SEED: u64 = 11;
 const FLEET_CONFIGS: usize = 1000;
-
-fn median_of_5(mut sample: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// Engine records under `regions` — the identity-gate probe: two table
 /// views are interchangeable iff these are byte-identical.

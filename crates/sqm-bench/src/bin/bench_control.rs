@@ -25,12 +25,14 @@ use std::time::Instant;
 use sqm_bench::control::{
     assert_trivial_set_identity, matrix_safe_set, run_control_matrix, ControlOutcome,
 };
-use sqm_bench::{InferExperiment, NetExperiment, PaperExperiment, Workload};
+use sqm_bench::elastic::check_identity;
+use sqm_bench::report::median_of_5;
+use sqm_bench::{InferExperiment, NetExperiment, PaperExperiment, Workload, JITTER};
 use sqm_core::control::{
     standard_slate, ApproachabilityController, ControlSink, ControlledManager, PayoffCell,
     PayoffSpec, SafeSet,
 };
-use sqm_core::elastic::{ElasticConfig, ElasticRunner, EngineDriver};
+use sqm_core::elastic::{ElasticConfig, ElasticRunner};
 use sqm_core::engine::{CycleChaining, Engine, NullSink};
 use sqm_core::manager::LookupManager;
 use sqm_core::relaxation::StepSet;
@@ -38,14 +40,7 @@ use sqm_core::source::Periodic;
 use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
 use sqm_mpeg::EncoderConfig;
 
-const JITTER: f64 = 0.1;
 const SEED: u64 = 11;
-
-fn median_of_5(mut sample: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 fn mpeg_tiny() -> PaperExperiment {
     PaperExperiment::with_config_and_rho(
@@ -75,10 +70,11 @@ where
             policy: OverloadPolicy::Block,
         };
         // Streaming: plain vs trivial-set controlled.
-        let plain = StreamingRunner::new(config).run(
-            &mut Engine::new(w.system(), LookupManager::new(w.regions()), w.overhead()),
+        let plain = w.run_streaming(
+            config,
             &mut Periodic::new(w.period(), cycles),
-            &mut w.exec_source(JITTER, SEED),
+            JITTER,
+            SEED,
             &mut NullSink,
         );
         let controlled = StreamingRunner::new(config).run(
@@ -98,45 +94,19 @@ where
         let elastic_config = ElasticConfig::live()
             .with_chaining(chaining)
             .with_ring_capacity(2);
-        let plain_streams = || -> Vec<_> {
-            (0..3u64)
-                .map(|i| {
-                    (
-                        Periodic::new(w.period(), cycles),
-                        EngineDriver::new(
-                            Engine::new(w.system(), LookupManager::new(w.regions()), w.overhead()),
-                            w.exec_source(JITTER, SEED + i),
-                            NullSink,
-                        ),
-                    )
-                })
-                .collect()
-        };
-        let controlled_streams = || -> Vec<_> {
-            (0..3u64)
-                .map(|i| {
-                    (
-                        Periodic::new(w.period(), cycles),
-                        EngineDriver::new(
-                            Engine::new(w.system(), trivial_manager(w), w.overhead()),
-                            w.exec_source(JITTER, SEED + i),
-                            NullSink,
-                        ),
-                    )
-                })
-                .collect()
-        };
-        let (plain_elastic, _) = ElasticRunner::new(1, elastic_config).run(plain_streams());
-        for workers in 1..=2 {
-            let (controlled_elastic, _) =
-                ElasticRunner::new(workers, elastic_config).run(controlled_streams());
-            assert_eq!(
-                controlled_elastic.per_stream(),
-                plain_elastic.per_stream(),
-                "{} {chaining:?}: trivial-set elastic({workers}) diverged",
-                w.label()
-            );
-        }
+        let streams = || (0..3u64).map(|i| (Periodic::new(w.period(), cycles), SEED + i));
+        let (plain_elastic, _) = ElasticRunner::new(1, elastic_config)
+            .run(w.population(|| LookupManager::new(w.regions()), streams()));
+        let (controlled_elastic, _) = check_identity(elastic_config, [2], || {
+            w.population(|| trivial_manager(w), streams())
+        })
+        .unwrap_or_else(|e| panic!("{} {chaining:?}: trivial-set elastic: {e}", w.label()));
+        assert_eq!(
+            controlled_elastic.per_stream(),
+            plain_elastic.per_stream(),
+            "{} {chaining:?}: trivial-set elastic diverged",
+            w.label()
+        );
     }
 }
 

@@ -29,8 +29,10 @@
 
 use std::time::Instant;
 
+use sqm_bench::elastic::{check_identity, mixed_fleet};
+use sqm_bench::report::{median, median_of_5};
 use sqm_bench::ElasticExperiment;
-use sqm_core::elastic::{Admission, ElasticConfig};
+use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner};
 
 /// Minor page faults of this process (every thread, live or exited) so
 /// far: field 10 of `/proc/self/stat` on Linux, `None` elsewhere.
@@ -44,19 +46,6 @@ fn minor_faults() -> Option<u64> {
     fields.split_whitespace().nth(7)?.parse().ok()
 }
 
-/// The median of five samples of `(host ns, minor faults)`, each taken
-/// separately.
-fn median_of_5(mut sample: impl FnMut() -> (f64, Option<u64>)) -> (f64, Option<u64>) {
-    let (mut ns, faults): (Vec<f64>, Vec<Option<u64>>) = (0..5).map(|_| sample()).unzip();
-    ns.sort_by(f64::total_cmp);
-    let mut faults: Option<Vec<u64>> = faults.into_iter().collect();
-    let faults = faults.as_mut().map(|f| {
-        f.sort_unstable();
-        f[f.len() / 2]
-    });
-    (ns[ns.len() / 2], faults)
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -66,46 +55,45 @@ fn main() {
     let frames = 3;
     let exp = ElasticExperiment::micro(streams, frames);
     let config = ElasticConfig::live().with_ring_capacity(4096);
+    let worker_counts = [1usize, 2, 4, 8];
+    // Stream i runs exec seed i, at the nominal rate (overload factor 1).
+    let fleet = || mixed_fleet(&exp, streams, frames, 1, 0);
 
-    // Correctness gates, on the full population.
-    let reference = exp.run(1, config);
+    // Correctness gates, on the full population: every measured worker
+    // count against the 1-worker run, and that against the serial fold.
+    let (reference, _) = check_identity(config, worker_counts, fleet)
+        .unwrap_or_else(|e| panic!("determinism contract broken: {e}"));
     assert_eq!(reference.n_streams(), streams);
     assert_eq!(
         reference.stats().processed,
         exp.total_frames(),
         "unbounded admission executes every frame"
     );
-    let serial = exp.serial_reference(config);
-    assert_eq!(
-        reference.per_stream(),
-        &serial[..],
-        "elastic(1) must match the serial StreamingRunner fold per stream"
+    println!(
+        "identity check: elastic(1..8 workers) == elastic(1 worker) == serial streaming fold ✓"
     );
-    println!("identity check: elastic(1 worker) == serial streaming fold ✓");
 
     let actions = reference.run().actions;
     let mut entries = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        // Warm-up run doubles as the byte-identity gate for this count.
-        let out = exp.run(workers, config);
-        assert_eq!(
-            out, reference,
-            "workers = {workers} changed the result — determinism contract broken"
-        );
-        let (host_ns, faults) = median_of_5(|| {
+    for workers in worker_counts {
+        let mut faults = Vec::new();
+        let host_ns = median_of_5(|| {
             let faults_before = minor_faults();
             let t0 = Instant::now();
-            let out = exp.run(workers, config);
+            let (out, _) = ElasticRunner::new(workers, config).run(fleet());
             let ns = t0.elapsed().as_nanos() as f64;
-            let faults = minor_faults()
-                .zip(faults_before)
-                .map(|(after, before)| after - before);
+            faults.push(
+                minor_faults()
+                    .zip(faults_before)
+                    .map(|(after, before)| after - before),
+            );
             assert_eq!(
                 out, reference,
                 "workers = {workers} diverged mid-measurement"
             );
-            (ns, faults)
+            ns
         });
+        let faults = faults.into_iter().collect::<Option<Vec<u64>>>().map(median);
         let streams_per_sec = streams as f64 / (host_ns / 1e9);
         let ns_per_action = host_ns / actions as f64;
         let faults = faults.map_or_else(|| "null".to_string(), |f| f.to_string());
@@ -136,16 +124,14 @@ fn main() {
         .with_admission(Admission::DropNewest {
             global_capacity: 2_000,
         });
-    let shed = shed_exp.run(1, shed_config);
+    let (shed, _) = check_identity(shed_config, [4], || {
+        mixed_fleet(&shed_exp, shed_exp.streams(), frames, 4, 0)
+    })
+    .unwrap_or_else(|e| panic!("shedding must be deterministic: {e}"));
     let ledger = *shed.ledger();
     assert!(ledger.shed > 0, "4x overload must shed: {ledger:?}");
     assert_eq!(ledger.admitted + ledger.shed, ledger.arrived);
     assert_eq!(shed.stats().dropped, ledger.shed);
-    assert_eq!(
-        shed_exp.run(4, shed_config),
-        shed,
-        "shedding must be deterministic"
-    );
     println!(
         "shed check: {} of {} arrivals shed at global capacity 2000, \
          peak backlog {}, identical at 4 workers ✓",

@@ -19,6 +19,7 @@
 use std::time::Instant;
 
 use sqm_bench::fuzz;
+use sqm_bench::report::median_of_5;
 use sqm_core::compiler::compile_regions;
 use sqm_core::controller::{ConstantExec, OverheadModel};
 use sqm_core::engine::{CycleChaining, Engine, NullSink};
@@ -29,12 +30,6 @@ use sqm_core::system::{ParameterizedSystem, SystemBuilder};
 use sqm_core::time::Time;
 use sqm_platform::faults::DriftExec;
 use sqm_platform::recalib::{OnlineEstimator, RecalibratingExec, RecalibrationConfig};
-
-fn median_of_5(mut sample: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 /// The drift-recovery system used across tests and docs: two 2-quality
 /// actions whose high quality fits the model but not a 1.4× drift.

@@ -29,19 +29,15 @@
 
 use std::time::Instant;
 
-use sqm_bench::{InferExperiment, Workload};
-use sqm_core::elastic::{Admission, ElasticConfig};
+use sqm_bench::elastic::{check_identity, mixed_fleet};
+use sqm_bench::report::median_of_5;
+use sqm_bench::{InferExperiment, Workload, JITTER};
+use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner};
 use sqm_core::engine::{CycleChaining, NullSink};
 use sqm_core::source::Periodic;
 use sqm_core::stream::{OverloadPolicy, StreamConfig};
 use sqm_core::trace::Trace;
 use sqm_infer::SloClass;
-
-fn median_of_5(mut sample: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 fn main() {
     let out_path = std::env::args()
@@ -51,7 +47,7 @@ fn main() {
     // ---- Gate: streaming ≡ closed loop, both chainings. ----------------
     let tiny = InferExperiment::tiny(7);
     for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-        let closed = tiny.run_closed(4, chaining, tiny.jitter(), 11, &mut NullSink);
+        let closed = tiny.run_closed(4, chaining, JITTER, 11, &mut NullSink);
         let streamed = tiny.run_streaming(
             StreamConfig {
                 chaining,
@@ -59,7 +55,7 @@ fn main() {
                 policy: OverloadPolicy::Block,
             },
             &mut Periodic::new(tiny.period(), 4),
-            tiny.jitter(),
+            JITTER,
             11,
             &mut NullSink,
         );
@@ -73,13 +69,7 @@ fn main() {
     // ---- SLO slack over a closed serving run (small config). -----------
     let small = InferExperiment::small(3);
     let mut trace = Trace::default();
-    let run = small.run_closed(
-        16,
-        CycleChaining::ArrivalClamped,
-        small.jitter(),
-        11,
-        &mut trace,
-    );
+    let run = small.run_closed(16, CycleChaining::ArrivalClamped, JITTER, 11, &mut trace);
     assert_eq!(run.misses, 0, "the SLO run must be miss-free");
     let pipeline = small.pipeline();
     let deadlines = pipeline.system().deadlines();
@@ -115,25 +105,21 @@ fn main() {
     let config = ElasticConfig::live().with_ring_capacity(4096);
     let mut entries = Vec::new();
     for streams in [1_000usize, 10_000, 100_000] {
-        let reference = tiny.run_elastic(1, config, streams, frames);
+        // Stream i runs exec seed 1000 + i; unbounded admission runs the
+        // fleet at the nominal rate, the shed rung below at 4x.
+        let fleet = |frames, overload| mixed_fleet(&tiny, streams, frames, overload, 1_000);
+        let (reference, _) = check_identity(config, [2], || fleet(frames, 1))
+            .unwrap_or_else(|e| panic!("{streams} streams: {e}"));
         assert_eq!(reference.n_streams(), streams);
         assert_eq!(
             reference.stats().processed,
             streams * frames,
             "unbounded admission executes every batch"
         );
-        let serial = tiny.serial_elastic_reference(config, streams, frames);
-        assert_eq!(
-            reference.per_stream(),
-            &serial[..],
-            "elastic(1) must match the serial streaming fold at {streams} streams"
-        );
-        let out = tiny.run_elastic(2, config, streams, frames);
-        assert_eq!(out, reference, "elastic(2) diverged at {streams} streams");
         let actions = reference.run().actions;
         let host_ns = median_of_5(|| {
             let t0 = Instant::now();
-            let out = tiny.run_elastic(2, config, streams, frames);
+            let (out, _) = ElasticRunner::new(2, config).run(fleet(frames, 1));
             let ns = t0.elapsed().as_nanos() as f64;
             assert_eq!(out, reference, "{streams} streams diverged mid-measurement");
             ns
@@ -150,16 +136,12 @@ fn main() {
             .with_admission(Admission::DropNewest {
                 global_capacity: streams / 2,
             });
-        let shed = tiny.run_elastic(1, shed_config, streams, shed_frames);
+        let (shed, _) = check_identity(shed_config, [2], || fleet(shed_frames, 4))
+            .unwrap_or_else(|e| panic!("shedding must be deterministic at {streams} streams: {e}"));
         let ledger = *shed.ledger();
         assert!(ledger.shed > 0, "4x overload must shed: {ledger:?}");
         assert_eq!(ledger.admitted + ledger.shed, ledger.arrived);
         assert_eq!(shed.stats().dropped, ledger.shed);
-        assert_eq!(
-            tiny.run_elastic(2, shed_config, streams, shed_frames),
-            shed,
-            "shedding must be deterministic at {streams} streams"
-        );
         let shed_rate = ledger.shed as f64 / ledger.arrived as f64;
         println!(
             "streams {streams}: host {host_ns:.0} ns (median of 5), \

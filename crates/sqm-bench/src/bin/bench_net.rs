@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use sqm_bench::{NetExperiment, Workload};
+use sqm_bench::{NetExperiment, Workload, JITTER};
 use sqm_core::engine::{CycleChaining, NullSink};
 use sqm_core::source::Periodic;
 use sqm_core::stream::{OverloadPolicy, StreamConfig};
@@ -35,7 +35,7 @@ fn main() {
     // Correctness gate: streaming(Periodic, Block) ≡ the closed loop,
     // byte for byte, under both chaining variants.
     for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-        let closed = exp.run_closed(batches, chaining, exp.jitter(), exec_seed, &mut NullSink);
+        let closed = exp.run_closed(batches, chaining, JITTER, exec_seed, &mut NullSink);
         let streamed = exp.run_streaming(
             StreamConfig {
                 chaining,
@@ -43,7 +43,7 @@ fn main() {
                 policy: OverloadPolicy::Block,
             },
             &mut Periodic::new(exp.period(), batches),
-            exp.jitter(),
+            JITTER,
             exec_seed,
             &mut NullSink,
         );

@@ -21,35 +21,35 @@
 
 use std::time::Instant;
 
-use sqm_bench::{ManagerKind, StreamingExperiment};
+use sqm_bench::streaming::mpeg_scenarios;
+use sqm_bench::{PaperExperiment, Workload, JITTER};
 use sqm_core::engine::{CycleChaining, NullSink};
 use sqm_core::source::Periodic;
 use sqm_core::stream::{OverloadPolicy, StreamConfig};
+use sqm_mpeg::EncoderConfig;
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_stream.json".to_string());
 
-    let exp = StreamingExperiment::small(7);
+    let exp = PaperExperiment::with_config(EncoderConfig::small(7));
     let frames = 24;
     let exec_seed = 11;
-    let kind = ManagerKind::Regions;
 
     // Correctness gate: streaming(Periodic, Block) ≡ the closed loop,
     // byte for byte, under both chaining variants.
     for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-        let closed = exp.closed_reference(kind, chaining, frames, exec_seed);
-        let streamed = exp.mpeg().run_stream_into(
-            kind,
-            exp.jitter(),
-            exec_seed,
+        let closed = exp.run_closed(frames, chaining, JITTER, exec_seed, &mut NullSink);
+        let streamed = exp.run_streaming(
             StreamConfig {
                 chaining,
                 capacity: 4,
                 policy: OverloadPolicy::Block,
             },
             &mut Periodic::new(exp.period(), frames),
+            JITTER,
+            exec_seed,
             &mut NullSink,
         );
         assert_eq!(
@@ -61,11 +61,11 @@ fn main() {
 
     let mut entries = Vec::new();
     let mut patterns_with_stats = 0usize;
-    for scenario in StreamingExperiment::scenarios() {
+    for scenario in mpeg_scenarios() {
         // Warm-up, then time the scenario on the host clock.
-        let _ = exp.run_scenario(kind, &scenario, frames, exec_seed);
+        let _ = exp.run_scenario(&scenario, frames, exec_seed);
         let t0 = Instant::now();
-        let out = exp.run_scenario(kind, &scenario, frames, exec_seed);
+        let out = exp.run_scenario(&scenario, frames, exec_seed);
         let host_ns = t0.elapsed().as_nanos() as f64;
 
         let s = out.stats;
@@ -139,7 +139,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"schema\": \"speed-qm/bench-stream/v1\",\n",
-            "  \"config\": \"StreamingExperiment::small(7), {} frames, regions manager, arrival-clamped\",\n",
+            "  \"config\": \"PaperExperiment::with_config(EncoderConfig::small(7)), {} frames, regions manager, arrival-clamped\",\n",
             "  \"note\": \"virtual-time stats (waits/latencies/backlog) are deterministic; host_wall_ns is machine-dependent (track deltas, not absolutes)\",\n",
             "  \"periodic_block_byte_identical_to_closed_loop\": true,\n",
             "  \"scenarios\": [\n{}\n  ]\n",

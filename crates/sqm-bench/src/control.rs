@@ -33,7 +33,7 @@ use sqm_core::time::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::workload::Workload;
+use crate::workload::{Workload, JITTER};
 
 /// How the platform drifts over the run. All shapes start on-model
 /// (factor 1000 permille) and reach the scenario's peak factor.
@@ -231,8 +231,6 @@ pub fn violating_peak_permille<W: Workload>(w: &W) -> i64 {
     let recover = 850 * w.period().as_ns() / sum_av_min.max(1);
     violate.min(recover).max(1200)
 }
-
-const JITTER: f64 = 0.1;
 
 /// Run one scenario of the matrix on `w`: static (passive tracking) vs
 /// controlled (active steering), identical seeded drifted sources.

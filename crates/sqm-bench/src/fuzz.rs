@@ -88,7 +88,7 @@ use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
 use sqm_core::source::{ArrivalSource, Bursty, Jittered, Periodic, TraceReplay};
-use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamSummary, StreamingRunner};
+use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
 use sqm_core::system::{ParameterizedSystem, SystemBuilder};
 use sqm_core::time::Time;
 use sqm_core::timing::TimeTable;
@@ -97,6 +97,8 @@ use sqm_platform::clock::RtClock;
 use sqm_platform::exec::{StochasticExec, ViolatingExec};
 use sqm_platform::faults::{ClockRounding, ClockedManager, DriftExec, PreemptionExec};
 use sqm_platform::load::{ConstantLoad, RandomWalkLoad};
+
+use crate::elastic::check_identity;
 
 /// Manager overhead charged on the identity paths (the same calibration
 /// the conformance suite uses); the safety oracle runs at
@@ -730,6 +732,30 @@ fn rank(choice: Option<Quality>) -> i32 {
     }
 }
 
+/// `n` periodic streams of `sys` for the elastic paths: each runs a fresh
+/// `manager()` into a fresh `sink()`, stream `i` fed by the scenario's
+/// fault with its seed offset by `i`.
+fn periodic_fleet<'a, M: QualityManager, S>(
+    sys: &'a ParameterizedSystem,
+    scenario: &Scenario,
+    n: u64,
+    manager: impl Fn() -> M,
+    sink: impl Fn() -> S,
+) -> Vec<(Periodic, EngineDriver<'a, M, AnyExec<'a>, S>)> {
+    (0..n)
+        .map(|i| {
+            (
+                Periodic::new(sys.final_deadline(), scenario.cycles),
+                EngineDriver::new(
+                    Engine::new(sys, manager(), OVERHEAD),
+                    scenario.fault.with_seed_offset(i).exec(sys.table()),
+                    sink(),
+                ),
+            )
+        })
+        .collect()
+}
+
 /// Execute every oracle path for one case. `Ok(n)` is the number of
 /// system×scenario×path cases run; `Err` is the first violation.
 pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
@@ -786,64 +812,27 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
     }
 
     // Elastic: worker counts agree, the per-stream results equal the
-    // streaming runner's fold under unbounded admission, and every
-    // stream's records re-derive from the scan.
+    // serial fold under unbounded admission, and every elastic stream's
+    // records re-derive from the scan.
     {
-        let elastic_streams = || -> Vec<_> {
-            (0..3u64)
-                .map(|i| {
-                    (
-                        Periodic::new(period, scenario.cycles),
-                        EngineDriver::new(
-                            Engine::new(&sys, LookupManager::new(&regions), OVERHEAD),
-                            scenario.fault.with_seed_offset(i).exec(sys.table()),
-                            Trace::default(),
-                        ),
-                    )
-                })
-                .collect()
-        };
         let config = ElasticConfig::live()
             .with_chaining(scenario.chaining)
             .with_ring_capacity(2);
-        let (elastic_one, streams_one) = ElasticRunner::new(1, config).run(elastic_streams());
-        let (elastic_two, streams_two) = ElasticRunner::new(2, config).run(elastic_streams());
-        paths += 2;
-        oracle_eq!(
-            "identity",
-            elastic_two,
-            elastic_one,
-            "elastic(2) != elastic(1)"
-        );
-        for stream in streams_one.iter().chain(&streams_two) {
-            rederive_trace(stream.sink(), &regions, None, unclocked)
+        let (_, traces) = check_identity(config, [2], || {
+            periodic_fleet(
+                &sys,
+                scenario,
+                3,
+                || LookupManager::new(&regions),
+                Trace::default,
+            )
+        })
+        .map_err(|e| Violation::new("identity", e))?;
+        paths += 3;
+        for trace in &traces {
+            rederive_trace(trace, &regions, None, unclocked)
                 .map_err(|e| Violation::new("identity", format!("elastic: {e}")))?;
         }
-
-        let serial_streams: Vec<StreamSummary> = (0..3u64)
-            .map(|i| {
-                let mut engine = Engine::new(&sys, LookupManager::new(&regions), OVERHEAD);
-                let mut exec = scenario.fault.with_seed_offset(i).exec(sys.table());
-                StreamingRunner::new(StreamConfig {
-                    chaining: scenario.chaining,
-                    capacity: 2,
-                    policy: OverloadPolicy::Block,
-                })
-                .run(
-                    &mut engine,
-                    &mut Periodic::new(period, scenario.cycles),
-                    &mut exec,
-                    &mut NullSink,
-                )
-            })
-            .collect();
-        paths += 1;
-        oracle_eq!(
-            "identity",
-            elastic_one.per_stream().to_vec(),
-            serial_streams,
-            "elastic per-stream != streaming fold"
-        );
     }
 
     // ── Oracle 2: safety ────────────────────────────────────────────
@@ -1216,45 +1205,24 @@ fn check_control(
         let config = ElasticConfig::live()
             .with_chaining(scenario.chaining)
             .with_ring_capacity(2);
-        let naive_streams = || -> Vec<_> {
-            (0..2u64)
-                .map(|i| {
-                    (
-                        Periodic::new(period, scenario.cycles),
-                        EngineDriver::new(
-                            Engine::new(sys, LookupManager::new(regions), OVERHEAD),
-                            scenario.fault.with_seed_offset(i).exec(sys.table()),
-                            NullSink,
-                        ),
-                    )
-                })
-                .collect()
-        };
-        let ctl_streams = || -> Vec<_> {
-            (0..2u64)
-                .map(|i| {
-                    (
-                        Periodic::new(period, scenario.cycles),
-                        EngineDriver::new(
-                            Engine::new(sys, trivial(), OVERHEAD),
-                            scenario.fault.with_seed_offset(i).exec(sys.table()),
-                            NullSink,
-                        ),
-                    )
-                })
-                .collect()
-        };
-        let (base, _) = ElasticRunner::new(1, config).run(naive_streams());
-        for workers in 1..=2usize {
-            let (ctl, _) = ElasticRunner::new(workers, config).run(ctl_streams());
-            paths += 1;
-            oracle_eq!(
-                "identity",
-                ctl.per_stream().to_vec(),
-                base.per_stream().to_vec(),
-                format!("controlled(trivial) elastic({workers}) != baseline")
-            );
-        }
+        let (base, _) = ElasticRunner::new(1, config).run(periodic_fleet(
+            sys,
+            scenario,
+            2,
+            || LookupManager::new(regions),
+            || NullSink,
+        ));
+        let (ctl, _) = check_identity(config, [2], || {
+            periodic_fleet(sys, scenario, 2, trivial, || NullSink)
+        })
+        .map_err(|e| Violation::new("identity", format!("controlled(trivial): {e}")))?;
+        paths += 2;
+        oracle_eq!(
+            "identity",
+            ctl.per_stream().to_vec(),
+            base.per_stream().to_vec(),
+            "controlled(trivial) elastic != baseline"
+        );
     }
 
     // Active controller over a reachable safe set: the floor rung (cap

@@ -15,12 +15,10 @@
 //! arithmetic.
 
 use sqm_core::compiler::compile_regions;
-use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, ElasticSummary, EngineDriver};
-use sqm_core::engine::{CycleChaining, Engine, NullSink};
-use sqm_core::manager::LookupManager;
+use sqm_core::engine::CycleChaining;
 use sqm_core::regions::QualityRegionTable;
-use sqm_core::source::{ArrivalSpec, Bursty, Jittered, PatternSource, Periodic};
-use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamSummary, StreamingRunner};
+use sqm_core::source::ArrivalSpec;
+use sqm_core::stream::{OverloadPolicy, StreamConfig};
 use sqm_core::system::ParameterizedSystem;
 use sqm_core::time::Time;
 use sqm_infer::{BatchCoupledExec, InferConfig, InferPipeline};
@@ -28,17 +26,11 @@ use sqm_infer::{BatchCoupledExec, InferConfig, InferPipeline};
 use crate::streaming::StreamScenario;
 use crate::workload::Workload;
 
-/// The per-stream driver type every elastic inference stream runs: the
-/// symbolic lookup manager over the shared region table, fed by the
-/// batch-coupled execution source.
-pub type InferDriver<'a> = EngineDriver<'a, LookupManager<'a>, BatchCoupledExec<'a>, NullSink>;
-
 /// The inference-serving experiment: batch pipeline + compiled quality
 /// regions.
 pub struct InferExperiment {
     infer: InferPipeline,
     regions: QualityRegionTable,
-    jitter: f64,
 }
 
 impl InferExperiment {
@@ -46,11 +38,7 @@ impl InferExperiment {
     pub fn new(config: InferConfig) -> InferExperiment {
         let infer = InferPipeline::new(config).expect("infer config is feasible at qmin");
         let regions = compile_regions(infer.system());
-        InferExperiment {
-            infer,
-            regions,
-            jitter: 0.1,
-        }
+        InferExperiment { infer, regions }
     }
 
     /// The CI-scale setup ([`InferConfig::small`]: 16-request batches).
@@ -66,12 +54,6 @@ impl InferExperiment {
     /// The wrapped pipeline.
     pub fn pipeline(&self) -> &InferPipeline {
         &self.infer
-    }
-
-    /// The content-jitter fraction the experiment's own entry points use
-    /// (the uniform [`Workload`] seam threads jitter explicitly instead).
-    pub fn jitter(&self) -> f64 {
-        self.jitter
     }
 
     /// The live configuration of the serving regime: arrival-clamped
@@ -142,121 +124,6 @@ impl InferExperiment {
             },
         ]
     }
-
-    /// Run one scenario for `batches` arrivals, live-clamped.
-    pub fn run_scenario(
-        &self,
-        scenario: &StreamScenario,
-        batches: usize,
-        seed: u64,
-    ) -> StreamSummary {
-        let mut source = scenario.source(self.period(), batches, seed);
-        self.run_streaming(
-            StreamConfig {
-                chaining: CycleChaining::ArrivalClamped,
-                capacity: scenario.capacity,
-                policy: scenario.policy,
-            },
-            &mut source,
-            self.jitter,
-            seed,
-            &mut NullSink,
-        )
-    }
-
-    /// Stream `i`'s arrival source for the elastic population.
-    /// `overload_factor > 1` compresses the inter-arrival period by that
-    /// factor, driving the fleet past sustainability for shed scenarios.
-    pub fn elastic_source(&self, i: usize, frames: usize, overload_factor: i64) -> PatternSource {
-        let period = Time::from_ns(self.period().as_ns() / overload_factor.max(1));
-        match i % 3 {
-            0 => PatternSource::Periodic(Periodic::new(period, frames)),
-            1 => PatternSource::Jittered(Jittered::new(
-                period,
-                Time::from_ns(period.as_ns() / 4),
-                frames,
-                7 + i as u64,
-            )),
-            _ => PatternSource::Bursty(Bursty::new(period, 4, frames, 11 + i as u64)),
-        }
-    }
-
-    /// A population of `streams` live serving streams with `frames`
-    /// batches each, ready for [`ElasticRunner::run`]: every stream runs
-    /// the lookup manager against the one shared region table with its
-    /// own batch-coupled execution source.
-    pub fn elastic_population(
-        &self,
-        streams: usize,
-        frames: usize,
-        overload_factor: i64,
-    ) -> Vec<(PatternSource, InferDriver<'_>)> {
-        (0..streams)
-            .map(|i| {
-                (
-                    self.elastic_source(i, frames, overload_factor),
-                    EngineDriver::new(
-                        Engine::new(
-                            self.infer.system(),
-                            LookupManager::new(&self.regions),
-                            self.overhead(),
-                        ),
-                        self.infer.exec(self.jitter, 1_000 + i as u64),
-                        NullSink,
-                    ),
-                )
-            })
-            .collect()
-    }
-
-    /// Run the population elastically on `workers` workers (4× overload
-    /// when the config sheds, nominal rate otherwise).
-    pub fn run_elastic(
-        &self,
-        workers: usize,
-        config: ElasticConfig,
-        streams: usize,
-        frames: usize,
-    ) -> ElasticSummary {
-        let overload = match config.admission {
-            Admission::Unbounded => 1,
-            Admission::DropNewest { .. } => 4,
-        };
-        ElasticRunner::new(workers, config)
-            .run(self.elastic_population(streams, frames, overload))
-            .0
-    }
-
-    /// The serial reference under unbounded admission: each stream alone
-    /// through [`StreamingRunner`] + `Block`, in submission order. The
-    /// elastic per-stream results must equal this fold byte-for-byte,
-    /// `max_backlog` included.
-    pub fn serial_elastic_reference(
-        &self,
-        config: ElasticConfig,
-        streams: usize,
-        frames: usize,
-    ) -> Vec<StreamSummary> {
-        (0..streams)
-            .map(|i| {
-                StreamingRunner::new(StreamConfig {
-                    chaining: config.chaining,
-                    capacity: 2,
-                    policy: OverloadPolicy::Block,
-                })
-                .run(
-                    &mut Engine::new(
-                        self.infer.system(),
-                        LookupManager::new(&self.regions),
-                        self.overhead(),
-                    ),
-                    &mut self.elastic_source(i, frames, 1),
-                    &mut self.infer.exec(self.jitter, 1_000 + i as u64),
-                    &mut NullSink,
-                )
-            })
-            .collect()
-    }
 }
 
 impl Workload for InferExperiment {
@@ -294,12 +161,17 @@ impl Workload for InferExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elastic::{check_identity, mixed_fleet};
+    use crate::workload::JITTER;
+    use sqm_core::elastic::{Admission, ElasticConfig};
+    use sqm_core::engine::NullSink;
+    use sqm_core::source::Periodic;
 
     #[test]
     fn periodic_block_streaming_matches_closed_loop() {
         let exp = InferExperiment::tiny(7);
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-            let closed = exp.run_closed(4, chaining, exp.jitter(), 11, &mut NullSink);
+            let closed = exp.run_closed(4, chaining, JITTER, 11, &mut NullSink);
             let streamed = exp.run_streaming(
                 StreamConfig {
                     chaining,
@@ -307,7 +179,7 @@ mod tests {
                     policy: OverloadPolicy::Block,
                 },
                 &mut Periodic::new(exp.period(), 4),
-                exp.jitter(),
+                JITTER,
                 11,
                 &mut NullSink,
             );
@@ -357,21 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn elastic_serving_matches_serial_reference_and_worker_counts() {
+    fn elastic_serving_matches_serial_fold_and_worker_counts() {
         let exp = InferExperiment::tiny(5);
         let config = ElasticConfig::live().with_ring_capacity(16);
-        let reference = exp.run_elastic(1, config, 24, 2);
+        let (reference, _) =
+            check_identity(config, [2, 4], || mixed_fleet(&exp, 24, 2, 1, 1_000)).unwrap();
         assert_eq!(reference.n_streams(), 24);
         assert_eq!(reference.stats().processed, 48);
-        for workers in [2, 4] {
-            assert_eq!(
-                exp.run_elastic(workers, config, 24, 2),
-                reference,
-                "workers = {workers}"
-            );
-        }
-        let serial = exp.serial_elastic_reference(config, 24, 2);
-        assert_eq!(reference.per_stream(), &serial[..]);
     }
 
     #[test]
@@ -380,13 +244,12 @@ mod tests {
         let config = ElasticConfig::live()
             .with_admission(Admission::DropNewest { global_capacity: 6 })
             .with_ring_capacity(16);
-        let out = exp.run_elastic(1, config, 18, 4);
+        let (out, _) = check_identity(config, [3], || mixed_fleet(&exp, 18, 4, 4, 1_000)).unwrap();
         assert!(
             out.ledger().shed > 0,
             "4x overload sheds: {:?}",
             out.ledger()
         );
         assert_eq!(out.ledger().arrived, 18 * 4);
-        assert_eq!(exp.run_elastic(3, config, 18, 4), out);
     }
 }

@@ -12,14 +12,17 @@
 //! * [`harness`] — the single-stream paper experiment: encoder + compiled
 //!   tables + the three §4.1 managers, all routed through the shared
 //!   `sqm_core::engine`.
-//! * [`streaming`] — the event-driven workload: the encoder fed from
-//!   `sqm_core::source` arrival patterns through the bounded-backlog
-//!   `sqm_core::stream` front-end (`cargo run -p sqm-bench --release
-//!   --bin bench_stream` emits `BENCH_stream.json`, the trajectory's
-//!   third point: backlog/latency under live traffic).
+//! * [`streaming`] — the named arrival-pattern scenarios
+//!   ([`StreamScenario`]) every workload's event-driven runs are reported
+//!   under, and the MPEG menu (`cargo run -p sqm-bench --release --bin
+//!   bench_stream` emits `BENCH_stream.json`, the trajectory's third
+//!   point: backlog/latency under live traffic).
 //! * [`workload`] — the uniform workload seam: the [`Workload`] trait
-//!   every application domain (MPEG, audio, net) registers through, plus
-//!   the audio registration.
+//!   every application domain (MPEG, audio, net, inference, the elastic
+//!   micro system) registers through — its provided methods run the
+//!   closed loop, streaming, a named scenario and build elastic
+//!   populations — plus the audio registration and the shared
+//!   [`JITTER`].
 //! * [`net`] — the packet-pipeline workload: bursty line-rate traffic
 //!   under tail drop (`cargo run -p sqm-bench --release --bin bench_net`
 //!   emits `BENCH_net.json`, the trajectory's fourth point).
@@ -33,7 +36,9 @@
 //!   multi-stream runner (`cargo run -p
 //!   sqm-bench --release --bin bench_elastic` emits `BENCH_elastic.json`,
 //!   the trajectory's many-streams point: streams/sec and ns/action
-//!   versus worker count, gated on byte-identity with the serial path).
+//!   versus worker count, gated on byte-identity with the serial path),
+//!   and the elastic identity every caller checks through
+//!   [`elastic::check_identity`].
 //! * [`fuzz`] — the differential fuzzing + fault-injection campaign:
 //!   generated systems × fault/drift scenarios × every execution path,
 //!   checked against the eight-part safety oracle (`cargo run -p
@@ -46,7 +51,8 @@
 //!   checks (`cargo run -p sqm-bench --release --bin bench_control`
 //!   emits `BENCH_control.json`, the trajectory's graceful-degradation
 //!   point).
-//! * [`report`] — ASCII tables/plots for the figure binaries.
+//! * [`report`] — ASCII tables/plots for the figure binaries, and the
+//!   median-of-5 host-time statistic of the bench binaries.
 //! * [`architecture`] — the workspace's `ARCHITECTURE.md`, compiled in
 //!   here because this crate depends on every crate it names: its type
 //!   names are intra-doc links, so `cargo doc` with `-D warnings` fails
@@ -76,7 +82,7 @@ pub use fuzz::{
     SourceKind, SystemSpec, Violation,
 };
 pub use harness::{run_paper_experiment, ExperimentResult, ManagerKind, PaperExperiment};
-pub use infer::{InferDriver, InferExperiment};
+pub use infer::InferExperiment;
 pub use net::NetExperiment;
-pub use streaming::{StreamScenario, StreamingExperiment};
-pub use workload::{AudioExperiment, Workload};
+pub use streaming::StreamScenario;
+pub use workload::{AudioExperiment, Workload, JITTER};

@@ -15,7 +15,7 @@ use sqm_core::compiler::compile_regions;
 use sqm_core::engine::CycleChaining;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::source::ArrivalSpec;
-use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamSummary};
+use sqm_core::stream::{OverloadPolicy, StreamConfig};
 use sqm_core::system::ParameterizedSystem;
 use sqm_core::time::Time;
 use sqm_net::{NetConfig, NetExec, NetPipeline};
@@ -27,7 +27,6 @@ use crate::workload::Workload;
 pub struct NetExperiment {
     net: NetPipeline,
     regions: QualityRegionTable,
-    jitter: f64,
 }
 
 impl NetExperiment {
@@ -35,11 +34,7 @@ impl NetExperiment {
     pub fn new(config: NetConfig) -> NetExperiment {
         let net = NetPipeline::new(config).expect("net config is feasible at the line rate");
         let regions = compile_regions(net.system());
-        NetExperiment {
-            net,
-            regions,
-            jitter: 0.1,
-        }
+        NetExperiment { net, regions }
     }
 
     /// The CI-scale setup ([`NetConfig::small`]: 64-packet batches at
@@ -56,17 +51,6 @@ impl NetExperiment {
     /// The wrapped pipeline.
     pub fn pipeline(&self) -> &NetPipeline {
         &self.net
-    }
-
-    /// The content-jitter fraction the experiment's own entry points
-    /// (`run_scenario`, `bench_net`) use.
-    ///
-    /// The uniform [`Workload`] seam threads jitter as an explicit
-    /// parameter instead, so harnesses that own their jitter knob pass
-    /// their own value — both knobs are currently the workspace default
-    /// of 0.1.
-    pub fn jitter(&self) -> f64 {
-        self.jitter
     }
 
     /// The live configuration of the natural regime: arrival-clamped
@@ -122,27 +106,6 @@ impl NetExperiment {
             },
         ]
     }
-
-    /// Run one scenario for `batches` arrivals, live-clamped.
-    pub fn run_scenario(
-        &self,
-        scenario: &StreamScenario,
-        batches: usize,
-        seed: u64,
-    ) -> StreamSummary {
-        let mut source = scenario.source(self.period(), batches, seed);
-        self.run_streaming(
-            StreamConfig {
-                chaining: CycleChaining::ArrivalClamped,
-                capacity: scenario.capacity,
-                policy: scenario.policy,
-            },
-            &mut source,
-            self.jitter,
-            seed,
-            &mut sqm_core::engine::NullSink,
-        )
-    }
 }
 
 impl Workload for NetExperiment {
@@ -179,6 +142,7 @@ impl Workload for NetExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::JITTER;
     use sqm_core::engine::NullSink;
     use sqm_core::source::Periodic;
 
@@ -186,7 +150,7 @@ mod tests {
     fn periodic_block_streaming_matches_closed_loop() {
         let exp = NetExperiment::tiny(7);
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-            let closed = exp.run_closed(4, chaining, exp.jitter(), 11, &mut NullSink);
+            let closed = exp.run_closed(4, chaining, JITTER, 11, &mut NullSink);
             let streamed = exp.run_streaming(
                 StreamConfig {
                     chaining,
@@ -194,7 +158,7 @@ mod tests {
                     policy: OverloadPolicy::Block,
                 },
                 &mut Periodic::new(exp.period(), 4),
-                exp.jitter(),
+                JITTER,
                 11,
                 &mut NullSink,
             );

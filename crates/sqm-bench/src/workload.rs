@@ -1,26 +1,31 @@
 //! The workload seam: how an application domain plugs into the harness.
 //!
-//! Before this module existed the "workload → harness" contract was
-//! implicit: the multi-stream, streaming and figure code each rebuilt the
-//! same recipe — take the domain's [`ParameterizedSystem`], compile
-//! quality regions, wrap a [`LookupManager`] in an [`Engine`] under the
-//! calibrated regions overhead, and feed it the domain's content-driven
-//! execution-time source. [`Workload`] names that recipe once, so MPEG
-//! ([`PaperExperiment`]), audio ([`AudioExperiment`]) and the packet
-//! pipeline ([`NetExperiment`](crate::net::NetExperiment)) register
-//! uniformly, and every execution path — closed loop, event-driven
-//! streaming, the elastic multi-stream runner — is written once against
-//! the trait.
+//! [`Workload`] names the one recipe every path runs a domain by: take
+//! its [`ParameterizedSystem`], compile quality regions, wrap a
+//! [`LookupManager`] in an [`Engine`] under the domain's calibrated
+//! overhead, and feed it the domain's content-driven execution-time
+//! source. Five domains register: MPEG ([`PaperExperiment`]), audio
+//! ([`AudioExperiment`]), the packet pipeline
+//! ([`NetExperiment`](crate::net::NetExperiment)), inference serving
+//! ([`InferExperiment`](crate::infer::InferExperiment)) and the elastic
+//! micro system ([`ElasticExperiment`](crate::elastic::ElasticExperiment)).
+//!
+//! The provided methods are the run shapes every caller shares — the
+//! closed loop, event-driven streaming, a named [`StreamScenario`], and
+//! an elastic population under any manager. The elastic identity and the
+//! serial per-stream fold it is checked against live in
+//! [`crate::elastic`], next to the one runner they check.
 //!
 //! The trait stays statically dispatched: `Exec` is a generic associated
-//! type, so each workload's engine run monomorphizes exactly like the
-//! hand-written versions it replaces (no `Box<dyn …>` on the hot path).
+//! type, so each workload's engine run monomorphizes exactly like a
+//! hand-written one (no `Box<dyn …>` on the hot path).
 
 use sqm_audio::{AudioCodec, AudioConfig, AudioExec};
 use sqm_core::compiler::compile_regions;
 use sqm_core::controller::{ExecutionTimeSource, OverheadModel};
-use sqm_core::engine::{CycleChaining, Engine, RunSummary, TraceSink};
-use sqm_core::manager::LookupManager;
+use sqm_core::elastic::EngineDriver;
+use sqm_core::engine::{CycleChaining, Engine, NullSink, RunSummary, TraceSink};
+use sqm_core::manager::{LookupManager, QualityManager};
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::source::ArrivalSource;
 use sqm_core::stream::{StreamConfig, StreamSummary, StreamingRunner};
@@ -30,18 +35,27 @@ use sqm_mpeg::EncoderExec;
 use sqm_platform::overhead;
 
 use crate::harness::PaperExperiment;
+use crate::streaming::StreamScenario;
+
+/// The content jitter (±10 %) every harness run feeds the execution-time
+/// sources: the scenario runs and populations below, the bench binaries,
+/// and the conformance and golden suites.
+pub const JITTER: f64 = 0.1;
+
+/// The engine driver of one elastic stream of workload `W` under manager
+/// `M`, as [`Workload::population`] builds it.
+pub type WorkloadDriver<'a, W, M> = EngineDriver<'a, M, <W as Workload>::Exec<'a>, NullSink>;
 
 /// One application domain, packaged for the harness: a scheduled system,
 /// its compiled quality regions, a nominal cycle period, and a
 /// content-driven execution-time source.
 ///
 /// The provided methods are the **uniform execution seam** every path
-/// shares — the closed loop ([`Workload::run_closed`]) and the
-/// event-driven front-end ([`Workload::run_streaming`]); the required
-/// methods supply what an elastic population of
-/// [`EngineDriver`](sqm_core::elastic::EngineDriver)s is built from. The
-/// cross-path conformance suite (`tests/conformance.rs`) is written once
-/// against the trait and holds for every implementor.
+/// shares — the closed loop ([`Workload::run_closed`]), the event-driven
+/// front-end ([`Workload::run_streaming`], [`Workload::run_scenario`]) and
+/// the elastic population ([`Workload::population`]). The cross-path
+/// conformance suite (`tests/conformance.rs`) is written once against the
+/// trait and holds for every implementor.
 pub trait Workload {
     /// The workload's content-driven execution-time source.
     type Exec<'a>: ExecutionTimeSource
@@ -114,6 +128,48 @@ pub trait Workload {
             &mut self.exec_source(jitter, exec_seed),
             sink,
         )
+    }
+
+    /// Run one named scenario for `frames` arrivals under the regions
+    /// manager, live-clamped (frames cannot start before they exist),
+    /// with content jitter [`JITTER`]; `seed` seeds both the arrival
+    /// source and the execution-time source.
+    fn run_scenario(&self, scenario: &StreamScenario, frames: usize, seed: u64) -> StreamSummary {
+        self.run_streaming(
+            scenario.config(),
+            &mut scenario.source(self.period(), frames, seed),
+            JITTER,
+            seed,
+            &mut NullSink,
+        )
+    }
+
+    /// A population of live streams for the elastic runner, one per
+    /// `(source, exec_seed)` entry: each runs a fresh `manager()` under the
+    /// workload's overhead, fed by its own execution-time source with
+    /// content jitter [`JITTER`]. The same population also yields its
+    /// serial reference ([`crate::elastic::serial_fold`]).
+    fn population<'a, M, A>(
+        &'a self,
+        manager: impl Fn() -> M,
+        streams: impl IntoIterator<Item = (A, u64)>,
+    ) -> Vec<(A, WorkloadDriver<'a, Self, M>)>
+    where
+        M: QualityManager,
+    {
+        streams
+            .into_iter()
+            .map(|(source, exec_seed)| {
+                (
+                    source,
+                    EngineDriver::new(
+                        Engine::new(self.system(), manager(), self.overhead()),
+                        self.exec_source(JITTER, exec_seed),
+                        NullSink,
+                    ),
+                )
+            })
+            .collect()
     }
 }
 
@@ -198,7 +254,6 @@ impl Workload for AudioExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqm_core::engine::NullSink;
     use sqm_core::source::Periodic;
     use sqm_core::stream::OverloadPolicy;
 
@@ -208,10 +263,7 @@ mod tests {
     fn provided_paths_agree_for_audio() {
         let w = AudioExperiment::tiny(5);
         for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
-            let closed = {
-                let mut sink = NullSink;
-                w.run_closed(3, chaining, 0.1, 11, &mut sink)
-            };
+            let closed = w.run_closed(3, chaining, JITTER, 11, &mut NullSink);
             let streamed = w.run_streaming(
                 StreamConfig {
                     chaining,
@@ -219,7 +271,7 @@ mod tests {
                     policy: OverloadPolicy::Block,
                 },
                 &mut Periodic::new(w.period(), 3),
-                0.1,
+                JITTER,
                 11,
                 &mut NullSink,
             );

@@ -6,7 +6,7 @@
 //! (`Trace::run_summary`) and **Periodic + Block streaming**
 //! (`StreamingRunner`). They must agree **byte for byte** — one
 //! `RunSummary` semantics, no matter which path computed it — for *every*
-//! registered workload (MPEG, audio, net, inference) under *both* [`CycleChaining`]
+//! registered workload (MPEG, audio, net, inference, micro) under *both* [`CycleChaining`]
 //! variants, and over arbitrary feasible systems. This file replaces the
 //! per-path identity tests that used to be scattered across
 //! `tests/streaming.rs`, the multi-stream harnesses and the bench
@@ -33,12 +33,13 @@ use common::{arb_system, cycle_fraction_exec, OVERHEAD};
 use proptest::prelude::*;
 use speed_qm::core::prelude::*;
 use speed_qm::mpeg::EncoderConfig;
+use sqm_bench::elastic::check_identity;
 use sqm_bench::fuzz::{rederive_decisions, unclocked};
 use sqm_bench::{
-    AudioExperiment, InferExperiment, ManagerKind, NetExperiment, PaperExperiment, Workload,
+    AudioExperiment, ElasticExperiment, InferExperiment, ManagerKind, NetExperiment,
+    PaperExperiment, Workload, JITTER,
 };
 
-const JITTER: f64 = 0.1;
 const SEED: u64 = 11;
 const CYCLES: usize = 4;
 
@@ -108,59 +109,30 @@ where
         rederive(&trace, w.regions(), None);
 
         // Path 4 — the elastic scheduler: per-cycle interleaving of many
-        // live streams must reproduce the per-stream streaming fold under
-        // unbounded admission — the full struct, `max_backlog` included —
-        // byte-identically for every worker count. The sources are built
-        // from `ArrivalSpec::Periodic`, the fold's from `Periodic::new`,
-        // so the recipe collapses to the source it names.
-        let elastic_streams = || -> Vec<_> {
-            (0..3u64)
-                .map(|i| {
-                    (
-                        ArrivalSpec::Periodic
-                            .build(w.period(), CYCLES, SEED + i)
-                            .expect("periodic is event-sourced"),
-                        EngineDriver::new(
-                            Engine::new(w.system(), LookupManager::new(w.regions()), w.overhead()),
-                            w.exec_source(JITTER, SEED + i),
-                            NullSink,
-                        ),
-                    )
-                })
-                .collect()
-        };
-        let serial_streams: Vec<StreamSummary> = (0..3u64)
-            .map(|i| {
-                w.run_streaming(
-                    config,
-                    &mut Periodic::new(w.period(), CYCLES),
-                    JITTER,
-                    SEED + i,
-                    &mut NullSink,
-                )
-            })
-            .collect();
+        // live streams must satisfy the elastic identity — elastic(W) ≡
+        // elastic(1) for every worker count, and elastic(1) ≡ the serial
+        // per-stream fold under unbounded admission, `max_backlog`
+        // included. The sources are built from `ArrivalSpec::Periodic`,
+        // path 3's from `Periodic::new`, so stream 0 (seeded like path 3)
+        // pins that the recipe collapses to the source it names.
         let elastic_config = ElasticConfig::live()
             .with_chaining(chaining)
             .with_ring_capacity(2);
-        let (elastic_one, _) = ElasticRunner::new(1, elastic_config).run(elastic_streams());
+        let (elastic_one, _) = check_identity(elastic_config, 2..=3, || {
+            w.population(
+                || LookupManager::new(w.regions()),
+                (0..3u64).map(|i| {
+                    let source = ArrivalSpec::Periodic.build(w.period(), CYCLES, SEED + i);
+                    (source.expect("periodic is event-sourced"), SEED + i)
+                }),
+            )
+        })
+        .unwrap_or_else(|e| panic!("{label} {chaining:?}: {e}"));
         assert_eq!(
-            elastic_one.per_stream(),
-            &serial_streams[..],
-            "{label} {chaining:?}: elastic(1) != per-stream streaming fold"
+            elastic_one.stream(0),
+            &streamed,
+            "{label} {chaining:?}: elastic stream != streaming"
         );
-        assert_eq!(
-            elastic_one.stream(0).run,
-            serial,
-            "{label} {chaining:?}: elastic stream != closed loop"
-        );
-        for workers in 2..=3 {
-            let (elastic_n, _) = ElasticRunner::new(workers, elastic_config).run(elastic_streams());
-            assert_eq!(
-                elastic_n, elastic_one,
-                "{label} {chaining:?}: elastic({workers}) != elastic(1)"
-            );
-        }
 
         // Path 5 — the approachability control layer with the trivial
         // safe set (ℝ⁴): the averaged payoff is always inside, so the
@@ -210,29 +182,18 @@ where
             ctl_streamed, streamed,
             "{label} {chaining:?}: controlled(trivial) streaming != streaming"
         );
-        let ctl_elastic_streams = || -> Vec<_> {
-            (0..3u64)
-                .map(|i| {
-                    (
-                        Periodic::new(w.period(), CYCLES),
-                        EngineDriver::new(
-                            Engine::new(w.system(), trivial(), w.overhead()),
-                            w.exec_source(JITTER, SEED + i),
-                            NullSink,
-                        ),
-                    )
-                })
-                .collect()
-        };
-        for workers in 1..=2 {
-            let (ctl_elastic, _) =
-                ElasticRunner::new(workers, elastic_config).run(ctl_elastic_streams());
-            assert_eq!(
-                ctl_elastic.per_stream(),
-                elastic_one.per_stream(),
-                "{label} {chaining:?}: controlled(trivial) elastic({workers}) != elastic"
-            );
-        }
+        let (ctl_elastic, _) = check_identity(elastic_config, [2], || {
+            w.population(
+                trivial,
+                (0..3u64).map(|i| (Periodic::new(w.period(), CYCLES), SEED + i)),
+            )
+        })
+        .unwrap_or_else(|e| panic!("{label} {chaining:?}: controlled(trivial): {e}"));
+        assert_eq!(
+            ctl_elastic.per_stream(),
+            elastic_one.per_stream(),
+            "{label} {chaining:?}: controlled(trivial) elastic != elastic"
+        );
 
         per_chaining.push(serial);
     }
@@ -257,6 +218,13 @@ fn audio_workload_conforms_across_all_paths() {
 #[test]
 fn net_workload_conforms_across_all_paths() {
     assert_conformance(&NetExperiment::tiny(3));
+}
+
+/// The elastic bench's micro system (four actions, three qualities, a
+/// 130 ns cycle) — the system the benchmark's live fleet runs.
+#[test]
+fn micro_workload_conforms_across_all_paths() {
+    assert_conformance(&ElasticExperiment::micro(3, 4));
 }
 
 /// The inference workload's execution source is *stateful* (the shared
@@ -401,26 +369,8 @@ proptest! {
             let config = ElasticConfig::live()
                 .with_chaining(chaining)
                 .with_ring_capacity(3);
-            let (one, _) = ElasticRunner::new(1, config).run(streams());
-            let (many, _) = ElasticRunner::new(workers, config).run(streams());
-            prop_assert_eq!(&many, &one, "workers = {} {:?}", workers, chaining);
-
-            let serial: Vec<StreamSummary> = (0..arrivals.len())
-                .map(|i| {
-                    StreamingRunner::new(StreamConfig {
-                        chaining,
-                        capacity: 3,
-                        policy: OverloadPolicy::Block,
-                    })
-                    .run(
-                        &mut Engine::new(sys, NumericManager::new(sys, &policy), OVERHEAD),
-                        &mut source(i),
-                        &mut cycle_fraction_exec(sys, &arb.fractions),
-                        &mut NullSink,
-                    )
-                })
-                .collect();
-            prop_assert_eq!(one.per_stream(), &serial[..], "{:?}", chaining);
+            check_identity(config, [workers], streams)
+                .map_err(|e| TestCaseError::fail(format!("{chaining:?}: {e}")))?;
         }
     }
 
@@ -522,15 +472,10 @@ fn last_end_agrees_across_serial_trace_replay_and_elastic_merge() {
             })
             .collect()
     };
+    // The same merge at 2–4 workers: the elastic identity.
     let config = ElasticConfig::live().with_chaining(CycleChaining::WorkConserving);
-    for workers in 1..=4 {
-        let (fleet, _) = ElasticRunner::new(workers, config).run(streams());
-        assert_eq!(fleet.stream(0).run, serial, "workers = {workers}");
-        assert_eq!(fleet.stream(3).run.last_end, Time::from_ns(4));
-        assert_eq!(
-            fleet.run().last_end,
-            Time::from_ns(10),
-            "workers = {workers}"
-        );
-    }
+    let (fleet, _) = check_identity(config, 2..=4, streams).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(fleet.stream(0).run, serial);
+    assert_eq!(fleet.stream(3).run.last_end, Time::from_ns(4));
+    assert_eq!(fleet.run().last_end, Time::from_ns(10));
 }
