@@ -1,14 +1,12 @@
 //! Offline compilation cost: building the quality-region and
-//! control-relaxation tables, serial and parallel, as the system grows.
+//! control-relaxation tables as the system grows.
 //!
 //! The paper pre-computes tables for 1,189 actions in Matlab; the compiler
 //! bench shows the Rust compiler is cheap enough to run at application
 //! start-up even for systems two orders of magnitude larger.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqm_core::compiler::{
-    compile_regions, compile_regions_parallel, compile_relaxation, compile_relaxation_parallel,
-};
+use sqm_core::compiler::{compile_regions, compile_relaxation};
 use sqm_core::relaxation::StepSet;
 use sqm_core::system::{ParameterizedSystem, SystemBuilder};
 use sqm_core::tables::{
@@ -37,9 +35,6 @@ fn bench_compile_regions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
             b.iter(|| black_box(compile_regions(black_box(&sys))));
         });
-        group.bench_with_input(BenchmarkId::new("parallel4", n), &n, |b, _| {
-            b.iter(|| black_box(compile_regions_parallel(black_box(&sys), 4)));
-        });
     }
     group.finish();
 }
@@ -53,9 +48,6 @@ fn bench_compile_relaxation(c: &mut Criterion) {
         let regions = compile_regions(&sys);
         group.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
             b.iter(|| black_box(compile_relaxation(&sys, &regions, rho.clone())));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel4", n), &n, |b, _| {
-            b.iter(|| black_box(compile_relaxation_parallel(&sys, &regions, rho.clone(), 4)));
         });
     }
     group.finish();

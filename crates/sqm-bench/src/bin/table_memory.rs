@@ -13,8 +13,7 @@ use sqm_bench::net::NetExperiment;
 use sqm_bench::report;
 use sqm_bench::workload::{AudioExperiment, Workload};
 use sqm_core::approx::ApproxRegionTable;
-use sqm_core::arena::RowStore;
-use sqm_core::artifact::{delta_encode, Artifact};
+use sqm_core::artifact::Artifact;
 use sqm_core::compiler::{compile_regions, compile_relaxation, TableStats};
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
@@ -22,8 +21,8 @@ use sqm_core::tables;
 use sqm_core::time::Time;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 
-/// Storage accounting for one workload's symbolic tables across the
-/// artifact layer's representations.
+/// Storage accounting for one workload's symbolic tables: the live arena
+/// and the binary artifact.
 fn artifact_row(
     label: &str,
     regions: &QualityRegionTable,
@@ -39,42 +38,10 @@ fn artifact_row(
         });
     let artifact_bytes = Artifact::encode(regions, relax).len();
 
-    // Content-addressed dedup of this workload's own rows (staircases
-    // repeat across states): directories + pools, in cells of 8 bytes.
-    let nq = regions.qualities().len();
-    let mut reg_store = RowStore::new(nq);
-    let mut dir_cells = 0usize;
-    for state in 0..regions.n_states() {
-        reg_store.intern(regions.row(state));
-        dir_cells += 1;
-    }
-    let mut pool_cells = reg_store.pool().len();
-    if let Some(rx) = relax {
-        let mut lo = RowStore::new(nq * rx.rho().len());
-        let mut up = RowStore::new(nq * rx.rho().len());
-        for state in 0..rx.n_states() {
-            lo.intern(rx.lower_row(state));
-            up.intern(rx.upper_row(state));
-            dir_cells += 2;
-        }
-        pool_cells += lo.pool().len() + up.pool().len();
-    }
-    let dedup_bytes = (dir_cells + pool_cells) * 8;
-
-    // Delta+varint archival form (not cast-loadable; for cold storage).
-    let mut delta_bytes = delta_encode(regions.arena().cells()).len();
-    if let Some(rx) = relax {
-        if !rx.arena().ptr_eq(regions.arena()) {
-            delta_bytes += delta_encode(rx.arena().cells()).len();
-        }
-    }
-
     vec![
         label.to_string(),
         format!("{:.1}", arena_bytes as f64 / 1024.0),
         format!("{:.1}", artifact_bytes as f64 / 1024.0),
-        format!("{:.1}", dedup_bytes as f64 / 1024.0),
-        format!("{:.1}", delta_bytes as f64 / 1024.0),
     ]
 }
 
@@ -123,10 +90,9 @@ fn main() {
         relax_text.len() as f64 / 1024.0
     );
 
-    // Artifact-layer representations, per workload: the live arena, the
-    // binary artifact (header + arena), content-addressed row dedup, and
-    // the delta+varint archival form.
-    println!("\nartifact layer (KiB; dedup = per-workload row pools + directories):");
+    // Artifact-layer representations, per workload: the live arena and
+    // the binary artifact (header + arena).
+    println!("\nartifact layer (KiB):");
     let audio = AudioExperiment::tiny(5);
     let net = NetExperiment::tiny(5);
     let rows = vec![
@@ -134,8 +100,6 @@ fn main() {
             "workload".to_string(),
             "arena".to_string(),
             "artifact".to_string(),
-            "deduped".to_string(),
-            "delta".to_string(),
         ],
         artifact_row("mpeg (paper)", &regions, Some(&relax)),
         artifact_row("audio (tiny)", audio.regions(), None),

@@ -1,19 +1,12 @@
 //! Shared cell storage for compiled tables.
 //!
-//! PR 5 made table rows contiguous; this module goes one step further and
-//! makes the *storage* shared. A [`TableArena`] is one immutable,
+//! Table rows are contiguous, and this module makes their *storage*
+//! shared too. A [`TableArena`] is one immutable,
 //! reference-counted run of [`Time`] cells; [`crate::regions::QualityRegionTable`]
 //! and [`crate::relaxation::RelaxationTable`] are cheap views into it
-//! (offset + shape), so a whole fleet of tables — or a table pair loaded
-//! from one binary artifact — can share a single allocation.
-//!
-//! The second half of the module is the fleet-dedup machinery: a
-//! [`RowStore`] interns identical rows (quality-region staircases repeat
-//! verbatim across neighbouring configs), turning per-config row storage
-//! into small directories of indices into one shared row pool, with
-//! [`DedupStats`] reporting how much the pool saved.
+//! (offset + shape), so a table pair loaded from one binary artifact
+//! ([`crate::artifact`]) shares a single allocation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::time::Time;
@@ -21,8 +14,8 @@ use crate::time::Time;
 /// One contiguous, immutable run of table cells shared by every view
 /// carved out of it.
 ///
-/// Cloning an arena clones an [`Arc`], not the cells: a fleet artifact
-/// with a thousand table views still holds exactly one cell allocation.
+/// Cloning an arena clones an [`Arc`], not the cells: every view carved out
+/// of a loaded artifact reads the same cell allocation.
 ///
 /// # Examples
 ///
@@ -81,124 +74,6 @@ impl TableArena {
     }
 }
 
-/// The FNV-1a 64-bit offset basis / prime, shared by row hashing and the
-/// artifact checksum so the whole format has one hash story.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_row(row: &[Time]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for t in row {
-        for b in t.as_ns().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
-
-/// Content-addressed interner for fixed-width table rows.
-///
-/// Rows are hashed (FNV-1a over their little-endian cell bytes) and
-/// deduplicated by full-content comparison on hash collision. Pool order
-/// is **first-seen order**, so interning the same row sequence always
-/// yields the same pool bytes — fleet artifacts are deterministic and
-/// golden-snapshotable.
-#[derive(Debug)]
-pub struct RowStore {
-    width: usize,
-    cells: Vec<Time>,
-    /// hash → candidate row ids (full comparison resolves collisions).
-    index: HashMap<u64, Vec<u32>>,
-    interned: usize,
-}
-
-impl RowStore {
-    /// A new store for rows of exactly `width` cells.
-    pub fn new(width: usize) -> RowStore {
-        assert!(width > 0, "row width must be positive");
-        RowStore {
-            width,
-            cells: Vec::new(),
-            index: HashMap::new(),
-            interned: 0,
-        }
-    }
-
-    /// Row width in cells.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of distinct rows in the pool.
-    pub fn unique_rows(&self) -> usize {
-        self.cells.len() / self.width
-    }
-
-    /// Number of rows ever interned (including duplicates).
-    pub fn interned_rows(&self) -> usize {
-        self.interned
-    }
-
-    /// The pooled cells, `unique_rows() · width()` long, first-seen order.
-    pub fn pool(&self) -> &[Time] {
-        &self.cells
-    }
-
-    /// Intern `row` and return its pool index. Identical content always
-    /// maps to the same index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.width()` or the pool exceeds `u32`
-    /// rows (a fleet artifact directory cell is a row index).
-    pub fn intern(&mut self, row: &[Time]) -> u32 {
-        assert_eq!(row.len(), self.width, "row width mismatch");
-        self.interned += 1;
-        let h = fnv1a_row(row);
-        if let Some(candidates) = self.index.get(&h) {
-            for &id in candidates {
-                let start = id as usize * self.width;
-                if &self.cells[start..start + self.width] == row {
-                    return id;
-                }
-            }
-        }
-        let id = u32::try_from(self.unique_rows()).expect("row pool exceeds u32 indices");
-        self.cells.extend_from_slice(row);
-        self.index.entry(h).or_default().push(id);
-        id
-    }
-}
-
-/// What content-addressed interning saved across a fleet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DedupStats {
-    /// Configs covered by the fleet artifact.
-    pub configs: usize,
-    /// Rows before dedup (sum over configs and tables).
-    pub raw_rows: usize,
-    /// Distinct rows kept in the shared pools.
-    pub unique_rows: usize,
-    /// Cells a dense per-config layout would store.
-    pub raw_cells: usize,
-    /// Cells the pooled layout stores (directories + pools).
-    pub pooled_cells: usize,
-}
-
-impl DedupStats {
-    /// Dense-to-pooled size ratio (`> 1` means dedup won); `1.0` for an
-    /// empty fleet.
-    pub fn ratio(&self) -> f64 {
-        if self.pooled_cells == 0 {
-            1.0
-        } else {
-            self.raw_cells as f64 / self.pooled_cells as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,48 +89,5 @@ mod tests {
         assert!(arena.ptr_eq(&clone));
         assert_eq!(arena.byte_size(), 24);
         assert!(!arena.is_empty());
-    }
-
-    #[test]
-    fn row_store_dedupes_identical_rows() {
-        let mut store = RowStore::new(2);
-        let a = store.intern(&[t(5), t(3)]);
-        let b = store.intern(&[t(7), t(2)]);
-        let a2 = store.intern(&[t(5), t(3)]);
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(store.unique_rows(), 2);
-        assert_eq!(store.interned_rows(), 3);
-        assert_eq!(store.pool(), &[t(5), t(3), t(7), t(2)]);
-    }
-
-    #[test]
-    fn row_store_pool_order_is_first_seen() {
-        let mut store = RowStore::new(1);
-        for ns in [9, 4, 9, 1, 4, 9] {
-            store.intern(&[t(ns)]);
-        }
-        assert_eq!(store.pool(), &[t(9), t(4), t(1)]);
-    }
-
-    #[test]
-    fn row_store_distinguishes_colliding_content() {
-        // Sentinels and extremes must never alias.
-        let mut store = RowStore::new(2);
-        let a = store.intern(&[Time::INF, Time::NEG_INF]);
-        let b = store.intern(&[Time::NEG_INF, Time::INF]);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn dedup_stats_ratio() {
-        let stats = DedupStats {
-            configs: 10,
-            raw_rows: 100,
-            unique_rows: 10,
-            raw_cells: 700,
-            pooled_cells: 170,
-        };
-        assert!((stats.ratio() - 700.0 / 170.0).abs() < 1e-12);
     }
 }

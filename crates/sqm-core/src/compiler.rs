@@ -12,19 +12,11 @@
 //! * regions: `|A|·|Q|` integers — `1,189 × 7 = 8,323` for the MPEG encoder;
 //! * relaxation: `2·|A|·|Q|·|ρ|` integers — `99,876` with
 //!   `ρ = {1,10,20,30,40,50}`.
-//!
-//! For large systems (the compiler bench sweeps up to 10⁵ actions) both
-//! artifacts have scoped-thread parallel siblings — regions split across
-//! *states* ([`compile_regions_parallel`]), relaxation across *quality
-//! levels* ([`compile_relaxation_parallel`]); results are bit-identical to
-//! the serial paths.
 
 use crate::policy::MixedPolicy;
-use crate::quality::Quality;
 use crate::regions::QualityRegionTable;
 use crate::relaxation::{RelaxationTable, StepSet};
 use crate::system::ParameterizedSystem;
-use crate::time::Time;
 
 /// Size accounting for a symbolic artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,39 +78,6 @@ pub fn compile_regions(sys: &ParameterizedSystem) -> QualityRegionTable {
     QualityRegionTable::from_policy(sys, &policy)
 }
 
-/// Parallel region compilation: states are chunked over scoped threads,
-/// each evaluating the mixed policy on its own contiguous row range of the
-/// `|A|·|Q|` table. Bit-identical to [`compile_regions`] — the policy is
-/// a pure function of `(state, q)`, so the split is embarrassingly
-/// parallel. Worthwhile from roughly 10⁴ actions upward.
-pub fn compile_regions_parallel(sys: &ParameterizedSystem, threads: usize) -> QualityRegionTable {
-    let n = sys.n_actions();
-    let threads = threads.clamp(1, n.max(1));
-    let policy = MixedPolicy::new(sys);
-    if threads == 1 {
-        return QualityRegionTable::from_policy(sys, &policy);
-    }
-    let qualities = sys.qualities();
-    let nq = qualities.len();
-    let states_per_chunk = n.div_ceil(threads);
-    let mut td = vec![Time::ZERO; n * nq];
-    std::thread::scope(|scope| {
-        for (worker, rows) in td.chunks_mut(states_per_chunk * nq).enumerate() {
-            let policy = &policy;
-            scope.spawn(move || {
-                use crate::policy::Policy;
-                let first_state = worker * states_per_chunk;
-                for (off, slot) in rows.iter_mut().enumerate() {
-                    let state = first_state + off / nq;
-                    let q = Quality::new((off % nq) as u8);
-                    *slot = policy.t_d(state, q);
-                }
-            });
-        }
-    });
-    QualityRegionTable::from_raw(n, qualities, td).expect("shape is consistent by construction")
-}
-
 /// Compile the control relaxation table over an existing region table.
 pub fn compile_relaxation(
     sys: &ParameterizedSystem,
@@ -138,132 +97,11 @@ pub fn compile_all(sys: &ParameterizedSystem, rho: Option<StepSet>) -> Compiled 
     }
 }
 
-/// Parallel relaxation compilation: quality levels are distributed over
-/// scoped threads, each compiling its own single-quality slice; the slices
-/// are then interleaved into the standard layout. Bit-identical to
-/// [`compile_relaxation`]. Worthwhile from roughly 10⁴ actions upward.
-///
-/// # Examples
-///
-/// ```
-/// use sqm_core::compiler::{compile_regions, compile_relaxation, compile_relaxation_parallel};
-/// use sqm_core::relaxation::StepSet;
-/// use sqm_core::system::SystemBuilder;
-/// use sqm_core::time::Time;
-///
-/// let mut b = SystemBuilder::new(3);
-/// for i in 0..20 {
-///     b = b.action(&format!("a{i}"), &[10, 20, 30], &[4, 9, 14]);
-/// }
-/// let sys = b.deadline_last(Time::from_ns(800)).build().unwrap();
-///
-/// let regions = compile_regions(&sys);
-/// let rho = StepSet::new(vec![1, 2, 4]).unwrap();
-/// let serial = compile_relaxation(&sys, &regions, rho.clone());
-/// let parallel = compile_relaxation_parallel(&sys, &regions, rho, 4);
-/// assert_eq!(serial, parallel, "parallel compilation is bit-identical");
-/// ```
-pub fn compile_relaxation_parallel(
-    sys: &ParameterizedSystem,
-    regions: &QualityRegionTable,
-    rho: StepSet,
-    threads: usize,
-) -> RelaxationTable {
-    let nq = sys.qualities().len();
-    let threads = threads.clamp(1, nq);
-    if threads == 1 {
-        return RelaxationTable::compile(sys, regions, rho);
-    }
-    let n = sys.n_actions();
-    let nr = rho.len();
-    // Each task compiles one quality level into a (lower, upper) slice of
-    // length n*nr, laid out [state][ri].
-    let mut per_q: Vec<Option<(Vec<Time>, Vec<Time>)>> = (0..nq).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let chunk = nq.div_ceil(threads);
-        for (worker, slot_chunk) in per_q.chunks_mut(chunk).enumerate() {
-            let rho_ref = &rho;
-            scope.spawn(move || {
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    let qi = worker * chunk + off;
-                    let q = Quality::new(qi as u8);
-                    *slot = Some(compile_one_quality(sys, regions, rho_ref, q));
-                }
-            });
-        }
-    });
-    let mut lower = vec![Time::INF; n * nq * nr];
-    let mut upper = vec![Time::NEG_INF; n * nq * nr];
-    for (qi, slot) in per_q.into_iter().enumerate() {
-        let (lo, up) = slot.expect("every quality compiled");
-        for state in 0..n {
-            for ri in 0..nr {
-                let dst = (state * nq + qi) * nr + ri;
-                let src = state * nr + ri;
-                lower[dst] = lo[src];
-                upper[dst] = up[src];
-            }
-        }
-    }
-    RelaxationTable::from_raw(n, sys.qualities(), rho, lower, upper)
-        .expect("shapes are consistent by construction")
-}
-
-/// Compile the relaxation bounds of a single quality level, laid out
-/// `[state][ri]`.
-fn compile_one_quality(
-    sys: &ParameterizedSystem,
-    regions: &QualityRegionTable,
-    rho: &StepSet,
-    q: Quality,
-) -> (Vec<Time>, Vec<Time>) {
-    let n = sys.n_actions();
-    let nr = rho.len();
-    let qualities = sys.qualities();
-    let mut lower = vec![Time::INF; n * nr];
-    let mut upper = vec![Time::NEG_INF; n * nr];
-    let wq: Vec<i64> = (0..=n).map(|x| sys.prefix().wc_prefix(q, x)).collect();
-    let u: Vec<Time> = (0..n)
-        .map(|j| regions.t_d(j, q) - Time::from_ns(wq[j]))
-        .collect();
-    for (ri, &r) in rho.steps().iter().enumerate() {
-        if r > n {
-            continue;
-        }
-        let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        for j in 0..r {
-            while deque.back().is_some_and(|&b| u[b] >= u[j]) {
-                deque.pop_back();
-            }
-            deque.push_back(j);
-        }
-        for i in 0..=(n - r) {
-            let j_min = *deque.front().expect("window non-empty");
-            upper[i * nr + ri] = u[j_min] + Time::from_ns(wq[i]);
-            lower[i * nr + ri] = if q == qualities.max() {
-                Time::NEG_INF
-            } else {
-                regions.t_d(i + r - 1, q.up())
-            };
-            if deque.front() == Some(&i) {
-                deque.pop_front();
-            }
-            let next = i + r;
-            if next < n {
-                while deque.back().is_some_and(|&b| u[b] >= u[next]) {
-                    deque.pop_back();
-                }
-                deque.push_back(next);
-            }
-        }
-    }
-    (lower, upper)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::system::SystemBuilder;
+    use crate::time::Time;
 
     fn sys(n: usize) -> ParameterizedSystem {
         let mut b = SystemBuilder::new(3);
@@ -300,28 +138,6 @@ mod tests {
         // for |A| = 1,189, |Q| = 7, ρ = {1,10,20,30,40,50}.
         assert_eq!(1_189 * 7, 8_323);
         assert_eq!(2 * 1_189 * 7 * 6, 99_876);
-    }
-
-    #[test]
-    fn parallel_regions_match_serial() {
-        let s = sys(61);
-        let serial = compile_regions(&s);
-        for threads in [1, 2, 3, 8, 100] {
-            let parallel = compile_regions_parallel(&s, threads);
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let s = sys(53);
-        let regions = compile_regions(&s);
-        let rho = StepSet::new(vec![1, 3, 8]).unwrap();
-        let serial = compile_relaxation(&s, &regions, rho.clone());
-        for threads in [1, 2, 3, 8] {
-            let parallel = compile_relaxation_parallel(&s, &regions, rho.clone(), threads);
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn unpack(key: u128) -> (Time, u32) {
 ///
 /// Keys are totally ordered (ties broken by stream id) and stored packed
 /// in one integer each, so a comparison is a single integer compare.
-/// `push`/`pop`/`replace_top` are `O(log n)` with no allocation beyond
+/// `push`/`pop` are `O(log n)` with no allocation beyond
 /// the backing `Vec`, and sift by moving a hole rather than swapping —
 /// the only operations the scheduler needs on its start events, without
 /// pulling in `BinaryHeap`'s max-order and `Reverse` wrappers. Unlike the
@@ -179,10 +179,8 @@ fn unpack(key: u128) -> (Time, u32) {
 /// heap.push(Time::from_ns(10), 7);
 /// heap.push(Time::from_ns(10), 3);
 /// assert_eq!(heap.pop(), Some((Time::from_ns(10), 3)), "time, then id");
-/// // Re-key the minimum in one sift: pops (10, 7), queues (40, 7).
-/// assert_eq!(heap.replace_top(Time::from_ns(40), 7), Some((Time::from_ns(10), 7)));
+/// assert_eq!(heap.pop(), Some((Time::from_ns(10), 7)));
 /// assert_eq!(heap.pop(), Some((Time::from_ns(30), 2)));
-/// assert_eq!(heap.pop(), Some((Time::from_ns(40), 7)));
 /// assert_eq!(heap.pop(), None);
 /// ```
 #[derive(Clone, Default)]
@@ -250,20 +248,6 @@ impl EventHeap {
             }
             None => Some(unpack(last)),
         }
-    }
-
-    /// Remove the minimum event and queue `(time, stream)` in its place,
-    /// in one sift — the re-key of a stream whose event was just handled.
-    /// Returns the removed minimum, or `None` (after queueing the new
-    /// event) if the heap was empty.
-    #[inline]
-    pub fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)> {
-        let Some(&top) = self.keys.first() else {
-            self.push(time, stream);
-            return None;
-        };
-        self.sift_down(pack(time, stream));
-        Some(unpack(top))
     }
 
     /// Place `key` into the hole at the root, moving smaller children up.
@@ -1786,8 +1770,6 @@ mod tests {
         fn push(&mut self, time: Time, stream: u32);
         fn pop(&mut self) -> Option<(Time, u32)>;
         fn peek(&mut self) -> Option<(Time, u32)>;
-        /// Remove the minimum and queue `(time, stream)`.
-        fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)>;
     }
 
     impl EventQueue for EventHeap {
@@ -1800,9 +1782,6 @@ mod tests {
         fn peek(&mut self) -> Option<(Time, u32)> {
             EventHeap::peek(self)
         }
-        fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)> {
-            EventHeap::replace_top(self, time, stream)
-        }
     }
 
     impl EventQueue for ArrivalQueue {
@@ -1814,11 +1793,6 @@ mod tests {
         }
         fn peek(&mut self) -> Option<(Time, u32)> {
             ArrivalQueue::peek(self)
-        }
-        fn replace_top(&mut self, time: Time, stream: u32) -> Option<(Time, u32)> {
-            let top = ArrivalQueue::pop(self);
-            ArrivalQueue::push(self, time, stream);
-            top
         }
     }
 
@@ -1888,12 +1862,10 @@ mod tests {
                     let want = model.first().copied();
                     assert_eq!(queue.peek(), want, "peek at step {step}");
                     if let Some((top, stream)) = want {
+                        // Re-key: pop the minimum and queue its stream again.
+                        assert_eq!(queue.pop(), want, "re-key at step {step}");
                         let time = draw(r, step, top);
-                        assert_eq!(
-                            queue.replace_top(time, stream),
-                            want,
-                            "re-key at step {step}"
-                        );
+                        queue.push(time, stream);
                         floor = top;
                         model.remove(0);
                         insert(&mut model, (time, stream));
@@ -1925,12 +1897,7 @@ mod tests {
         events.sort();
         assert_eq!(out, events);
         assert!(heap.is_empty());
-        assert_eq!(
-            heap.replace_top(Time::NEG_INF, 3),
-            None,
-            "replace on an empty heap only queues"
-        );
-        assert_eq!(heap.pop(), Some((Time::NEG_INF, 3)));
+        assert_eq!(heap.pop(), None);
 
         interleaved_matches_sorted_model(&mut EventHeap::new(), any_time);
     }

@@ -23,8 +23,7 @@
 //!    serializes them as versioned text. Both tables are views over a
 //!    shared [`arena::TableArena`]; [`artifact`] freezes an arena into a
 //!    versioned, checksummed binary whose on-disk layout *is* the
-//!    in-memory layout (load = validate + cast; fleet artifacts dedupe
-//!    identical staircase rows across configs via [`arena::RowStore`]).
+//!    in-memory layout (load = validate + cast).
 //! 5. **Quality Managers** — [`manager`]: the online controllers — numeric
 //!    (re-computes `tD` per call), lookup (table-driven), and relaxed
 //!    (skips control for `r` steps inside `Rrq`); [`smoothness`] scores
@@ -131,12 +130,9 @@ pub mod trace;
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use crate::action::{ActionId, ActionInfo, DeadlineMap};
-    pub use crate::arena::{DedupStats, RowStore, TableArena};
-    pub use crate::artifact::{Artifact, ArtifactError, ArtifactView, LoadedTables};
-    pub use crate::compiler::{
-        compile_regions, compile_regions_parallel, compile_relaxation, compile_relaxation_parallel,
-        Compiled, TableStats,
-    };
+    pub use crate::arena::TableArena;
+    pub use crate::artifact::{Artifact, ArtifactError, LoadedTables};
+    pub use crate::compiler::{compile_regions, compile_relaxation, Compiled, TableStats};
     pub use crate::control::{
         standard_slate, ApproachabilityController, CappedManager, ControlSink, ControlledManager,
         HalfSpace, PayoffCell, PayoffSpec, PayoffVector, Rung, SafeSet, DIM_DROPS, DIM_OVERHEAD,

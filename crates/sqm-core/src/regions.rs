@@ -16,12 +16,9 @@
 //! manager answers every query with at most `|Q|` comparisons — no policy
 //! arithmetic at run time.
 //!
-//! Since the artifact layer landed, a table no longer owns its cells: it is
-//! a **view** over a shared [`TableArena`] — either a dense row-major run
-//! (compiled tables, single-config artifacts) or a directory of indices
-//! into a deduplicated row pool (fleet artifacts). The hot-path accessors
-//! ([`QualityRegionTable::row`], [`QualityRegionTable::choose_from`]) are
-//! layout-agnostic and byte-identical across both.
+//! A table does not own its cells: it is a dense row-major **view** over a
+//! shared [`TableArena`], so a loaded artifact's tables share one
+//! allocation. Row `s` is the `|Q|` cells starting at `base + s·|Q|`.
 
 use crate::arena::TableArena;
 use crate::policy::Policy;
@@ -29,30 +26,19 @@ use crate::quality::{Quality, QualitySet};
 use crate::system::ParameterizedSystem;
 use crate::time::Time;
 
-/// Where this view's rows live inside its arena.
-#[derive(Clone, Copy, Debug)]
-enum RowLayout {
-    /// Rows laid out row-major starting at `base`: row `s` is
-    /// `cells[base + s·|Q| ..][..|Q|]`.
-    Dense { base: usize },
-    /// A per-state directory of pool indices: row `s` is
-    /// `cells[pool + cells[dir + s]·|Q| ..][..|Q|]` (directory cells hold
-    /// validated row indices as `Time` integers).
-    Pooled { dir: usize, pool: usize },
-}
-
 /// The pre-computed region boundaries `tD(s_i, q)` for all states and
 /// quality levels — `|A| · |Q|` integers, exactly the table the paper
 /// reports for the MPEG encoder (`1,189 × 7 = 8,323`).
 ///
-/// Equality is **semantic** (same shape, same row contents), so a pooled
-/// fleet view compares equal to the dense table it was compiled from.
+/// Equality is **semantic** (same shape, same cells), whatever arena the
+/// views read from.
 #[derive(Clone, Debug)]
 pub struct QualityRegionTable {
     n_states: usize,
     qualities: QualitySet,
     arena: TableArena,
-    layout: RowLayout,
+    /// First cell of row 0 inside `arena`.
+    base: usize,
 }
 
 impl QualityRegionTable {
@@ -71,7 +57,7 @@ impl QualityRegionTable {
             n_states: n,
             qualities,
             arena: TableArena::from_cells(td),
-            layout: RowLayout::Dense { base: 0 },
+            base: 0,
         }
     }
 
@@ -86,7 +72,7 @@ impl QualityRegionTable {
             n_states,
             qualities,
             arena: TableArena::from_cells(td),
-            layout: RowLayout::Dense { base: 0 },
+            base: 0,
         })
     }
 
@@ -103,38 +89,7 @@ impl QualityRegionTable {
             n_states,
             qualities,
             arena,
-            layout: RowLayout::Dense { base },
-        })
-    }
-
-    /// A pooled view: `n_states` directory cells at `dir`, each a row index
-    /// into the `pool_rows`-row pool starting at `pool`. Returns `None`
-    /// when the directory or pool exceeds the arena, or any directory cell
-    /// is out of `[0, pool_rows)`.
-    pub fn pooled_view(
-        arena: TableArena,
-        dir: usize,
-        pool: usize,
-        pool_rows: usize,
-        n_states: usize,
-        qualities: QualitySet,
-    ) -> Option<QualityRegionTable> {
-        let nq = qualities.len();
-        let dir_end = dir.checked_add(n_states)?;
-        let pool_end = pool.checked_add(pool_rows.checked_mul(nq)?)?;
-        if dir_end > arena.len() || pool_end > arena.len() {
-            return None;
-        }
-        let cells = arena.cells();
-        let in_bounds = cells[dir..dir_end].iter().all(|&ix| {
-            let ix = ix.as_ns();
-            ix >= 0 && (ix as u64) < pool_rows as u64
-        });
-        in_bounds.then_some(QualityRegionTable {
-            n_states,
-            qualities,
-            arena,
-            layout: RowLayout::Pooled { dir, pool },
+            base,
         })
     }
 
@@ -156,12 +111,6 @@ impl QualityRegionTable {
         &self.arena
     }
 
-    /// `true` when rows are directory indirections into a shared pool (a
-    /// fleet-artifact view) rather than a dense row-major run.
-    pub fn is_pooled(&self) -> bool {
-        matches!(self.layout, RowLayout::Pooled { .. })
-    }
-
     /// The stored boundary `tD(s_state, q)`.
     #[inline]
     pub fn t_d(&self, state: usize, q: Quality) -> Time {
@@ -169,57 +118,21 @@ impl QualityRegionTable {
     }
 
     /// Raw table contents, row-major by state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pooled fleet view, whose rows are not contiguous —
-    /// materialize with [`QualityRegionTable::to_dense`] first. Every
-    /// compiled or parsed table is dense.
     #[inline]
     pub fn raw(&self) -> &[Time] {
-        match self.layout {
-            RowLayout::Dense { base } => {
-                &self.arena.cells()[base..base + self.n_states * self.qualities.len()]
-            }
-            RowLayout::Pooled { .. } => {
-                panic!("raw() on a pooled table view; use to_dense() or row()")
-            }
-        }
-    }
-
-    /// A dense copy of this table (identity for already-dense views in
-    /// content, not in storage).
-    pub fn to_dense(&self) -> QualityRegionTable {
-        let mut td = Vec::with_capacity(self.n_states * self.qualities.len());
-        for state in 0..self.n_states {
-            td.extend_from_slice(self.row(state));
-        }
-        QualityRegionTable {
-            n_states: self.n_states,
-            qualities: self.qualities,
-            arena: TableArena::from_cells(td),
-            layout: RowLayout::Dense { base: 0 },
-        }
+        &self.arena.cells()[self.base..self.base + self.integer_count()]
     }
 
     /// The contiguous boundary row `tD(s_state, ·)`, ordered by quality
     /// index — the cache-conscious view the online probes work on. Slicing
     /// the row once hoists the `state · |Q|` offset arithmetic *and* the
     /// bounds check out of the probe loop (for the paper's `|Q| = 7` the
-    /// whole row is one cache line). Pooled views pay one extra directory
-    /// load here; the probe loop is identical.
+    /// whole row is one cache line).
     #[inline]
     pub fn row(&self, state: usize) -> &[Time] {
         let nq = self.qualities.len();
-        let cells = self.arena.cells();
-        let start = match self.layout {
-            RowLayout::Dense { base } => base + state * nq,
-            RowLayout::Pooled { dir, pool } => {
-                // Directory cells are validated at view construction.
-                pool + cells[dir + state].as_ns() as usize * nq
-            }
-        };
-        &cells[start..start + nq]
+        let start = self.base + state * nq;
+        &self.arena.cells()[start..start + nq]
     }
 
     /// `true` when every row is non-increasing in `q` — the Proposition-2
@@ -352,32 +265,6 @@ impl QualityRegionTable {
         }
     }
 
-    /// The symbolic choice via **binary search** over quality levels
-    /// (valid because `tD` is non-increasing in `q`): O(log |Q|) probes
-    /// instead of the linear descent of [`QualityRegionTable::choose`].
-    /// Identical result; worthwhile for large quality sets.
-    pub fn choose_binary(&self, state: usize, t: Time) -> (Option<Quality>, u64) {
-        // Find the largest q with tD(state, q) ≥ t. The predicate
-        // `tD(state, q) ≥ t` is monotone (true for a prefix of q's).
-        let nq = self.qualities.len();
-        let mut probes = 0;
-        let (mut lo, mut hi) = (0usize, nq); // invariant: answer in [lo, hi)
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            probes += 1;
-            if self.t_d(state, Quality::new(mid as u8)) >= t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            (None, probes)
-        } else {
-            (Some(Quality::new((lo - 1) as u8)), probes)
-        }
-    }
-
     /// A copy of this table with every boundary shifted by `delta`.
     ///
     /// For systems with a **single global deadline** `D` (the paper's MPEG
@@ -385,19 +272,16 @@ impl QualityRegionTable {
     /// so re-negotiating the deadline to `D + delta` turns every stored
     /// boundary into `tD + delta` — no recompilation. (With multiple
     /// deadlines only the uniform-shift case `D_k → D_k + delta` for all
-    /// `k` is exact, which this method also covers.) The copy is always
-    /// dense, whatever the source layout.
+    /// `k` is exact, which this method also covers.) The copy owns a fresh
+    /// arena.
     pub fn shifted(&self, delta: Time) -> QualityRegionTable {
         let shift = |t: Time| if t.is_infinite() { t } else { t + delta };
-        let mut td = Vec::with_capacity(self.n_states * self.qualities.len());
-        for state in 0..self.n_states {
-            td.extend(self.row(state).iter().map(|&t| shift(t)));
-        }
+        let td = self.raw().iter().map(|&t| shift(t)).collect();
         QualityRegionTable {
             n_states: self.n_states,
             qualities: self.qualities,
             arena: TableArena::from_cells(td),
-            layout: RowLayout::Dense { base: 0 },
+            base: 0,
         }
     }
 
@@ -407,9 +291,8 @@ impl QualityRegionTable {
         self.n_states * self.qualities.len()
     }
 
-    /// Memory footprint of the table payload in bytes (dense equivalent;
-    /// pooled views share their arena, see
-    /// [`TableArena::byte_size`]).
+    /// Memory footprint of the table payload in bytes (views sharing an
+    /// arena share its cells, see [`TableArena::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.integer_count() * std::mem::size_of::<Time>()
     }
@@ -419,7 +302,7 @@ impl PartialEq for QualityRegionTable {
     fn eq(&self, other: &QualityRegionTable) -> bool {
         self.n_states == other.n_states
             && self.qualities == other.qualities
-            && (0..self.n_states).all(|s| self.row(s) == other.row(s))
+            && self.raw() == other.raw()
     }
 }
 
@@ -526,22 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_choice_matches_linear_choice() {
-        let s = sys();
-        let p = MixedPolicy::new(&s);
-        let table = QualityRegionTable::from_policy(&s, &p);
-        for state in 0..3 {
-            for t_ns in -30..130 {
-                let t = Time::from_ns(t_ns);
-                let (linear, _) = table.choose(state, t);
-                let (binary, probes) = table.choose_binary(state, t);
-                assert_eq!(linear, binary, "state {state} t {t}");
-                assert!(probes <= 2, "⌈log2(3)⌉ probes");
-            }
-        }
-    }
-
-    #[test]
     fn shifted_table_equals_recompiled_table() {
         // Single global deadline: shifting must be exact.
         let s = sys(); // deadline 100 on the last action
@@ -588,72 +455,6 @@ mod tests {
         let p = MixedPolicy::new(&s);
         let table = QualityRegionTable::from_policy(&s, &p);
         assert_eq!(table.byte_size(), 9 * 8);
-    }
-
-    /// Build a pooled view holding the same rows as a dense table and
-    /// check every accessor and decision agrees.
-    fn pooled_twin(table: &QualityRegionTable) -> QualityRegionTable {
-        use crate::arena::RowStore;
-        let nq = table.qualities().len();
-        let mut store = RowStore::new(nq);
-        let dir: Vec<u32> = (0..table.n_states())
-            .map(|s| store.intern(table.row(s)))
-            .collect();
-        let mut cells: Vec<Time> = dir.iter().map(|&ix| Time::from_ns(i64::from(ix))).collect();
-        let pool = cells.len();
-        let pool_rows = store.unique_rows();
-        cells.extend_from_slice(store.pool());
-        QualityRegionTable::pooled_view(
-            TableArena::from_cells(cells),
-            0,
-            pool,
-            pool_rows,
-            table.n_states(),
-            table.qualities(),
-        )
-        .expect("pooled twin must validate")
-    }
-
-    #[test]
-    fn pooled_view_is_semantically_equal_to_dense() {
-        let s = sys();
-        let table = QualityRegionTable::from_policy(&s, &MixedPolicy::new(&s));
-        let pooled = pooled_twin(&table);
-        assert!(pooled.is_pooled() && !table.is_pooled());
-        assert_eq!(pooled, table);
-        assert_eq!(pooled.to_dense().raw(), table.raw());
-        for state in 0..table.n_states() {
-            for t_ns in -30..130 {
-                let t = Time::from_ns(t_ns);
-                assert_eq!(pooled.choose(state, t), table.choose(state, t));
-                for hint in s.qualities().iter() {
-                    assert_eq!(
-                        pooled.choose_from(state, t, hint),
-                        table.choose_from(state, t, hint)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_view_rejects_out_of_bounds_directory() {
-        let qs = QualitySet::new(2).unwrap();
-        // Directory [0, 2] over a 2-row pool: index 2 is out of bounds.
-        let cells = vec![
-            Time::from_ns(0),
-            Time::from_ns(2),
-            Time::from_ns(9),
-            Time::from_ns(4),
-            Time::from_ns(7),
-            Time::from_ns(1),
-        ];
-        let arena = TableArena::from_cells(cells);
-        assert!(QualityRegionTable::pooled_view(arena.clone(), 0, 2, 2, 2, qs).is_none());
-        // A negative index must be rejected too.
-        let bad =
-            TableArena::from_cells(vec![Time::from_ns(-1), Time::from_ns(9), Time::from_ns(4)]);
-        assert!(QualityRegionTable::pooled_view(bad, 0, 1, 1, 1, qs).is_none());
     }
 
     #[test]

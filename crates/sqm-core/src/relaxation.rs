@@ -16,10 +16,9 @@
 //! both bounds for every `(state, q, r ∈ ρ)` — `2·|A|·|Q|·|ρ|` integers,
 //! the paper's `99,876` for the MPEG encoder with `ρ = {1,10,20,30,40,50}`.
 //!
-//! Like [`crate::regions::QualityRegionTable`], the table is a view over a
-//! shared [`TableArena`] — dense after compilation, pooled when loaded
-//! from a fleet artifact — and the per-state rows (`|Q|·|ρ|` cells for each
-//! of the lower and upper bounds) are the unit of content-addressed dedup.
+//! Like [`crate::regions::QualityRegionTable`], the table is a dense view
+//! over a shared [`TableArena`]: a lower-bound block and an upper-bound
+//! block, each with one row of `|Q|·|ρ|` cells per state.
 
 use crate::arena::TableArena;
 use crate::error::BuildError;
@@ -78,51 +77,20 @@ impl StepSet {
     }
 }
 
-/// Where a relaxation view's bound rows live inside its arena. Both the
-/// lower and the upper block are addressed per state with rows of
-/// `|Q|·|ρ|` cells, `(q, ri)`-major within the row.
-#[derive(Clone, Copy, Debug)]
-enum RelaxLayout {
-    /// Two dense row-major blocks at `lower` and `upper`.
-    Dense { lower: usize, upper: usize },
-    /// Per-state directories of pool indices for each block.
-    Pooled {
-        dir_lo: usize,
-        dir_up: usize,
-        pool_lo: usize,
-        pool_up: usize,
-    },
-}
-
-/// Offsets describing a pooled relaxation view inside an arena, used by
-/// [`RelaxationTable::pooled_view`] (fleet-artifact loading).
-#[derive(Clone, Copy, Debug)]
-pub struct PooledRelaxation {
-    /// Offset of the `n_states` lower-bound directory cells.
-    pub dir_lo: usize,
-    /// Offset of the `n_states` upper-bound directory cells.
-    pub dir_up: usize,
-    /// Offset of the lower-bound row pool.
-    pub pool_lo: usize,
-    /// Offset of the upper-bound row pool.
-    pub pool_up: usize,
-    /// Rows in the lower-bound pool.
-    pub pool_rows_lo: usize,
-    /// Rows in the upper-bound pool.
-    pub pool_rows_up: usize,
-}
-
 /// Pre-computed control relaxation intervals for every `(state, q, r ∈ ρ)`.
 ///
-/// Equality is **semantic** (same shape and `ρ`, same bound rows), so a
-/// pooled fleet view compares equal to the dense table it came from.
+/// Equality is **semantic** (same shape and `ρ`, same bounds), whatever
+/// arena the views read from.
 #[derive(Clone, Debug)]
 pub struct RelaxationTable {
     n_states: usize,
     qualities: QualitySet,
     rho: StepSet,
     arena: TableArena,
-    layout: RelaxLayout,
+    /// First cell of the lower-bound block inside `arena`.
+    lower: usize,
+    /// First cell of the upper-bound block inside `arena`.
+    upper: usize,
 }
 
 impl RelaxationTable {
@@ -205,10 +173,8 @@ impl RelaxationTable {
             qualities,
             rho,
             arena: TableArena::from_cells(lower),
-            layout: RelaxLayout::Dense {
-                lower: 0,
-                upper: upper_base,
-            },
+            lower: 0,
+            upper: upper_base,
         }
     }
 
@@ -233,46 +199,8 @@ impl RelaxationTable {
             qualities,
             rho,
             arena,
-            layout: RelaxLayout::Dense { lower, upper },
-        })
-    }
-
-    /// A pooled view over a fleet arena (see [`PooledRelaxation`] for the
-    /// offsets). Returns `None` when a directory or pool exceeds the arena
-    /// or any directory cell is out of its pool's bounds.
-    pub fn pooled_view(
-        arena: TableArena,
-        spec: PooledRelaxation,
-        n_states: usize,
-        qualities: QualitySet,
-        rho: StepSet,
-    ) -> Option<RelaxationTable> {
-        let width = qualities.len().checked_mul(rho.len())?;
-        let check_block = |dir: usize, pool: usize, pool_rows: usize| -> Option<()> {
-            let dir_end = dir.checked_add(n_states)?;
-            let pool_end = pool.checked_add(pool_rows.checked_mul(width)?)?;
-            if dir_end > arena.len() || pool_end > arena.len() {
-                return None;
-            }
-            let in_bounds = arena.cells()[dir..dir_end].iter().all(|&ix| {
-                let ix = ix.as_ns();
-                ix >= 0 && (ix as u64) < pool_rows as u64
-            });
-            in_bounds.then_some(())
-        };
-        check_block(spec.dir_lo, spec.pool_lo, spec.pool_rows_lo)?;
-        check_block(spec.dir_up, spec.pool_up, spec.pool_rows_up)?;
-        Some(RelaxationTable {
-            n_states,
-            qualities,
-            rho,
-            arena,
-            layout: RelaxLayout::Pooled {
-                dir_lo: spec.dir_lo,
-                dir_up: spec.dir_up,
-                pool_lo: spec.pool_lo,
-                pool_up: spec.pool_up,
-            },
+            lower,
+            upper,
         })
     }
 
@@ -300,48 +228,17 @@ impl RelaxationTable {
         &self.arena
     }
 
-    /// `true` when rows are directory indirections into shared pools (a
-    /// fleet-artifact view).
-    pub fn is_pooled(&self) -> bool {
-        matches!(self.layout, RelaxLayout::Pooled { .. })
-    }
-
     /// Cells per per-state bound row: `|Q| · |ρ|`.
     #[inline]
     fn row_width(&self) -> usize {
         self.qualities.len() * self.rho.len()
     }
 
-    /// Start of the lower-bound row for `state`.
-    #[inline]
-    fn lower_start(&self, state: usize) -> usize {
-        match self.layout {
-            RelaxLayout::Dense { lower, .. } => lower + state * self.row_width(),
-            RelaxLayout::Pooled {
-                dir_lo, pool_lo, ..
-            } => {
-                // Directory cells are validated at view construction.
-                pool_lo + self.arena.cells()[dir_lo + state].as_ns() as usize * self.row_width()
-            }
-        }
-    }
-
-    /// Start of the upper-bound row for `state`.
-    #[inline]
-    fn upper_start(&self, state: usize) -> usize {
-        match self.layout {
-            RelaxLayout::Dense { upper, .. } => upper + state * self.row_width(),
-            RelaxLayout::Pooled {
-                dir_up, pool_up, ..
-            } => pool_up + self.arena.cells()[dir_up + state].as_ns() as usize * self.row_width(),
-        }
-    }
-
     /// The contiguous lower-bound row for `state` — `|Q|·|ρ|` cells,
-    /// `(q, ri)`-major. The unit of fleet dedup and text serialization.
+    /// `(q, ri)`-major. The unit of text serialization.
     #[inline]
     pub fn lower_row(&self, state: usize) -> &[Time] {
-        let start = self.lower_start(state);
+        let start = self.lower + state * self.row_width();
         &self.arena.cells()[start..start + self.row_width()]
     }
 
@@ -349,7 +246,7 @@ impl RelaxationTable {
     /// [`RelaxationTable::lower_row`]).
     #[inline]
     pub fn upper_row(&self, state: usize) -> &[Time] {
-        let start = self.upper_start(state);
+        let start = self.upper + state * self.row_width();
         &self.arena.cells()[start..start + self.row_width()]
     }
 
@@ -358,27 +255,23 @@ impl RelaxationTable {
     /// `lower = +∞`) means the window overruns the cycle.
     pub fn bounds(&self, state: usize, q: Quality, ri: usize) -> (Time, Time) {
         let off = q.index() * self.rho.len() + ri;
-        let cells = self.arena.cells();
-        (
-            cells[self.lower_start(state) + off],
-            cells[self.upper_start(state) + off],
-        )
+        (self.lower_row(state)[off], self.upper_row(state)[off])
     }
 
     /// The contiguous `(lower, upper)` interval rows for `(state, q)` over
     /// the whole step menu `ρ` — the cache-conscious view the relaxation
     /// probes work on. Slicing once hoists the
     /// `(state · |Q| + q) · |ρ|` offset arithmetic and the bounds checks
-    /// out of the probe loop. Pooled views pay one extra directory load
-    /// per bound; the probe loop is identical.
+    /// out of the probe loop.
     #[inline]
     pub fn intervals(&self, state: usize, q: Quality) -> (&[Time], &[Time]) {
         let nr = self.rho.len();
-        let off = q.index() * nr;
+        let off = state * self.row_width() + q.index() * nr;
         let cells = self.arena.cells();
-        let lo = self.lower_start(state) + off;
-        let up = self.upper_start(state) + off;
-        (&cells[lo..lo + nr], &cells[up..up + nr])
+        (
+            &cells[self.lower + off..self.lower + off + nr],
+            &cells[self.upper + off..self.upper + off + nr],
+        )
     }
 
     /// `true` when the intervals are nested over `ρ` at every `(state, q)`
@@ -512,17 +405,13 @@ impl RelaxationTable {
     /// A copy with every interval shifted by `delta` — exact for a uniform
     /// deadline shift, mirroring [`crate::regions::QualityRegionTable::shifted`]
     /// (both bounds are sums of `tD` values and deadline-independent
-    /// worst-case terms). Sentinel bounds are preserved. The copy is
-    /// always dense, whatever the source layout.
+    /// worst-case terms). Sentinel bounds are preserved. The copy owns a
+    /// fresh arena.
     pub fn shifted(&self, delta: Time) -> RelaxationTable {
         let shift = |t: Time| if t.is_infinite() { t } else { t + delta };
-        let block = self.n_states * self.row_width();
-        let mut lower = Vec::with_capacity(block);
-        let mut upper = Vec::with_capacity(block);
-        for state in 0..self.n_states {
-            lower.extend(self.lower_row(state).iter().map(|&t| shift(t)));
-            upper.extend(self.upper_row(state).iter().map(|&t| shift(t)));
-        }
+        let (lower, upper) = self.raw();
+        let lower = lower.iter().map(|&t| shift(t)).collect();
+        let upper = upper.iter().map(|&t| shift(t)).collect();
         RelaxationTable::from_dense_parts(
             self.n_states,
             self.qualities,
@@ -532,41 +421,25 @@ impl RelaxationTable {
         )
     }
 
-    /// A dense copy of this table (identity in content for already-dense
-    /// views).
-    pub fn to_dense(&self) -> RelaxationTable {
-        self.shifted(Time::ZERO)
-    }
-
     /// Number of stored integers — `2·|A|·|Q|·|ρ|` (the paper's 99,876).
     pub fn integer_count(&self) -> usize {
         2 * self.n_states * self.row_width()
     }
 
-    /// Memory footprint of the payload in bytes (dense equivalent; pooled
-    /// views share their arena, see [`TableArena::byte_size`]).
+    /// Memory footprint of the payload in bytes (views sharing an arena
+    /// share its cells, see [`TableArena::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.integer_count() * std::mem::size_of::<Time>()
     }
 
     /// Raw bounds, for serialization: `(lower, upper)` slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pooled fleet view, whose rows are not contiguous —
-    /// materialize with [`RelaxationTable::to_dense`] first. Every
-    /// compiled or parsed table is dense.
     pub fn raw(&self) -> (&[Time], &[Time]) {
-        match self.layout {
-            RelaxLayout::Dense { lower, upper } => {
-                let block = self.n_states * self.row_width();
-                let cells = self.arena.cells();
-                (&cells[lower..lower + block], &cells[upper..upper + block])
-            }
-            RelaxLayout::Pooled { .. } => {
-                panic!("raw() on a pooled table view; use to_dense() or the row accessors")
-            }
-        }
+        let block = self.n_states * self.row_width();
+        let cells = self.arena.cells();
+        (
+            &cells[self.lower..self.lower + block],
+            &cells[self.upper..self.upper + block],
+        )
     }
 
     /// Rebuild from raw parts (deserialization).
@@ -588,9 +461,7 @@ impl PartialEq for RelaxationTable {
         self.n_states == other.n_states
             && self.qualities == other.qualities
             && self.rho == other.rho
-            && (0..self.n_states).all(|s| {
-                self.lower_row(s) == other.lower_row(s) && self.upper_row(s) == other.upper_row(s)
-            })
+            && self.raw() == other.raw()
     }
 }
 
@@ -836,102 +707,6 @@ mod tests {
             relax.rho().clone(),
             lo.to_vec(),
             vec![]
-        )
-        .is_none());
-    }
-
-    /// Build a pooled twin of a dense table and check every accessor and
-    /// decision agrees.
-    fn pooled_twin(relax: &RelaxationTable) -> RelaxationTable {
-        use crate::arena::RowStore;
-        let width = relax.qualities().len() * relax.rho().len();
-        let mut lo_store = RowStore::new(width);
-        let mut up_store = RowStore::new(width);
-        let n = relax.n_states();
-        let lo_dir: Vec<u32> = (0..n)
-            .map(|s| lo_store.intern(relax.lower_row(s)))
-            .collect();
-        let up_dir: Vec<u32> = (0..n)
-            .map(|s| up_store.intern(relax.upper_row(s)))
-            .collect();
-        let mut cells: Vec<Time> = lo_dir
-            .iter()
-            .chain(up_dir.iter())
-            .map(|&ix| Time::from_ns(i64::from(ix)))
-            .collect();
-        let pool_lo = cells.len();
-        cells.extend_from_slice(lo_store.pool());
-        let pool_up = cells.len();
-        cells.extend_from_slice(up_store.pool());
-        RelaxationTable::pooled_view(
-            TableArena::from_cells(cells),
-            PooledRelaxation {
-                dir_lo: 0,
-                dir_up: n,
-                pool_lo,
-                pool_up,
-                pool_rows_lo: lo_store.unique_rows(),
-                pool_rows_up: up_store.unique_rows(),
-            },
-            n,
-            relax.qualities(),
-            relax.rho().clone(),
-        )
-        .expect("pooled twin must validate")
-    }
-
-    #[test]
-    fn pooled_view_is_semantically_equal_to_dense() {
-        let s = sys();
-        let (regions, relax) = tables(&s);
-        let pooled = pooled_twin(&relax);
-        assert!(pooled.is_pooled() && !relax.is_pooled());
-        assert_eq!(pooled, relax);
-        assert_eq!(pooled.to_dense().raw(), relax.raw());
-        for state in 0..5 {
-            for t_ns in -30..130 {
-                let t = Time::from_ns(t_ns);
-                if let (Some(q), _) = regions.choose(state, t) {
-                    assert_eq!(
-                        pooled.choose_relaxation(state, t, q),
-                        relax.choose_relaxation(state, t, q)
-                    );
-                    for hint in 0..3 {
-                        assert_eq!(
-                            pooled.choose_relaxation_from(state, t, q, hint),
-                            relax.choose_relaxation_from(state, t, q, hint)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_view_rejects_out_of_bounds_directory() {
-        let s = sys();
-        let (_, relax) = tables(&s);
-        let good = pooled_twin(&relax);
-        // Rebuild the same arena but with one directory cell past the pool.
-        let mut cells = good.arena().cells().to_vec();
-        cells[0] = Time::from_ns(i64::MAX);
-        let arena = TableArena::from_cells(cells);
-        let n = relax.n_states();
-        let width = relax.qualities().len() * relax.rho().len();
-        let spec = PooledRelaxation {
-            dir_lo: 0,
-            dir_up: n,
-            pool_lo: 2 * n,
-            pool_up: 2 * n + (good.arena().len() - 2 * n) / width / 2 * width,
-            pool_rows_lo: 1,
-            pool_rows_up: 1,
-        };
-        assert!(RelaxationTable::pooled_view(
-            arena,
-            spec,
-            n,
-            relax.qualities(),
-            relax.rho().clone()
         )
         .is_none());
     }

@@ -109,7 +109,7 @@ impl ExecutionTimeSource for ViolatingExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::{BurstLoad, ConstantLoad};
+    use crate::load::ConstantLoad;
     use sqm_core::quality::QualitySet;
 
     fn table() -> TimeTable {
@@ -176,10 +176,23 @@ mod tests {
         assert_eq!(h, Time::from_ns(800));
     }
 
+    /// Twice the average load on action 1, average everywhere else.
+    struct SecondActionBurst;
+
+    impl LoadModel for SecondActionBurst {
+        fn factor(&self, _cycle: usize, action: usize) -> f64 {
+            if action == 1 {
+                2.0
+            } else {
+                1.0
+            }
+        }
+    }
+
     #[test]
     fn burst_load_through_exec() {
         let t = table();
-        let mut e = StochasticExec::new(&t, BurstLoad::new(vec![(1, 1, 2.0)]), 0.0, 3);
+        let mut e = StochasticExec::new(&t, SecondActionBurst, 0.0, 3);
         assert_eq!(e.actual(0, 0, Quality::new(0)), Time::from_ns(400));
         assert_eq!(e.actual(0, 1, Quality::new(0)), Time::from_ns(800));
     }

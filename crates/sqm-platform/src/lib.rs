@@ -21,16 +21,12 @@
 //!   clock observations) for robustness testing;
 //! * [`recalib`] — online recalibration: live re-estimation of the
 //!   `Cav`/`Cwc` model from observed execution times, recompiled and
-//!   published mid-run through [`sqm_core::recalib::TableCell`];
-//! * [`compile`] — fleet-scale compilation: N configs compiled over
-//!   scoped threads and frozen into one pooled, deduplicated
-//!   [`sqm_core::artifact::Artifact`].
+//!   published mid-run through [`sqm_core::recalib::TableCell`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod compile;
 pub mod exec;
 pub mod faults;
 pub mod load;
@@ -39,9 +35,8 @@ pub mod profiler;
 pub mod recalib;
 
 pub use clock::{RtClock, VirtualClock};
-pub use compile::{compile_many, FleetArtifact};
 pub use exec::{StochasticExec, ViolatingExec};
 pub use faults::{ClockRounding, ClockedManager, DriftExec, PreemptionExec};
-pub use load::{BurstLoad, CompositeLoad, ConstantLoad, LoadModel, RandomWalkLoad, SineLoad};
+pub use load::{ConstantLoad, LoadModel, RandomWalkLoad};
 pub use profiler::{ProfileConfig, Profiler};
 pub use recalib::{ControlTap, OnlineEstimator, RecalibratingExec, RecalibrationConfig};

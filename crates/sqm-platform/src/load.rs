@@ -26,56 +26,6 @@ impl LoadModel for ConstantLoad {
     }
 }
 
-/// Smooth periodic load, e.g. a camera pan sweeping texture across the
-/// frame: `1 + amplitude · sin(2π · (action + cycle·phase_per_cycle) /
-/// period)`.
-#[derive(Clone, Copy, Debug)]
-pub struct SineLoad {
-    /// Period in actions.
-    pub period: usize,
-    /// Peak deviation from 1.0 (must be `< 1` to keep factors positive).
-    pub amplitude: f64,
-    /// Phase shift per cycle, in actions.
-    pub phase_per_cycle: usize,
-}
-
-impl LoadModel for SineLoad {
-    fn factor(&self, cycle: usize, action: usize) -> f64 {
-        let pos = (action + cycle * self.phase_per_cycle) % self.period.max(1);
-        let phase = pos as f64 / self.period.max(1) as f64;
-        1.0 + self.amplitude * (2.0 * std::f64::consts::PI * phase).sin()
-    }
-}
-
-/// Piecewise load bursts — the mid-frame complexity spike that drives the
-/// paper's Fig. 8 (relaxation step collapsing from 40 to 1 and recovering
-/// to 10).
-#[derive(Clone, Debug, Default)]
-pub struct BurstLoad {
-    /// Baseline factor outside every burst.
-    pub base: f64,
-    /// `(first_action, last_action, factor)` triples, in cycle-local action
-    /// indices; later entries win on overlap.
-    pub bursts: Vec<(usize, usize, f64)>,
-}
-
-impl BurstLoad {
-    /// A baseline-1.0 burst model.
-    pub fn new(bursts: Vec<(usize, usize, f64)>) -> BurstLoad {
-        BurstLoad { base: 1.0, bursts }
-    }
-}
-
-impl LoadModel for BurstLoad {
-    fn factor(&self, _cycle: usize, action: usize) -> f64 {
-        self.bursts
-            .iter()
-            .rev()
-            .find(|&&(lo, hi, _)| (lo..=hi).contains(&action))
-            .map_or(self.base, |&(_, _, f)| f)
-    }
-}
-
 /// Seeded bounded random walk across cycles: each cycle's load drifts from
 /// the previous one, like consecutive video frames do. Deterministic in
 /// `(seed, cycle, action)`.
@@ -125,24 +75,6 @@ impl LoadModel for RandomWalkLoad {
     }
 }
 
-/// Product of several load models (e.g. scene drift × mid-frame burst).
-pub struct CompositeLoad {
-    parts: Vec<Box<dyn LoadModel + Send + Sync>>,
-}
-
-impl CompositeLoad {
-    /// Compose the given models multiplicatively.
-    pub fn new(parts: Vec<Box<dyn LoadModel + Send + Sync>>) -> CompositeLoad {
-        CompositeLoad { parts }
-    }
-}
-
-impl LoadModel for CompositeLoad {
-    fn factor(&self, cycle: usize, action: usize) -> f64 {
-        self.parts.iter().map(|p| p.factor(cycle, action)).product()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,42 +84,6 @@ mod tests {
         let l = ConstantLoad(1.5);
         assert_eq!(l.factor(0, 0), 1.5);
         assert_eq!(l.factor(9, 99), 1.5);
-    }
-
-    #[test]
-    fn sine_load_oscillates_around_one() {
-        let l = SineLoad {
-            period: 100,
-            amplitude: 0.4,
-            phase_per_cycle: 0,
-        };
-        let values: Vec<f64> = (0..100).map(|a| l.factor(0, a)).collect();
-        let mean = values.iter().sum::<f64>() / 100.0;
-        assert!((mean - 1.0).abs() < 1e-6, "mean {mean}");
-        assert!(values.iter().cloned().fold(f64::MIN, f64::max) > 1.3);
-        assert!(values.iter().cloned().fold(f64::MAX, f64::min) < 0.7);
-        assert!(values.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn sine_load_phase_shifts_across_cycles() {
-        let l = SineLoad {
-            period: 100,
-            amplitude: 0.4,
-            phase_per_cycle: 25,
-        };
-        assert_ne!(l.factor(0, 10), l.factor(1, 10));
-        assert_eq!(l.factor(0, 35), l.factor(1, 10), "shift by 25 actions");
-    }
-
-    #[test]
-    fn burst_load_applies_inside_ranges() {
-        let l = BurstLoad::new(vec![(10, 19, 2.0), (15, 15, 3.0)]);
-        assert_eq!(l.factor(0, 5), 1.0);
-        assert_eq!(l.factor(0, 10), 2.0);
-        assert_eq!(l.factor(0, 19), 2.0);
-        assert_eq!(l.factor(0, 15), 3.0, "later entries win on overlap");
-        assert_eq!(l.factor(0, 20), 1.0);
     }
 
     #[test]
@@ -203,16 +99,5 @@ mod tests {
         }
         let other = RandomWalkLoad::new(43, 0.2, 0.5, 2.0);
         assert_ne!(l.factor(3, 3), other.factor(3, 3), "seed matters");
-    }
-
-    #[test]
-    fn composite_multiplies() {
-        let c = CompositeLoad::new(vec![
-            Box::new(ConstantLoad(2.0)),
-            Box::new(ConstantLoad(0.5)),
-            Box::new(BurstLoad::new(vec![(0, 0, 3.0)])),
-        ]);
-        assert_eq!(c.factor(0, 0), 3.0);
-        assert_eq!(c.factor(0, 1), 1.0);
     }
 }

@@ -31,10 +31,7 @@
 //!   compiled table is a view over one shared cell arena, and the binary
 //!   artifact freezes that arena behind a versioned, checksummed header
 //!   whose on-disk layout *is* the in-memory layout — loading validates
-//!   and casts, parsing nothing. Fleet artifacts dedupe identical rows
-//!   across configs ([`core::arena::RowStore`]); `platform::compile`'s
-//!   [`platform::compile::compile_many`] compiles whole config fleets
-//!   into one such artifact over scoped threads.
+//!   and casts, parsing nothing.
 //! * [`platform`] — a virtual execution platform (virtual clock, stochastic
 //!   execution-time models bounded by `Cwc`, profiler, calibrated QM
 //!   overhead models), plus what goes wrong on real hardware:
@@ -99,8 +96,7 @@
 //! oracle throughput and online-recalibration latency; `… --bin
 //! fuzz_smoke` is the CI sweep of the same campaign) and
 //! `… --bin bench_coldstart` the artifact-layer point (serialized bytes →
-//! first decision, text parse vs binary cast, single config vs
-//! 1000-config deduplicated fleet) next to them.
+//! first decision, text parse vs binary cast, per workload) next to them.
 //!
 //! ## Quickstart
 //!

@@ -195,39 +195,32 @@ fn control_walk_trace_matches_golden() {
     check_control_trace(sqm_bench::DriftShape::RandomWalk, 24, "control_walk");
 }
 
-/// The binary fleet artifact is pinned byte-for-byte (as hex): row-pool
-/// interning order, directory layout, header fields and checksum are all
-/// part of the wire contract, so any byte change — even a behaviorally
-/// invisible one — must be reviewed and blessed like an engine change.
+/// The binary artifact is pinned byte-for-byte (as hex): header fields,
+/// payload order and checksum are all part of the wire contract, so any
+/// byte change — even a behaviorally invisible one — must be reviewed and
+/// blessed like an engine change.
 #[test]
-fn fleet_artifact_bytes_match_golden() {
-    use speed_qm::core::relaxation::StepSet;
+fn artifact_bytes_match_golden() {
+    use speed_qm::core::artifact::Artifact;
+    use speed_qm::core::compiler::{compile_regions, compile_relaxation};
     use speed_qm::core::system::SystemBuilder;
-    use speed_qm::platform::compile::compile_many;
 
-    // 6 configs from 2 deadline classes: enough to exercise dedup
-    // (shared pools, distinct directories) while staying reviewable.
-    let systems: Vec<_> = (0..6i64)
-        .map(|i| {
-            SystemBuilder::new(3)
-                .action("a", &[10, 25, 40], &[4, 9, 14])
-                .action("b", &[12, 22, 35], &[6, 11, 17])
-                .deadline_last(Time::from_ns(90 + (i % 2) * 30))
-                .build()
-                .unwrap()
-        })
-        .collect();
-    let rho = StepSet::new(vec![1, 2]).unwrap();
-    let fleet = compile_many(&systems, Some(&rho), 3).unwrap();
-    assert_eq!(fleet.stats.configs, 6);
-    assert!(fleet.stats.ratio() > 1.0, "two classes must share rows");
+    let sys = SystemBuilder::new(3)
+        .action("a", &[10, 25, 40], &[4, 9, 14])
+        .action("b", &[12, 22, 35], &[6, 11, 17])
+        .deadline_last(Time::from_ns(90))
+        .build()
+        .unwrap();
+    let regions = compile_regions(&sys);
+    let relaxation = compile_relaxation(&sys, &regions, StepSet::new(vec![1, 2]).unwrap());
+    let bytes = Artifact::encode(&regions, Some(&relaxation));
 
-    let mut hex = String::with_capacity(fleet.bytes.len() * 3);
-    for chunk in fleet.bytes.chunks(32) {
+    let mut hex = String::with_capacity(bytes.len() * 3);
+    for chunk in bytes.chunks(32) {
         for b in chunk {
             hex.push_str(&format!("{b:02x}"));
         }
         hex.push('\n');
     }
-    assert_matches_golden("fleet_artifact.hex", &hex);
+    assert_matches_golden("artifact.hex", &hex);
 }

@@ -7,7 +7,7 @@ mod common;
 
 use common::arb_system;
 use proptest::prelude::*;
-use speed_qm::core::artifact::{self, Artifact, ArtifactError, ArtifactView};
+use speed_qm::core::artifact::{self, Artifact, ArtifactError};
 use speed_qm::core::prelude::*;
 use speed_qm::core::tables;
 use speed_qm::mpeg::EncoderConfig;
@@ -78,8 +78,7 @@ proptest! {
         ).unwrap();
 
         let bytes = Artifact::encode(&parsed, Some(&parsed_rx));
-        let loaded = Artifact::load(&bytes).unwrap();
-        let lt = loaded.tables(0).unwrap();
+        let lt = Artifact::load(&bytes).unwrap().tables;
         prop_assert_eq!(&lt.regions, &regions);
         prop_assert_eq!(lt.relaxation.as_ref(), Some(&relaxation));
         prop_assert_eq!(
@@ -88,18 +87,15 @@ proptest! {
             "re-encoding a loaded artifact must be byte-identical"
         );
 
-        let view = ArtifactView::new(&bytes).unwrap();
         for state in 0..arb.system.n_actions() {
             for t_ns in [-50i64, 0, 17, 300, 900] {
                 let t = Time::from_ns(t_ns);
-                let want = regions.choose(state, t).0;
-                prop_assert_eq!(lt.regions.choose(state, t).0, want);
-                prop_assert_eq!(view.choose(0, state, t), want);
+                prop_assert_eq!(lt.regions.choose(state, t).0, regions.choose(state, t).0);
             }
         }
     }
 
-    /// Feeding arbitrary bytes to the loaders is always `Ok` or a typed
+    /// Feeding arbitrary bytes to the loader is always `Ok` or a typed
     /// error — never a panic. (The fuzz campaign drives the same surface
     /// with structured mutations; this is the unstructured floor.)
     #[test]
@@ -107,8 +103,6 @@ proptest! {
         bytes in proptest::collection::vec(0u8..=255, 0usize..256)
     ) {
         let _ = Artifact::load(&bytes);
-        let _ = ArtifactView::new(&bytes);
-        let _ = artifact::delta_decode(&bytes, 16);
     }
 
     /// Every single-byte corruption of a valid artifact is rejected:
@@ -128,7 +122,6 @@ proptest! {
         let pos = pos_seed % mutated.len();
         mutated[pos] ^= 0x5A;
         prop_assert!(Artifact::load(&mutated).is_err(), "flip at byte {}", pos);
-        prop_assert!(ArtifactView::new(&mutated).is_err(), "flip at byte {}", pos);
     }
 }
 
@@ -142,13 +135,13 @@ fn workload_text_and_binary_artifacts_agree() {
         let from_text = tables::regions_from_str(&tables::regions_to_string(regions)).unwrap();
         let bytes = Artifact::encode(regions, relaxation);
         let loaded = Artifact::load(&bytes).unwrap();
-        let from_binary = &loaded.tables(0).unwrap().regions;
+        let from_binary = &loaded.tables.regions;
         assert_eq!(&from_text, regions, "{}: text diverges", w.label());
         assert_eq!(from_binary, regions, "{}: binary diverges", w.label());
         if let Some(rx) = relaxation {
             let rx_text = tables::relaxation_from_str(&tables::relaxation_to_string(rx)).unwrap();
             assert_eq!(&rx_text, rx);
-            assert_eq!(loaded.tables(0).unwrap().relaxation.as_ref(), Some(rx));
+            assert_eq!(loaded.tables.relaxation.as_ref(), Some(rx));
         }
         for state in 0..regions.n_states() {
             for t_ns in [-40i64, 0, 9, 150, 4_000] {
@@ -208,24 +201,17 @@ fn corrupted_artifacts_fail_with_typed_errors() {
         Err(ArtifactError::Misaligned { .. })
     ));
 
-    // A fleet directory cell pointing past its pool, behind a valid
+    // A state count that disagrees with the payload, behind a valid
     // checksum: structural validation still rejects it.
-    let (fleet_bytes, _) = Artifact::encode_fleet(&[(w.regions(), None)]).unwrap();
-    let meta_cells = 2 + 3 + 1; // nq, nr(=0), three pool sizes, n_states
-    let dir_off = artifact::HEADER_LEN + meta_cells * 8;
-    let mut bad_dir = fleet_bytes.clone();
-    bad_dir[dir_off..dir_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-    let payload = &bad_dir[artifact::HEADER_LEN..];
-    let sum = artifact::checksum(payload);
-    bad_dir[24..32].copy_from_slice(&sum.to_le_bytes());
+    let off = artifact::HEADER_LEN;
+    let mut bad_dims = bytes.clone();
+    bad_dims[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let sum = artifact::checksum(&bad_dims[off..]);
+    bad_dims[24..32].copy_from_slice(&sum.to_le_bytes());
     assert!(
-        matches!(
-            Artifact::load(&bad_dir),
-            Err(ArtifactError::DirectoryOutOfBounds { config: 0, .. })
-                | Err(ArtifactError::BadDims(_))
-        ),
+        matches!(Artifact::load(&bad_dims), Err(ArtifactError::BadDims(_))),
         "got {:?}",
-        Artifact::load(&bad_dir)
+        Artifact::load(&bad_dims)
     );
 }
 
