@@ -1,13 +1,14 @@
 //! Emit `BENCH_artifact.json` — the artifact-layer point of the
-//! workspace's performance trajectory: how long it takes to go from
-//! serialized table bytes to the *first quality decision*, for the text
-//! format (parse every integer) versus the binary artifact (validate +
-//! cast).
+//! workspace's performance trajectory: how long it takes to reach the
+//! *first quality decision* three ways — compiling the tables from the
+//! system, parsing the text format (every integer), and loading the binary
+//! artifact (validate + cast).
 //!
 //! Identity gates run before anything is published and abort the
 //! artifact on failure:
 //!
-//! * for every workload, an engine run over the artifact-loaded tables
+//! * for every workload, the tables compiled here must equal the
+//!   workload's own, and an engine run over the artifact-loaded tables
 //!   must be record-for-record identical to a run over the freshly
 //!   compiled tables (and the text-parsed ones);
 //! * re-encoding a loaded artifact must reproduce the input bytes.
@@ -23,6 +24,7 @@ use sqm_bench::report::median_of_5;
 use sqm_bench::workload::{AudioExperiment, Workload, JITTER};
 use sqm_bench::PaperExperiment;
 use sqm_core::artifact::Artifact;
+use sqm_core::compiler::{compile_regions, compile_relaxation};
 use sqm_core::engine::{CycleChaining, Engine, RecordBuffer};
 use sqm_core::manager::LookupManager;
 use sqm_core::regions::QualityRegionTable;
@@ -55,6 +57,7 @@ struct ColdstartPoint {
     label: &'static str,
     text_bytes: usize,
     artifact_bytes: usize,
+    compile_ns: f64,
     text_parse_ns: f64,
     binary_load_ns: f64,
 }
@@ -84,6 +87,19 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
         );
         assert_eq!(tables_0.relaxation.as_ref(), Some(rx));
     }
+    let compile = || {
+        let compiled = compile_regions(w.system());
+        let relax =
+            relaxation.map(|rx| compile_relaxation(w.system(), &compiled, rx.rho().clone()));
+        (compiled, relax)
+    };
+    let (compiled, compiled_relax) = compile();
+    assert_eq!(&compiled, regions, "compiled regions differ");
+    assert_eq!(
+        compiled_relax.as_ref(),
+        relaxation,
+        "compiled relaxation differs"
+    );
     let reference = records_under(w, regions);
     assert_eq!(
         records_under(w, &tables_0.regions),
@@ -98,8 +114,15 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
         w.label()
     );
 
-    // ── Measurements: bytes → first decision ────────────────────────
+    // ── Measurements: system or bytes → first decision ──────────────
     let probe = Time::from_ns(1);
+    let compile_ns = median_of_5(|| {
+        let t0 = Instant::now();
+        let (r, relax) = compile();
+        std::hint::black_box(relax);
+        std::hint::black_box(r.choose(0, probe));
+        t0.elapsed().as_nanos() as f64
+    });
     let text_parse_ns = median_of_5(|| {
         let t0 = Instant::now();
         let r = tables::regions_from_str(&text).unwrap();
@@ -118,8 +141,9 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
 
     let text_bytes = text.len() + relax_text.as_ref().map_or(0, String::len);
     println!(
-        "{:>14}: text {:>8.1} KiB parse {:>10.0} ns | binary {:>8.1} KiB load {:>8.0} ns ({:.1}x)",
+        "{:>14}: compile {:>8.0} ns | text {:>8.1} KiB parse {:>10.0} ns | binary {:>8.1} KiB load {:>8.0} ns ({:.1}x)",
         w.label(),
+        compile_ns,
         text_bytes as f64 / 1024.0,
         text_parse_ns,
         bytes.len() as f64 / 1024.0,
@@ -130,6 +154,7 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
         label: w.label(),
         text_bytes,
         artifact_bytes: bytes.len(),
+        compile_ns,
         text_parse_ns,
         binary_load_ns,
     }
@@ -154,15 +179,17 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"speed-qm/bench-artifact/v2\",\n",
-            "  \"config\": \"bytes -> first decision, median of 5; mpeg at paper scale ",
+            "  \"schema\": \"speed-qm/bench-artifact/v3\",\n",
+            "  \"config\": \"system or bytes -> first decision, median of 5; mpeg at paper scale ",
             "(|A|=1189, |Q|=7, rho={{1,10,20,30,40,50}})\",\n",
             "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes)\",\n",
+            "  \"nproc\": {},\n",
             "  \"workloads\": [\n",
             "{}",
             "  ]\n",
             "}}\n",
         ),
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         points
             .iter()
             .map(|p| {
@@ -172,6 +199,7 @@ fn main() {
                         "      \"label\": \"{}\",\n",
                         "      \"text_bytes\": {},\n",
                         "      \"artifact_bytes\": {},\n",
+                        "      \"compile_first_decision_ns\": {:.0},\n",
                         "      \"text_parse_first_decision_ns\": {:.0},\n",
                         "      \"binary_load_first_decision_ns\": {:.0}\n",
                         "    }}"
@@ -179,6 +207,7 @@ fn main() {
                     p.label,
                     p.text_bytes,
                     p.artifact_bytes,
+                    p.compile_ns,
                     p.text_parse_ns,
                     p.binary_load_ns,
                 )

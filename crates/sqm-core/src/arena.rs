@@ -6,6 +6,12 @@
 //! and [`crate::relaxation::RelaxationTable`] are cheap views into it
 //! (offset + shape), so a table pair loaded from one binary artifact
 //! ([`crate::artifact`]) shares a single allocation.
+//!
+//! Every table producer (the region and relaxation compiles, both
+//! `shifted` copies and [`crate::artifact::Artifact::load`]) builds its
+//! arena by collecting an exact-length iterator of cells in final layout
+//! order: **one allocation per arena, at its final size, and each cell
+//! written once** — no staging `Vec` and no second copy.
 
 use std::sync::Arc;
 
@@ -37,7 +43,10 @@ pub struct TableArena {
 }
 
 impl TableArena {
-    /// Seal a cell vector into an immutable shared arena.
+    /// Seal a cell vector into an immutable shared arena. This copies the
+    /// cells into the arena's own allocation; producers that can generate
+    /// their cells in order collect them instead (see the
+    /// [`FromIterator`] impl).
     pub fn from_cells(cells: Vec<Time>) -> TableArena {
         TableArena {
             cells: cells.into(),
@@ -74,6 +83,52 @@ impl TableArena {
     }
 }
 
+/// Collect cells, in layout order, straight into a new arena.
+///
+/// **Allocation contract:** when the iterator's length is known exactly
+/// to the standard library (it implements the unstable `TrustedLen`
+/// marker: ranges, slice and `chunks_exact` iterators, and `map` and
+/// `chain` over those), the arena is allocated once at its final size and
+/// each cell is written into place as the iterator yields it. A stateful `map` closure over a `Range` keeps that
+/// guarantee, which is how the table compilers emit cells computed in
+/// row-major order. Any other iterator is first buffered in a growing
+/// `Vec` and then copied.
+///
+/// ```
+/// use sqm_core::arena::TableArena;
+/// use sqm_core::time::Time;
+///
+/// let arena: TableArena = (0..4).map(|i| Time::from_ns(10 * i)).collect();
+/// assert_eq!(arena.cells()[3], Time::from_ns(30));
+/// ```
+impl FromIterator<Time> for TableArena {
+    fn from_iter<I: IntoIterator<Item = Time>>(cells: I) -> TableArena {
+        TableArena {
+            cells: cells.into_iter().collect(),
+        }
+    }
+}
+
+/// The cells of a `rows × width` row-major block: `cell(row, col)` is
+/// called exactly once per cell, in layout order. The result is a `map`
+/// over a `Range`, so collecting it into a [`TableArena`] allocates once.
+pub(crate) fn row_major(
+    rows: usize,
+    width: usize,
+    mut cell: impl FnMut(usize, usize) -> Time,
+) -> impl Iterator<Item = Time> {
+    let (mut row, mut col) = (0, 0);
+    (0..rows * width).map(move |_| {
+        let t = cell(row, col);
+        col += 1;
+        if col == width {
+            col = 0;
+            row += 1;
+        }
+        t
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +144,15 @@ mod tests {
         assert!(arena.ptr_eq(&clone));
         assert_eq!(arena.byte_size(), 24);
         assert!(!arena.is_empty());
+    }
+
+    #[test]
+    fn row_major_visits_every_cell_once_in_layout_order() {
+        let arena: TableArena = row_major(3, 4, |row, col| t((10 * row + col) as i64)).collect();
+        let expect: Vec<Time> = (0..3)
+            .flat_map(|row| (0..4).map(move |col| t(10 * row + col)))
+            .collect();
+        assert_eq!(arena.cells(), &expect[..]);
+        assert!(row_major(0, 4, |_, _| unreachable!()).next().is_none());
     }
 }

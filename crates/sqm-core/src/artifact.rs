@@ -270,12 +270,11 @@ impl Artifact {
     /// ```
     pub fn load(bytes: &[u8]) -> Result<Artifact, ArtifactError> {
         parse_header(bytes)?;
-        // One bulk LE conversion into the single shared allocation.
-        let cells: Vec<Time> = bytes[HEADER_LEN..]
+        // One bulk LE conversion, straight into the single shared allocation.
+        let arena: TableArena = bytes[HEADER_LEN..]
             .chunks_exact(8)
             .map(|c| Time::from_ns(i64::from_le_bytes(c.try_into().expect("chunk of 8"))))
             .collect();
-        let arena = TableArena::from_cells(cells);
         let lay = single_layout(arena.cells())?;
         let qualities =
             QualitySet::new(lay.nq).ok_or_else(|| ArtifactError::BadDims("quality set".into()))?;

@@ -69,6 +69,13 @@ impl PrefixSums {
         self.av[q.index()][x]
     }
 
+    /// The whole worst-case prefix row of `q`: `wc_prefix(q, x)` for
+    /// `x ∈ 0..=n`.
+    #[inline]
+    pub(crate) fn wc_row(&self, q: Quality) -> &[i64] {
+        &self.wc[q.index()]
+    }
+
     /// `Σ_{m < x} Cwc(a_m, q)` in nanoseconds.
     #[inline]
     pub fn wc_prefix(&self, q: Quality, x: usize) -> i64 {

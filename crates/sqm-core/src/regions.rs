@@ -20,7 +20,7 @@
 //! shared [`TableArena`], so a loaded artifact's tables share one
 //! allocation. Row `s` is the `|Q|` cells starting at `base + s·|Q|`.
 
-use crate::arena::TableArena;
+use crate::arena::{row_major, TableArena};
 use crate::policy::Policy;
 use crate::quality::{Quality, QualitySet};
 use crate::system::ParameterizedSystem;
@@ -42,21 +42,20 @@ pub struct QualityRegionTable {
 }
 
 impl QualityRegionTable {
-    /// Evaluate a policy at every `(state, quality)` pair. O(n·|Q|) given an
-    /// O(1) policy.
+    /// Evaluate a policy at every `(state, quality)` pair, row-major,
+    /// straight into the table's arena (one allocation, each cell written
+    /// once). O(n·|Q|) given an O(1) policy.
     pub fn from_policy<P: Policy>(sys: &ParameterizedSystem, policy: &P) -> QualityRegionTable {
         let n = sys.n_actions();
         let qualities = sys.qualities();
-        let mut td = Vec::with_capacity(n * qualities.len());
-        for state in 0..n {
-            for q in qualities.iter() {
-                td.push(policy.t_d(state, q));
-            }
-        }
+        let arena = row_major(n, qualities.len(), |state, q| {
+            policy.t_d(state, Quality::new(q as u8))
+        })
+        .collect();
         QualityRegionTable {
             n_states: n,
             qualities,
-            arena: TableArena::from_cells(td),
+            arena,
             base: 0,
         }
     }
@@ -273,14 +272,13 @@ impl QualityRegionTable {
     /// boundary into `tD + delta` — no recompilation. (With multiple
     /// deadlines only the uniform-shift case `D_k → D_k + delta` for all
     /// `k` is exact, which this method also covers.) The copy owns a fresh
-    /// arena.
+    /// arena, allocated once.
     pub fn shifted(&self, delta: Time) -> QualityRegionTable {
-        let shift = |t: Time| if t.is_infinite() { t } else { t + delta };
-        let td = self.raw().iter().map(|&t| shift(t)).collect();
+        let shift = |&t: &Time| if t.is_infinite() { t } else { t + delta };
         QualityRegionTable {
             n_states: self.n_states,
             qualities: self.qualities,
-            arena: TableArena::from_cells(td),
+            arena: self.raw().iter().map(shift).collect(),
             base: 0,
         }
     }

@@ -20,7 +20,7 @@
 //! over a shared [`TableArena`]: a lower-bound block and an upper-bound
 //! block, each with one row of `|Q|·|ρ|` cells per state.
 
-use crate::arena::TableArena;
+use crate::arena::{row_major, TableArena};
 use crate::error::BuildError;
 use crate::quality::{Quality, QualitySet};
 use crate::regions::QualityRegionTable;
@@ -94,87 +94,74 @@ pub struct RelaxationTable {
 }
 
 impl RelaxationTable {
-    /// Build from a quality-region table. O(n·|Q|·|ρ|) using a monotone
-    /// deque for the sliding-window minimum of `tD(s_j, q) − Wq[j]`.
-    #[allow(clippy::needless_range_loop)] // window arithmetic over explicit indices
+    /// Build from a quality-region table compiled for `sys`.
+    ///
+    /// **Kernel.** The cells are produced row-major, in final layout
+    /// order: the whole lower-bound block, then the whole upper-bound
+    /// block, each one row of `(q, ri)` cells per state.
+    ///
+    /// * A lower cell is read straight off the region rows:
+    ///   `tD(s_{i+r−1}, q+1)`, or `−∞` at `qmax`.
+    /// * An upper cell is `tD,r(s_i, q) = Wq(i) + min_{i ≤ j ≤ i+r−1} u(j)`
+    ///   with `u(j) = tD(s_j, q) − Wq(j)` and `Wq` the worst-case prefix
+    ///   sum. One monotone sliding-minimum deque per `(q, r)` advances by
+    ///   one state as its cell is emitted, so each cell costs O(1)
+    ///   amortised and the compile is O(n·|Q|·|ρ|).
+    /// * When the window overruns the cycle (`i + r > n`) the interval is
+    ///   the empty `(+∞, −∞)`.
+    ///
+    /// **Allocation contract.** The cells are collected from an
+    /// exact-length iterator straight into the table's arena: one
+    /// allocation at its final size, each cell written once. The only
+    /// other memory is one deque per column, at most
+    /// `|Q| · Σ_{r ∈ ρ, r ≤ n} r` entries in all: 17 KiB beside the
+    /// 780 KiB table at paper scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `regions` was not compiled for a system of `sys`'s
+    /// shape: a different state count or quality set.
     pub fn compile(
         sys: &ParameterizedSystem,
         regions: &QualityRegionTable,
         rho: StepSet,
     ) -> RelaxationTable {
         let n = sys.n_actions();
-        debug_assert_eq!(regions.n_states(), n);
         let qualities = sys.qualities();
-        let nq = qualities.len();
-        let nr = rho.len();
-        let mut lower = vec![Time::INF; n * nq * nr];
-        let mut upper = vec![Time::NEG_INF; n * nq * nr];
-
-        for q in qualities.iter() {
-            // u(j) = tD(s_j, q) − Wq[q][j]; then
-            // tD,r(s_i, q) = Wq[q][i] + min_{i ≤ j ≤ i+r−1} u(j).
-            let wq: Vec<i64> = (0..=n).map(|x| sys.prefix().wc_prefix(q, x)).collect();
-            let u: Vec<Time> = (0..n)
-                .map(|j| regions.t_d(j, q) - Time::from_ns(wq[j]))
-                .collect();
-            for (ri, &r) in rho.steps().iter().enumerate() {
-                if r > n {
-                    continue;
-                }
-                // Sliding minimum of u over windows [i, i+r-1].
-                let mut deque: VecDeque<usize> = VecDeque::new();
-                // Pre-fill the first window.
-                for j in 0..r {
-                    while deque.back().is_some_and(|&b| u[b] >= u[j]) {
-                        deque.pop_back();
-                    }
-                    deque.push_back(j);
-                }
-                for i in 0..=(n - r) {
-                    let j_min = *deque.front().expect("window non-empty");
-                    let up = u[j_min] + Time::from_ns(wq[i]);
-                    let lo = if q == qualities.max() {
-                        Time::NEG_INF
-                    } else {
-                        regions.t_d(i + r - 1, q.up())
-                    };
-                    let idx = (i * nq + q.index()) * nr + ri;
-                    lower[idx] = lo;
-                    upper[idx] = up;
-                    // Slide: drop index i, add index i + r.
-                    if deque.front() == Some(&i) {
-                        deque.pop_front();
-                    }
-                    let next = i + r;
-                    if next < n {
-                        while deque.back().is_some_and(|&b| u[b] >= u[next]) {
-                            deque.pop_back();
-                        }
-                        deque.push_back(next);
-                    }
-                }
+        assert_eq!(regions.n_states(), n, "region table shape mismatch");
+        assert_eq!(regions.qualities(), qualities, "quality set mismatch");
+        let td = regions.raw();
+        // Column `q · |ρ| + ri` of every row is the `(q, ρ[ri])` column.
+        let mut cols: Vec<Column> = qualities
+            .iter()
+            .flat_map(|q| rho.steps().iter().map(move |&r| Column::new(sys, q, r)))
+            .collect();
+        // Rows `0..n` are the lower block, rows `n..2n` the upper block.
+        let cells = row_major(2 * n, cols.len(), |row, c| {
+            if row < n {
+                cols[c].lower(row, td)
+            } else {
+                cols[c].upper(row - n, td)
             }
-        }
-        RelaxationTable::from_dense_parts(n, qualities, rho, lower, upper)
+        });
+        RelaxationTable::from_arena(n, qualities, rho, cells.collect())
     }
 
-    /// Seal freshly built `lower`/`upper` blocks into one dense arena.
-    fn from_dense_parts(
+    /// Wrap an arena holding the lower block followed by the upper block.
+    fn from_arena(
         n_states: usize,
         qualities: QualitySet,
         rho: StepSet,
-        mut lower: Vec<Time>,
-        upper: Vec<Time>,
+        arena: TableArena,
     ) -> RelaxationTable {
-        let upper_base = lower.len();
-        lower.extend_from_slice(&upper);
+        let upper = arena.len() / 2;
         RelaxationTable {
             n_states,
             qualities,
             rho,
-            arena: TableArena::from_cells(lower),
+            arena,
             lower: 0,
-            upper: upper_base,
+            upper,
         }
     }
 
@@ -406,19 +393,12 @@ impl RelaxationTable {
     /// deadline shift, mirroring [`crate::regions::QualityRegionTable::shifted`]
     /// (both bounds are sums of `tD` values and deadline-independent
     /// worst-case terms). Sentinel bounds are preserved. The copy owns a
-    /// fresh arena.
+    /// fresh arena, allocated once.
     pub fn shifted(&self, delta: Time) -> RelaxationTable {
-        let shift = |t: Time| if t.is_infinite() { t } else { t + delta };
+        let shift = |&t: &Time| if t.is_infinite() { t } else { t + delta };
         let (lower, upper) = self.raw();
-        let lower = lower.iter().map(|&t| shift(t)).collect();
-        let upper = upper.iter().map(|&t| shift(t)).collect();
-        RelaxationTable::from_dense_parts(
-            self.n_states,
-            self.qualities,
-            self.rho.clone(),
-            lower,
-            upper,
-        )
+        let cells = lower.iter().chain(upper).map(shift).collect();
+        RelaxationTable::from_arena(self.n_states, self.qualities, self.rho.clone(), cells)
     }
 
     /// Number of stored integers — `2·|A|·|Q|·|ρ|` (the paper's 99,876).
@@ -451,8 +431,87 @@ impl RelaxationTable {
         upper: Vec<Time>,
     ) -> Option<RelaxationTable> {
         let expect = n_states * qualities.len() * rho.len();
-        (lower.len() == expect && upper.len() == expect)
-            .then(|| RelaxationTable::from_dense_parts(n_states, qualities, rho, lower, upper))
+        (lower.len() == expect && upper.len() == expect).then(|| {
+            let cells = lower.into_iter().chain(upper).collect();
+            RelaxationTable::from_arena(n_states, qualities, rho, cells)
+        })
+    }
+}
+
+/// The `(q, r)` column of the relaxation rows: both bounds of `Rrq` at
+/// consecutive states `i`, read off the region cells `td` (row-major,
+/// `|Q|` per state).
+///
+/// The upper bound keeps the sliding minimum of `u(j) = tD(s_j, q) − Wq(j)`
+/// over the window `[i, i + r − 1]` as a monotone deque of `(j, u(j))`,
+/// values strictly increasing from the front, so the front is the
+/// window's minimum; at most `r` entries are ever held.
+struct Column<'a> {
+    n: usize,
+    nq: usize,
+    q: usize,
+    r: usize,
+    /// `Wq(x)`, the worst-case prefix sums of `q`, `x ∈ 0..=n`.
+    wc: &'a [i64],
+    /// The next `j` to enter the window.
+    next: usize,
+    mins: VecDeque<(usize, Time)>,
+}
+
+impl<'a> Column<'a> {
+    fn new(sys: &'a ParameterizedSystem, q: Quality, r: usize) -> Column<'a> {
+        let n = sys.n_actions();
+        Column {
+            n,
+            nq: sys.qualities().len(),
+            q: q.index(),
+            r,
+            wc: sys.prefix().wc_row(q),
+            next: 0,
+            mins: VecDeque::with_capacity(if r <= n { r } else { 0 }),
+        }
+    }
+
+    /// `r` actions from state `i` run past the last one.
+    #[inline]
+    fn overruns(&self, i: usize) -> bool {
+        self.r > self.n - i
+    }
+
+    /// The lower bound at state `i`: `tD(s_{i+r−1}, q+1)`, `−∞` at `qmax`,
+    /// `+∞` when the window overruns.
+    #[inline]
+    fn lower(&self, i: usize, td: &[Time]) -> Time {
+        if self.overruns(i) {
+            Time::INF
+        } else if self.q + 1 == self.nq {
+            Time::NEG_INF
+        } else {
+            td[(i + self.r - 1) * self.nq + self.q + 1]
+        }
+    }
+
+    /// The upper bound `tD,r(s_i, q) = Wq(i) + min_{i ≤ j ≤ i+r−1} u(j)`,
+    /// `−∞` when the window overruns. The deque only slides forward: the
+    /// non-overrunning states must be asked for in turn, from 0.
+    #[inline]
+    fn upper(&mut self, i: usize, td: &[Time]) -> Time {
+        if self.overruns(i) {
+            return Time::NEG_INF;
+        }
+        if self.mins.front().is_some_and(|&(j, _)| j < i) {
+            self.mins.pop_front();
+        }
+        while self.next < i + self.r {
+            let j = self.next;
+            let uj = td[j * self.nq + self.q] - Time::from_ns(self.wc[j]);
+            while self.mins.back().is_some_and(|&(_, u)| u >= uj) {
+                self.mins.pop_back();
+            }
+            self.mins.push_back((j, uj));
+            self.next += 1;
+        }
+        self.mins.front().expect("window non-empty").1 + Time::from_ns(self.wc[i])
     }
 }
 
@@ -677,6 +736,35 @@ mod tests {
             );
             assert_eq!(shifted, recompiled, "delta {delta}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "region table shape mismatch")]
+    fn compile_rejects_regions_with_more_states() {
+        let longer = SystemBuilder::new(2)
+            .action("a", &[10, 20], &[4, 9])
+            .action("b", &[12, 22], &[6, 11])
+            .action("c", &[8, 18], &[3, 8])
+            .action("d", &[9, 21], &[5, 10])
+            .action("e", &[11, 19], &[4, 9])
+            .action("f", &[7, 15], &[3, 6])
+            .deadline_last(Time::from_ns(150))
+            .build()
+            .unwrap();
+        let regions = QualityRegionTable::from_policy(&longer, &MixedPolicy::new(&longer));
+        RelaxationTable::compile(&sys(), &regions, StepSet::paper_mpeg());
+    }
+
+    #[test]
+    #[should_panic(expected = "quality set mismatch")]
+    fn compile_rejects_regions_with_fewer_qualities() {
+        let mut b = SystemBuilder::new(1);
+        for name in ["a", "b", "c", "d", "e"] {
+            b = b.action(name, &[10], &[5]);
+        }
+        let coarse = b.deadline_last(Time::from_ns(120)).build().unwrap();
+        let regions = QualityRegionTable::from_policy(&coarse, &MixedPolicy::new(&coarse));
+        RelaxationTable::compile(&sys(), &regions, StepSet::paper_mpeg());
     }
 
     #[test]

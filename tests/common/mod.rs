@@ -19,7 +19,16 @@ pub struct ArbSystem {
 /// monotone timing rows, a feasible final deadline, and optionally one
 /// random intermediate deadline.
 pub fn arb_system() -> impl Strategy<Value = ArbSystem> {
-    (1usize..=18, 1usize..=5)
+    arb_system_up_to(18, 5)
+}
+
+/// [`arb_system`] with 1..=`max_actions` actions and 1..=`max_qualities`
+/// quality levels.
+pub fn arb_system_up_to(
+    max_actions: usize,
+    max_qualities: usize,
+) -> impl Strategy<Value = ArbSystem> {
+    (1usize..=max_actions, 1usize..=max_qualities)
         .prop_flat_map(|(n, nq)| {
             let rows = proptest::collection::vec(
                 (

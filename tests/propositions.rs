@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{arb_system, cycle_fraction_exec, ArbSystem, OVERHEAD};
+use common::{arb_system, arb_system_up_to, cycle_fraction_exec, ArbSystem, OVERHEAD};
 use proptest::prelude::*;
 use speed_qm::core::compiler::{compile_regions, compile_relaxation};
 use speed_qm::core::prelude::*;
@@ -147,6 +147,51 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The relaxation compile against Proposition 3 computed by brute
+    /// force, cell by cell: the upper bound is the window minimum of
+    /// `tD(s_j, q) − Cwc(a_i..a_j, q)`, the lower bound `tD(s_{i+r−1}, q+1)`
+    /// (`−∞` at `qmax`), and an overrunning window is the empty
+    /// `(+∞, −∞)`. Step menus range from `ρ = {1}` to steps beyond `n`.
+    #[test]
+    fn relaxation_cells_match_proposition_3(
+        arb in arb_system_up_to(40, 6),
+        extra in proptest::collection::vec(2usize..60, 0..6),
+    ) {
+        let sys = &arb.system;
+        let n = sys.n_actions();
+        let qmax = sys.qualities().max();
+        let mut menu = extra;
+        menu.push(1);
+        menu.sort_unstable();
+        menu.dedup();
+        let regions = compile_regions(sys);
+        let relax = compile_relaxation(sys, &regions, StepSet::new(menu.clone()).unwrap());
+        for state in 0..n {
+            for q in sys.qualities().iter() {
+                for (ri, &r) in menu.iter().enumerate() {
+                    let expect = if state + r > n {
+                        (Time::INF, Time::NEG_INF)
+                    } else {
+                        let lower = if q == qmax {
+                            Time::NEG_INF
+                        } else {
+                            regions.t_d(state + r - 1, q.up())
+                        };
+                        let upper = (state..state + r)
+                            .map(|j| regions.t_d(j, q) - sys.prefix().wc_range(state, j, q))
+                            .fold(Time::INF, Time::min);
+                        (lower, upper)
+                    };
+                    prop_assert_eq!(
+                        relax.bounds(state, q, ri), expect,
+                        "state {} {} r {} (n {}, rho {:?})", state, q, r, n, menu
+                    );
+                }
+            }
+        }
+        prop_assert!(relax.nested_over_rho());
     }
 
     /// Proposition 3, tightness direction: the stored upper bound is not
