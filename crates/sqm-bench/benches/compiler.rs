@@ -9,9 +9,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqm_core::compiler::{compile_regions, compile_relaxation};
 use sqm_core::relaxation::StepSet;
 use sqm_core::system::{ParameterizedSystem, SystemBuilder};
-use sqm_core::tables::{
-    regions_from_str, regions_to_string, relaxation_from_str, relaxation_to_string,
-};
 use sqm_core::time::Time;
 use std::hint::black_box;
 
@@ -53,36 +50,5 @@ fn bench_compile_relaxation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tables_roundtrip(c: &mut Criterion) {
-    // Table-load cost at the paper's scale: the single-pass text parser is
-    // on the application start-up path (compiled artifacts cross the
-    // compiler → runtime boundary as text).
-    let mut group = c.benchmark_group("tables_roundtrip");
-    let n = 1_189usize;
-    let sys = synthetic_system(n);
-    let regions = compile_regions(&sys);
-    let relaxation = compile_relaxation(&sys, &regions, StepSet::paper_mpeg());
-    let regions_text = regions_to_string(&regions);
-    let relaxation_text = relaxation_to_string(&relaxation);
-    group.bench_with_input(BenchmarkId::new("regions_serialize", n), &n, |b, _| {
-        b.iter(|| black_box(regions_to_string(black_box(&regions))));
-    });
-    group.bench_with_input(BenchmarkId::new("regions_parse", n), &n, |b, _| {
-        b.iter(|| black_box(regions_from_str(black_box(&regions_text)).unwrap()));
-    });
-    group.bench_with_input(BenchmarkId::new("relaxation_serialize", n), &n, |b, _| {
-        b.iter(|| black_box(relaxation_to_string(black_box(&relaxation))));
-    });
-    group.bench_with_input(BenchmarkId::new("relaxation_parse", n), &n, |b, _| {
-        b.iter(|| black_box(relaxation_from_str(black_box(&relaxation_text)).unwrap()));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_compile_regions,
-    bench_compile_relaxation,
-    bench_tables_roundtrip
-);
+criterion_group!(benches, bench_compile_regions, bench_compile_relaxation);
 criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! Emit `BENCH_artifact.json` — the artifact-layer point of the
 //! workspace's performance trajectory: how long it takes to reach the
-//! *first quality decision* three ways — compiling the tables from the
-//! system, parsing the text format (every integer), and loading the binary
-//! artifact (validate + cast).
+//! *first quality decision* two ways — compiling the tables from the
+//! system, and loading the binary artifact (validate + cast).
 //!
 //! Identity gates run before anything is published and abort the
 //! artifact on failure:
@@ -10,7 +9,7 @@
 //! * for every workload, the tables compiled here must equal the
 //!   workload's own, and an engine run over the artifact-loaded tables
 //!   must be record-for-record identical to a run over the freshly
-//!   compiled tables (and the text-parsed ones);
+//!   compiled tables;
 //! * re-encoding a loaded artifact must reproduce the input bytes.
 //!
 //! ```text
@@ -29,7 +28,6 @@ use sqm_core::engine::{CycleChaining, Engine, RecordBuffer};
 use sqm_core::manager::LookupManager;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
-use sqm_core::tables;
 use sqm_core::time::Time;
 use sqm_core::trace::ActionRecord;
 use sqm_mpeg::EncoderConfig;
@@ -55,18 +53,14 @@ fn records_under<W: Workload>(w: &W, regions: &QualityRegionTable) -> Vec<Action
 
 struct ColdstartPoint {
     label: &'static str,
-    text_bytes: usize,
     artifact_bytes: usize,
     compile_ns: f64,
-    text_parse_ns: f64,
     binary_load_ns: f64,
 }
 
 /// Measure one workload's cold start and run its identity gates.
 fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> ColdstartPoint {
     let regions = w.regions();
-    let text = tables::regions_to_string(regions);
-    let relax_text = relaxation.map(tables::relaxation_to_string);
     let bytes = Artifact::encode(regions, relaxation);
 
     // ── Identity gates ──────────────────────────────────────────────
@@ -74,19 +68,15 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
     let tables_0 = &loaded.tables;
     assert_eq!(&tables_0.regions, regions, "loaded regions differ");
     assert_eq!(
+        tables_0.relaxation.as_ref(),
+        relaxation,
+        "loaded relaxation differs"
+    );
+    assert_eq!(
         Artifact::encode(&tables_0.regions, tables_0.relaxation.as_ref()),
         bytes,
         "re-encoding a loaded artifact must be byte-identical"
     );
-    let parsed = tables::regions_from_str(&text).expect("own text parses");
-    assert_eq!(&parsed, regions, "text round-trip differs");
-    if let (Some(rx), Some(rt)) = (relaxation, &relax_text) {
-        assert_eq!(
-            &tables::relaxation_from_str(rt).expect("relaxation text parses"),
-            rx
-        );
-        assert_eq!(tables_0.relaxation.as_ref(), Some(rx));
-    }
     let compile = || {
         let compiled = compile_regions(w.system());
         let relax =
@@ -107,12 +97,6 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
         "{}: engine records over the loaded table diverge",
         w.label()
     );
-    assert_eq!(
-        records_under(w, &parsed),
-        reference,
-        "{}: engine records over the text-parsed table diverge",
-        w.label()
-    );
 
     // ── Measurements: system or bytes → first decision ──────────────
     let probe = Time::from_ns(1);
@@ -123,15 +107,6 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
         std::hint::black_box(r.choose(0, probe));
         t0.elapsed().as_nanos() as f64
     });
-    let text_parse_ns = median_of_5(|| {
-        let t0 = Instant::now();
-        let r = tables::regions_from_str(&text).unwrap();
-        if let Some(rt) = &relax_text {
-            std::hint::black_box(tables::relaxation_from_str(rt).unwrap());
-        }
-        std::hint::black_box(r.choose(0, probe));
-        t0.elapsed().as_nanos() as f64
-    });
     let binary_load_ns = median_of_5(|| {
         let t0 = Instant::now();
         let a = Artifact::load(&bytes).unwrap();
@@ -139,23 +114,17 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
         t0.elapsed().as_nanos() as f64
     });
 
-    let text_bytes = text.len() + relax_text.as_ref().map_or(0, String::len);
     println!(
-        "{:>14}: compile {:>8.0} ns | text {:>8.1} KiB parse {:>10.0} ns | binary {:>8.1} KiB load {:>8.0} ns ({:.1}x)",
+        "{:>14}: compile {:>8.0} ns | binary {:>8.1} KiB load {:>8.0} ns",
         w.label(),
         compile_ns,
-        text_bytes as f64 / 1024.0,
-        text_parse_ns,
         bytes.len() as f64 / 1024.0,
         binary_load_ns,
-        text_parse_ns / binary_load_ns.max(1.0),
     );
     ColdstartPoint {
         label: w.label(),
-        text_bytes,
         artifact_bytes: bytes.len(),
         compile_ns,
-        text_parse_ns,
         binary_load_ns,
     }
 }
@@ -179,7 +148,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"speed-qm/bench-artifact/v3\",\n",
+            "  \"schema\": \"speed-qm/bench-artifact/v4\",\n",
             "  \"config\": \"system or bytes -> first decision, median of 5; mpeg at paper scale ",
             "(|A|=1189, |Q|=7, rho={{1,10,20,30,40,50}})\",\n",
             "  \"note\": \"host numbers are machine-dependent medians of 5 (track deltas, not absolutes)\",\n",
@@ -197,18 +166,14 @@ fn main() {
                     concat!(
                         "    {{\n",
                         "      \"label\": \"{}\",\n",
-                        "      \"text_bytes\": {},\n",
                         "      \"artifact_bytes\": {},\n",
                         "      \"compile_first_decision_ns\": {:.0},\n",
-                        "      \"text_parse_first_decision_ns\": {:.0},\n",
                         "      \"binary_load_first_decision_ns\": {:.0}\n",
                         "    }}"
                     ),
                     p.label,
-                    p.text_bytes,
                     p.artifact_bytes,
                     p.compile_ns,
-                    p.text_parse_ns,
                     p.binary_load_ns,
                 )
             })

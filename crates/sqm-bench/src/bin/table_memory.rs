@@ -17,7 +17,6 @@ use sqm_core::artifact::Artifact;
 use sqm_core::compiler::{compile_regions, compile_relaxation, TableStats};
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
-use sqm_core::tables;
 use sqm_core::time::Time;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 
@@ -80,15 +79,6 @@ fn main() {
 
     assert_eq!(r_stats.integers, 8_323, "must match the paper exactly");
     assert_eq!(x_stats.integers, 99_876, "must match the paper exactly");
-
-    // Serialized artifact sizes (the form that crosses the tool boundary).
-    let regions_text = tables::regions_to_string(&regions);
-    let relax_text = tables::relaxation_to_string(&relax);
-    println!(
-        "\nserialized (text format): regions {:.1} KiB, relaxation {:.1} KiB",
-        regions_text.len() as f64 / 1024.0,
-        relax_text.len() as f64 / 1024.0
-    );
 
     // Artifact-layer representations, per workload: the live arena and
     // the binary artifact (header + arena).

@@ -1,19 +1,21 @@
 //! Versioned, checksummed binary table artifacts — the "layout = format"
 //! layer.
 //!
-//! A text table ([`crate::tables`]) pays a parse per load; an artifact does
-//! not: its payload **is** the [`TableArena`] cell run, byte for byte, so
-//! loading is *validate + align-check + cast* — one header scan, one
-//! checksum pass, one bulk little-endian conversion into a single shared
-//! allocation, and zero per-row work. [`Artifact::load`] hands out the
-//! table pair as views sharing that one arena.
+//! The one serialization of compiled tables: the boundary between the
+//! offline compiler and the runtime in the paper's Figure 1. An artifact's
+//! payload **is** the [`TableArena`] cell run, byte for byte, so loading is
+//! *validate + align-check + cast* — one header scan, one checksum pass,
+//! one bulk little-endian conversion into a single shared allocation, and
+//! zero per-row work. [`Artifact::load`] hands out the same [`Compiled`]
+//! table pair [`crate::compiler::compile_all`] does, as views sharing that
+//! one arena.
 //!
 //! ## Wire format (version 1, all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic "SQM-ARTF"
-//!      8     4  format version (u32) — shared with the text header
+//!      8     4  format version (u32)
 //!     12     4  kind (u32): 1 = single config (the only kind)
 //!     16     8  payload cell count (u64)
 //!     24     8  FNV-1a-64 checksum of the payload bytes (u64)
@@ -33,13 +35,13 @@
 //! the format contract is that a loader may map the payload in place.
 
 use crate::arena::TableArena;
+use crate::compiler::Compiled;
 use crate::quality::QualitySet;
 use crate::regions::QualityRegionTable;
 use crate::relaxation::{RelaxationTable, StepSet};
 use crate::time::Time;
 
-/// The one format version shared by binary artifacts and the text header
-/// (`format=1`).
+/// The artifact format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Artifact magic (first 8 bytes).
@@ -161,21 +163,12 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// The tables an artifact carries, as views into its shared arena.
-#[derive(Clone, Debug)]
-pub struct LoadedTables {
-    /// The quality-region table.
-    pub regions: QualityRegionTable,
-    /// The relaxation table, when the artifact carries one.
-    pub relaxation: Option<RelaxationTable>,
-}
-
 /// A loaded artifact: one arena and the one table pair viewing it.
 #[derive(Clone, Debug)]
 pub struct Artifact {
     arena: TableArena,
-    /// The loaded tables.
-    pub tables: LoadedTables,
+    /// The loaded tables, as views into the shared arena.
+    pub tables: Compiled,
 }
 
 // ── encoding ────────────────────────────────────────────────────────────
@@ -237,10 +230,9 @@ impl Artifact {
 
     /// Load an artifact: validate the header, checksum, alignment, and
     /// layout, then convert the payload into **one** shared arena and hand
-    /// out table views into it. No text parsing, no per-row allocation —
-    /// the only allocation proportional to table size is the single arena
-    /// buffer (and on a little-endian host the conversion is a plain byte
-    /// copy).
+    /// out table views into it. No per-row allocation — the only
+    /// allocation proportional to table size is the single arena buffer
+    /// (and on a little-endian host the conversion is a plain byte copy).
     ///
     /// # Examples
     ///
@@ -297,7 +289,7 @@ impl Artifact {
         } else {
             None
         };
-        let tables = LoadedTables {
+        let tables = Compiled {
             regions,
             relaxation,
         };
@@ -315,7 +307,7 @@ impl Artifact {
 /// exact only on monotone region rows and ρ-nested relaxation intervals;
 /// a checksum proves the bytes intact, not that whoever wrote them
 /// compiled them.
-fn check_searchable(tables: &LoadedTables) -> Result<(), ArtifactError> {
+fn check_searchable(tables: &Compiled) -> Result<(), ArtifactError> {
     let nested = tables
         .relaxation
         .as_ref()

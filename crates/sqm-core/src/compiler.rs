@@ -46,7 +46,8 @@ impl TableStats {
     }
 }
 
-/// Everything the offline compiler produces for one system.
+/// Everything the offline compiler produces for one system — and what
+/// [`Artifact::load`](crate::artifact::Artifact::load) hands back.
 #[derive(Clone, Debug)]
 pub struct Compiled {
     /// The quality region boundaries `tD(s_i, q)`.

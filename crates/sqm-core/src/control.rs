@@ -531,14 +531,13 @@ impl ApproachabilityController {
 }
 
 /// A shared, thread-safe mailbox carrying finished-cycle payoffs from
-/// the observation side (a [`ControlSink`] or a platform exec tap) to the
-/// [`ControlledManager`], which drains it at the next cycle boundary —
+/// the observation side ([`ControlSink`]) to the [`ControlledManager`],
+/// which drains it at the next cycle boundary —
 /// the same publish/pickup granularity as
 /// [`TableCell`](crate::recalib::TableCell).
 #[derive(Debug, Default)]
 pub struct PayoffCell {
     pending: Mutex<Vec<PayoffVector>>,
-    published: Mutex<u64>,
 }
 
 impl PayoffCell {
@@ -550,12 +549,6 @@ impl PayoffCell {
     /// Queue one payoff for the manager's next cycle-boundary drain.
     pub fn publish(&self, g: PayoffVector) {
         self.pending.lock().expect("payoff cell poisoned").push(g);
-        *self.published.lock().expect("payoff cell poisoned") += 1;
-    }
-
-    /// Total payoffs ever published.
-    pub fn published(&self) -> u64 {
-        *self.published.lock().expect("payoff cell poisoned")
     }
 
     /// Move all queued payoffs into `out` (appending), leaving the cell

@@ -1,4 +1,4 @@
-//! Error types for system construction and table (de)serialization.
+//! Error types for system construction.
 
 use crate::action::ActionId;
 use crate::quality::Quality;
@@ -126,63 +126,6 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Errors raised while parsing a serialized table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParseError {
-    /// The header line is missing or malformed.
-    BadHeader(String),
-    /// A data line could not be parsed.
-    BadLine {
-        /// 1-based line number.
-        line_no: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// The payload does not contain the number of entries the header
-    /// promised.
-    TruncatedPayload {
-        /// Entries the header promised.
-        expected: usize,
-        /// Entries actually present.
-        got: usize,
-    },
-    /// The parsed table violates a structural invariant.
-    Inconsistent(String),
-    /// The `format=` header line names a version this library does not
-    /// understand. Text and binary artifacts share one version story:
-    /// this is the text-side twin of
-    /// [`crate::artifact::ArtifactError::UnsupportedVersion`].
-    UnsupportedVersion {
-        /// The version the header declared.
-        got: u32,
-    },
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ParseError::BadHeader(s) => write!(f, "bad table header: {s}"),
-            ParseError::BadLine { line_no, message } => {
-                write!(f, "bad table line {line_no}: {message}")
-            }
-            ParseError::TruncatedPayload { expected, got } => {
-                write!(
-                    f,
-                    "truncated table payload: expected {expected} entries, got {got}"
-                )
-            }
-            ParseError::Inconsistent(s) => write!(f, "inconsistent table: {s}"),
-            ParseError::UnsupportedVersion { got } => write!(
-                f,
-                "unsupported table format version {got} (this library speaks version {})",
-                crate::artifact::FORMAT_VERSION
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,18 +146,11 @@ mod tests {
         };
         assert!(e.to_string().contains("action 7"));
         assert!(e.to_string().contains("q2"));
-
-        let e = ParseError::TruncatedPayload {
-            expected: 10,
-            got: 2,
-        };
-        assert!(e.to_string().contains("10") && e.to_string().contains('2'));
     }
 
     #[test]
     fn errors_are_std_errors() {
         fn takes_err(_: &dyn std::error::Error) {}
         takes_err(&BuildError::EmptyQualitySet);
-        takes_err(&ParseError::BadHeader("x".into()));
     }
 }

@@ -19,11 +19,11 @@
 //!    helpers live in [`analysis`].
 //! 4. **Symbolic compilation** — [`regions`], [`relaxation`], [`compiler`]:
 //!    quality regions `Rq` (Proposition 2) and control relaxation regions
-//!    `Rrq` (Proposition 3) pre-computed as integer tables; [`tables`]
-//!    serializes them as versioned text. Both tables are views over a
-//!    shared [`arena::TableArena`]; [`artifact`] freezes an arena into a
-//!    versioned, checksummed binary whose on-disk layout *is* the
-//!    in-memory layout (load = validate + cast).
+//!    `Rrq` (Proposition 3) pre-computed as integer tables. Both tables are
+//!    views over a shared [`arena::TableArena`]; [`artifact`] — the one
+//!    serialization — freezes an arena into a versioned, checksummed binary
+//!    whose on-disk layout *is* the in-memory layout (load = validate +
+//!    cast).
 //! 5. **Quality Managers** — [`manager`]: the online controllers — numeric
 //!    (re-computes `tD` per call), lookup (table-driven), and relaxed
 //!    (skips control for `r` steps inside `Rrq`); [`smoothness`] scores
@@ -122,7 +122,6 @@ pub mod source;
 pub mod speed;
 pub mod stream;
 pub mod system;
-pub mod tables;
 pub mod time;
 pub mod timing;
 pub mod trace;
@@ -131,7 +130,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::action::{ActionId, ActionInfo, DeadlineMap};
     pub use crate::arena::TableArena;
-    pub use crate::artifact::{Artifact, ArtifactError, LoadedTables};
+    pub use crate::artifact::{Artifact, ArtifactError};
     pub use crate::compiler::{compile_regions, compile_relaxation, Compiled, TableStats};
     pub use crate::control::{
         standard_slate, ApproachabilityController, CappedManager, ControlSink, ControlledManager,
@@ -146,7 +145,7 @@ pub mod prelude {
     pub use crate::engine::{
         CycleChaining, CycleSummary, Engine, NullSink, RecordBuffer, RunSummary, Tee, TraceSink,
     };
-    pub use crate::error::{BuildError, ParseError};
+    pub use crate::error::BuildError;
     pub use crate::manager::{
         Decision, LookupManager, NumericManager, QualityManager, RelaxedManager, SmoothedManager,
     };

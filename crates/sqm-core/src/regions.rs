@@ -60,8 +60,9 @@ impl QualityRegionTable {
         }
     }
 
-    /// Rebuild from raw parts (deserialization). The caller must provide
-    /// `n_states · |Q|` values.
+    /// Build from raw cells. The caller must provide `n_states · |Q|`
+    /// values; only the length is checked (see
+    /// [`QualityRegionTable::rows_monotone`]).
     pub fn from_raw(
         n_states: usize,
         qualities: QualitySet,
@@ -138,8 +139,8 @@ impl QualityRegionTable {
     /// structure every policy-compiled table has, and the premise of the
     /// incremental search ([`QualityRegionTable::choose_from`]) every
     /// table-driven manager runs. [`QualityRegionTable::from_raw`] only
-    /// checks the length; the text and binary loaders reject a table that
-    /// fails this check.
+    /// checks the length; [`crate::artifact::Artifact::load`] rejects a
+    /// table that fails this check.
     pub fn rows_monotone(&self) -> bool {
         (0..self.n_states).all(|state| self.row(state).windows(2).all(|w| w[0] >= w[1]))
     }

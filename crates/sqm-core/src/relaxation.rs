@@ -222,7 +222,7 @@ impl RelaxationTable {
     }
 
     /// The contiguous lower-bound row for `state` — `|Q|·|ρ|` cells,
-    /// `(q, ri)`-major. The unit of text serialization.
+    /// `(q, ri)`-major.
     #[inline]
     pub fn lower_row(&self, state: usize) -> &[Time] {
         let start = self.lower + state * self.row_width();
@@ -267,8 +267,9 @@ impl RelaxationTable {
     /// `r' ≤ r`). Every compiled table has this Proposition-3 structure,
     /// and the hint walk of [`RelaxationTable::choose_relaxation_from`]
     /// that the relaxed manager runs relies on it.
-    /// [`RelaxationTable::from_raw`] only checks the length; the text and
-    /// binary loaders reject a table that fails this check.
+    /// [`RelaxationTable::from_raw`] only checks the length;
+    /// [`crate::artifact::Artifact::load`] rejects a table that fails this
+    /// check.
     pub fn nested_over_rho(&self) -> bool {
         (0..self.n_states).all(|state| {
             self.qualities.iter().all(|q| {
@@ -412,7 +413,8 @@ impl RelaxationTable {
         self.integer_count() * std::mem::size_of::<Time>()
     }
 
-    /// Raw bounds, for serialization: `(lower, upper)` slices.
+    /// Raw bounds, as [`crate::artifact::Artifact::encode`] writes them:
+    /// `(lower, upper)` slices.
     pub fn raw(&self) -> (&[Time], &[Time]) {
         let block = self.n_states * self.row_width();
         let cells = self.arena.cells();
@@ -422,7 +424,8 @@ impl RelaxationTable {
         )
     }
 
-    /// Rebuild from raw parts (deserialization).
+    /// Build from raw cells; only the lengths are checked (see
+    /// [`RelaxationTable::nested_over_rho`]).
     pub fn from_raw(
         n_states: usize,
         qualities: QualitySet,

@@ -39,4 +39,4 @@ pub use exec::{StochasticExec, ViolatingExec};
 pub use faults::{ClockRounding, ClockedManager, DriftExec, PreemptionExec};
 pub use load::{ConstantLoad, LoadModel, RandomWalkLoad};
 pub use profiler::{ProfileConfig, Profiler};
-pub use recalib::{ControlTap, OnlineEstimator, RecalibratingExec, RecalibrationConfig};
+pub use recalib::{OnlineEstimator, RecalibratingExec, RecalibrationConfig};

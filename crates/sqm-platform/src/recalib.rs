@@ -24,20 +24,10 @@
 //! counted in [`RecalibratingExec::failures`] and the previous table stays
 //! in force — recalibration degrades to a no-op instead of panicking
 //! mid-stream.
-//!
-//! The same seam also feeds the approachability control layer: a
-//! [`ControlTap`] attached via [`RecalibratingExec::with_control`] folds
-//! every observed sample into per-cycle
-//! [`PayoffVector`]s for a
-//! [`ControlledManager`](sqm_core::control::ControlledManager) — one
-//! observation plumbing seam serving both the table re-estimator and the
-//! policy steering, so the two can never disagree about what the
-//! platform did.
 
 use crate::profiler::ProfileConfig;
 use sqm_core::action::ActionId;
 use sqm_core::compiler::compile_regions;
-use sqm_core::control::{PayoffCell, PayoffSpec, PayoffVector, DIM_QUALITY, DIM_SLACK};
 use sqm_core::controller::ExecutionTimeSource;
 use sqm_core::quality::Quality;
 use sqm_core::recalib::TableCell;
@@ -145,92 +135,6 @@ impl OnlineEstimator {
     }
 }
 
-/// The exec-side control feed: folds the *same* samples the
-/// [`OnlineEstimator`] sees into per-cycle
-/// [`PayoffVector`]s for an approachability controller — one observation
-/// plumbing seam instead of two parallel estimators.
-///
-/// Accumulators roll over when the cycle index changes, so the payoff
-/// for cycle `c` is published while `c + 1` executes — one cycle later
-/// than an engine-side [`ControlSink`](sqm_core::control::ControlSink)
-/// (which fires in `end_cycle`), the price of observing from the exec
-/// seam. The exec side cannot see the engine's charged decision
-/// overhead or the cycle's true start offset, so the overhead
-/// coordinate is 0 and the slack deficit uses the cycle's busy time
-/// against the deadline — a lower bound on the true deficit.
-#[derive(Debug)]
-pub struct ControlTap<'p> {
-    cell: &'p PayoffCell,
-    spec: PayoffSpec,
-    cur_cycle: usize,
-    busy: Time,
-    count: u64,
-    quality_sum: u64,
-    samples: u64,
-    sum_ns: i64,
-}
-
-impl<'p> ControlTap<'p> {
-    /// A tap publishing payoffs normalized by `spec` into `cell`.
-    pub fn new(cell: &'p PayoffCell, spec: PayoffSpec) -> ControlTap<'p> {
-        ControlTap {
-            cell,
-            spec,
-            cur_cycle: 0,
-            busy: Time::ZERO,
-            count: 0,
-            quality_sum: 0,
-            samples: 0,
-            sum_ns: 0,
-        }
-    }
-
-    /// Total samples folded — equals the paired estimator's
-    /// [`OnlineEstimator::observations`] when both sit on the same seam.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Total observed nanoseconds — the cross-check that control and
-    /// recalibration really saw identical samples, not just as many.
-    pub fn observed_ns(&self) -> i64 {
-        self.sum_ns
-    }
-
-    fn observe(&mut self, cycle: usize, q: Quality, actual: Time) {
-        if cycle != self.cur_cycle {
-            self.flush();
-            self.cur_cycle = cycle;
-        }
-        self.busy += actual;
-        self.count += 1;
-        self.quality_sum += q.index() as u64;
-        self.samples += 1;
-        self.sum_ns = self.sum_ns.saturating_add(actual.as_ns());
-    }
-
-    /// Publish the accumulated cycle (if any) and clear the
-    /// accumulators. Called automatically on cycle rollover; call once
-    /// after the run for the final cycle.
-    pub fn flush(&mut self) {
-        if self.count == 0 {
-            return;
-        }
-        let mut g = [0i64; sqm_core::control::PAYOFF_DIMS];
-        let lateness = (self.busy - self.spec.deadline).max(Time::ZERO).as_ns();
-        g[DIM_SLACK] = ((1000 * lateness) / self.spec.period.as_ns().max(1)).min(1000);
-        let qmax = self.spec.qmax as i64;
-        if qmax > 0 {
-            let ideal = qmax * self.count as i64;
-            g[DIM_QUALITY] = (1000 * (ideal - self.quality_sum as i64).max(0)) / ideal;
-        }
-        self.cell.publish(PayoffVector(g));
-        self.busy = Time::ZERO;
-        self.count = 0;
-        self.quality_sum = 0;
-    }
-}
-
 /// An [`ExecutionTimeSource`] adapter that observes the times flowing
 /// through it and periodically recompiles + publishes the region table.
 ///
@@ -248,7 +152,6 @@ pub struct RecalibratingExec<'c, E> {
     cfg: RecalibrationConfig,
     cell: &'c TableCell,
     estimator: OnlineEstimator,
-    control: Option<ControlTap<'c>>,
     sys: ParameterizedSystem,
     next_recalib_cycle: usize,
     recalibrations: u64,
@@ -270,28 +173,11 @@ impl<'c, E: ExecutionTimeSource> RecalibratingExec<'c, E> {
             cfg,
             cell,
             estimator: OnlineEstimator::new(sys.n_actions(), sys.qualities().len()),
-            control: None,
             sys: sys.clone(),
             next_recalib_cycle: cfg.warmup_cycles.max(1),
             recalibrations: 0,
             failures: 0,
         }
-    }
-
-    /// Also feed an approachability controller from the same seam: every
-    /// sample the estimator observes is folded into per-cycle payoffs
-    /// published to `payoffs`. The spec defaults to the wrapped system's
-    /// ([`PayoffSpec::for_system`]).
-    pub fn with_control(mut self, payoffs: &'c PayoffCell) -> RecalibratingExec<'c, E> {
-        let spec = PayoffSpec::for_system(&self.sys);
-        self.control = Some(ControlTap::new(payoffs, spec));
-        self
-    }
-
-    /// The control tap, when [`RecalibratingExec::with_control`] was
-    /// used — flush it after the run to publish the final cycle.
-    pub fn control_mut(&mut self) -> Option<&mut ControlTap<'c>> {
-        self.control.as_mut()
     }
 
     /// Successful table publishes so far.
@@ -337,9 +223,6 @@ impl<E: ExecutionTimeSource> ExecutionTimeSource for RecalibratingExec<'_, E> {
         }
         let t = self.inner.actual(cycle, action, q);
         self.estimator.observe(action, q, t);
-        if let Some(tap) = &mut self.control {
-            tap.observe(cycle, q, t);
-        }
         t
     }
 }
@@ -455,54 +338,6 @@ mod tests {
         // q0 of action 0 and all of action 1 fall back to the prior.
         assert_eq!(t.av(0, Quality::new(0)), Time::from_ns(100));
         assert_eq!(t.wc(1, Quality::new(1)), Time::from_ns(600));
-    }
-
-    /// One seam, two consumers: with [`RecalibratingExec::with_control`]
-    /// the control tap and the estimator are fed from the same
-    /// interception point, so they see *identical* samples — same count
-    /// and same total observed nanoseconds — and every finished cycle
-    /// becomes exactly one published payoff.
-    #[test]
-    fn recalibration_and_control_see_identical_samples() {
-        let sys = drift_sys();
-        let cell = TableCell::new(compile_regions(&sys));
-        let payoffs = PayoffCell::new();
-        const CYCLES: usize = 10;
-        let mut exec = RecalibratingExec::new(
-            DriftExec::new(ConstantExec::average(sys.table()), 1.4),
-            &sys,
-            &cell,
-            RecalibrationConfig::default(),
-        )
-        .with_control(&payoffs);
-        let run = Engine::new(&sys, AdaptiveLookupManager::new(&cell), OverheadModel::ZERO)
-            .run_cycles(
-                CYCLES,
-                sys.final_deadline(),
-                CycleChaining::ArrivalClamped,
-                &mut exec,
-                &mut NullSink,
-            );
-        exec.control_mut().unwrap().flush();
-        let tap = exec.control.as_ref().unwrap();
-        assert_eq!(
-            tap.samples(),
-            exec.estimator.observations(),
-            "control and recalibration must count the same samples"
-        );
-        assert_eq!(
-            tap.observed_ns(),
-            exec.estimator.sums.iter().sum::<i64>(),
-            "…and the same observed time, not just as many"
-        );
-        assert_eq!(tap.samples() as usize, run.actions);
-        assert_eq!(payoffs.published(), CYCLES as u64, "one payoff per cycle");
-        // The drifted cycles actually register as slack deficit: at
-        // least one payoff has a positive slack coordinate.
-        let mut seen = Vec::new();
-        payoffs.drain_into(&mut seen);
-        assert_eq!(seen.len(), CYCLES);
-        assert!(seen.iter().any(|g| g.get(DIM_SLACK) > 0));
     }
 
     /// A drift so large the re-estimated system is infeasible at `qmin`

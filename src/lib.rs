@@ -95,8 +95,9 @@
 //! `… --bin bench_faults` the robustness point (differential-fuzzing
 //! oracle throughput and online-recalibration latency; `… --bin
 //! fuzz_smoke` is the CI sweep of the same campaign) and
-//! `… --bin bench_coldstart` the artifact-layer point (serialized bytes →
-//! first decision, text parse vs binary cast, per workload) next to them.
+//! `… --bin bench_coldstart` the artifact-layer point (system or artifact
+//! bytes → first decision, compile vs binary load, per workload) next to
+//! them.
 //!
 //! ## Quickstart
 //!

@@ -8,7 +8,6 @@
 mod common;
 
 use common::{fraction_exec, run_cycle};
-use proptest::prelude::*;
 use speed_qm::core::action::{ActionInfo, DeadlineMap};
 use speed_qm::core::prelude::*;
 use speed_qm::core::system::ParameterizedSystem;
@@ -88,26 +87,4 @@ fn tighter_slicing_costs_quality() {
         fine <= coarse + 1e-9,
         "finer slicing should not increase nominal quality: {fine} vs {coarse}"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The serializer round-trips sliced systems' tables, and the parser
-    /// never panics on line-level corruptions of valid payloads.
-    #[test]
-    fn parser_is_panic_free_on_corrupted_tables(mutation in 0usize..400, flip in any::<u8>()) {
-        use speed_qm::core::tables;
-        let sys = sliced_system(300);
-        let regions = compile_regions(&sys);
-        let text = tables::regions_to_string(&regions);
-        // Flip one byte somewhere in the payload (staying valid UTF-8 by
-        // replacing with an ASCII character).
-        let mut bytes = text.into_bytes();
-        let idx = (mutation * 7919) % bytes.len();
-        bytes[idx] = 32 + (flip % 95);
-        let text = String::from_utf8(bytes).expect("ASCII replacement keeps UTF-8");
-        // Must either parse to *something* or fail cleanly — never panic.
-        let _ = tables::regions_from_str(&text);
-    }
 }

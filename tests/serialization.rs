@@ -1,7 +1,6 @@
-//! Round-trip tests for the symbolic-table formats across randomly
-//! generated systems (the artifacts that cross the compiler → runtime
-//! boundary in the paper's Figure 1 tool chain): the versioned text
-//! format, the zero-copy binary artifact, and the chain between them.
+//! Round-trip tests for the binary table artifact across randomly
+//! generated systems: the one format that crosses the compiler → runtime
+//! boundary in the paper's Figure 1 tool chain.
 
 mod common;
 
@@ -9,19 +8,30 @@ use common::arb_system;
 use proptest::prelude::*;
 use speed_qm::core::artifact::{self, Artifact, ArtifactError};
 use speed_qm::core::prelude::*;
-use speed_qm::core::tables;
 use speed_qm::mpeg::EncoderConfig;
 use sqm_bench::{AudioExperiment, NetExperiment, PaperExperiment, Workload};
+
+/// Encode, load and re-encode: the loaded tables must equal the inputs
+/// and re-encoding them must reproduce the bytes exactly.
+fn roundtrip(regions: &QualityRegionTable, relaxation: Option<&RelaxationTable>) -> Compiled {
+    let bytes = Artifact::encode(regions, relaxation);
+    let loaded = Artifact::load(&bytes).unwrap().tables;
+    assert_eq!(&loaded.regions, regions);
+    assert_eq!(loaded.relaxation.as_ref(), relaxation);
+    assert_eq!(
+        Artifact::encode(&loaded.regions, loaded.relaxation.as_ref()),
+        bytes,
+        "re-encoding a loaded artifact must be byte-identical"
+    );
+    loaded
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn regions_roundtrip(arb in arb_system()) {
-        let regions = compile_regions(&arb.system);
-        let text = tables::regions_to_string(&regions);
-        let back = tables::regions_from_str(&text).unwrap();
-        prop_assert_eq!(regions, back);
+        roundtrip(&compile_regions(&arb.system), None);
     }
 
     #[test]
@@ -33,23 +43,29 @@ proptest! {
         menu.dedup();
         let relaxation =
             compile_relaxation(&arb.system, &regions, StepSet::new(menu).unwrap());
-        let text = tables::relaxation_to_string(&relaxation);
-        let back = tables::relaxation_from_str(&text).unwrap();
-        prop_assert_eq!(relaxation, back);
+        roundtrip(&regions, Some(&relaxation));
     }
 
-    /// A deserialized region table drives a manager to the same decisions
-    /// as the in-memory original.
+    /// A loaded table pair drives a manager to the same decisions as the
+    /// in-memory original: region choices and relaxation choices agree at
+    /// every probe.
     #[test]
     fn deserialized_table_is_behaviorally_identical(arb in arb_system()) {
         let sys = &arb.system;
         let regions = compile_regions(sys);
-        let parsed =
-            tables::regions_from_str(&tables::regions_to_string(&regions)).unwrap();
+        let relaxation = compile_relaxation(sys, &regions, StepSet::new(vec![1, 2]).unwrap());
+        let loaded = roundtrip(&regions, Some(&relaxation));
+        let loaded_rx = loaded.relaxation.as_ref().unwrap();
         for state in 0..sys.n_actions() {
             for t_ns in [-50i64, 0, 17, 300, 900] {
                 let t = Time::from_ns(t_ns);
-                prop_assert_eq!(regions.choose(state, t).0, parsed.choose(state, t).0);
+                prop_assert_eq!(regions.choose(state, t), loaded.regions.choose(state, t));
+                for q in sys.qualities().iter() {
+                    prop_assert_eq!(
+                        relaxation.choose_relaxation(state, t, q),
+                        loaded_rx.choose_relaxation(state, t, q)
+                    );
+                }
             }
         }
     }
@@ -58,10 +74,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The full tool chain — text → table → binary artifact bytes →
-    /// table — is lossless: the loaded table equals the compiled one,
-    /// re-encoding it reproduces the bytes exactly, and decisions agree
-    /// at every probe along the chain.
+    /// The full tool chain — compiled tables → artifact bytes → loaded
+    /// tables → artifact bytes → loaded tables — is lossless: every hop
+    /// reproduces the compiled tables and the same bytes, and decisions
+    /// agree at every probe along the chain.
     #[test]
     fn text_to_binary_chain_is_lossless(arb in arb_system()) {
         let regions = compile_regions(&arb.system);
@@ -70,30 +86,22 @@ proptest! {
             &regions,
             StepSet::new(vec![1, 2]).unwrap(),
         );
-
-        let parsed =
-            tables::regions_from_str(&tables::regions_to_string(&regions)).unwrap();
-        let parsed_rx = tables::relaxation_from_str(
-            &tables::relaxation_to_string(&relaxation),
-        ).unwrap();
-
-        let bytes = Artifact::encode(&parsed, Some(&parsed_rx));
-        let lt = Artifact::load(&bytes).unwrap().tables;
-        prop_assert_eq!(&lt.regions, &regions);
-        prop_assert_eq!(lt.relaxation.as_ref(), Some(&relaxation));
-        prop_assert_eq!(
-            Artifact::encode(&lt.regions, lt.relaxation.as_ref()),
-            bytes,
-            "re-encoding a loaded artifact must be byte-identical"
-        );
+        let first = roundtrip(&regions, Some(&relaxation));
+        let second = roundtrip(&first.regions, first.relaxation.as_ref());
+        prop_assert_eq!(&second.regions, &regions);
+        prop_assert_eq!(second.relaxation.as_ref(), Some(&relaxation));
 
         for state in 0..arb.system.n_actions() {
             for t_ns in [-50i64, 0, 17, 300, 900] {
                 let t = Time::from_ns(t_ns);
-                prop_assert_eq!(lt.regions.choose(state, t).0, regions.choose(state, t).0);
+                prop_assert_eq!(second.regions.choose(state, t), regions.choose(state, t));
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Feeding arbitrary bytes to the loader is always `Ok` or a typed
     /// error — never a panic. (The fuzz campaign drives the same surface
@@ -125,30 +133,22 @@ proptest! {
     }
 }
 
-/// The three registered workloads cross-check text against binary: both
-/// serializations of the same compiled tables load back equal to each
-/// other and to the original, with identical decisions.
+/// The three registered workloads' compiled tables load back equal to
+/// the originals, with identical decisions at every probe.
 #[test]
-fn workload_text_and_binary_artifacts_agree() {
+fn workload_compiled_and_loaded_artifacts_agree() {
     fn check<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) {
         let regions = w.regions();
-        let from_text = tables::regions_from_str(&tables::regions_to_string(regions)).unwrap();
-        let bytes = Artifact::encode(regions, relaxation);
-        let loaded = Artifact::load(&bytes).unwrap();
-        let from_binary = &loaded.tables.regions;
-        assert_eq!(&from_text, regions, "{}: text diverges", w.label());
-        assert_eq!(from_binary, regions, "{}: binary diverges", w.label());
-        if let Some(rx) = relaxation {
-            let rx_text = tables::relaxation_from_str(&tables::relaxation_to_string(rx)).unwrap();
-            assert_eq!(&rx_text, rx);
-            assert_eq!(loaded.tables.relaxation.as_ref(), Some(rx));
-        }
+        let loaded = roundtrip(regions, relaxation);
         for state in 0..regions.n_states() {
             for t_ns in [-40i64, 0, 9, 150, 4_000] {
                 let t = Time::from_ns(t_ns);
-                let want = regions.choose(state, t).0;
-                assert_eq!(from_text.choose(state, t).0, want);
-                assert_eq!(from_binary.choose(state, t).0, want);
+                assert_eq!(
+                    loaded.regions.choose(state, t),
+                    regions.choose(state, t),
+                    "{}: decision diverges at state {state}, t = {t_ns} ns",
+                    w.label()
+                );
             }
         }
     }
@@ -168,13 +168,6 @@ fn workload_text_and_binary_artifacts_agree() {
 fn corrupted_artifacts_fail_with_typed_errors() {
     let w = AudioExperiment::tiny(3);
     let bytes = Artifact::encode(w.regions(), None);
-
-    // Truncated payload: header promises more cells than are present.
-    let truncated = &bytes[..bytes.len() - 8];
-    assert!(matches!(
-        Artifact::load(truncated),
-        Err(ArtifactError::Truncated { .. })
-    ));
 
     // A flipped checksum byte (offset 24..32 in the header).
     let mut bad_sum = bytes.clone();
@@ -215,6 +208,9 @@ fn corrupted_artifacts_fail_with_typed_errors() {
     );
 }
 
+/// Every truncation of a valid artifact fails with a typed error — never
+/// a panic, never a silently shorter table: shorter than the header is
+/// `TooShort`, a payload shorter than the header promises is `Truncated`.
 #[test]
 fn corrupted_inputs_fail_cleanly() {
     let sys = SystemBuilder::new(2)
@@ -222,18 +218,20 @@ fn corrupted_inputs_fail_cleanly() {
         .deadline_last(Time::from_ns(100))
         .build()
         .unwrap();
-    let regions = compile_regions(&sys);
-    let good = tables::regions_to_string(&regions);
+    let bytes = Artifact::encode(&compile_regions(&sys), None);
 
-    // Every single-line truncation either parses to the same table or
-    // fails with a ParseError — never panics, never silently alters data.
-    let lines: Vec<&str> = good.lines().collect();
-    for cut in 0..lines.len() {
-        let mut mutated: Vec<&str> = lines.clone();
-        mutated.remove(cut);
-        let text = mutated.join("\n");
-        if let Ok(parsed) = tables::regions_from_str(&text) {
-            assert_eq!(parsed, regions)
-        }
+    // Each non-empty prefix is copied into a fresh (aligned) allocation so
+    // only its length is under test.
+    assert!(Artifact::load(&[]).is_err());
+    for len in 1..bytes.len() {
+        let prefix = bytes[..len].to_vec();
+        let err = Artifact::load(&prefix).expect_err("a strict prefix must not load");
+        let typed = if len < artifact::HEADER_LEN {
+            matches!(err, ArtifactError::TooShort { got } if got == len)
+        } else {
+            matches!(err, ArtifactError::Truncated { got_bytes, .. }
+                if got_bytes == len - artifact::HEADER_LEN)
+        };
+        assert!(typed, "prefix of {len} bytes: {err:?}");
     }
 }
