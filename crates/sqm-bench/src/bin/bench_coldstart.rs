@@ -52,7 +52,7 @@ fn records_under<W: Workload>(w: &W, regions: &QualityRegionTable) -> Vec<Action
 }
 
 struct ColdstartPoint {
-    label: &'static str,
+    label: String,
     artifact_bytes: usize,
     compile_ns: f64,
     binary_load_ns: f64,
@@ -60,6 +60,11 @@ struct ColdstartPoint {
 
 /// Measure one workload's cold start and run its identity gates.
 fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> ColdstartPoint {
+    // The label names every table the point compiles, encodes and loads.
+    let label = match relaxation {
+        Some(_) => format!("{}+relaxation", w.label()),
+        None => w.label().to_string(),
+    };
     let regions = w.regions();
     let bytes = Artifact::encode(regions, relaxation);
 
@@ -94,8 +99,7 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
     assert_eq!(
         records_under(w, &tables_0.regions),
         reference,
-        "{}: engine records over the loaded table diverge",
-        w.label()
+        "{label}: engine records over the loaded table diverge"
     );
 
     // ── Measurements: system or bytes → first decision ──────────────
@@ -115,14 +119,14 @@ fn coldstart<W: Workload>(w: &W, relaxation: Option<&RelaxationTable>) -> Coldst
     });
 
     println!(
-        "{:>14}: compile {:>8.0} ns | binary {:>8.1} KiB load {:>8.0} ns",
-        w.label(),
+        "{:>23}: compile {:>8.0} ns | binary {:>8.1} KiB load {:>8.0} ns",
+        label,
         compile_ns,
         bytes.len() as f64 / 1024.0,
         binary_load_ns,
     );
     ColdstartPoint {
-        label: w.label(),
+        label,
         artifact_bytes: bytes.len(),
         compile_ns,
         binary_load_ns,

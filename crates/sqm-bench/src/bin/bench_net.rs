@@ -1,6 +1,5 @@
-//! Emit `BENCH_net.json` — the fourth point of the workspace's
-//! performance trajectory, next to `BENCH_baseline.json` (single-stream
-//! cost) and `BENCH_stream.json` (live-traffic backlog/latency).
+//! Emit `BENCH_net.json` — the packet-pipeline point of the workspace's
+//! performance trajectory.
 //!
 //! This point measures the **packet pipeline**: the `sqm-net` workload in
 //! its natural regime — bursty line-rate arrivals through a bounded NIC

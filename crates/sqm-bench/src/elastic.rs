@@ -1,15 +1,16 @@
-//! Elastic-scheduler workload: the very-many-live-streams stress the
-//! `bench_elastic` binary and the elastic criterion bench share, and the
-//! elastic identity every caller checks through [`check_identity`].
+//! Elastic-scheduler workload: the very-many-live-streams stress of
+//! `sqm_core::elastic`, and the elastic identity every caller checks
+//! through [`check_identity`].
 //!
-//! This module measures `sqm_core::elastic`, the workspace's one
-//! multi-stream runner, interleaving 10⁵ *tiny* live streams per cycle.
-//! To keep a 100k-stream scenario inside CI budgets each stream runs a
+//! The workload exercises `sqm_core::elastic`, the workspace's one
+//! multi-stream runner, interleaving 10⁵ *tiny* live streams per cycle
+//! (the repository benchmark's `live-fleet` runs it on the same micro
+//! system). To keep a 100k-stream scenario cheap each stream runs a
 //! **micro system** (four actions, three quality levels) under the
 //! symbolic [`LookupManager`] against one shared compiled region table:
 //! the per-cycle work is small enough that the scheduler — heaps, ring,
-//! admission — dominates, which is exactly what this point of the
-//! performance trajectory is meant to expose. The micro system registers
+//! admission — dominates, which is exactly what the workload is meant to
+//! expose. The micro system registers
 //! as the fifth [`Workload`] ([`ElasticExperiment`]), so the conformance
 //! suite pins it on every path; [`mixed_fleet`] builds the
 //! periodic / jittered / bursty population of any workload.

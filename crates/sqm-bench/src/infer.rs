@@ -1,6 +1,5 @@
 //! Inference harness: the serving workload behind the uniform
-//! [`Workload`] seam, plus the SLO scenario menu the `bench_infer` binary
-//! and `benches/infer.rs` share.
+//! [`Workload`] seam, plus the SLO scenario menu its tests run.
 //!
 //! An [`InferExperiment`] compiles the batch's quality regions **once**
 //! and serves every path from them — closed loop, event-driven streaming
@@ -82,7 +81,8 @@ impl InferExperiment {
             .collect()
     }
 
-    /// The scenario menu `bench_infer` reports: nominal-rate traffic
+    /// The serving scenario menu, a fixture of this module's tests
+    /// (nominal rate is lossless, overload sheds): nominal-rate traffic
     /// under admission control (the serving regime), and a 1.43×
     /// overloaded burst train under each shedding policy.
     pub fn scenarios() -> Vec<StreamScenario> {
@@ -166,6 +166,8 @@ mod tests {
     use sqm_core::elastic::{Admission, ElasticConfig};
     use sqm_core::engine::NullSink;
     use sqm_core::source::Periodic;
+    use sqm_core::trace::Trace;
+    use sqm_infer::SloClass;
 
     #[test]
     fn periodic_block_streaming_matches_closed_loop() {
@@ -185,6 +187,32 @@ mod tests {
             );
             assert_eq!(streamed.run, closed, "{chaining:?}");
         }
+    }
+
+    /// A closed serving run at the SLO rate misses no deadline, so every
+    /// request class keeps a non-negative worst slack against its budget.
+    #[test]
+    fn closed_serving_run_keeps_slo_slack_per_class() {
+        let exp = InferExperiment::small(3);
+        let mut trace = Trace::default();
+        let run = exp.run_closed(16, CycleChaining::ArrivalClamped, JITTER, 11, &mut trace);
+        assert_eq!(run.misses, 0, "the SLO run must be miss-free");
+        let pipeline = exp.pipeline();
+        let deadlines = pipeline.system().deadlines();
+        let (mut interactive, mut bulk) = (i64::MAX, i64::MAX);
+        for r in trace.cycles.iter().flat_map(|c| &c.records) {
+            if let Some(deadline) = deadlines.get(r.action) {
+                let worst = match pipeline.slo_of(r.action) {
+                    SloClass::Interactive => &mut interactive,
+                    SloClass::Bulk => &mut bulk,
+                };
+                *worst = (*worst).min((deadline - r.end).as_ns());
+            }
+        }
+        assert!(
+            (0..i64::MAX).contains(&interactive) && (0..i64::MAX).contains(&bulk),
+            "both SLO classes keep non-negative slack: {interactive} / {bulk} ns"
+        );
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§4) and
 //! the ablations listed in `DESIGN.md`. Each figure/table has a dedicated
-//! binary (`cargo run -p sqm-bench --release --bin fig7_average_quality`);
-//! the Criterion benches (`cargo bench -p sqm-bench`) measure host-side
-//! costs of the Quality Manager implementations, the offline compiler, the
-//! policies and the encoder kernels.
+//! binary (`cargo run -p sqm-bench --release --bin fig7_average_quality`).
+//! Host-side costs per layer are measured by the repository benchmark
+//! under `benchmark/`, which builds on this crate's workloads.
 //!
 //! Module map:
 //!
@@ -14,9 +13,7 @@
 //!   `sqm_core::engine`.
 //! * [`streaming`] — the named arrival-pattern scenarios
 //!   ([`StreamScenario`]) every workload's event-driven runs are reported
-//!   under, and the MPEG menu (`cargo run -p sqm-bench --release --bin
-//!   bench_stream` emits `BENCH_stream.json`, the trajectory's third
-//!   point: backlog/latency under live traffic).
+//!   under, and the MPEG menu its unit tests run.
 //! * [`workload`] — the uniform workload seam: the [`Workload`] trait
 //!   every application domain (MPEG, audio, net, inference, the elastic
 //!   micro system) registers through — its provided methods run the
@@ -25,20 +22,13 @@
 //!   [`JITTER`].
 //! * [`net`] — the packet-pipeline workload: bursty line-rate traffic
 //!   under tail drop (`cargo run -p sqm-bench --release --bin bench_net`
-//!   emits `BENCH_net.json`, the trajectory's fourth point).
+//!   emits `BENCH_net.json`, the trajectory's packet-pipeline point).
 //! * [`infer`] — the inference-serving workload: continuous-batching
-//!   coupled execution under p99/p999 SLO deadline classes (`cargo run -p
-//!   sqm-bench --release --bin bench_infer` emits `BENCH_infer.json`, the
-//!   trajectory's serving point: decisions/sec, worst SLO slack, and shed
-//!   rate at 1k/10k/100k concurrent request streams).
-//! * [`elastic`] — the multi-stream workload: 10⁵ micro live streams
+//!   coupled execution under p99/p999 SLO deadline classes.
+//! * [`elastic`] — the multi-stream workload: micro live streams
 //!   interleaved per-cycle through `sqm_core::elastic`, the workspace's one
-//!   multi-stream runner (`cargo run -p
-//!   sqm-bench --release --bin bench_elastic` emits `BENCH_elastic.json`,
-//!   the trajectory's many-streams point: streams/sec and ns/action
-//!   versus worker count, gated on byte-identity with the serial path),
-//!   and the elastic identity every caller checks through
-//!   [`elastic::check_identity`].
+//!   multi-stream runner, and the elastic identity every caller checks
+//!   through [`elastic::check_identity`].
 //! * [`fuzz`] — the differential fuzzing + fault-injection campaign:
 //!   generated systems × fault/drift scenarios × every execution path,
 //!   checked against the eight-part safety oracle (`cargo run -p

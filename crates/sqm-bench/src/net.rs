@@ -1,6 +1,6 @@
 //! Net harness: the packet-pipeline workload behind the uniform
 //! [`Workload`] seam, plus the line-rate scenario menu the `bench_net`
-//! binary and `benches/net.rs` share.
+//! binary reports.
 //!
 //! A [`NetExperiment`] compiles the pipeline's quality regions **once**
 //! and serves every path from them — closed loop, event-driven streaming

@@ -6,17 +6,9 @@ use std::fmt::Write as _;
 
 /// The median of five samples of `sample`, each taken separately.
 pub fn median_of_5(mut sample: impl FnMut() -> f64) -> f64 {
-    median((0..5).map(|_| sample()).collect())
-}
-
-/// The median of `samples` (the upper one of an even count).
-///
-/// # Panics
-///
-/// If `samples` is empty or holds values that do not compare (NaN).
-pub fn median<T: PartialOrd>(mut samples: Vec<T>) -> T {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("samples are ordered"));
-    samples.swap_remove(samples.len() / 2)
+    let mut samples: Vec<f64> = (0..5).map(|_| sample()).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[2]
 }
 
 /// Render rows as an aligned text table. The first row is the header.

@@ -1,6 +1,6 @@
 //! Streaming scenarios: the named arrival-pattern recipes every workload's
-//! event-driven runs are reported under, and the MPEG menu the
-//! `bench_stream` binary and `benches/streaming.rs` share.
+//! event-driven runs are reported under, and the MPEG menu this module's
+//! tests run.
 //!
 //! A [`StreamScenario`] is an arrival pattern (periodic, jittered,
 //! bursty — possibly rate-scaled into overload) plus the backlog and
@@ -8,8 +8,8 @@
 //! any registered workload. [`mpeg_scenarios`] is the menu for the CI-scale
 //! encoder (`EncoderConfig::small`): the three patterns at nominal rate,
 //! plus an overloaded feed per shedding policy. Every scenario is
-//! deterministic (sources and content jitter are seeded), so the emitted
-//! `BENCH_stream.json` numbers are comparable across hosts.
+//! deterministic (sources and content jitter are seeded), so its
+//! backlog, wait and drop figures are the same on every host.
 //!
 //! [`Workload::run_scenario`]: crate::workload::Workload::run_scenario
 
@@ -58,9 +58,10 @@ impl StreamScenario {
     }
 }
 
-/// The scenario menu `bench_stream` reports on the `small` encoder: the
-/// three arrival patterns at nominal rate under `Block` (lossless), and
-/// an overloaded bursty feed under each shedding policy.
+/// The scenario menu for the `small` encoder, a fixture of this module's
+/// tests (overload sheds, replay ≡ live): the three arrival patterns at
+/// nominal rate under `Block` (lossless), and an overloaded bursty feed
+/// under each shedding policy.
 pub fn mpeg_scenarios() -> Vec<StreamScenario> {
     vec![
         StreamScenario {

@@ -332,12 +332,14 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
 /// Validate everything the header promises; the payload is then exactly
 /// the checksummed cell run.
 fn parse_header(bytes: &[u8]) -> Result<(), ArtifactError> {
+    // Length first: an empty slice's dangling pointer need not be aligned,
+    // and a buffer too short to hold a header is too short wherever it sits.
+    if bytes.len() < HEADER_LEN {
+        return Err(ArtifactError::TooShort { got: bytes.len() });
+    }
     let offset = bytes.as_ptr() as usize % ALIGN;
     if offset != 0 {
         return Err(ArtifactError::Misaligned { offset });
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(ArtifactError::TooShort { got: bytes.len() });
     }
     if bytes[..8] != MAGIC {
         return Err(ArtifactError::BadMagic);

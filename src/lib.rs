@@ -88,16 +88,13 @@
 //!
 //! The experiment harness and figure/table binaries live in the
 //! (unre-exported) `sqm-bench` crate; `cargo run -p sqm-bench --release
-//! --bin bench_baseline` emits the workspace's performance baseline,
-//! `… --bin bench_stream` the live-traffic backlog/latency point,
-//! `… --bin bench_elastic` the elastic-scheduler stress point (10⁵ live
-//! streams, streams/sec and ns/action versus worker count) and
-//! `… --bin bench_faults` the robustness point (differential-fuzzing
+//! --bin bench_faults` emits the robustness point (differential-fuzzing
 //! oracle throughput and online-recalibration latency; `… --bin
-//! fuzz_smoke` is the CI sweep of the same campaign) and
-//! `… --bin bench_coldstart` the artifact-layer point (system or artifact
-//! bytes → first decision, compile vs binary load, per workload) next to
-//! them.
+//! fuzz_smoke` is the CI sweep of the same campaign) and `… --bin
+//! bench_coldstart` the artifact-layer point (system or artifact bytes →
+//! first decision, compile vs binary load, per workload). Host time per
+//! layer — manager, engine, streaming front-end, elastic scheduler — is
+//! measured by the repository benchmark under `benchmark/`.
 //!
 //! ## Quickstart
 //!

@@ -8,7 +8,8 @@
 //! `"BENCH_<name>.json"` — or be marked frozen in ARCHITECTURE.md with the
 //! sentence "`BENCH_<name>.json` is the frozen measurement …". A deleted
 //! artifact, a renamed default output or a doc citing a file nobody makes
-//! fails here instead of going stale.
+//! fails here instead of going stale. Every producer bin must also be run
+//! by a step of the CI workflow, so its identity gates keep running.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -107,6 +108,47 @@ fn cited_bench_artifacts_exist_and_have_a_producer_or_are_frozen() {
             "{name} is marked frozen but {made_by:?} still writes it"
         );
     }
+}
+
+/// Whether a non-comment line of the workflow `ci` runs `--bin <bin>`.
+fn ci_runs(ci: &str, bin: &str) -> bool {
+    let flag = format!("--bin {bin}");
+    ci.lines()
+        .filter(|line| !line.trim_start().starts_with('#'))
+        .any(|line| {
+            line.match_indices(&flag).any(|(at, _)| {
+                line[at + flag.len()..]
+                    .chars()
+                    .next()
+                    .is_none_or(char::is_whitespace)
+            })
+        })
+}
+
+#[test]
+fn every_producer_bin_runs_in_ci() {
+    let ci = read(&root().join(".github/workflows/ci.yml"));
+    let producers = producers();
+    assert!(!producers.is_empty(), "the scan must find producer bins");
+    for (name, bin) in producers {
+        let stem = bin.trim_end_matches(".rs");
+        assert!(
+            ci_runs(&ci, stem),
+            "{bin} writes {name} but no step of .github/workflows/ci.yml runs `--bin {stem}`"
+        );
+    }
+}
+
+#[test]
+fn ci_runs_matches_whole_bin_names_outside_comments() {
+    let ci = "  - run: cargo run --bin bench_net /tmp/x.json\n\
+              # cargo run --bin bench_faults\n\
+              run: cargo run --bin bench_control_v2\n\
+              run: cargo run --bin fuzz_smoke";
+    assert!(ci_runs(ci, "bench_net"));
+    assert!(ci_runs(ci, "fuzz_smoke"));
+    assert!(!ci_runs(ci, "bench_faults"));
+    assert!(!ci_runs(ci, "bench_control"));
 }
 
 #[test]

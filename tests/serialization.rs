@@ -220,10 +220,9 @@ fn corrupted_inputs_fail_cleanly() {
         .unwrap();
     let bytes = Artifact::encode(&compile_regions(&sys), None);
 
-    // Each non-empty prefix is copied into a fresh (aligned) allocation so
-    // only its length is under test.
-    assert!(Artifact::load(&[]).is_err());
-    for len in 1..bytes.len() {
+    // Each prefix, the empty one included, is copied into a fresh
+    // allocation so only its length is under test.
+    for len in 0..bytes.len() {
         let prefix = bytes[..len].to_vec();
         let err = Artifact::load(&prefix).expect_err("a strict prefix must not load");
         let typed = if len < artifact::HEADER_LEN {
@@ -234,4 +233,8 @@ fn corrupted_inputs_fail_cleanly() {
         };
         assert!(typed, "prefix of {len} bytes: {err:?}");
     }
+    assert!(matches!(
+        Artifact::load(&[]),
+        Err(ArtifactError::TooShort { got: 0 })
+    ));
 }
