@@ -72,7 +72,7 @@ fn main() {
         panic!("fuzz gate failed: oracle `{}`", violation.oracle);
     }
     println!(
-        "fuzz gate: {} seeds, {} cases, eight-part oracle held ✓",
+        "fuzz gate: {} seeds, {} cases, every oracle part held ✓",
         gate.seeds_run, gate.cases
     );
 

@@ -12,12 +12,10 @@
 use sqm_bench::net::NetExperiment;
 use sqm_bench::report;
 use sqm_bench::workload::{AudioExperiment, Workload};
-use sqm_core::approx::ApproxRegionTable;
 use sqm_core::artifact::Artifact;
 use sqm_core::compiler::{compile_regions, compile_relaxation, TableStats};
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
-use sqm_core::time::Time;
 use sqm_mpeg::{EncoderConfig, MpegEncoder};
 
 /// Storage accounting for one workload's symbolic tables: the live arena
@@ -95,25 +93,5 @@ fn main() {
         artifact_row("audio (tiny)", audio.regions(), None),
         artifact_row("net (tiny)", net.regions(), None),
     ];
-    print!("{}", report::table(&rows));
-
-    // Bonus: the linear-approximation extension's compression of Rq.
-    println!("\nlinear-constraint approximation of Rq (conclusion's future work):");
-    let mut rows = vec![vec![
-        "tolerance".to_string(),
-        "integers".to_string(),
-        "vs exact".to_string(),
-    ]];
-    for tol_us in [0i64, 50, 200, 1_000] {
-        let approx = ApproxRegionTable::compress(&regions, Time::from_us(tol_us));
-        rows.push(vec![
-            format!("{} us", tol_us),
-            format!("{}", approx.integer_count()),
-            format!(
-                "{:.1}%",
-                100.0 * approx.integer_count() as f64 / r_stats.integers as f64
-            ),
-        ]);
-    }
     print!("{}", report::table(&rows));
 }

@@ -3,9 +3,9 @@
 //! Hand-written proptests cover each execution path against a reference,
 //! one pairing at a time; this module covers the *product space* —
 //! arbitrary systems × fault/drift scenarios × every execution path
-//! (serial, streaming, elastic) — against one eight-part
-//! **safety oracle**: five numbered parts plus the inference, admission
-//! and control axes below.
+//! (serial, streaming, elastic) — against one **safety oracle**. The list
+//! below is the one statement of the oracle's parts: every case runs all
+//! of them, and a [`Violation`] names the part that tripped.
 //!
 //! 1. **Identity** — every decided record of the serial, streaming and
 //!    elastic paths (and of a relaxed-manager run) re-derives from the
@@ -29,41 +29,49 @@
 //!    global admission pressure.
 //! 4. **Monotonicity** — region tables are monotone in `t`, deadline
 //!    relaxation (`shifted(+δ)`) never lowers a choice, and the
-//!    relaxed manager inherits property 2 wholesale.
+//!    relaxed manager inherits part 2 wholesale.
 //! 5. **Artifact** — the binary table artifact round-trips losslessly
 //!    (load(encode(T)) ≡ T, re-encode byte-identical), and seeded
 //!    single-byte corruptions of the bytes are always rejected with a
 //!    typed error — header damage by its specific check, payload damage
 //!    by the checksum.
-//!
-//! Alongside the generated product space, every case also drives the
-//! **inference axis**: the batch-coupled serving pipeline
-//! (`sqm_infer::BatchCoupledExec`, whose execution source carries
-//! *shared state* — the per-cycle batch account) through the identity
-//! and monotonicity oracle parts. Streaming byte-identity there proves
-//! the continuous-batching state machine replays exactly, and the
-//! coupling law is probed directly: admitting co-batched requests at a
-//! deeper rung must never shorten another request's decode.
-//!
-//! Two further axes ride on every case:
-//!
-//! * the **admission axis** — the elastic scheduler under adversarial
-//!   all-at-once arrival traces with `global_capacity` swept over
-//!   `{0, 1, exact-fit, huge}`: the [`ShedLedger`](sqm_core::elastic::ShedLedger)
-//!   books must balance at every capacity, the aggregate backlog must
-//!   respect the bound, capacities at or above the unbounded run's peak
-//!   backlog must shed nothing and reproduce the unbounded results
-//!   byte-for-byte, and a *prompt* stream (one that is always idle at
-//!   its arrivals) must never be shed no matter how overloaded the rest
-//!   of the fleet is;
-//! * the **control axis** — the Blackwell approachability layer
-//!   ([`sqm_core::control`]): with the trivial safe set (`ℝ⁴`) the
-//!   [`ControlledManager`] is byte-identical to the baseline on the
-//!   serial, streaming and elastic paths under the scenario's fault;
-//!   with an active controller the averaged-payoff trajectory replays
-//!   deterministically and obeys the averaging step bound
-//!   `dist(t+1) ≤ dist(t) + diam/(t+1)`; and under a contract-honouring
-//!   fault at zero overhead a reachable safe set is never left at all.
+//! 6. **Inference** — the batch-coupled serving pipeline
+//!    (`sqm_infer::BatchCoupledExec`, whose execution source carries
+//!    *shared state* — the per-cycle batch account) through parts 1 and
+//!    4. Streaming byte-identity there proves the continuous-batching
+//!    state machine replays exactly, and the coupling law is probed
+//!    directly: admitting co-batched requests at a deeper rung must never
+//!    shorten another request's decode.
+//! 7. **Admission** — the elastic scheduler under adversarial
+//!    all-at-once arrival traces with `global_capacity` swept over
+//!    `{0, 1, exact-fit, huge}`: the [`ShedLedger`](sqm_core::elastic::ShedLedger)
+//!    books must balance at every capacity, the aggregate backlog must
+//!    respect the bound, capacities at or above the unbounded run's peak
+//!    backlog must shed nothing and reproduce the unbounded results
+//!    byte-for-byte, and a *prompt* stream (one that is always idle at
+//!    its arrivals) must never be shed no matter how overloaded the rest
+//!    of the fleet is.
+//! 8. **Control** — the Blackwell approachability layer
+//!    ([`sqm_core::control`]): with the trivial safe set (`ℝ⁴`) the
+//!    [`ControlledManager`] is byte-identical to the baseline on the
+//!    serial, streaming and elastic paths under the scenario's fault;
+//!    with an active controller the averaged-payoff trajectory replays
+//!    deterministically and obeys the averaging step bound
+//!    `dist(t+1) ≤ dist(t) + diam/(t+1)`; and under a contract-honouring
+//!    fault at zero overhead a reachable safe set is never left at all.
+//! 9. **Smoothing** — [`SmoothedManager`] over the lookup manager, under
+//!    part 2's conditions and a contract-honouring fault, has zero misses
+//!    and zero infeasible decisions, and every decision it makes is at or
+//!    below [`QualityRegionTable::choose`]'s choice at that time, with the
+//!    same infeasibility: rate-limiting climbs only ever picks a level the
+//!    region table already admits.
+//! 10. **Multi-task** — the case's system statically [`interleave`]d with
+//!     a second generated task (the part is skipped when the merge is
+//!     rejected as infeasible). Under part 2's conditions and a
+//!     contract-honouring fault no task misses a deadline, as
+//!     [`TaskSplitter`] attributes them; and on the overhead-charged run
+//!     the splitter's per-task actions, quality sums and misses add up to
+//!     the run's [`RunSummary`](sqm_core::engine::RunSummary).
 //!
 //! A **case** is one system × scenario × path invocation; [`run_case`]
 //! runs all paths for one generated pair and returns how many it
@@ -82,8 +90,9 @@ use sqm_core::control::{
 };
 use sqm_core::controller::{ConstantExec, ExecutionTimeSource, OverheadModel};
 use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, EngineDriver};
-use sqm_core::engine::{CycleChaining, Engine, NullSink};
-use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager};
+use sqm_core::engine::{CycleChaining, Engine, NullSink, TraceSink};
+use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager, SmoothedManager};
+use sqm_core::multi::{interleave, Interleaved, TaskSplitter, TaskSummary};
 use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
@@ -126,6 +135,11 @@ impl SystemSpec {
     pub fn generate(rng: &mut StdRng) -> SystemSpec {
         let n_actions = rng.gen_range(1usize..=10);
         let n_quality = rng.gen_range(1usize..=4);
+        SystemSpec::generate_shaped(rng, n_actions, n_quality)
+    }
+
+    /// [`SystemSpec::generate`] with the action and quality counts given.
+    fn generate_shaped(rng: &mut StdRng, n_actions: usize, n_quality: usize) -> SystemSpec {
         let mut wc = Vec::with_capacity(n_actions);
         let mut av = Vec::with_capacity(n_actions);
         for _ in 0..n_actions {
@@ -532,7 +546,8 @@ impl FuzzCase {
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// Which oracle part failed: `identity`, `safety`, `accounting`,
-    /// `monotonicity`, `artifact` or `control`.
+    /// `monotonicity`, `artifact`, `control`, `smoothing` or
+    /// `multi-task`.
     pub oracle: &'static str,
     /// Human-readable mismatch description.
     pub detail: String,
@@ -823,11 +838,6 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
                 run.infeasible,
                 scenario.fault
             );
-            oracle!(
-                "safety",
-                scenario.fault.honours_contract(case.spec.n_actions()) || monitor.violations == 0,
-                "unreachable"
-            );
         } else {
             oracle!(
                 "safety",
@@ -940,6 +950,159 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
     // ── Control axis: the approachability layer ─────────────────────
     paths += check_control(case, &sys, &regions)?;
 
+    // ── Smoothing: rate-limited climbs under the lookup choice ──────
+    // A climb limit of 1–3 levels per decision and a hysteresis of 0–3
+    // decisions, drawn from the seed.
+    let (max_step_up, hysteresis) = (1 + (case.seed % 3) as u8, (case.seed / 3 % 4) as u32);
+    paths += check_smoothing(case, &sys, &regions, || {
+        SmoothedManager::new(LookupManager::new(&regions), max_step_up, hysteresis)
+    })?;
+
+    // ── Multi-task: the case's system interleaved with a second task ─
+    if let Some(merged) = merge_second_task(case, &sys) {
+        paths += check_multi_task(case, &merged, || TaskSplitter::new(&merged))?;
+    }
+
+    Ok(paths)
+}
+
+/// The smoothing part: `manager()` runs under the safety part's
+/// conditions (zero overhead, ideal clock, period = final deadline) for
+/// both chaining variants, when the fault honours the contract. It must
+/// not miss or decide infeasibly, and each decision must sit at or below
+/// the region table's choice at its decision time, infeasible exactly
+/// when the table is.
+fn check_smoothing<M: QualityManager>(
+    case: &FuzzCase,
+    sys: &ParameterizedSystem,
+    regions: &QualityRegionTable,
+    manager: impl Fn() -> M,
+) -> Result<usize, Violation> {
+    let scenario = &case.scenario;
+    if !scenario.fault.honours_contract(sys.n_actions()) {
+        return Ok(0);
+    }
+    let mut paths = 0usize;
+    for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+        let mut trace = Trace::default();
+        let run = Engine::new(sys, manager(), OverheadModel::ZERO).run_cycles(
+            scenario.cycles,
+            sys.final_deadline(),
+            chaining,
+            &mut scenario.fault.exec(sys.table()),
+            &mut trace,
+        );
+        paths += 1;
+        for record in trace.cycles.iter().flat_map(|c| &c.records) {
+            if !record.decided {
+                continue;
+            }
+            let (choice, _) = regions.choose(record.action, record.start - record.qm_overhead);
+            oracle!(
+                "smoothing",
+                record.infeasible == choice.is_none()
+                    && record.quality <= choice.unwrap_or(Quality::MIN),
+                "state {} at {:?} chose {:?} (infeasible {}), the region table allows {choice:?} \
+                 ({chaining:?})",
+                record.action,
+                record.start,
+                record.quality,
+                record.infeasible
+            );
+        }
+        oracle!(
+            "smoothing",
+            run.misses == 0 && run.infeasible == 0,
+            "smoothed run missed: misses={} infeasible={} ({chaining:?}, fault {:?})",
+            run.misses,
+            run.infeasible,
+            scenario.fault
+        );
+    }
+    Ok(paths)
+}
+
+/// The case's system statically interleaved with a second task drawn
+/// from the case seed, or `None` when [`interleave`] rejects the merge.
+/// The second task has the case's quality count, and its final deadline
+/// also covers the case's whole minimum-quality worst case, so only the
+/// case's own deadline can reject the merge. The slot pattern takes 1–3
+/// actions of the case's system, then 1–3 of the second task.
+fn merge_second_task(case: &FuzzCase, sys: &ParameterizedSystem) -> Option<Interleaved> {
+    let mut rng = StdRng::seed_from_u64(case.seed ^ 0x7A5C_2A11);
+    let n_actions = rng.gen_range(1usize..=10);
+    let mut second = SystemSpec::generate_shaped(&mut rng, n_actions, case.spec.n_quality);
+    second.deadline_slack += case.spec.deadline().as_ns();
+    let mut pattern = vec![0; rng.gen_range(1usize..=3)];
+    pattern.resize(pattern.len() + rng.gen_range(1usize..=3), 1);
+    interleave(&[sys, &second.build()], &pattern).ok()
+}
+
+/// A per-task sink the multi-task part reads back after a run.
+trait TaskAttribution: TraceSink {
+    /// Per-task aggregates of every record seen, indexed by task.
+    fn per_task(&self) -> &[TaskSummary];
+}
+
+impl TaskAttribution for TaskSplitter<'_> {
+    fn per_task(&self) -> &[TaskSummary] {
+        self.task_summaries()
+    }
+}
+
+/// The multi-task part over `merged`, attributing each run through a
+/// fresh `split()`. Under the safety part's conditions, for both chaining
+/// variants and a contract-honouring fault, no task misses and no
+/// decision is infeasible; on the overhead-charged run under the
+/// scenario's fault and chaining, the per-task aggregates sum to the
+/// run's.
+fn check_multi_task<S: TaskAttribution>(
+    case: &FuzzCase,
+    merged: &Interleaved,
+    split: impl Fn() -> S,
+) -> Result<usize, Violation> {
+    let scenario = &case.scenario;
+    let sys = &merged.system;
+    let regions = compile_regions(sys);
+    let period = sys.final_deadline();
+    let run = |overhead: OverheadModel, chaining: CycleChaining| {
+        let mut sink = split();
+        let run = Engine::new(sys, LookupManager::new(&regions), overhead).run_cycles(
+            scenario.cycles,
+            period,
+            chaining,
+            &mut scenario.fault.exec(sys.table()),
+            &mut sink,
+        );
+        (run, sink)
+    };
+    let mut paths = 0usize;
+    if scenario.fault.honours_contract(sys.n_actions()) {
+        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+            let (run, sink) = run(OverheadModel::ZERO, chaining);
+            paths += 1;
+            let misses: Vec<usize> = sink.per_task().iter().map(|t| t.misses).collect();
+            oracle!(
+                "multi-task",
+                misses.iter().all(|&m| m == 0) && run.infeasible == 0,
+                "per-task misses {misses:?}, infeasible {} ({chaining:?}, fault {:?})",
+                run.infeasible,
+                scenario.fault
+            );
+        }
+    }
+    let (run, sink) = run(OVERHEAD, scenario.chaining);
+    paths += 1;
+    let mut total = TaskSummary::default();
+    for summary in sink.per_task() {
+        total.merge(summary);
+    }
+    oracle_eq!(
+        "multi-task",
+        (total.actions, total.quality_sum, total.misses),
+        (run.actions, run.quality_sum, run.misses),
+        "per-task (actions, quality sum, misses) summed != run summary"
+    );
     Ok(paths)
 }
 
@@ -1643,6 +1806,100 @@ mod tests {
         case.scenario.fault = FaultKind::WorstCase;
         case.scenario.cycles = 6;
         assert!(run_case(&case).is_ok(), "{:?}", run_case(&case).err());
+    }
+
+    /// A manager that climbs one level above its inner choice.
+    struct Climb<M> {
+        inner: M,
+        qmax: Quality,
+    }
+
+    impl<M: QualityManager> QualityManager for Climb<M> {
+        fn decide(&mut self, state: usize, t: Time) -> sqm_core::manager::Decision {
+            let mut d = self.inner.decide(state, t);
+            d.quality = Quality::new(d.quality.index() as u8 + 1).min(self.qmax);
+            d
+        }
+
+        fn name(&self) -> &'static str {
+            "climb"
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+    }
+
+    /// The smoothing part catches a smoothing wrapper that climbs one
+    /// level above the inner choice, and passes the real wrapper on the
+    /// same case.
+    #[test]
+    fn smoothing_part_rejects_a_climb_above_the_inner_choice() {
+        let mut case = FuzzCase::generate(3);
+        // qmax does not fit at the first decision, so a climb exceeds the
+        // region table's choice there.
+        case.spec = SystemSpec {
+            n_quality: 3,
+            wc: vec![vec![100, 200, 300]; 2],
+            av: vec![vec![50, 100, 150]; 2],
+            deadline_slack: 100,
+        };
+        case.scenario.fault = FaultKind::WorstCase;
+        let sys = case.spec.build();
+        let regions = compile_regions(&sys);
+        let smoothed = || SmoothedManager::new(LookupManager::new(&regions), 1, 0);
+        let climb = || Climb {
+            inner: smoothed(),
+            qmax: sys.qualities().max(),
+        };
+        let err = check_smoothing(&case, &sys, &regions, climb)
+            .expect_err("a climb above the inner choice must trip the part");
+        assert_eq!(err.oracle, "smoothing", "{}", err.detail);
+        assert!(check_smoothing(&case, &sys, &regions, smoothed).is_ok());
+    }
+
+    /// A task split that loses every record of one task.
+    struct DropTask<'a> {
+        splitter: TaskSplitter<'a>,
+        merged: &'a Interleaved,
+        task: usize,
+    }
+
+    impl TraceSink for DropTask<'_> {
+        fn record(&mut self, record: &ActionRecord) {
+            if self.merged.provenance[record.action].task != self.task {
+                self.splitter.record(record);
+            }
+        }
+    }
+
+    impl TaskAttribution for DropTask<'_> {
+        fn per_task(&self) -> &[TaskSummary] {
+            self.splitter.task_summaries()
+        }
+    }
+
+    /// The multi-task part catches a task split that drops the second
+    /// task's records, and passes the real [`TaskSplitter`] on the same
+    /// merge.
+    #[test]
+    fn multi_task_part_rejects_a_split_that_drops_a_task() {
+        let (case, merged) = (0..)
+            .map(FuzzCase::generate)
+            .find_map(|case| {
+                let merged = merge_second_task(&case, &case.spec.build())?;
+                Some((case, merged))
+            })
+            .expect("some seed yields a feasible merge");
+        let dropping = || DropTask {
+            splitter: TaskSplitter::new(&merged),
+            merged: &merged,
+            task: 1,
+        };
+        let err = check_multi_task(&case, &merged, dropping)
+            .expect_err("a split that drops a task must trip the part");
+        assert_eq!(err.oracle, "multi-task", "{}", err.detail);
+        assert!(check_multi_task(&case, &merged, || TaskSplitter::new(&merged)).is_ok());
     }
 
     /// The contract monitor actually witnesses violations for violating

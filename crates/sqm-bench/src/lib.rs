@@ -1,7 +1,9 @@
 //! # sqm-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§4) and
-//! the ablations listed in `DESIGN.md`. Each figure/table has a dedicated
+//! runs the ablations: the `ablation_*` binaries (`ablation_rho`,
+//! `ablation_gop`, `ablation_policies`, `ablation_smoothness`,
+//! `ablation_audio`, `ablation_power`). Each figure/table has a dedicated
 //! binary (`cargo run -p sqm-bench --release --bin fig7_average_quality`).
 //! Host-side costs per layer are measured by the repository benchmark
 //! under `benchmark/`, which builds on this crate's workloads.
@@ -16,9 +18,9 @@
 //!   under, and the MPEG menu its unit tests run.
 //! * [`workload`] — the uniform workload seam: the [`Workload`] trait
 //!   every application domain (MPEG, audio, net, inference, the elastic
-//!   micro system) registers through — its provided methods run the
+//!   micro system, DVFS) registers through — its provided methods run the
 //!   closed loop, streaming, a named scenario and build elastic
-//!   populations — plus the audio registration and the shared
+//!   populations — plus the audio and DVFS registrations and the shared
 //!   [`JITTER`].
 //! * [`net`] — the packet-pipeline workload: bursty line-rate traffic
 //!   under tail drop (`cargo run -p sqm-bench --release --bin bench_net`
@@ -31,8 +33,9 @@
 //!   through [`elastic::check_identity`].
 //! * [`fuzz`] — the differential fuzzing + fault-injection campaign:
 //!   generated systems × fault/drift scenarios × every execution path,
-//!   checked against the eight-part safety oracle (`cargo run -p
-//!   sqm-bench --release --bin fuzz_smoke` is the CI smoke sweep;
+//!   checked against the safety oracle whose parts its module docs list
+//!   (`cargo run -p sqm-bench --release --bin fuzz_smoke` is the CI smoke
+//!   sweep;
 //!   `bench_faults` emits `BENCH_faults.json`, the trajectory's
 //!   robustness point: oracle throughput and recalibration latency).
 //! * [`control`] — the drifting-load scenario matrix for the
@@ -75,4 +78,4 @@ pub use harness::{run_paper_experiment, ExperimentResult, ManagerKind, PaperExpe
 pub use infer::InferExperiment;
 pub use net::NetExperiment;
 pub use streaming::StreamScenario;
-pub use workload::{AudioExperiment, Workload, JITTER};
+pub use workload::{AudioExperiment, PowerExperiment, Workload, JITTER};

@@ -4,11 +4,12 @@
 //! its [`ParameterizedSystem`], compile quality regions, wrap a
 //! [`LookupManager`] in an [`Engine`] under the domain's calibrated
 //! overhead, and feed it the domain's content-driven execution-time
-//! source. Five domains register: MPEG ([`PaperExperiment`]), audio
+//! source. Six domains register: MPEG ([`PaperExperiment`]), audio
 //! ([`AudioExperiment`]), the packet pipeline
 //! ([`NetExperiment`](crate::net::NetExperiment)), inference serving
-//! ([`InferExperiment`](crate::infer::InferExperiment)) and the elastic
-//! micro system ([`ElasticExperiment`](crate::elastic::ElasticExperiment)).
+//! ([`InferExperiment`](crate::infer::InferExperiment)), the elastic
+//! micro system ([`ElasticExperiment`](crate::elastic::ElasticExperiment))
+//! and DVFS power management ([`PowerExperiment`]).
 //!
 //! The provided methods are the run shapes every caller shares — the
 //! closed loop, event-driven streaming, a named [`StreamScenario`], and
@@ -33,6 +34,7 @@ use sqm_core::system::ParameterizedSystem;
 use sqm_core::time::Time;
 use sqm_mpeg::EncoderExec;
 use sqm_platform::overhead;
+use sqm_power::{CycleExec, DvfsTask, FrequencyLadder};
 
 use crate::harness::PaperExperiment;
 use crate::streaming::StreamScenario;
@@ -248,6 +250,60 @@ impl Workload for AudioExperiment {
 
     fn exec_source(&self, jitter: f64, seed: u64) -> AudioExec<'_> {
         self.codec.exec(jitter, seed)
+    }
+}
+
+/// The DVFS extension packaged for the harness: a cycle-count task under
+/// a frequency ladder, its translated system and compiled regions. A
+/// quality level is a frequency step (level 0 the fastest), so the
+/// regions manager picks the slowest frequency that keeps every deadline.
+pub struct PowerExperiment {
+    task: DvfsTask,
+    ladder: FrequencyLadder,
+    sys: ParameterizedSystem,
+    regions: QualityRegionTable,
+}
+
+impl PowerExperiment {
+    /// The test-scale setup: a 20-action synthetic task with a 60 ms
+    /// period on the 600/450/300/150 MHz embedded ladder.
+    pub fn tiny() -> PowerExperiment {
+        let task = DvfsTask::synthetic(20, Time::from_ms(60));
+        let ladder = FrequencyLadder::embedded4();
+        let sys = task
+            .to_system(&ladder)
+            .expect("the tiny task is feasible at the fastest frequency");
+        let regions = compile_regions(&sys);
+        PowerExperiment {
+            task,
+            ladder,
+            sys,
+            regions,
+        }
+    }
+}
+
+impl Workload for PowerExperiment {
+    type Exec<'a> = CycleExec<'a>;
+
+    fn label(&self) -> &'static str {
+        "power/regions"
+    }
+
+    fn system(&self) -> &ParameterizedSystem {
+        &self.sys
+    }
+
+    fn period(&self) -> Time {
+        self.task.deadline
+    }
+
+    fn regions(&self) -> &QualityRegionTable {
+        &self.regions
+    }
+
+    fn exec_source(&self, jitter: f64, seed: u64) -> CycleExec<'_> {
+        CycleExec::new(&self.task, &self.ladder, jitter, seed)
     }
 }
 

@@ -79,10 +79,14 @@
 //! straight-line loop, and every runner in the workspace — including each
 //! elastic worker — is a thin shell over that one loop.
 //!
-//! Extensions from the paper's conclusion: [`multi`] (multiple statically
-//! interleaved tasks, run on the engine, with the [`multi::TaskSplitter`]
-//! sink attributing results per task) and
-//! [`approx`] (linear-constraint approximation of region tables).
+//! Extensions from the paper's conclusion and its deferred smoothness
+//! requirement: [`multi`] (multiple statically interleaved tasks, run on
+//! the engine, with the [`multi::TaskSplitter`] sink attributing results
+//! per task) and `SmoothedManager` (rate-limited climbs over any
+//! manager). Both sit under the fuzz campaign's oracle in `sqm-bench`, as
+//! the core managers do; the DVFS extension (`sqm-power`) compiles to a
+//! plain [`system::ParameterizedSystem`] and is a registered workload
+//! there.
 //! Beyond the paper: [`recalib`] — the online-recalibration seam
 //! ([`recalib::TableCell`] + [`recalib::AdaptiveLookupManager`]) that lets
 //! a freshly compiled region table be swapped in atomically at cycle
@@ -99,7 +103,6 @@
 
 pub mod action;
 pub mod analysis;
-pub mod approx;
 pub mod arena;
 pub mod artifact;
 pub mod compiler;

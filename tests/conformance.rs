@@ -6,7 +6,7 @@
 //! (`Trace::run_summary`) and **Periodic + Block streaming**
 //! (`StreamingRunner`). They must agree **byte for byte** — one
 //! `RunSummary` semantics, no matter which path computed it — for *every*
-//! registered workload (MPEG, audio, net, inference, micro) under *both* [`CycleChaining`]
+//! registered workload (MPEG, audio, net, inference, micro, DVFS) under *both* [`CycleChaining`]
 //! variants, and over arbitrary feasible systems. This file replaces the
 //! per-path identity tests that used to be scattered across
 //! `tests/streaming.rs`, the multi-stream harnesses and the bench
@@ -37,7 +37,7 @@ use sqm_bench::elastic::check_identity;
 use sqm_bench::fuzz::{rederive_decisions, unclocked};
 use sqm_bench::{
     AudioExperiment, ElasticExperiment, InferExperiment, ManagerKind, NetExperiment,
-    PaperExperiment, Workload, JITTER,
+    PaperExperiment, PowerExperiment, Workload, JITTER,
 };
 
 const SEED: u64 = 11;
@@ -234,6 +234,14 @@ fn micro_workload_conforms_across_all_paths() {
 #[test]
 fn infer_workload_conforms_across_all_paths() {
     assert_conformance(&InferExperiment::tiny(3));
+}
+
+/// The DVFS extension: a quality level is a frequency step, and the
+/// execution source converts sampled cycle demands to time at the chosen
+/// step's frequency.
+#[test]
+fn power_workload_conforms_across_all_paths() {
+    assert_conformance(&PowerExperiment::tiny());
 }
 
 /// The MPEG harness's manager-specific paths (numeric and relaxation are

@@ -1,10 +1,12 @@
 //! Integration tests for the paper-conclusion extensions: multi-task
-//! composition, linear region approximation, and DVFS power management.
+//! composition and DVFS power management. The fuzz campaign
+//! (`sqm_bench::fuzz`) checks multi-task composition and the smoothed
+//! manager on generated systems, and `tests/conformance.rs` runs the DVFS
+//! workload on every execution path.
 
 mod common;
 
 use common::run_cycle;
-use speed_qm::core::approx::ApproxRegionTable;
 use speed_qm::core::compiler::compile_regions;
 use speed_qm::core::controller::ConstantExec;
 use speed_qm::core::manager::{NumericManager, QualityManager};
@@ -50,27 +52,6 @@ fn interleaved_tasks_respect_both_deadline_sets() {
         }
     }
     assert!(seen.iter().all(|&b| b));
-}
-
-#[test]
-fn approx_table_never_exceeds_exact_choice() {
-    let sys = task(40, 100, 14_000);
-    let exact = compile_regions(&sys);
-    for tol in [0i64, 20, 150, 2_000] {
-        let approx = ApproxRegionTable::compress(&exact, Time::from_ns(tol));
-        for state in 0..sys.n_actions() {
-            for t_ns in (-200..12_000).step_by(431) {
-                let t = Time::from_ns(t_ns);
-                let (a, _) = approx.choose(state, t);
-                let (e, _) = exact.choose(state, t);
-                match (a, e) {
-                    (Some(qa), Some(qe)) => assert!(qa <= qe, "tol {tol}"),
-                    (Some(_), None) => panic!("approx admitted an infeasible state"),
-                    _ => {}
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! live mid-run table swap.
 //!
 //! The harness itself lives in `sqm_bench::fuzz` (generators, the
-//! five-part oracle, minimizer, repro formatting); this test sweeps
+//! oracle and its parts, minimizer, repro formatting); this test sweeps
 //! enough seeds to clear the 1000 system×scenario×path cases the
 //! campaign promises locally (CI runs the smaller `fuzz_smoke` binary).
 
@@ -12,8 +12,8 @@ use speed_qm::platform::faults::DriftExec;
 use speed_qm::platform::recalib::{RecalibratingExec, RecalibrationConfig};
 use sqm_bench::fuzz::{self, FuzzCase, Violation};
 
-/// ≥ 1000 generated system × scenario × path cases, all four oracle
-/// parts green. On a violation the minimized self-contained repro is
+/// ≥ 1000 generated system × scenario × path cases, every oracle part
+/// green. On a violation the minimized self-contained repro is
 /// the panic message.
 #[test]
 fn campaign_holds_over_1000_cases() {
