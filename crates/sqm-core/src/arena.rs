@@ -7,11 +7,14 @@
 //! (offset + shape), so a table pair loaded from one binary artifact
 //! ([`crate::artifact`]) shares a single allocation.
 //!
-//! Every table producer (the region and relaxation compiles, both
-//! `shifted` copies and [`crate::artifact::Artifact::load`]) builds its
-//! arena by collecting an exact-length iterator of cells in final layout
-//! order: **one allocation per arena, at its final size, and each cell
-//! written once** — no staging `Vec` and no second copy.
+//! Every table producer builds its arena **once, at its final size** — no
+//! staging `Vec` and no second copy. The region compile, both `shifted`
+//! copies and [`crate::artifact::Artifact::load`] collect an exact-length
+//! iterator of cells in final layout order, so each cell is written once.
+//! The relaxation compile writes its upper block one column at a time, out
+//! of layout order: it allocates the arena as a constant fill and writes
+//! every cell that is not the fill value in place before the arena is
+//! shared.
 
 use std::sync::Arc;
 
@@ -81,6 +84,16 @@ impl TableArena {
     pub fn ptr_eq(&self, other: &TableArena) -> bool {
         Arc::ptr_eq(&self.cells, &other.cells)
     }
+
+    /// An arena of `len` copies of `fill`, which `write` then overwrites
+    /// in place before the arena is shared: the fresh `Arc` is still
+    /// unique, so this is one allocation at the final size and no copy.
+    /// For kernels that write cells out of layout order.
+    pub(crate) fn filled(len: usize, fill: Time, write: impl FnOnce(&mut [Time])) -> TableArena {
+        let mut cells: Arc<[Time]> = std::iter::repeat_n(fill, len).collect();
+        write(Arc::get_mut(&mut cells).expect("a freshly collected arena is unique"));
+        TableArena { cells }
+    }
 }
 
 /// Collect cells, in layout order, straight into a new arena.
@@ -90,7 +103,7 @@ impl TableArena {
 /// marker: ranges, slice and `chunks_exact` iterators, and `map` and
 /// `chain` over those), the arena is allocated once at its final size and
 /// each cell is written into place as the iterator yields it. A stateful `map` closure over a `Range` keeps that
-/// guarantee, which is how the table compilers emit cells computed in
+/// guarantee, which is how the region compile emits cells computed in
 /// row-major order. Any other iterator is first buffered in a growing
 /// `Vec` and then copied.
 ///
@@ -154,5 +167,11 @@ mod tests {
             .collect();
         assert_eq!(arena.cells(), &expect[..]);
         assert!(row_major(0, 4, |_, _| unreachable!()).next().is_none());
+    }
+
+    #[test]
+    fn filled_arena_is_written_in_place() {
+        let arena = TableArena::filled(4, t(7), |cells| cells[1..3].fill(t(-1)));
+        assert_eq!(arena.cells(), &[t(7), t(-1), t(-1), t(7)]);
     }
 }

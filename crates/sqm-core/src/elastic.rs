@@ -1184,8 +1184,14 @@ impl ElasticRunner {
 fn summarize<A, D>(sched: Scheduler<A>, slots: Vec<Mutex<Slot<D>>>) -> (ElasticSummary, Vec<D>) {
     // Free the scheduler's queues before the fold; keep its records.
     let Scheduler {
-        streams, ledger, ..
+        streams,
+        ledger,
+        backlogs,
+        start_heap,
+        arrivals,
+        ..
     } = sched;
+    drop((backlogs, start_heap, arrivals));
     let mut run = RunSummary::default();
     let mut stats = StreamStats::default();
     let mut drivers = Vec::with_capacity(slots.len());

@@ -74,6 +74,12 @@ pub enum BuildError {
         /// Levels of the mismatching task's quality set.
         got: usize,
     },
+    /// An interleaving pattern never names, in range, a task that has
+    /// actions, so that task's actions could never be scheduled.
+    StarvedTask {
+        /// The lowest-indexed starved task.
+        task: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -119,6 +125,10 @@ impl fmt::Display for BuildError {
             BuildError::QualitySetMismatch { expected, got } => write!(
                 f,
                 "composed tasks must share one quality set: expected {expected} levels, got {got}"
+            ),
+            BuildError::StarvedTask { task } => write!(
+                f,
+                "the interleaving pattern never schedules task {task}, which has actions"
             ),
         }
     }

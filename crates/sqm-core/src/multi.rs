@@ -92,6 +92,8 @@ impl Interleaved {
 /// * `pattern` lists task indices; it is walked cyclically, emitting the
 ///   next unconsumed action of the named task (slots of exhausted tasks are
 ///   skipped). An empty pattern defaults to round-robin over all tasks.
+///   A pattern that never names, in range, some task with actions is
+///   rejected as [`BuildError::StarvedTask`].
 /// * Deadlines are carried over verbatim: they refer to the shared cycle
 ///   start. The merged system re-validates feasibility, so an infeasible
 ///   combination (too much minimum-quality worst-case work before some
@@ -118,6 +120,11 @@ pub fn interleave(
     } else {
         pattern
     };
+    if let Some(task) =
+        (0..tasks.len()).find(|&task| tasks[task].n_actions() > 0 && !pattern.contains(&task))
+    {
+        return Err(BuildError::StarvedTask { task });
+    }
     let total: usize = tasks.iter().map(|t| t.n_actions()).sum();
 
     let mut next = vec![0usize; tasks.len()];
@@ -377,6 +384,15 @@ mod tests {
                 got: 3
             }
         );
+    }
+
+    #[test]
+    fn starving_patterns_rejected() {
+        let (a, b) = (task(1, 300), task(1, 300));
+        let starved = |task| Err(BuildError::StarvedTask { task });
+        assert_eq!(interleave(&[&a, &b], &[0]).map(|_| ()), starved(1));
+        assert_eq!(interleave(&[&a, &b], &[2, 7]).map(|_| ()), starved(0));
+        assert!(interleave(&[&a, &b], &[1, 9, 0]).is_ok());
     }
 
     #[test]

@@ -20,13 +20,12 @@
 //! over a shared [`TableArena`]: a lower-bound block and an upper-bound
 //! block, each with one row of `|Q|·|ρ|` cells per state.
 
-use crate::arena::{row_major, TableArena};
+use crate::arena::TableArena;
 use crate::error::BuildError;
 use crate::quality::{Quality, QualitySet};
 use crate::regions::QualityRegionTable;
 use crate::system::ParameterizedSystem;
 use crate::time::Time;
-use std::collections::VecDeque;
 
 /// The menu `ρ` of relaxation step counts the compiler pre-computes.
 ///
@@ -96,26 +95,29 @@ pub struct RelaxationTable {
 impl RelaxationTable {
     /// Build from a quality-region table compiled for `sys`.
     ///
-    /// **Kernel.** The cells are produced row-major, in final layout
-    /// order: the whole lower-bound block, then the whole upper-bound
-    /// block, each one row of `(q, ri)` cells per state.
+    /// **Kernel.** The arena holds the lower-bound block, then the
+    /// upper-bound block, each one row of `(q, ri)` cells per state.
     ///
-    /// * A lower cell is read straight off the region rows:
+    /// * A lower cell is read straight off the region rows, row-major:
     ///   `tD(s_{i+r−1}, q+1)`, or `−∞` at `qmax`.
     /// * An upper cell is `tD,r(s_i, q) = Wq(i) + min_{i ≤ j ≤ i+r−1} u(j)`
     ///   with `u(j) = tD(s_j, q) − Wq(j)` and `Wq` the worst-case prefix
-    ///   sum. One monotone sliding-minimum deque per `(q, r)` advances by
-    ///   one state as its cell is emitted, so each cell costs O(1)
-    ///   amortised and the compile is O(n·|Q|·|ρ|).
+    ///   sum. Each `(q, r)` column is one sweep (van Herk 1992; Gil &
+    ///   Werman 1993): cut the states into blocks of `r`; a window starting
+    ///   at `i` then spans the suffix of `i`'s block and a prefix of the
+    ///   next, so its minimum is the block-suffix minimum at `i` (one
+    ///   backward pass) against the running minimum of the next block (one
+    ///   forward pass, which writes the cells). Each cell costs O(1) with
+    ///   no data-dependent branch, so the compile is O(n·|Q|·|ρ|).
     /// * When the window overruns the cycle (`i + r > n`) the interval is
     ///   the empty `(+∞, −∞)`.
     ///
-    /// **Allocation contract.** The cells are collected from an
-    /// exact-length iterator straight into the table's arena: one
-    /// allocation at its final size, each cell written once. The only
-    /// other memory is one deque per column, at most
-    /// `|Q| · Σ_{r ∈ ρ, r ≤ n} r` entries in all: 17 KiB beside the
-    /// 780 KiB table at paper scale.
+    /// **Allocation contract.** The arena is one allocation at its final
+    /// size, a `−∞` fill that the kernel overwrites in place before it is
+    /// shared ([`TableArena`]): the lower block row by row, the upper block
+    /// one strided column at a time. The only other memory is two integer
+    /// rows of about `n` cells (`u` and the block-suffix minima), reused by
+    /// every column: 19 KiB beside the 780 KiB table at paper scale.
     ///
     /// # Panics
     ///
@@ -130,21 +132,70 @@ impl RelaxationTable {
         let qualities = sys.qualities();
         assert_eq!(regions.n_states(), n, "region table shape mismatch");
         assert_eq!(regions.qualities(), qualities, "quality set mismatch");
-        let td = regions.raw();
+        let (td, nq, steps) = (regions.raw(), qualities.len(), rho.steps());
         // Column `q · |ρ| + ri` of every row is the `(q, ρ[ri])` column.
-        let mut cols: Vec<Column> = qualities
-            .iter()
-            .flat_map(|q| rho.steps().iter().map(move |&r| Column::new(sys, q, r)))
-            .collect();
-        // Rows `0..n` are the lower block, rows `n..2n` the upper block.
-        let cells = row_major(2 * n, cols.len(), |row, c| {
-            if row < n {
-                cols[c].lower(row, td)
-            } else {
-                cols[c].upper(row - n, td)
+        let width = nq * steps.len();
+        let block = n * width;
+        let arena = TableArena::filled(2 * block, Time::NEG_INF, |cells| {
+            let (lower, upper) = cells.split_at_mut(block);
+            // `qmax`'s lower cells keep the `−∞` fill.
+            for (i, row) in lower.chunks_exact_mut(width).enumerate() {
+                for (q, cells) in row.chunks_exact_mut(steps.len()).enumerate() {
+                    for (cell, &r) in cells.iter_mut().zip(steps) {
+                        if r > n - i {
+                            *cell = Time::INF;
+                        } else if q + 1 < nq {
+                            *cell = td[(i + r - 1) * nq + q + 1];
+                        }
+                    }
+                }
+            }
+            // `u[n] = +∞` lets the forward pass read one state past the
+            // last window without a bounds case.
+            let (mut u, mut suf) = (vec![i64::MAX; n + 1], vec![0; n]);
+            for q in qualities.iter() {
+                let wc = sys.prefix().wc_row(q);
+                for (j, uj) in u[..n].iter_mut().enumerate() {
+                    *uj = (td[j * nq + q.index()] - Time::from_ns(wc[j])).as_ns();
+                }
+                for (ri, &r) in steps.iter().enumerate().take_while(|&(_, &r)| r <= n) {
+                    let c = q.index() * steps.len() + ri;
+                    // A one-state window's minimum is `u(i)` itself.
+                    if r == 1 {
+                        let cells = upper.chunks_exact_mut(width).zip(u.iter().zip(wc));
+                        for (row, (&x, &w)) in cells {
+                            row[c] = Time::from_ns(x) + Time::from_ns(w);
+                        }
+                        continue;
+                    }
+                    for (suf, u) in suf.chunks_mut(r).zip(u[..n].chunks(r)) {
+                        let mut m = i64::MAX;
+                        for (s, &x) in suf.iter_mut().zip(u).rev() {
+                            m = m.min(x);
+                            *s = m;
+                        }
+                    }
+                    // Rows `i ≤ n − r`; the overrunning rest keep the fill.
+                    // `m` runs over the next block, one state behind the
+                    // window's end.
+                    let windows = n - r + 1;
+                    let blocks = upper[..windows * width]
+                        .chunks_mut(r * width)
+                        .zip(suf[..windows].chunks(r))
+                        .zip(u[r..].chunks(r))
+                        .zip(wc[..windows].chunks(r));
+                    for (((rows, suf), next), wc) in blocks {
+                        let mut m = i64::MAX;
+                        let cells = rows.chunks_exact_mut(width).zip(suf).zip(next).zip(wc);
+                        for (((row, &s), &x), &w) in cells {
+                            row[c] = Time::from_ns(s.min(m)) + Time::from_ns(w);
+                            m = m.min(x);
+                        }
+                    }
+                }
             }
         });
-        RelaxationTable::from_arena(n, qualities, rho, cells.collect())
+        RelaxationTable::from_arena(n, qualities, rho, arena)
     }
 
     /// Wrap an arena holding the lower block followed by the upper block.
@@ -438,83 +489,6 @@ impl RelaxationTable {
             let cells = lower.into_iter().chain(upper).collect();
             RelaxationTable::from_arena(n_states, qualities, rho, cells)
         })
-    }
-}
-
-/// The `(q, r)` column of the relaxation rows: both bounds of `Rrq` at
-/// consecutive states `i`, read off the region cells `td` (row-major,
-/// `|Q|` per state).
-///
-/// The upper bound keeps the sliding minimum of `u(j) = tD(s_j, q) − Wq(j)`
-/// over the window `[i, i + r − 1]` as a monotone deque of `(j, u(j))`,
-/// values strictly increasing from the front, so the front is the
-/// window's minimum; at most `r` entries are ever held.
-struct Column<'a> {
-    n: usize,
-    nq: usize,
-    q: usize,
-    r: usize,
-    /// `Wq(x)`, the worst-case prefix sums of `q`, `x ∈ 0..=n`.
-    wc: &'a [i64],
-    /// The next `j` to enter the window.
-    next: usize,
-    mins: VecDeque<(usize, Time)>,
-}
-
-impl<'a> Column<'a> {
-    fn new(sys: &'a ParameterizedSystem, q: Quality, r: usize) -> Column<'a> {
-        let n = sys.n_actions();
-        Column {
-            n,
-            nq: sys.qualities().len(),
-            q: q.index(),
-            r,
-            wc: sys.prefix().wc_row(q),
-            next: 0,
-            mins: VecDeque::with_capacity(if r <= n { r } else { 0 }),
-        }
-    }
-
-    /// `r` actions from state `i` run past the last one.
-    #[inline]
-    fn overruns(&self, i: usize) -> bool {
-        self.r > self.n - i
-    }
-
-    /// The lower bound at state `i`: `tD(s_{i+r−1}, q+1)`, `−∞` at `qmax`,
-    /// `+∞` when the window overruns.
-    #[inline]
-    fn lower(&self, i: usize, td: &[Time]) -> Time {
-        if self.overruns(i) {
-            Time::INF
-        } else if self.q + 1 == self.nq {
-            Time::NEG_INF
-        } else {
-            td[(i + self.r - 1) * self.nq + self.q + 1]
-        }
-    }
-
-    /// The upper bound `tD,r(s_i, q) = Wq(i) + min_{i ≤ j ≤ i+r−1} u(j)`,
-    /// `−∞` when the window overruns. The deque only slides forward: the
-    /// non-overrunning states must be asked for in turn, from 0.
-    #[inline]
-    fn upper(&mut self, i: usize, td: &[Time]) -> Time {
-        if self.overruns(i) {
-            return Time::NEG_INF;
-        }
-        if self.mins.front().is_some_and(|&(j, _)| j < i) {
-            self.mins.pop_front();
-        }
-        while self.next < i + self.r {
-            let j = self.next;
-            let uj = td[j * self.nq + self.q] - Time::from_ns(self.wc[j]);
-            while self.mins.back().is_some_and(|&(_, u)| u >= uj) {
-                self.mins.pop_back();
-            }
-            self.mins.push_back((j, uj));
-            self.next += 1;
-        }
-        self.mins.front().expect("window non-empty").1 + Time::from_ns(self.wc[i])
     }
 }
 

@@ -172,3 +172,31 @@ fn relaxation_reduces_calls_at_paper_scale() {
         "relaxation should skip a third of calls or more: {calls}/{actions}"
     );
 }
+
+/// §4.2's shape claims on `table_overhead`'s configuration (29 frames of
+/// the paper encoder, seed 2024, jitter 0.12, execution seed 7). The paper
+/// reports overheads of 5.7 % (numeric), 1.9 % (quality regions) and
+/// < 1.1 % (control relaxation): numeric/regions = 3.0× and
+/// regions/relaxation > 1.7×. This reproduction reads 5.99 %, 1.88 % and
+/// 1.18 %: numeric/regions is 3.18×, but relaxation misses < 1.1 % and
+/// regions/relaxation is 1.60×, short of > 1.7×. The run is virtual-time
+/// and deterministic, so the tolerance (±0.02 on each figure) only absorbs
+/// float rounding: a change to the calibrated overheads or to the
+/// managers' decisions shows here, and closing the gap means updating the
+/// pins.
+#[test]
+fn section_4_2_overhead_ratios_are_pinned() {
+    let experiment = sqm_bench::PaperExperiment::new(2024);
+    let results = sqm_bench::run_paper_experiment(&experiment, 29, 0.12, 7);
+    let [numeric, regions, relaxation] = [0, 1, 2].map(|i| results[i].overhead_percent());
+    for (figure, got, pinned) in [
+        ("numeric/regions", numeric / regions, 3.18),
+        ("regions/relaxation", regions / relaxation, 1.60),
+        ("relaxation overhead %", relaxation, 1.18),
+    ] {
+        assert!(
+            (got - pinned).abs() <= 0.02,
+            "{figure} = {got:.3}, pinned {pinned}"
+        );
+    }
+}

@@ -18,6 +18,7 @@ use speed_qm::core::compiler::{compile_regions, compile_relaxation};
 use speed_qm::core::prelude::*;
 use speed_qm::core::speed::SpeedDiagram;
 use speed_qm::core::trace::Trace;
+use speed_qm::mpeg::{EncoderConfig, MpegEncoder};
 use sqm_bench::fuzz::{rederive_decisions, unclocked};
 
 proptest! {
@@ -150,10 +151,9 @@ proptest! {
     }
 
     /// The relaxation compile against Proposition 3 computed by brute
-    /// force, cell by cell: the upper bound is the window minimum of
-    /// `tD(s_j, q) − Cwc(a_i..a_j, q)`, the lower bound `tD(s_{i+r−1}, q+1)`
-    /// (`−∞` at `qmax`), and an overrunning window is the empty
-    /// `(+∞, −∞)`. Step menus range from `ρ = {1}` to steps beyond `n`.
+    /// force, cell by cell (`proposition_3_cell`). Step menus range from
+    /// `ρ = {1}` to steps beyond `n`, and always hold `n` (one window, from
+    /// state 0) and `n + 1` (none).
     #[test]
     fn relaxation_cells_match_proposition_3(
         arb in arb_system_up_to(40, 6),
@@ -161,9 +161,8 @@ proptest! {
     ) {
         let sys = &arb.system;
         let n = sys.n_actions();
-        let qmax = sys.qualities().max();
         let mut menu = extra;
-        menu.push(1);
+        menu.extend([1, n, n + 1]);
         menu.sort_unstable();
         menu.dedup();
         let regions = compile_regions(sys);
@@ -171,21 +170,8 @@ proptest! {
         for state in 0..n {
             for q in sys.qualities().iter() {
                 for (ri, &r) in menu.iter().enumerate() {
-                    let expect = if state + r > n {
-                        (Time::INF, Time::NEG_INF)
-                    } else {
-                        let lower = if q == qmax {
-                            Time::NEG_INF
-                        } else {
-                            regions.t_d(state + r - 1, q.up())
-                        };
-                        let upper = (state..state + r)
-                            .map(|j| regions.t_d(j, q) - sys.prefix().wc_range(state, j, q))
-                            .fold(Time::INF, Time::min);
-                        (lower, upper)
-                    };
                     prop_assert_eq!(
-                        relax.bounds(state, q, ri), expect,
+                        relax.bounds(state, q, ri), proposition_3_cell(sys, &regions, state, q, r),
                         "state {} {} r {} (n {}, rho {:?})", state, q, r, n, menu
                     );
                 }
@@ -232,6 +218,62 @@ proptest! {
                 prop_assert!(violated, "upper bound too conservative at state {}", state);
             }
         }
+    }
+}
+
+/// Proposition 3's `(lower, upper]` interval at `(state, q)` for `r`
+/// steps, by brute force: the upper bound is the window minimum of
+/// `tD(s_j, q) − Cwc(a_i..a_j, q)`, the lower bound `tD(s_{i+r−1}, q+1)`
+/// (`−∞` at `qmax`), and an overrunning window is the empty `(+∞, −∞)`.
+fn proposition_3_cell(
+    sys: &ParameterizedSystem,
+    regions: &QualityRegionTable,
+    state: usize,
+    q: Quality,
+    r: usize,
+) -> (Time, Time) {
+    if state + r > sys.n_actions() {
+        return (Time::INF, Time::NEG_INF);
+    }
+    let lower = if q == sys.qualities().max() {
+        Time::NEG_INF
+    } else {
+        regions.t_d(state + r - 1, q.up())
+    };
+    let upper = (state..state + r)
+        .map(|j| regions.t_d(j, q) - sys.prefix().wc_range(state, j, q))
+        .fold(Time::INF, Time::min);
+    (lower, upper)
+}
+
+/// The cell check of `relaxation_cells_match_proposition_3` on the
+/// paper's 1,189-action MPEG encoder, for step menus whose blocks do not
+/// divide `n` and that hold steps beyond `n`.
+#[test]
+fn relaxation_cells_match_proposition_3_at_paper_scale() {
+    let encoder = MpegEncoder::new(EncoderConfig::paper(2024)).unwrap();
+    let sys = encoder.system();
+    let n = sys.n_actions();
+    assert_eq!(n, 1189);
+    let regions = compile_regions(sys);
+    for menu in [
+        StepSet::paper_mpeg(),
+        StepSet::new(vec![1, 2, 3, 5, 8, 1000]).unwrap(),
+        StepSet::new(vec![1, 4, 5000]).unwrap(),
+    ] {
+        let relax = compile_relaxation(sys, &regions, menu.clone());
+        for state in 0..n {
+            for q in sys.qualities().iter() {
+                for (ri, &r) in menu.steps().iter().enumerate() {
+                    assert_eq!(
+                        relax.bounds(state, q, ri),
+                        proposition_3_cell(sys, &regions, state, q, r),
+                        "state {state} {q} r {r} (rho {menu:?})"
+                    );
+                }
+            }
+        }
+        assert!(relax.nested_over_rho());
     }
 }
 
