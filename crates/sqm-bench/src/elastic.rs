@@ -22,8 +22,9 @@
 //! * under [`Admission::Unbounded`] the per-stream results of
 //!   `elastic(1)` equal the [`serial_fold`] of the same population — each
 //!   stream alone through [`StreamingRunner`] + `Block`, `max_backlog`
-//!   included (the scheduler's shadow account re-derives it at admission
-//!   granularity, see `sqm_core::elastic`'s module docs).
+//!   included (the scheduler derives each frame's depth from its stream's
+//!   arrival and completion sequences, see `sqm_core::elastic`'s module
+//!   docs).
 
 use sqm_core::compiler::compile_regions;
 use sqm_core::controller::{ExecutionTimeSource, OverheadModel};
@@ -337,10 +338,12 @@ mod tests {
         );
     }
 
-    /// `sqm_core::elastic` checks that its scheduler records fit in a
-    /// `(PatternSource, driver)` population buffer using a 56-byte stand-in
-    /// driver; the driver the elastic bench and the benchmark run must be
-    /// no smaller, or that check would no longer cover them.
+    /// `sqm_core::elastic` checks its per-stream byte budgets, and that its
+    /// scheduler records fit in a `(PatternSource, driver)` population
+    /// buffer, with a 56-byte driver of this one's shape (an engine over
+    /// the lookup manager and a 16-byte execution-time source); the driver
+    /// the elastic bench and the benchmark run must be no smaller, or that
+    /// check would no longer cover them.
     #[test]
     fn micro_driver_is_no_smaller_than_the_core_stand_in() {
         assert!(std::mem::size_of::<MicroDriver<'_>>() >= 56);

@@ -44,8 +44,8 @@
 //!    shorten another request's decode.
 //! 7. **Admission** — the elastic scheduler under adversarial
 //!    all-at-once arrival traces with `global_capacity` swept over
-//!    `{0, 1, exact-fit, huge}`: the [`ShedLedger`](sqm_core::elastic::ShedLedger)
-//!    books must balance at every capacity, the aggregate backlog must
+//!    `{0, 1, exact-fit, huge}`: the [`ShedLedger`] books must
+//!    balance at every capacity, the aggregate backlog must
 //!    respect the bound, capacities at or above the unbounded run's peak
 //!    backlog must shed nothing and reproduce the unbounded results
 //!    byte-for-byte, and a *prompt* stream (one that is always idle at
@@ -89,7 +89,9 @@ use sqm_core::control::{
     PayoffSpec, SafeSet, PAYOFF_DIMS,
 };
 use sqm_core::controller::{ConstantExec, ExecutionTimeSource, OverheadModel};
-use sqm_core::elastic::{Admission, ElasticConfig, ElasticRunner, EngineDriver};
+use sqm_core::elastic::{
+    Admission, ElasticConfig, ElasticRunner, ElasticSummary, EngineDriver, ShedLedger,
+};
 use sqm_core::engine::{CycleChaining, Engine, NullSink, TraceSink};
 use sqm_core::manager::{LookupManager, QualityManager, RelaxedManager, SmoothedManager};
 use sqm_core::multi::{interleave, Interleaved, TaskSplitter, TaskSummary};
@@ -97,7 +99,7 @@ use sqm_core::quality::Quality;
 use sqm_core::regions::QualityRegionTable;
 use sqm_core::relaxation::{RelaxationTable, StepSet};
 use sqm_core::source::{Bursty, Jittered, PatternSource, Periodic, TraceReplay};
-use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
+use sqm_core::stream::{OverloadPolicy, StreamConfig, StreamStats, StreamingRunner};
 use sqm_core::system::{ParameterizedSystem, SystemBuilder};
 use sqm_core::time::Time;
 use sqm_core::timing::TimeTable;
@@ -546,7 +548,7 @@ impl FuzzCase {
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// Which oracle part failed: `identity`, `safety`, `accounting`,
-    /// `monotonicity`, `artifact`, `control`, `smoothing` or
+    /// `monotonicity`, `artifact`, `admission`, `control`, `smoothing` or
     /// `multi-task`.
     pub oracle: &'static str,
     /// Human-readable mismatch description.
@@ -560,7 +562,7 @@ impl Violation {
 }
 
 macro_rules! oracle_eq {
-    ($oracle:literal, $left:expr, $right:expr, $what:expr) => {
+    ($oracle:expr, $left:expr, $right:expr, $what:expr) => {
         if $left != $right {
             return Err(Violation::new(
                 $oracle,
@@ -571,7 +573,7 @@ macro_rules! oracle_eq {
 }
 
 macro_rules! oracle {
-    ($oracle:literal, $cond:expr, $($detail:tt)*) => {
+    ($oracle:expr, $cond:expr, $($detail:tt)*) => {
         if !$cond {
             return Err(Violation::new($oracle, format!($($detail)*)));
         }
@@ -908,31 +910,13 @@ pub fn run_case(case: &FuzzCase) -> Result<usize, Violation> {
             });
         let (out, _) = ElasticRunner::new(2, config).run(streams);
         paths += 1;
-        let ledger = *out.ledger();
-        oracle_eq!(
+        balance(
             "accounting",
-            ledger.arrived,
+            "elastic",
+            out.ledger(),
+            out.stats(),
             4 * scenario.cycles,
-            "elastic arrivals != frames emitted"
-        );
-        oracle_eq!(
-            "accounting",
-            ledger.admitted + ledger.shed,
-            ledger.arrived,
-            "shed ledger doesn't balance"
-        );
-        oracle_eq!(
-            "accounting",
-            out.stats().processed,
-            ledger.admitted,
-            "merged stats disagree with ledger (processed)"
-        );
-        oracle_eq!(
-            "accounting",
-            out.stats().dropped,
-            ledger.shed,
-            "merged stats disagree with ledger (shed)"
-        );
+        )?;
     }
 
     // ── Oracle 4: monotonicity under relaxation ─────────────────────
@@ -1107,127 +1091,44 @@ fn check_multi_task<S: TaskAttribution>(
 }
 
 /// Admission axis: the elastic shed ledger under adversarial arrival
-/// traces (every frame of every overloaded stream at `t = 0`) with
-/// `global_capacity` swept over `{0, 1, exact-fit, huge}`. *Exact-fit*
+/// traces ([`admission_fleet`]) with `global_capacity` swept over `{0, 1,
+/// exact-fit, huge}`, each run judged by [`judge_admission`]. *Exact-fit*
 /// is the unbounded run's own peak backlog — by construction no counted
 /// frame ever arrives at a backlog at or above it, so that capacity
 /// must shed nothing and reproduce the unbounded results byte-for-byte.
-/// The last stream is *prompt* (arrivals spaced 16 periods apart on an
-/// honest platform, so it is always idle when a frame lands): admission
-/// pressure from the rest of the fleet must never shed it.
 fn check_admission(
     case: &FuzzCase,
     sys: &ParameterizedSystem,
     regions: &QualityRegionTable,
 ) -> Result<usize, Violation> {
-    let scenario = &case.scenario;
-    let period = sys.final_deadline();
-    let cycles = scenario.cycles;
-    const OVERLOADED: u64 = 3;
-
-    let streams = || {
-        let mut v: Vec<(
-            TraceReplay,
-            EngineDriver<'_, LookupManager<'_>, AnyExec<'_>, NullSink>,
-        )> = (0..OVERLOADED)
-            .map(|i| {
-                (
-                    TraceReplay::new(vec![Time::ZERO; cycles]),
-                    EngineDriver::new(
-                        Engine::new(sys, LookupManager::new(regions), OVERHEAD),
-                        scenario.fault.with_seed_offset(i).exec(sys.table()),
-                        NullSink,
-                    ),
-                )
-            })
-            .collect();
-        let spaced = (0..cycles)
-            .map(|c| Time::from_ns(c as i64 * 16 * period.as_ns().max(1)))
-            .collect();
-        v.push((
-            TraceReplay::new(spaced),
-            EngineDriver::new(
-                Engine::new(sys, LookupManager::new(regions), OVERHEAD),
-                FaultKind::Honest.exec(sys.table()),
-                NullSink,
-            ),
-        ));
-        v
-    };
-    let run = |admission: Admission| {
-        let config = ElasticConfig::live()
-            .with_chaining(CycleChaining::ArrivalClamped)
-            .with_ring_capacity(4)
-            .with_admission(admission);
-        ElasticRunner::new(2, config).run(streams()).0
-    };
-
-    let total = (OVERLOADED as usize + 1) * cycles;
-    let unbounded = run(Admission::Unbounded);
+    let unbounded = admission_fleet(case, sys, regions, Admission::Unbounded);
     let mut paths = 1usize;
     oracle_eq!(
-        "accounting",
+        "admission",
         unbounded.ledger().shed,
         0,
         "unbounded admission shed frames"
     );
     let exact_fit = unbounded.ledger().peak_backlog;
     for capacity in [0usize, 1, exact_fit, usize::MAX / 2] {
-        let out = run(Admission::DropNewest {
-            global_capacity: capacity,
-        });
+        let out = admission_fleet(
+            case,
+            sys,
+            regions,
+            Admission::DropNewest {
+                global_capacity: capacity,
+            },
+        );
         paths += 1;
-        let ledger = *out.ledger();
-        oracle_eq!(
-            "accounting",
-            ledger.arrived,
-            total,
-            format!("capacity {capacity}: arrivals != frames emitted")
-        );
-        oracle_eq!(
-            "accounting",
-            ledger.admitted + ledger.shed,
-            ledger.arrived,
-            format!("capacity {capacity}: shed ledger doesn't balance")
-        );
-        oracle_eq!(
-            "accounting",
-            out.stats().processed,
-            ledger.admitted,
-            format!("capacity {capacity}: merged stats disagree with ledger (processed)")
-        );
-        oracle_eq!(
-            "accounting",
-            out.stats().dropped,
-            ledger.shed,
-            format!("capacity {capacity}: merged stats disagree with ledger (shed)")
-        );
-        oracle!(
-            "accounting",
-            ledger.peak_backlog <= capacity.max(exact_fit),
-            "capacity {capacity}: aggregate backlog {} exceeds the bound",
-            ledger.peak_backlog
-        );
-        let prompt = out.stream(OVERLOADED as usize);
-        oracle_eq!(
-            "accounting",
-            prompt.stats.dropped,
-            0,
-            format!("capacity {capacity}: prompt stream was shed")
-        );
-        oracle_eq!(
-            "accounting",
-            prompt.stats.processed,
-            cycles,
-            format!("capacity {capacity}: prompt stream lost frames")
-        );
+        judge_admission(
+            case,
+            capacity,
+            exact_fit,
+            out.ledger(),
+            out.stats(),
+            &out.stream(ADMISSION_OVERLOADED).stats,
+        )?;
         if capacity >= exact_fit {
-            oracle_eq!(
-                "accounting",
-                ledger.shed,
-                0,
-                format!("capacity {capacity} >= exact-fit {exact_fit} must shed nothing")
-            );
             oracle_eq!(
                 "identity",
                 out.per_stream().to_vec(),
@@ -1235,16 +1136,150 @@ fn check_admission(
                 format!("capacity {capacity} >= exact-fit diverges from unbounded")
             );
         }
-        if capacity == 0 {
-            oracle_eq!(
-                "accounting",
-                ledger.peak_backlog,
-                0,
-                "capacity 0 must keep the aggregate backlog empty"
-            );
-        }
     }
     Ok(paths)
+}
+
+/// Overloaded streams in [`admission_fleet`], ahead of the prompt one.
+const ADMISSION_OVERLOADED: usize = 3;
+
+/// The admission axis's fleet under `admission`: [`ADMISSION_OVERLOADED`]
+/// streams that deliver every frame at `t = 0` under the scenario's
+/// fault, then one *prompt* stream (arrivals spaced 16 periods apart on
+/// an honest platform, so it is always idle when a frame lands).
+fn admission_fleet(
+    case: &FuzzCase,
+    sys: &ParameterizedSystem,
+    regions: &QualityRegionTable,
+    admission: Admission,
+) -> ElasticSummary {
+    let scenario = &case.scenario;
+    let period = sys.final_deadline();
+    let cycles = scenario.cycles;
+    let driver = |exec| {
+        EngineDriver::new(
+            Engine::new(sys, LookupManager::new(regions), OVERHEAD),
+            exec,
+            NullSink,
+        )
+    };
+    let mut streams: Vec<_> = (0..ADMISSION_OVERLOADED as u64)
+        .map(|i| {
+            (
+                TraceReplay::new(vec![Time::ZERO; cycles]),
+                driver(scenario.fault.with_seed_offset(i).exec(sys.table())),
+            )
+        })
+        .collect();
+    let spaced = (0..cycles)
+        .map(|c| Time::from_ns(c as i64 * 16 * period.as_ns().max(1)))
+        .collect();
+    streams.push((
+        TraceReplay::new(spaced),
+        driver(FaultKind::Honest.exec(sys.table())),
+    ));
+    let config = ElasticConfig::live()
+        .with_chaining(CycleChaining::ArrivalClamped)
+        .with_ring_capacity(4)
+        .with_admission(admission);
+    ElasticRunner::new(2, config).run(streams).0
+}
+
+/// The admission part's verdict on one [`admission_fleet`] run at
+/// `global_capacity = capacity`, given its shed ledger, merged stats and
+/// the prompt stream's stats: the books balance as in part 3, the
+/// aggregate backlog respects the bound, the prompt stream is never shed
+/// and runs every frame, a capacity at or above `exact_fit` sheds
+/// nothing, and capacity 0 keeps the aggregate backlog empty.
+fn judge_admission(
+    case: &FuzzCase,
+    capacity: usize,
+    exact_fit: usize,
+    ledger: &ShedLedger,
+    stats: &StreamStats,
+    prompt: &StreamStats,
+) -> Result<(), Violation> {
+    let cycles = case.scenario.cycles;
+    balance(
+        "admission",
+        &format!("capacity {capacity}"),
+        ledger,
+        stats,
+        (ADMISSION_OVERLOADED + 1) * cycles,
+    )?;
+    oracle!(
+        "admission",
+        ledger.peak_backlog <= capacity.max(exact_fit),
+        "capacity {capacity}: aggregate backlog {} exceeds the bound",
+        ledger.peak_backlog
+    );
+    oracle_eq!(
+        "admission",
+        prompt.dropped,
+        0,
+        format!("capacity {capacity}: prompt stream was shed")
+    );
+    oracle_eq!(
+        "admission",
+        prompt.processed,
+        cycles,
+        format!("capacity {capacity}: prompt stream lost frames")
+    );
+    if capacity >= exact_fit {
+        oracle_eq!(
+            "admission",
+            ledger.shed,
+            0,
+            format!("capacity {capacity} >= exact-fit {exact_fit} must shed nothing")
+        );
+    }
+    if capacity == 0 {
+        oracle_eq!(
+            "admission",
+            ledger.peak_backlog,
+            0,
+            "capacity 0 must keep the aggregate backlog empty"
+        );
+    }
+    Ok(())
+}
+
+/// An elastic run's books, as the accounting and admission parts check
+/// them: the sources emitted `arrivals` frames, every one of them admitted
+/// or shed, and the merged stats tell the ledger's story. A violation
+/// names `part` and starts its detail with `what`.
+fn balance(
+    part: &'static str,
+    what: &str,
+    ledger: &ShedLedger,
+    stats: &StreamStats,
+    arrivals: usize,
+) -> Result<(), Violation> {
+    oracle_eq!(
+        part,
+        ledger.arrived,
+        arrivals,
+        format!("{what}: arrivals != frames emitted")
+    );
+    oracle_eq!(
+        part,
+        ledger.admitted + ledger.shed,
+        ledger.arrived,
+        format!("{what}: shed ledger doesn't balance")
+    );
+    oracle_eq!(
+        part,
+        stats.processed,
+        ledger.admitted,
+        format!("{what}: merged stats disagree with ledger (processed)")
+    );
+    oracle_eq!(
+        part,
+        stats.dropped,
+        ledger.shed,
+        format!("{what}: merged stats disagree with ledger (shed)")
+    );
+    Ok(())
 }
 
 /// Control axis: the approachability layer over the generated system.
@@ -1806,6 +1841,82 @@ mod tests {
         case.scenario.fault = FaultKind::WorstCase;
         case.scenario.cycles = 6;
         assert!(run_case(&case).is_ok(), "{:?}", run_case(&case).err());
+    }
+
+    /// The crafted overload's admission fleet at `global_capacity = 1`,
+    /// which sheds: its case, ledger, merged stats and prompt stream's
+    /// stats, and the exact-fit capacity of its unbounded run.
+    fn shedding_fleet() -> (FuzzCase, ShedLedger, StreamStats, StreamStats, usize) {
+        let mut case = FuzzCase::generate(3);
+        case.scenario.fault = FaultKind::WorstCase;
+        case.scenario.cycles = 6;
+        let sys = case.spec.build();
+        let regions = compile_regions(&sys);
+        let run = |admission| admission_fleet(&case, &sys, &regions, admission);
+        let exact_fit = run(Admission::Unbounded).ledger().peak_backlog;
+        let out = run(Admission::DropNewest { global_capacity: 1 });
+        let prompt = out.stream(ADMISSION_OVERLOADED).stats;
+        assert!(out.ledger().shed > 0, "the fleet sheds: {:?}", out.ledger());
+        (case, *out.ledger(), *out.stats(), prompt, exact_fit)
+    }
+
+    /// Ways to break an elastic run's books, each a single edit.
+    type Tamper = fn(&mut ShedLedger, &mut StreamStats, &mut StreamStats);
+
+    /// Book-keeping defects both parts that read the books must catch.
+    const BOOK_TAMPERS: [(&str, Tamper); 4] = [
+        ("an arrival too many", |ledger, _, _| ledger.arrived += 1),
+        ("a shed the ledger did not book", |ledger, _, _| {
+            ledger.shed -= 1
+        }),
+        ("a frame processed but never admitted", |_, stats, _| {
+            stats.processed += 1
+        }),
+        ("a shed the stats did not book", |_, stats, _| {
+            stats.dropped -= 1
+        }),
+    ];
+
+    /// The accounting part (3) catches each tampering of a real shedding
+    /// run's ledger or merged stats, and passes the untampered books.
+    #[test]
+    fn accounting_part_rejects_tampered_books() {
+        let (case, ledger, stats, _, _) = shedding_fleet();
+        let arrivals = (ADMISSION_OVERLOADED + 1) * case.scenario.cycles;
+        assert!(balance("accounting", "elastic", &ledger, &stats, arrivals).is_ok());
+        for (what, tamper) in BOOK_TAMPERS {
+            let (mut ledger, mut stats, mut prompt) = (ledger, stats, StreamStats::default());
+            tamper(&mut ledger, &mut stats, &mut prompt);
+            let err = balance("accounting", "elastic", &ledger, &stats, arrivals).expect_err(what);
+            assert_eq!(err.oracle, "accounting", "{what}: {}", err.detail);
+        }
+    }
+
+    /// The admission part (7) catches each tampering of a real shedding
+    /// run — its books, its backlog bound, its prompt stream — and passes
+    /// the untampered run.
+    #[test]
+    fn admission_part_rejects_tampered_runs() {
+        let (case, ledger, stats, prompt, exact_fit) = shedding_fleet();
+        let judge = |ledger: &ShedLedger, stats: &StreamStats, prompt: &StreamStats| {
+            judge_admission(&case, 1, exact_fit, ledger, stats, prompt)
+        };
+        assert!(judge(&ledger, &stats, &prompt).is_ok());
+        let admission_tampers: [(&str, Tamper); 3] = [
+            ("a backlog over the bound", |ledger, _, _| {
+                ledger.peak_backlog = usize::MAX
+            }),
+            ("a prompt stream shed", |_, _, prompt| prompt.dropped += 1),
+            ("a prompt stream's lost frame", |_, _, prompt| {
+                prompt.processed -= 1
+            }),
+        ];
+        for (what, tamper) in BOOK_TAMPERS.into_iter().chain(admission_tampers) {
+            let (mut ledger, mut stats, mut prompt) = (ledger, stats, prompt);
+            tamper(&mut ledger, &mut stats, &mut prompt);
+            let err = judge(&ledger, &stats, &prompt).expect_err(what);
+            assert_eq!(err.oracle, "admission", "{what}: {}", err.detail);
+        }
     }
 
     /// A manager that climbs one level above its inner choice.

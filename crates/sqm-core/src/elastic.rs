@@ -51,17 +51,19 @@
 //!
 //! ## Who owns what
 //!
-//! The serial loop touches only the per-stream state that admission and
-//! start times depend on: the source, the queue of admitted frames, an
-//! in-flight flag and the stream's clock (the completion time of its last
-//! executed frame), plus the arrived and shed counts it tallies as it
-//! judges frames. Everything else lives in the stream's worker-side slot
-//! and is computed by whichever worker runs the cycle: the driver, the
-//! engine and wait/latency aggregates ([`StreamCursor`]) and the backlog
-//! depth below. Workers hand each cycle's completion time back through a
-//! buffer indexed by ring position, which the loop reads between rounds
-//! to advance its clocks; the two halves meet again only when the run's
-//! summary is collected.
+//! The serial loop touches only the per-stream state that admission,
+//! start times and queue depths depend on: the source, the queue of
+//! admitted frames, an in-flight flag and the stream's clock (the
+//! completion time of its last executed frame), plus the arrived and shed
+//! counts it tallies as it judges frames and the completions a queue depth
+//! is judged against. Everything else lives in the stream's worker-side
+//! slot and is written by whichever worker runs the cycle: the driver
+//! (engine, execution-time source, sink) and one book of engine,
+//! backlog, wait and latency aggregates. Workers hand each cycle's
+//! completion time back through a buffer indexed by ring position, which
+//! the loop reads between rounds to advance its clocks; the two halves
+//! meet again only when the run's summary is collected, where the
+//! scheduler's counts and clock join each slot's book.
 //!
 //! The pass's memory plan keeps first-touch page faults off the serial
 //! path. Each per-stream record lives in one buffer, built and first
@@ -83,25 +85,27 @@
 //!   scheduler.
 //! * **Per-stream summaries** are folded in place into the scheduler
 //!   records' buffer, so the population's buffer is the one returned in
-//!   the [`ElasticSummary`]. The slot buffer is freed whole once the
-//!   drivers are moved out of it, so the allocator can hand it back to
-//!   the next run's slots without new faults.
+//!   the [`ElasticSummary`]. The **drivers** go back in place into the
+//!   slot buffer, which is the block the returned `Vec` owns: dropping it
+//!   frees that block whole, and the allocator can hand it back to the
+//!   next run's slots without new faults.
 //!
 //! Per-stream results under [`Admission::Unbounded`] are identical to
 //! running each stream through [`crate::stream::StreamingRunner`] with
 //! [`OverloadPolicy::Block`] — the per-stream recurrence (`start =
 //! max(now, arrival)` live, `start = now` work-conserving; `now = arrival
-//! + end`) is the same code, [`CycleChaining::start_at`] and
-//! [`StreamCursor`]. That identity covers the *full* struct,
-//! [`StreamStats::max_backlog`] included. The scheduler admits arrivals
-//! whenever the event loop reaches them, often rounds before the
-//! per-stream runner would have, so its own queue depths are not
-//! comparable. Instead the worker that runs a stream's `j`-th admitted
-//! frame derives the depth the per-stream runner observes when that frame
-//! arrives, `j − #{completions < arrival_j}`: frames run FIFO, one per
-//! stream per round, so exactly the stream's first `j` completions are
-//! known at that moment, and they sit in the slot the worker already
-//! holds. The depth is a pure function of the arrival and completion
+//! + end`) is the same code, [`CycleChaining::start_at`] and the book
+//! [`StreamCursor`] folds each cycle into. That identity covers the
+//! *full* struct, [`StreamStats::max_backlog`] included. The scheduler
+//! admits arrivals whenever the event loop reaches them, often rounds
+//! before the per-stream runner would have, so its own queue depths are
+//! not comparable. Instead, when the scheduler launches a stream's `j`-th
+//! admitted frame, it computes the depth the per-stream runner observes
+//! when that frame arrives, `j − #{completions < arrival_j}`, and passes it
+//! to the worker with the frame. Frames run FIFO, one per stream per
+//! round, and every round's completions are folded in before the next
+//! fill, so exactly the stream's first `j` completions are known at that
+//! moment. The depth is a pure function of the arrival and completion
 //! sequences, not of ring capacity, round boundaries or worker count.
 //! `tests/conformance.rs` pins the identity field-for-field.
 //!
@@ -119,12 +123,13 @@
 //! [`OverloadPolicy::Block`]: crate::stream::OverloadPolicy::Block
 //! [`PatternSource`]: crate::source::PatternSource
 //! [`StreamStats::max_backlog`]: crate::stream::StreamStats::max_backlog
+//! [`StreamCursor`]: crate::stream::StreamCursor
 
 use crate::controller::ExecutionTimeSource;
 use crate::engine::{CycleChaining, CycleSummary, Engine, RunSummary, TraceSink};
 use crate::manager::QualityManager;
 use crate::source::ArrivalSource;
-use crate::stream::{StreamCursor, StreamStats, StreamSummary};
+use crate::stream::{FrameBook, StreamStats, StreamSummary};
 use crate::time::Time;
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -628,27 +633,24 @@ impl ElasticSummary {
 #[derive(Clone, Copy, Debug)]
 struct Ready {
     stream: u32,
-    frame: usize,
+    frame: u32,
     arrival: Time,
     start: Time,
+    /// The queue depth the per-stream runner observes when this frame
+    /// arrives (see [`Completions`]).
+    depth: u32,
 }
 
 /// Worker-side per-stream state, behind a mutex so any worker can run the
 /// stream's next cycle. A stream has at most one ready cycle per round,
 /// so the locks never contend — they exist for thread-safety proof, not
-/// for queuing — and the serial loop never takes them.
+/// for queuing — and the serial loop never takes them. A slot holds only
+/// what workers write; the stream's clock and its frame counts are the
+/// scheduler's.
 struct Slot<D> {
     driver: D,
-    /// Clock, engine aggregates, wait/latency and backlog statistics.
-    cursor: StreamCursor,
-    /// Completion times of the stream's executed frames, oldest first,
-    /// less those already found to precede an executed frame's arrival.
-    /// When frame `j` runs, dropping the ones before its arrival leaves
-    /// `j − #{completions < arrival_j}` entries — the queue depth the
-    /// per-stream runner observes when frame `j` arrives. Arrivals and
-    /// completions are both non-decreasing, so a dropped completion would
-    /// be dropped for every later frame too.
-    completions: HeadQueue<Time>,
+    /// Engine aggregates, backlog high-water mark, wait and latency.
+    book: FrameBook,
 }
 
 impl<D> Slot<D> {
@@ -656,55 +658,8 @@ impl<D> Slot<D> {
     fn shared(driver: D) -> Mutex<Slot<D>> {
         Mutex::new(Slot {
             driver,
-            cursor: StreamCursor::new(),
-            completions: HeadQueue::new(),
+            book: FrameBook::default(),
         })
-    }
-}
-
-/// A FIFO queue that keeps its front element inline. Most streams never
-/// fall behind, so their queues hold at most one element: they never
-/// allocate, and reading the front stays within the owner's cache lines.
-#[derive(Debug)]
-struct HeadQueue<T> {
-    /// The front element; `None` only when the queue is empty.
-    head: Option<T>,
-    /// Every element behind the front.
-    rest: VecDeque<T>,
-}
-
-impl<T: Copy> HeadQueue<T> {
-    fn new() -> HeadQueue<T> {
-        HeadQueue {
-            head: None,
-            rest: VecDeque::new(),
-        }
-    }
-
-    #[inline]
-    fn front(&self) -> Option<T> {
-        self.head
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        usize::from(self.head.is_some()) + self.rest.len()
-    }
-
-    #[inline]
-    fn push_back(&mut self, x: T) {
-        if self.head.is_none() {
-            self.head = Some(x);
-        } else {
-            self.rest.push_back(x);
-        }
-    }
-
-    #[inline]
-    fn pop_front(&mut self) -> Option<T> {
-        let x = self.head.take()?;
-        self.head = self.rest.pop_front();
-        Some(x)
     }
 }
 
@@ -712,15 +667,9 @@ impl<T: Copy> HeadQueue<T> {
 /// executes. Returns the cycle's absolute completion time.
 #[inline]
 fn execute<D: CycleDriver>(r: &Ready, slot: &mut Slot<D>) -> Time {
-    while slot.completions.front().is_some_and(|c| c < r.arrival) {
-        slot.completions.pop_front();
-    }
-    slot.cursor.note_backlog(slot.completions.len());
-    let summary = slot.driver.run_cycle(r.frame, r.start - r.arrival);
-    slot.cursor.absorb(r.arrival, r.start, &summary);
-    let done = slot.cursor.now();
-    slot.completions.push_back(done);
-    done
+    slot.book.note_backlog(r.depth as usize);
+    let summary = slot.driver.run_cycle(r.frame as usize, r.start - r.arrival);
+    slot.book.absorb(r.arrival, r.start, &summary)
 }
 
 /// Scheduler-side per-stream state (never crosses a thread boundary).
@@ -728,15 +677,16 @@ fn execute<D: CycleDriver>(r: &Ready, slot: &mut Slot<D>) -> Time {
 /// [`ElasticRunner::run`] builds these records in the buffer of the
 /// population it is handed, which the standard library reuses in place
 /// when a record is no larger than a `(source, driver)` pair and equally
-/// aligned; the fields beyond the source are kept to 56 bytes so that it
-/// is, for drivers down to that size.
+/// aligned. The fields beyond the source take 53 bytes, 56 padded (the
+/// clock, two 32-bit counts, the frame queue's 24, the completions' 12 and
+/// the flag), so a record fits for drivers down to 56 bytes. The stream's
+/// arrival floor needs no field: it is the arrival just taken off the
+/// arrival queue.
 struct SchedStream<A> {
     source: A,
-    /// Monotonicity clamp for source timestamps (same contract as
-    /// `StreamingRunner`).
-    floor: Time,
-    /// Completion time of the stream's last executed frame — the
-    /// worker-side cursor's clock, as of the last finished round.
+    /// Completion time of the stream's last executed frame, as of the last
+    /// finished round. Execution times are non-negative, so a stream's
+    /// completions never go down and this is also its makespan.
     now: Time,
     /// Next frame index; shed frames consume theirs, so this is also the
     /// stream's arrived count. A stream that delivers more than
@@ -746,6 +696,8 @@ struct SchedStream<A> {
     shed: u32,
     /// Admitted frames not yet started.
     queue: FrameQueue,
+    /// Completions the stream's next frame is judged against.
+    completions: Completions,
     /// A cycle of this stream is in the current round's ring.
     in_flight: bool,
 }
@@ -755,16 +707,87 @@ struct SchedStream<A> {
 /// backlog at admission.
 type Admitted = (u32, Time, bool);
 
-/// No node: the end of a [`Backlogs`] list.
+/// No node: the end of a [`Lists`] list.
 const NIL: u32 = u32::MAX;
 
+/// A FIFO list threaded through a [`Lists`] pool: its first and last
+/// node, both `NIL` when empty.
+type List = [u32; 2];
+
+/// One pool of list nodes for every stream's list of one kind, with a
+/// free list. A stream whose list grows then costs no allocation once the
+/// pool has grown to the fleet's deepest total, and its record holds two
+/// indices (8 bytes) where a `VecDeque` would take 32.
+struct Lists<T> {
+    /// `(element, next node or NIL)`.
+    nodes: Vec<(T, u32)>,
+    /// First free node, or `NIL`.
+    free: u32,
+}
+
+impl<T: Copy> Lists<T> {
+    fn new() -> Lists<T> {
+        Lists {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Append `x` to `list`.
+    #[inline]
+    fn push_back(&mut self, list: &mut List, x: T) {
+        let node = if self.free == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&node| node != NIL)
+                .expect("fewer than u32::MAX list nodes fleet-wide");
+            self.nodes.push((x, NIL));
+            node
+        } else {
+            let node = self.free;
+            self.free = self.nodes[node as usize].1;
+            self.nodes[node as usize] = (x, NIL);
+            node
+        };
+        match *list {
+            [NIL, _] => *list = [node, node],
+            [_, last] => {
+                self.nodes[last as usize].1 = node;
+                list[1] = node;
+            }
+        }
+    }
+
+    /// The first element of `list`.
+    #[inline]
+    fn front(&self, list: &List) -> Option<T> {
+        (list[0] != NIL).then(|| self.nodes[list[0] as usize].0)
+    }
+
+    /// Take the first element of `list`.
+    #[inline]
+    fn pop_front(&mut self, list: &mut List) -> Option<T> {
+        let first = list[0];
+        if first == NIL {
+            return None;
+        }
+        let (x, next) = self.nodes[first as usize];
+        *list = if next == NIL {
+            [NIL; 2]
+        } else {
+            [next, list[1]]
+        };
+        self.nodes[first as usize].1 = self.free;
+        self.free = first;
+        Some(x)
+    }
+}
+
 /// A stream's admitted frames not yet started, oldest first: the first
-/// one inline, the rest in a list in the scheduler's [`Backlogs`].
+/// one inline, the rest in a list in the scheduler's pool.
 struct FrameQueue {
     head: Option<Admitted>,
-    /// The first and last node of the list behind `head`; `NIL` when
-    /// empty.
-    rest: [u32; 2],
+    rest: List,
 }
 
 impl FrameQueue {
@@ -772,74 +795,73 @@ impl FrameQueue {
         head: None,
         rest: [NIL; 2],
     };
-}
 
-/// One pool of list nodes for every stream's frames queued behind its
-/// first, with a free list. A stream that falls behind then costs no
-/// allocation once the pool has grown to the fleet's deepest total
-/// backlog, and its record holds two indices (8 bytes) where a
-/// `VecDeque` would take 32.
-struct Backlogs {
-    /// `(frame, next node or NIL)`.
-    nodes: Vec<(Admitted, u32)>,
-    /// First free node, or `NIL`.
-    free: u32,
-}
-
-impl Backlogs {
-    fn new() -> Backlogs {
-        Backlogs {
-            nodes: Vec::new(),
-            free: NIL,
-        }
-    }
-
-    /// Queue `frame` behind the rest of `queue`.
+    /// Queue `frame` behind the rest.
     #[inline]
-    fn push_back(&mut self, queue: &mut FrameQueue, frame: Admitted) {
-        if queue.head.is_none() {
-            queue.head = Some(frame);
-            return;
-        }
-        let node = if self.free == NIL {
-            let node = u32::try_from(self.nodes.len())
-                .ok()
-                .filter(|&node| node != NIL)
-                .expect("fewer than u32::MAX frames queued fleet-wide");
-            self.nodes.push((frame, NIL));
-            node
+    fn push_back(&mut self, pool: &mut Lists<Admitted>, frame: Admitted) {
+        if self.head.is_none() {
+            self.head = Some(frame);
         } else {
-            let node = self.free;
-            self.free = self.nodes[node as usize].1;
-            self.nodes[node as usize] = (frame, NIL);
-            node
-        };
-        match queue.rest {
-            [NIL, _] => queue.rest = [node, node],
-            [_, last] => {
-                self.nodes[last as usize].1 = node;
-                queue.rest[1] = node;
-            }
+            pool.push_back(&mut self.rest, frame);
         }
     }
 
-    /// Take the oldest frame of `queue`.
+    /// Take the oldest frame.
     #[inline]
-    fn pop_front(&mut self, queue: &mut FrameQueue) -> Option<Admitted> {
-        let frame = queue.head.take()?;
-        let first = queue.rest[0];
-        if first != NIL {
-            let (next_frame, next) = self.nodes[first as usize];
-            queue.head = Some(next_frame);
-            queue.rest = if next == NIL {
-                [NIL; 2]
-            } else {
-                [next, queue.rest[1]]
-            };
-            self.nodes[first as usize].1 = self.free;
-            self.free = first;
-        }
+    fn pop_front(&mut self, pool: &mut Lists<Admitted>) -> Option<Admitted> {
+        let frame = self.head.take()?;
+        self.head = pool.pop_front(&mut self.rest);
         Some(frame)
+    }
+}
+
+/// The completion times of a stream's executed frames, oldest first, less
+/// those already found to precede a launched frame's arrival. When frame
+/// `j` launches, dropping the ones before its arrival leaves `j −
+/// #{completions < arrival_j}` of them — the queue depth the per-stream
+/// runner observes when frame `j` arrives. A dropped completion would be
+/// dropped for every later frame too, as arrivals and completions are both
+/// non-decreasing.
+///
+/// The newest completion, while it is still counted, is the stream's clock
+/// ([`SchedStream::now`]); the older ones wait in a list in the
+/// scheduler's pool, so a stream that keeps up never touches the pool.
+struct Completions {
+    /// Every counted completion but the newest.
+    older: List,
+    /// Completions counted, the newest included.
+    len: u32,
+}
+
+impl Completions {
+    const EMPTY: Completions = Completions {
+        older: [NIL; 2],
+        len: 0,
+    };
+
+    /// Count a new completion, which becomes the stream's clock in place
+    /// of `previous`.
+    #[inline]
+    fn push(&mut self, pool: &mut Lists<Time>, previous: Time) {
+        if self.len > 0 {
+            pool.push_back(&mut self.older, previous);
+        }
+        self.len += 1;
+    }
+
+    /// Drop the completions before `arrival` (`now` is the newest) and
+    /// return how many are left: the depth the frame arriving then sees.
+    /// The pop is strict: a completion exactly at the arrival still counts.
+    #[inline]
+    fn depth_at(&mut self, pool: &mut Lists<Time>, now: Time, arrival: Time) -> u32 {
+        while self.len > 1 && pool.front(&self.older).is_some_and(|c| c < arrival) {
+            pool.pop_front(&mut self.older);
+            self.len -= 1;
+        }
+        if self.len == 1 && now < arrival {
+            self.len = 0;
+        }
+        self.len
     }
 }
 
@@ -853,7 +875,9 @@ struct Scheduler<A> {
     ring_capacity: usize,
     streams: Vec<SchedStream<A>>,
     /// The frames each stream has queued behind its first.
-    backlogs: Backlogs,
+    backlogs: Lists<Admitted>,
+    /// Each stream's counted completions but the newest.
+    completions: Lists<Time>,
     start_heap: EventHeap,
     arrivals: ArrivalQueue,
     /// Latest start time ever scheduled: arrivals beyond it wait, which
@@ -888,11 +912,11 @@ impl<A: ArrivalSource> Scheduler<A> {
                 }
                 SchedStream {
                     source,
-                    floor: Time::ZERO,
                     now: Time::ZERO,
                     arrived: 0,
                     shed: 0,
                     queue: FrameQueue::EMPTY,
+                    completions: Completions::EMPTY,
                     in_flight: false,
                 }
             })
@@ -902,7 +926,8 @@ impl<A: ArrivalSource> Scheduler<A> {
             admission: config.admission,
             ring_capacity: config.ring_capacity.max(1),
             streams,
-            backlogs: Backlogs::new(),
+            backlogs: Lists::new(),
+            completions: Lists::new(),
             start_heap: EventHeap::new(),
             arrivals,
             horizon: Time::NEG_INF,
@@ -957,29 +982,33 @@ impl<A: ArrivalSource> Scheduler<A> {
 
     fn process_start(&mut self, ts: Time, s: u32, ring: &mut Vec<Ready>) {
         let st = &mut self.streams[s as usize];
-        let (frame, arrival, counted) = self
-            .backlogs
-            .pop_front(&mut st.queue)
+        let (frame, arrival, counted) = st
+            .queue
+            .pop_front(&mut self.backlogs)
             .expect("a start event implies a queued frame");
         if counted {
             self.backlog -= 1;
         }
-        self.launch(
-            Ready {
-                stream: s,
-                frame: frame as usize,
-                arrival,
-                start: ts,
-            },
-            ring,
-        );
+        self.launch(s, frame, arrival, ts, ring);
     }
 
-    /// Commit a frame to this round's ring.
-    fn launch(&mut self, r: Ready, ring: &mut Vec<Ready>) {
-        self.streams[r.stream as usize].in_flight = true;
-        self.horizon = self.horizon.max(r.start);
-        ring.push(r);
+    /// Commit a frame to this round's ring. Every earlier frame of its
+    /// stream ran in an earlier round, whose completions are all folded
+    /// in, so the frame's depth is known here.
+    fn launch(&mut self, s: u32, frame: u32, arrival: Time, start: Time, ring: &mut Vec<Ready>) {
+        let st = &mut self.streams[s as usize];
+        st.in_flight = true;
+        let depth = st
+            .completions
+            .depth_at(&mut self.completions, st.now, arrival);
+        self.horizon = self.horizon.max(start);
+        ring.push(Ready {
+            stream: s,
+            frame,
+            arrival,
+            start,
+            depth,
+        });
     }
 
     /// Judge the arrival just popped off the arrival queue, then re-key its
@@ -1006,7 +1035,7 @@ impl<A: ArrivalSource> Scheduler<A> {
             if counted {
                 self.backlog += 1;
                 self.ledger.peak_backlog = self.ledger.peak_backlog.max(self.backlog);
-                self.backlogs.push_back(&mut st.queue, (frame, ta, true));
+                st.queue.push_back(&mut self.backlogs, (frame, ta, true));
             } else {
                 // Idle stream: its clock is current, so the frame's start
                 // is known now. `fill` takes every start at or before an
@@ -1016,33 +1045,25 @@ impl<A: ArrivalSource> Scheduler<A> {
                 // room: `fill` checked before this arrival).
                 let ts = self.chaining.start_at(st.now, ta);
                 if ts <= ta {
-                    self.launch(
-                        Ready {
-                            stream: s,
-                            frame: frame as usize,
-                            arrival: ta,
-                            start: ts,
-                        },
-                        ring,
-                    );
+                    self.launch(s, frame, ta, ts, ring);
                 } else {
-                    self.backlogs.push_back(&mut st.queue, (frame, ta, false));
+                    st.queue.push_back(&mut self.backlogs, (frame, ta, false));
                     self.start_heap.push(ts, s);
                 }
             }
         }
         // Consume the peeked timestamp and re-key the stream on the
-        // following one. peek-then-next ≡ next keeps this exact.
+        // following one. peek-then-next ≡ next keeps this exact. The
+        // arrival was queued clamped to the stream's previous one, so `ta`
+        // is also the floor the next timestamp is clamped to.
         let st = &mut self.streams[s as usize];
         let consumed = st
             .source
             .next_arrival()
-            .expect("a queued arrival event implies a pending timestamp")
-            .max(st.floor);
-        st.floor = consumed;
-        debug_assert_eq!(consumed, ta, "peeked and consumed timestamps agree");
+            .expect("a queued arrival event implies a pending timestamp");
+        debug_assert!(consumed <= ta, "peeked and consumed timestamps agree");
         if let Some(next) = st.source.peek() {
-            self.arrivals.push(next.max(st.floor), s);
+            self.arrivals.push(next.max(ta), s);
         }
     }
 
@@ -1053,6 +1074,7 @@ impl<A: ArrivalSource> Scheduler<A> {
         for (i, r) in ring.iter().enumerate() {
             let st = &mut self.streams[r.stream as usize];
             st.in_flight = false;
+            st.completions.push(&mut self.completions, st.now);
             st.now = completed(i);
             if let Some((_, arrival, _)) = st.queue.head {
                 self.start_heap
@@ -1150,7 +1172,10 @@ impl ElasticRunner {
     /// Drain every stream's source, scheduling cycles fleet-wide in
     /// arrival order and executing each round's ready cycles on the
     /// worker pool. Returns the summary and the drivers (in submission
-    /// order), so callers can extract sinks or reuse engines.
+    /// order), so callers can extract sinks or reuse engines. The drivers
+    /// live in the block that held the worker-side slots, so the `Vec`'s
+    /// capacity is that block's, not its length: dropping it frees the
+    /// block whole for the next run.
     pub fn run<A, D>(&self, streams: Vec<(A, D)>) -> (ElasticSummary, Vec<D>)
     where
         A: ArrivalSource,
@@ -1180,38 +1205,44 @@ impl ElasticRunner {
 /// Fold a finished run into its summary and drivers. Each stream's
 /// [`StreamSummary`] takes its scheduler record's place, in the buffer the
 /// population came in (a summary is no larger and equally aligned), and
-/// the slot buffer is freed whole once the drivers are out of it.
-fn summarize<A, D>(sched: Scheduler<A>, slots: Vec<Mutex<Slot<D>>>) -> (ElasticSummary, Vec<D>) {
+/// the drivers take their slots' place in the slot buffer.
+fn summarize<A, D>(
+    sched: Scheduler<A>,
+    mut slots: Vec<Mutex<Slot<D>>>,
+) -> (ElasticSummary, Vec<D>) {
     // Free the scheduler's queues before the fold; keep its records.
     let Scheduler {
         streams,
         ledger,
         backlogs,
+        completions,
         start_heap,
         arrivals,
         ..
     } = sched;
-    drop((backlogs, start_heap, arrivals));
+    drop((backlogs, completions, start_heap, arrivals));
     let mut run = RunSummary::default();
     let mut stats = StreamStats::default();
-    let mut drivers = Vec::with_capacity(slots.len());
     let mut per_stream: Vec<StreamSummary> = streams
         .into_iter()
-        .zip(slots)
+        .zip(&mut slots)
         .map(|(st, slot)| {
-            let slot = slot.into_inner().expect("slot lock");
-            let mut s = slot.cursor.summary();
-            // Arrivals and sheds were counted by the scheduler.
-            s.stats.arrived = st.arrived as usize;
-            s.stats.dropped = st.shed as usize;
+            // Arrivals, sheds and the last completion are the scheduler's.
+            let book = &slot.get_mut().expect("slot lock").book;
+            let s = book.summary(st.arrived as usize, st.shed as usize, st.now);
             run.merge(&s.run);
             stats.merge(&s.stats);
-            drivers.push(slot.driver);
             s
         })
         .collect();
     // Hand back the tail that the smaller summaries leave unused.
     per_stream.shrink_to_fit();
+    // Not shrunk: the whole slot-sized block goes back to the allocator
+    // when the caller drops the drivers, ready for the next run's slots.
+    let drivers = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("slot lock").driver)
+        .collect();
     let summary = ElasticSummary {
         per_stream,
         run,
@@ -1255,9 +1286,10 @@ const PUBLISH_BATCH: usize = 32;
 #[derive(Default)]
 struct SharedReady {
     stream: AtomicU32,
-    frame: AtomicUsize,
+    frame: AtomicU32,
     arrival: AtomicI64,
     start: AtomicI64,
+    depth: AtomicU32,
 }
 
 impl SharedReady {
@@ -1267,6 +1299,7 @@ impl SharedReady {
         self.frame.store(r.frame, Ordering::Relaxed);
         self.arrival.store(r.arrival.as_ns(), Ordering::Relaxed);
         self.start.store(r.start.as_ns(), Ordering::Relaxed);
+        self.depth.store(r.depth, Ordering::Relaxed);
     }
 
     #[inline]
@@ -1276,6 +1309,7 @@ impl SharedReady {
             frame: self.frame.load(Ordering::Relaxed),
             arrival: Time::from_ns(self.arrival.load(Ordering::Relaxed)),
             start: Time::from_ns(self.start.load(Ordering::Relaxed)),
+            depth: self.depth.load(Ordering::Relaxed),
         }
     }
 }
@@ -1650,9 +1684,9 @@ mod tests {
     use super::*;
     use crate::controller::{ConstantExec, FnExec, OverheadModel};
     use crate::engine::NullSink;
-    use crate::manager::NumericManager;
+    use crate::manager::{LookupManager, NumericManager};
     use crate::policy::MixedPolicy;
-    use crate::source::{Bursty, Jittered, PatternSource, Periodic};
+    use crate::source::{Bursty, Jittered, PatternSource, Periodic, TraceReplay};
     use crate::stream::{OverloadPolicy, StreamConfig, StreamingRunner};
     use crate::system::{ParameterizedSystem, SystemBuilder};
     use std::cell::Cell;
@@ -2499,46 +2533,153 @@ mod tests {
         }
     }
 
-    /// A 56-byte stand-in for the benchmark's `MicroDriver`, which
-    /// `sqm-core` cannot name (`sqm-bench` pins its size).
-    #[derive(Default)]
-    #[allow(dead_code)]
-    struct StandInDriver([u64; 7]);
+    /// A 16-byte execution-time source, shaped like the benchmark's
+    /// `MicroExec`, which `sqm-core` cannot name.
+    #[derive(Clone, Copy)]
+    struct TableExec<'a> {
+        table: &'a crate::timing::TimeTable,
+        seed: u64,
+    }
 
-    /// The scheduler's records fit in the buffer of the population they
-    /// are built from, and the per-stream summaries in the scheduler's
-    /// records: no larger and equally aligned. A field added to either
-    /// that broke this would silently turn an in-place build back into a
-    /// fresh allocation of the whole fleet's records.
+    impl ExecutionTimeSource for TableExec<'_> {
+        fn actual(&mut self, cycle: usize, action: usize, q: crate::quality::Quality) -> Time {
+            let wc = self.table.wc(action, q).as_ns();
+            Time::from_ns(wc * (40 + ((self.seed as usize + cycle + action) % 50) as i64) / 100)
+        }
+    }
+
+    /// The benchmark's driver shape: an engine over the lookup manager and
+    /// a 16-byte execution-time source (`sqm-bench` pins `MicroDriver` to
+    /// no less than this).
+    type BenchDriver<'a> = EngineDriver<'a, LookupManager<'a>, TableExec<'a>, NullSink>;
+
+    /// Per-stream byte budgets for the benchmark's streams: a worker-side
+    /// slot within 192 bytes, and a scheduler record that fits in the
+    /// population's `(source, driver)` element, so the standard library
+    /// builds the records in place; a summary must fit in turn in a
+    /// record. A field added to any of them that undid the budget, or
+    /// turned an in-place build back into a fresh allocation of the
+    /// fleet's records, fails here.
     #[test]
-    fn records_fit_in_the_buffer_they_reuse() {
+    fn records_fit_their_byte_budgets() {
         use std::mem::{align_of, size_of};
-        type Pair = (PatternSource, StandInDriver);
+        type Pair<'a> = (PatternSource, BenchDriver<'a>);
         type Record = SchedStream<PatternSource>;
-        assert_eq!(size_of::<StandInDriver>(), 56);
+        let slot = size_of::<Mutex<Slot<BenchDriver<'_>>>>();
         assert!(
-            size_of::<Record>() <= size_of::<Pair>(),
-            "SchedStream is {} bytes, the population's element {}",
-            size_of::<Record>(),
-            size_of::<Pair>()
+            slot <= 192,
+            "a slot is {slot} bytes, over its 192-byte budget"
         );
-        assert_eq!(align_of::<Record>(), align_of::<Pair>());
+        let source = size_of::<PatternSource>();
+        assert!(
+            source <= 96,
+            "PatternSource is {source} bytes, over its 96-byte budget"
+        );
+        assert!(
+            size_of::<Record>() <= size_of::<Pair<'_>>(),
+            "SchedStream is {} bytes, over its budget of the population's {}-byte element",
+            size_of::<Record>(),
+            size_of::<Pair<'_>>()
+        );
+        assert_eq!(align_of::<Record>(), align_of::<Pair<'_>>());
         assert!(size_of::<StreamSummary>() <= size_of::<Record>());
         assert_eq!(align_of::<StreamSummary>(), align_of::<Record>());
+        assert!(
+            size_of::<Ready>() <= 32,
+            "a ring entry is {} bytes",
+            size_of::<Ready>()
+        );
+    }
 
-        // And the standard library does reuse the buffer, both times.
-        let population: Vec<Pair> = (0..1_000)
-            .map(|i| (source_mix(i, 3), StandInDriver::default()))
+    /// The standard library does reuse the buffers: the scheduler's
+    /// records and then the summaries live in the population's buffer,
+    /// and the returned drivers in the slot buffer.
+    #[test]
+    fn records_reuse_the_buffers_they_replace() {
+        let s = sys();
+        let regions = crate::compiler::compile_regions(&s);
+        let population: Vec<(PatternSource, BenchDriver<'_>)> = (0..1_000)
+            .map(|i| {
+                let engine = Engine::new(&s, LookupManager::new(&regions), OverheadModel::ZERO);
+                let exec = TableExec {
+                    table: s.table(),
+                    seed: i as u64,
+                };
+                (source_mix(i, 3), EngineDriver::new(engine, exec, NullSink))
+            })
             .collect();
         let buffer = population.as_ptr() as usize;
-        let mut slots = Vec::new();
+        let mut slots = Vec::with_capacity(population.len());
         let sched = Scheduler::new(ElasticConfig::live(), population, |driver| {
             slots.push(Slot::shared(driver))
         });
         assert_eq!(sched.streams.as_ptr() as usize, buffer, "scheduler");
+        let slot_buffer = slots.as_ptr() as usize;
         let (summary, drivers) = summarize(sched, slots);
         assert_eq!(summary.per_stream.as_ptr() as usize, buffer, "summaries");
+        assert_eq!(drivers.as_ptr() as usize, slot_buffer, "drivers");
         assert_eq!(drivers.len(), 1_000);
+    }
+
+    /// A completion that lands exactly on a later arrival still counts
+    /// toward that frame's depth (the pop is a strict `<`). Every frame
+    /// takes exactly 100 ns and stream `i` opens with a burst of three to
+    /// five frames at `50·i` ns, then one arrival every 100 ns: live, each
+    /// later arrival coincides with a completion and the streams stay at
+    /// least three frames behind. Per-stream results, `max_backlog`
+    /// included, equal the per-stream runner's for both chainings, every
+    /// ring and several worker counts.
+    #[test]
+    fn completions_on_an_arrival_count_toward_its_depth() {
+        let s = sys();
+        let p = MixedPolicy::new(&s);
+        const SERVICE: i64 = 100;
+        let arrivals = |i: usize| {
+            let offset = SERVICE * i as i64 / 2;
+            let burst = 3 + i % 3;
+            let times: Vec<Time> = (0..12)
+                .map(|f| Time::from_ns(offset + SERVICE * (f.max(burst - 1) - (burst - 1)) as i64))
+                .collect();
+            TraceReplay::new(times)
+        };
+        let engine = || Engine::new(&s, NumericManager::new(&s, &p), OverheadModel::ZERO);
+        let exec = || FnExec(|_: usize, _: usize, _| Time::from_ns(SERVICE / 4));
+        for chaining in [CycleChaining::WorkConserving, CycleChaining::ArrivalClamped] {
+            let want: Vec<StreamSummary> = (0..6)
+                .map(|i| {
+                    let runner = StreamingRunner::new(StreamConfig {
+                        chaining,
+                        capacity: 2,
+                        policy: OverloadPolicy::Block,
+                    });
+                    runner.run(&mut engine(), &mut arrivals(i), &mut exec(), &mut NullSink)
+                })
+                .collect();
+            // A `≤` pop would drop the completion on each arrival and read
+            // one frame shallower. Live, every stream ties; prefetching
+            // runs ahead of the later streams' arrivals, but not stream 0's.
+            for (i, w) in want.iter().enumerate() {
+                if chaining == CycleChaining::ArrivalClamped || i == 0 {
+                    assert_eq!(w.stats.max_backlog, 3 + i % 3, "{chaining:?} stream {i}");
+                }
+            }
+            for ring in [1usize, 3, 4096] {
+                for workers in [1, 2, 4] {
+                    let config = ElasticConfig::live()
+                        .with_chaining(chaining)
+                        .with_ring_capacity(ring);
+                    let streams: Vec<_> = (0..6)
+                        .map(|i| (arrivals(i), EngineDriver::new(engine(), exec(), NullSink)))
+                        .collect();
+                    let (elastic, _) = ElasticRunner::new(workers, config).run(streams);
+                    assert_eq!(
+                        elastic.per_stream(),
+                        &want[..],
+                        "{chaining:?} ring={ring} workers={workers}"
+                    );
+                }
+            }
+        }
     }
 
     /// Streams' frame queues in one node pool stay FIFO per stream while
@@ -2546,7 +2687,7 @@ mod tests {
     /// step by step against one `VecDeque` per stream.
     #[test]
     fn backlog_lists_match_per_stream_fifos() {
-        let mut pool = Backlogs::new();
+        let mut pool = Lists::new();
         let mut queues: Vec<FrameQueue> = (0..5).map(|_| FrameQueue::EMPTY).collect();
         let mut model: Vec<VecDeque<Admitted>> = vec![VecDeque::new(); 5];
         let mut x = 0x2545_f491_4f6c_dd1du64;
@@ -2559,11 +2700,11 @@ mod tests {
             // so lists grow several deep, drain and grow again.
             if (x >> 8) % 10 < if step < 2_000 { 6 } else { 4 } {
                 let frame = (step, Time::from_ns(i64::from(step)), x & 1 == 0);
-                pool.push_back(&mut queues[q], frame);
+                queues[q].push_back(&mut pool, frame);
                 model[q].push_back(frame);
             } else {
                 assert_eq!(
-                    pool.pop_front(&mut queues[q]),
+                    queues[q].pop_front(&mut pool),
                     model[q].pop_front(),
                     "step {step}"
                 );
@@ -2572,9 +2713,9 @@ mod tests {
         }
         for (queue, model) in queues.iter_mut().zip(&mut model) {
             while let Some(want) = model.pop_front() {
-                assert_eq!(pool.pop_front(queue), Some(want));
+                assert_eq!(queue.pop_front(&mut pool), Some(want));
             }
-            assert_eq!(pool.pop_front(queue), None);
+            assert_eq!(queue.pop_front(&mut pool), None);
         }
         let pooled = pool.nodes.len();
         assert!(pooled > 5, "lists grew several nodes deep: {pooled}");

@@ -153,6 +153,30 @@ impl ArrivalSource for Periodic {
     }
 }
 
+/// Where a randomized source stands between draws: one byte that stands
+/// in for a pending `Option<Time>` and an [`Exhaustion`], which never
+/// hold a value at once (a cut stream draws nothing).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Draw {
+    /// Nothing drawn ahead.
+    Idle,
+    /// `peek` drew the next timestamp, which the source keeps in place
+    /// and hands to the consuming call — the RNG advances exactly once
+    /// per frame no matter how the draw is observed.
+    Pending,
+    /// The grid ran off the time line ([`Exhaustion::HorizonExceeded`]).
+    Cut,
+}
+
+impl Draw {
+    fn exhaustion(self) -> Exhaustion {
+        match self {
+            Draw::Cut => Exhaustion::HorizonExceeded,
+            Draw::Idle | Draw::Pending => Exhaustion::Drained,
+        }
+    }
+}
+
 /// Periodic arrivals with bounded uniform jitter: frame `c` arrives at
 /// `c · period + U(−jitter, +jitter)`, clamped non-negative and
 /// non-decreasing. Deterministic per seed.
@@ -162,11 +186,10 @@ pub struct Jittered {
     jitter: Time,
     frames: usize,
     next: usize,
+    /// The latest drawn timestamp: the clamp for the next draw, and the
+    /// pending one while `state` is `Draw::Pending`.
     floor: Time,
-    // Timestamp already drawn by `peek` and not yet consumed — the RNG
-    // advances exactly once per frame no matter how the draw is observed.
-    pending: Option<Time>,
-    exhaustion: Exhaustion,
+    state: Draw,
     rng: StdRng,
 }
 
@@ -180,18 +203,17 @@ impl Jittered {
             frames,
             next: 0,
             floor: Time::ZERO,
-            pending: None,
-            exhaustion: Exhaustion::Drained,
+            state: Draw::Idle,
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
     fn draw(&mut self) -> Option<Time> {
-        if self.next == self.frames || self.exhaustion == Exhaustion::HorizonExceeded {
+        if self.next == self.frames || self.state == Draw::Cut {
             return None;
         }
         let Some(nominal) = self.period.checked_mul(self.next as i64) else {
-            self.exhaustion = Exhaustion::HorizonExceeded;
+            self.state = Draw::Cut;
             return None;
         };
         let j = self.jitter.as_ns();
@@ -199,7 +221,7 @@ impl Jittered {
         let t = (nominal + Time::from_ns(offset)).max(self.floor);
         if t.is_infinite() {
             // Jitter pushed the last grid position onto the sentinel.
-            self.exhaustion = Exhaustion::HorizonExceeded;
+            self.state = Draw::Cut;
             return None;
         }
         self.floor = t;
@@ -210,21 +232,24 @@ impl Jittered {
 
 impl ArrivalSource for Jittered {
     fn next_arrival(&mut self) -> Option<Time> {
-        match self.pending.take() {
-            Some(t) => Some(t),
-            None => self.draw(),
+        if self.state == Draw::Pending {
+            self.state = Draw::Idle;
+            return Some(self.floor);
         }
+        self.draw()
     }
 
     fn peek(&mut self) -> Option<Time> {
-        if self.pending.is_none() {
-            self.pending = self.draw();
+        if self.state == Draw::Pending {
+            return Some(self.floor);
         }
-        self.pending
+        let t = self.draw()?;
+        self.state = Draw::Pending;
+        Some(t)
     }
 
     fn exhaustion(&self) -> Exhaustion {
-        self.exhaustion
+        self.state.exhaustion()
     }
 }
 
@@ -240,11 +265,11 @@ pub struct Bursty {
     frames: usize,
     emitted: usize,
     burst_left: usize,
+    /// The current burst's shared timestamp: every draw yields it, so it
+    /// is also the pending one while `state` is `Draw::Pending`.
     burst_time: Time,
     next_time: Time,
-    // Timestamp already drawn by `peek` and not yet consumed.
-    pending: Option<Time>,
-    exhaustion: Exhaustion,
+    state: Draw,
     rng: StdRng,
 }
 
@@ -260,8 +285,7 @@ impl Bursty {
             burst_left: 0,
             burst_time: Time::ZERO,
             next_time: Time::ZERO,
-            pending: None,
-            exhaustion: Exhaustion::Drained,
+            state: Draw::Idle,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -275,7 +299,7 @@ impl Bursty {
             // line: the current burst was emitted in full, the next one
             // never starts.
             if self.next_time.is_infinite() {
-                self.exhaustion = Exhaustion::HorizonExceeded;
+                self.state = Draw::Cut;
                 return None;
             }
             let size = self.rng.gen_range(1..=self.max_burst);
@@ -302,21 +326,24 @@ impl Bursty {
 
 impl ArrivalSource for Bursty {
     fn next_arrival(&mut self) -> Option<Time> {
-        match self.pending.take() {
-            Some(t) => Some(t),
-            None => self.draw(),
+        if self.state == Draw::Pending {
+            self.state = Draw::Idle;
+            return Some(self.burst_time);
         }
+        self.draw()
     }
 
     fn peek(&mut self) -> Option<Time> {
-        if self.pending.is_none() {
-            self.pending = self.draw();
+        if self.state == Draw::Pending {
+            return Some(self.burst_time);
         }
-        self.pending
+        let t = self.draw()?;
+        self.state = Draw::Pending;
+        Some(t)
     }
 
     fn exhaustion(&self) -> Exhaustion {
-        self.exhaustion
+        self.state.exhaustion()
     }
 }
 
@@ -707,6 +734,19 @@ mod tests {
             assert_eq!(src.exhaustion(), Exhaustion::HorizonExceeded);
             assert_eq!(reference.exhaustion(), Exhaustion::HorizonExceeded);
         }
+    }
+
+    /// A fleet keeps one `PatternSource` per stream, inside the scheduler
+    /// record that reuses the population's buffer: 96 bytes is its budget
+    /// (each randomized source keeps its pending timestamp in place, behind
+    /// one state byte whose spare values also carry the enum's tag).
+    #[test]
+    fn pattern_source_fits_its_byte_budget() {
+        let size = std::mem::size_of::<PatternSource>();
+        assert!(
+            size <= 96,
+            "PatternSource is {size} bytes, over its 96-byte budget"
+        );
     }
 
     /// Interleaving peeks (including repeated ones) with consuming calls

@@ -193,11 +193,75 @@ pub struct StreamSummary {
     pub stats: StreamStats,
 }
 
+/// The aggregates a stream's executed frames add up to that depend only
+/// on each frame's own times: the engine's [`RunSummary`], the deepest
+/// observed backlog and the wait/latency sums and extrema. The counts of
+/// arrived, processed and shed frames and the makespan come from whoever
+/// runs the stream's clock ([`StreamCursor`], or the elastic scheduler)
+/// and join the book in [`FrameBook::summary`]. This is the one place the
+/// per-frame wait and latency arithmetic lives.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct FrameBook {
+    run: RunSummary,
+    max_backlog: usize,
+    total_wait: Time,
+    max_wait: Time,
+    total_latency: Time,
+    max_latency: Time,
+}
+
+impl FrameBook {
+    /// Record an observed waiting-queue depth; the book keeps the
+    /// high-water mark.
+    #[inline]
+    pub(crate) fn note_backlog(&mut self, depth: usize) {
+        self.max_backlog = self.max_backlog.max(depth);
+    }
+
+    /// Fold one executed cycle in and return its absolute completion time,
+    /// `arrival + cycle.end` (the cycle's end is arrival-relative).
+    #[inline]
+    pub(crate) fn absorb(
+        &mut self,
+        arrival: Time,
+        start_abs: Time,
+        cycle: &crate::engine::CycleSummary,
+    ) -> Time {
+        self.run.absorb(cycle);
+        let done = arrival + cycle.end;
+        let wait = (start_abs - arrival).max(Time::ZERO);
+        self.total_wait += wait;
+        self.max_wait = self.max_wait.max(wait);
+        let latency = (done - arrival).max(Time::ZERO);
+        self.total_latency += latency;
+        self.max_latency = self.max_latency.max(latency);
+        done
+    }
+
+    /// The stream's summary: this book plus the counts and makespan kept
+    /// elsewhere. Every absorbed cycle is a processed frame.
+    pub(crate) fn summary(&self, arrived: usize, dropped: usize, makespan: Time) -> StreamSummary {
+        StreamSummary {
+            run: self.run,
+            stats: StreamStats {
+                arrived,
+                processed: self.run.cycles,
+                dropped,
+                max_backlog: self.max_backlog,
+                total_wait: self.total_wait,
+                max_wait: self.max_wait,
+                total_latency: self.total_latency,
+                max_latency: self.max_latency,
+                makespan,
+            },
+        }
+    }
+}
+
 /// Per-stream execution state for anchoring cycles at arrivals — the
-/// reusable core of [`StreamingRunner`]'s pull loop, factored out so
-/// schedulers that interleave *many* streams ([`crate::elastic`]) can
-/// advance one stream a single cycle at a time and still be byte-identical
-/// to the per-stream runner.
+/// reusable core of [`StreamingRunner`]'s pull loop, factored out so a
+/// stream can be advanced a single cycle at a time and still be
+/// byte-identical to the per-stream runner.
 ///
 /// A cursor owns exactly the state the time model in the module docs
 /// needs: the stream's absolute clock (`now` = completion time of the last
@@ -205,7 +269,9 @@ pub struct StreamSummary {
 /// [`StreamStats`]. The caller supplies arrivals and runs the engine; the
 /// cursor answers "when does the next frame start" ([`StreamCursor::
 /// start_for`]) and folds each executed cycle back in
-/// ([`StreamCursor::absorb`]).
+/// ([`StreamCursor::absorb`]). [`crate::elastic`] splits the same state
+/// between its scheduler and its workers, and folds each cycle through
+/// the same code.
 ///
 /// # Examples
 ///
@@ -231,7 +297,10 @@ pub struct StreamSummary {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamCursor {
     now: Time,
-    summary: StreamSummary,
+    book: FrameBook,
+    arrived: usize,
+    dropped: usize,
+    makespan: Time,
 }
 
 impl StreamCursor {
@@ -256,7 +325,7 @@ impl StreamCursor {
 
     /// Record one frame delivered by the source.
     pub fn note_arrival(&mut self) {
-        self.summary.stats.arrived += 1;
+        self.arrived += 1;
     }
 
     /// Record one frame shed by an overload/admission policy.
@@ -266,13 +335,13 @@ impl StreamCursor {
 
     /// Record `n` frames shed at once (queue-clearing policies).
     pub fn note_drops(&mut self, n: usize) {
-        self.summary.stats.dropped += n;
+        self.dropped += n;
     }
 
     /// Record an observed waiting-queue depth (frame in service not
     /// counted); the stats keep the high-water mark.
     pub fn note_backlog(&mut self, depth: usize) {
-        self.summary.stats.max_backlog = self.summary.stats.max_backlog.max(depth);
+        self.book.note_backlog(depth);
     }
 
     /// Fold one executed cycle into the stream: advance the clock to
@@ -280,22 +349,13 @@ impl StreamCursor {
     /// accumulate the run and wait/latency aggregates. `start_abs` must be
     /// the value [`StreamCursor::start_for`] returned for this frame.
     pub fn absorb(&mut self, arrival: Time, start_abs: Time, cycle: &crate::engine::CycleSummary) {
-        self.summary.run.absorb(cycle);
-        self.now = arrival + cycle.end;
-        let s = &mut self.summary.stats;
-        s.processed += 1;
-        let wait = (start_abs - arrival).max(Time::ZERO);
-        s.total_wait += wait;
-        s.max_wait = s.max_wait.max(wait);
-        let latency = (self.now - arrival).max(Time::ZERO);
-        s.total_latency += latency;
-        s.max_latency = s.max_latency.max(latency);
-        s.makespan = s.makespan.max(self.now);
+        self.now = self.book.absorb(arrival, start_abs, cycle);
+        self.makespan = self.makespan.max(self.now);
     }
 
     /// The accumulated [`StreamSummary`] so far.
     pub fn summary(&self) -> StreamSummary {
-        self.summary
+        self.book.summary(self.arrived, self.dropped, self.makespan)
     }
 }
 
