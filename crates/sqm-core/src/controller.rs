@@ -28,6 +28,14 @@ use crate::timing::TimeTable;
 /// the paper's whole construction defends against. Implementations live in
 /// `sqm-platform` (stochastic, load-driven); the constant sources here
 /// cover tests and worst-case analyses.
+///
+/// Every execution path (serial, trace replay, streaming, elastic) must
+/// see the same time for the same query sequence. A source may therefore
+/// cache derived content (a macroblock's texture, a request, a packet)
+/// only under a key that includes the cycle as well as the unit, as a
+/// [`Memo`] keyed on `(cycle, unit)` does: the content is then a pure
+/// function of its key, and a replay that revisits cycles or units in any
+/// order reads exactly what a fresh derivation would.
 pub trait ExecutionTimeSource {
     /// Actual execution time of `action` at quality `q` in cycle `cycle`.
     fn actual(&mut self, cycle: usize, action: ActionId, q: Quality) -> Time;
@@ -79,6 +87,64 @@ impl<F: FnMut(usize, ActionId, Quality) -> Time> ExecutionTimeSource for FnExec<
 impl<E: ExecutionTimeSource + ?Sized> ExecutionTimeSource for &mut E {
     fn actual(&mut self, cycle: usize, action: ActionId, q: Quality) -> Time {
         (**self).actual(cycle, action, q)
+    }
+}
+
+/// A one-entry cache for content an [`ExecutionTimeSource`] derives per
+/// key, typically `(cycle, unit)`.
+///
+/// The content models derive each unit (macroblock, request, packet) from
+/// a pure function of its key, and a unit's actions run back to back, so
+/// one entry serves every action after the first. A query under any other
+/// key re-derives and replaces the entry: results never depend on the
+/// order of queries.
+///
+/// # Examples
+///
+/// ```
+/// use sqm_core::controller::Memo;
+///
+/// let mut memo = Memo::new();
+/// let mut derived = 0;
+/// for (cycle, unit) in [(0, 1), (0, 1), (1, 1), (0, 1)] {
+///     memo.get((cycle, unit), || {
+///         derived += 1;
+///         cycle * 10 + unit
+///     });
+/// }
+/// assert_eq!(derived, 3, "only the repeat in a row is served from the memo");
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Memo<K, V> {
+    entry: Option<(K, V)>,
+}
+
+impl<K, V> Memo<K, V> {
+    /// An empty memo.
+    pub const fn new() -> Memo<K, V> {
+        Memo { entry: None }
+    }
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Memo<K, V> {
+        Memo::new()
+    }
+}
+
+impl<K: Copy + PartialEq, V: Copy> Memo<K, V> {
+    /// The value under `key`: the held one if `key` matches the entry,
+    /// otherwise `derive()`, which then becomes the entry.
+    #[inline]
+    pub fn get(&mut self, key: K, derive: impl FnOnce() -> V) -> V {
+        match self.entry {
+            Some((k, v)) if k == key => v,
+            _ => {
+                let v = derive();
+                self.entry = Some((key, v));
+                v
+            }
+        }
     }
 }
 

@@ -20,11 +20,11 @@
 //! downgrades exactly the requests whose SLO is at risk.
 
 use crate::ladder::{InferLadder, InferRung};
-use crate::request::{Request, SyntheticRequests};
+use crate::request::{Request, SyntheticRequests, TenantBias};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_core::action::{ActionId, ActionInfo, DeadlineMap};
-use sqm_core::controller::ExecutionTimeSource;
+use sqm_core::controller::{ExecutionTimeSource, Memo};
 use sqm_core::error::BuildError;
 use sqm_core::quality::Quality;
 use sqm_core::system::ParameterizedSystem;
@@ -230,6 +230,8 @@ impl InferConfig {
 pub struct InferPipeline {
     config: InferConfig,
     requests: SyntheticRequests,
+    /// Every tenant's biases, derived once ([`SyntheticRequests::bias_table`]).
+    biases: Vec<TenantBias>,
     ladder: InferLadder,
     system: ParameterizedSystem,
 }
@@ -284,6 +286,7 @@ impl InferPipeline {
         Ok(InferPipeline {
             config,
             requests,
+            biases: requests.bias_table(),
             ladder,
             system,
         })
@@ -337,6 +340,21 @@ impl InferPipeline {
             rng: StdRng::seed_from_u64(seed),
             jitter,
             batch: BatchState::default(),
+            shift: Memo::new(),
+            slot: Memo::new(),
+        }
+    }
+
+    /// Phase-specific complexity of a request relative to the calibration
+    /// average: prefill scales with prompt size discounted by prefix-cache
+    /// hits, decode with answer verbosity.
+    fn complexity(&self, phase: InferPhase, req: &Request) -> f64 {
+        match phase {
+            InferPhase::Prefill => {
+                let size = f64::from(req.prompt_tokens) / f64::from(self.config.prompt_tokens);
+                ((0.3 + 0.7 * size) * (1.0 - 0.5 * req.cache_hit)).clamp(0.2, 2.0)
+            }
+            InferPhase::Decode => (0.55 + 0.5 * req.verbosity).clamp(0.2, 2.0),
         }
     }
 }
@@ -384,28 +402,27 @@ impl BatchState {
 /// admitted depth of the batch so far replaces the rung's static
 /// expectation. Raising any co-batched request's admission depth can only
 /// lengthen a decode, never shorten it.
+///
+/// A slot's request is a pure function of `(cycle, slot)`, and its
+/// prefill and decode share it. The source derives the cycle's tenant
+/// rotation once per cycle, reads tenant biases from the pipeline's
+/// table, and derives both phase complexities of a slot once, in
+/// [`Memo`]s keyed on the cycle and on `(cycle, slot)`: any query order,
+/// revisits of earlier cycles included, reads what a fresh derivation
+/// would. The [`BatchState`] and the jitter's one RNG draw per call
+/// follow the call sequence as before.
 pub struct BatchCoupledExec<'a> {
     infer: &'a InferPipeline,
     rng: StdRng,
     jitter: f64,
     batch: BatchState,
+    /// The tenant rotation, keyed on the cycle.
+    shift: Memo<usize, u64>,
+    /// A slot's `[prefill, decode]` complexities, keyed on `(cycle, slot)`.
+    slot: Memo<(usize, usize), [f64; 2]>,
 }
 
 impl BatchCoupledExec<'_> {
-    /// Phase-specific complexity of a request relative to the calibration
-    /// average: prefill scales with prompt size discounted by prefix-cache
-    /// hits, decode with answer verbosity.
-    fn complexity(&self, phase: InferPhase, req: &Request) -> f64 {
-        match phase {
-            InferPhase::Prefill => {
-                let size =
-                    f64::from(req.prompt_tokens) / f64::from(self.infer.config.prompt_tokens);
-                ((0.3 + 0.7 * size) * (1.0 - 0.5 * req.cache_hit)).clamp(0.2, 2.0)
-            }
-            InferPhase::Decode => (0.55 + 0.5 * req.verbosity).clamp(0.2, 2.0),
-        }
-    }
-
     /// The shared batch state (observational; tests and the fuzzer use it
     /// to cross-check the coupling arithmetic).
     pub fn batch(&self) -> BatchState {
@@ -422,7 +439,14 @@ impl ExecutionTimeSource for BatchCoupledExec<'_> {
         let infer = self.infer;
         let phase = infer.phase(action);
         let rung = infer.ladder.rung(q);
-        let req = infer.request(cycle, action);
+        let slot = infer.slot_of(action);
+        let shift = &mut self.shift;
+        let complexities = self.slot.get((cycle, slot), || {
+            let requests = &infer.requests;
+            let shift = shift.get(cycle, || requests.shift(cycle as u64));
+            let req = requests.request_in(cycle as u64, shift, slot, |t| infer.biases[t as usize]);
+            InferPhase::ALL.map(|p| infer.complexity(p, &req))
+        });
         let av = infer.system.table().av(action, q).as_ns() as f64;
         let wc = infer.system.table().wc(action, q);
         let coupling = match phase {
@@ -436,7 +460,7 @@ impl ExecutionTimeSource for BatchCoupledExec<'_> {
                 coupling_factor(self.batch.mean_depth()) / coupling_factor(rung.batch_depth as f64)
             }
         };
-        let complexity = self.complexity(phase, &req);
+        let complexity = complexities[phase.kind() as usize];
         let jitter = 1.0 + self.rng.gen_range(-self.jitter..=self.jitter);
         let ns = (av * coupling * complexity * jitter).round() as i64;
         Time::from_ns(ns.max(0)).min(wc)
@@ -446,6 +470,7 @@ impl ExecutionTimeSource for BatchCoupledExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sqm_core::controller::OverheadModel;
     use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
@@ -619,5 +644,97 @@ mod tests {
             "SLO budget converted into quality, got {}",
             summary.avg_quality()
         );
+    }
+
+    /// Query sequences of the kind a replay may issue: runs of actions in
+    /// any cycle (earlier cycles revisited), entered at any action or
+    /// where the previous run stopped, each step repeating (0), advancing
+    /// (1) or skipping ahead (2, 3).
+    fn query_runs(
+        n_actions: usize,
+        n_quality: u8,
+    ) -> impl Strategy<Value = Vec<(usize, ActionId, Quality)>> {
+        let run = (
+            0usize..12,
+            proptest::option::of(0..n_actions),
+            proptest::collection::vec((0usize..4, 0..n_quality), 1..2 * n_actions),
+        );
+        proptest::collection::vec(run, 1..8).prop_map(move |runs| {
+            let mut out = Vec::new();
+            let mut last = 0;
+            for (cycle, start, steps) in runs {
+                let mut action = start.unwrap_or(last);
+                for (step, q) in steps {
+                    if action >= n_actions {
+                        break;
+                    }
+                    out.push((cycle, action, Quality::new(q)));
+                    last = action;
+                    action += step;
+                }
+            }
+            out
+        })
+    }
+
+    /// What `BatchCoupledExec::actual` returns, derived without memos:
+    /// the slot's request comes afresh from `SyntheticRequests::request`
+    /// on every query, against a batch state of its own.
+    fn fresh_actual(
+        infer: &InferPipeline,
+        rng: &mut StdRng,
+        batch: &mut BatchState,
+        jitter: f64,
+        (cycle, action, q): (usize, ActionId, Quality),
+    ) -> Time {
+        if action == 0 {
+            batch.reset();
+        }
+        let phase = infer.phase(action);
+        let rung = infer.ladder().rung(q);
+        let req = infer
+            .requests()
+            .request(cycle as u64, infer.slot_of(action));
+        let av = infer.system().table().av(action, q).as_ns() as f64;
+        let wc = infer.system().table().wc(action, q);
+        let coupling = match phase {
+            InferPhase::Prefill => {
+                batch.admit(rung.batch_depth);
+                1.0
+            }
+            InferPhase::Decode => {
+                coupling_factor(batch.mean_depth()) / coupling_factor(rung.batch_depth as f64)
+            }
+        };
+        let complexity = infer.complexity(phase, &req);
+        let jitter = 1.0 + rng.gen_range(-jitter..=jitter);
+        let ns = (av * coupling * complexity * jitter).round() as i64;
+        Time::from_ns(ns.max(0)).min(wc)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The per-cycle and per-slot memos are invisible: every query of
+        /// any sequence returns exactly what a fresh derivation with an
+        /// identically seeded RNG returns, and leaves the same batch
+        /// state behind.
+        #[test]
+        fn memoized_exec_matches_fresh_derivation(
+            queries in query_runs(8, 5),
+            seed in any::<u64>(),
+        ) {
+            let infer = InferPipeline::new(InferConfig::tiny(5)).unwrap();
+            prop_assert_eq!(infer.system().n_actions(), 8);
+            let mut exec = infer.exec(0.1, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut batch = BatchState::default();
+            for (i, &(cycle, action, q)) in queries.iter().enumerate() {
+                let query = (cycle, action, q);
+                let fresh = fresh_actual(&infer, &mut rng, &mut batch, 0.1, query);
+                prop_assert_eq!(exec.actual(cycle, action, q), fresh, "query {}: {:?}", i, query);
+                prop_assert_eq!(exec.batch(), batch, "query {}: {:?}", i, query);
+            }
+        }
     }
 }

@@ -21,6 +21,18 @@ pub struct Request {
     pub cache_hit: f64,
 }
 
+/// A tenant's stable request biases: prompt length and verbosity factors,
+/// and its prefix-cache affinity.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TenantBias {
+    /// Prompt-length factor in `[0.4, 1.8]` of the nominal prompt.
+    prompt: f64,
+    /// Verbosity centre in `[0.5, 1.5]`.
+    verbosity: f64,
+    /// Prefix-cache hit centre in `[0.0, 0.8]`.
+    cache: f64,
+}
+
 /// splitmix64 — tiny, seedable, and good enough for workload synthesis.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -67,12 +79,36 @@ impl SyntheticRequests {
         }
     }
 
-    /// Which tenant occupies batch `slot` in `cycle`. The phase shift per
-    /// cycle rotates tenants through slots so every slot sees the whole
-    /// population over time.
+    /// The tenant rotation of `cycle`: a per-cycle phase shift rotates
+    /// tenants through slots so every slot sees the whole population over
+    /// time.
+    pub(crate) fn shift(&self, cycle: u64) -> u64 {
+        splitmix64(self.seed ^ cycle.wrapping_mul(0x517c_c1b7_2722_0a95))
+    }
+
+    /// Which tenant occupies batch `slot` in `cycle`.
     pub fn tenant_of(&self, cycle: u64, slot: usize) -> u32 {
-        let shift = splitmix64(self.seed ^ cycle.wrapping_mul(0x517c_c1b7_2722_0a95));
+        self.tenant_in(self.shift(cycle), slot)
+    }
+
+    /// Which tenant occupies batch `slot` under the rotation `shift`.
+    fn tenant_in(&self, shift: u64, slot: usize) -> u32 {
         ((slot as u64).wrapping_add(shift) % self.n_tenants as u64) as u32
+    }
+
+    /// The stable biases of `tenant` (a chatty tenant stays chatty).
+    fn tenant_bias(&self, tenant: u32) -> TenantBias {
+        let tkey = self.seed ^ (tenant as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
+        TenantBias {
+            prompt: 0.4 + 1.4 * unit(tkey ^ 0x01),
+            verbosity: 0.5 + 1.0 * unit(tkey ^ 0x02),
+            cache: 0.8 * unit(tkey ^ 0x03),
+        }
+    }
+
+    /// Every tenant's biases, indexed by tenant.
+    pub(crate) fn bias_table(&self) -> Vec<TenantBias> {
+        (0..self.n_tenants).map(|t| self.tenant_bias(t)).collect()
     }
 
     /// The request occupying batch `slot` in `cycle`.
@@ -81,26 +117,37 @@ impl SyntheticRequests {
     /// chatty); a per-(cycle, slot) wobble keeps individual requests
     /// distinct.
     pub fn request(&self, cycle: u64, slot: usize) -> Request {
-        let tenant = self.tenant_of(cycle, slot);
-        let tkey = self.seed ^ (tenant as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
-        // Stable tenant biases.
-        let prompt_bias = 0.4 + 1.4 * unit(tkey ^ 0x01);
-        let verbosity_bias = 0.5 + 1.0 * unit(tkey ^ 0x02);
-        let cache_bias = 0.8 * unit(tkey ^ 0x03);
+        self.request_in(cycle, self.shift(cycle), slot, |t| self.tenant_bias(t))
+    }
+
+    /// The request occupying batch `slot` in `cycle`, given the cycle's
+    /// rotation `shift` (from [`SyntheticRequests::shift`]) and a lookup
+    /// of tenant biases (from [`SyntheticRequests::tenant_bias`]):
+    /// [`SyntheticRequests::request`] with both derived elsewhere, so a
+    /// caller can derive them once per cycle and once per tenant.
+    pub(crate) fn request_in(
+        &self,
+        cycle: u64,
+        shift: u64,
+        slot: usize,
+        bias: impl FnOnce(u32) -> TenantBias,
+    ) -> Request {
+        let tenant = self.tenant_in(shift, slot);
+        let bias = bias(tenant);
         // Per-request wobble.
         let rkey = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ cycle.wrapping_mul(0xff51_afd7_ed55_8ccd)
             ^ (slot as u64).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
         let wobble = 0.7 + 0.6 * unit(rkey ^ 0x11);
         let nominal = self.nominal_prompt as f64;
-        let prompt_tokens = (nominal * prompt_bias * wobble)
+        let prompt_tokens = (nominal * bias.prompt * wobble)
             .round()
             .clamp(8.0, 4.0 * nominal) as u32;
         Request {
             tenant,
             prompt_tokens,
-            verbosity: (verbosity_bias + 0.1 * (unit(rkey ^ 0x12) - 0.5)).clamp(0.5, 1.5),
-            cache_hit: (cache_bias + 0.1 * (unit(rkey ^ 0x13) - 0.5)).clamp(0.0, 0.8),
+            verbosity: (bias.verbosity + 0.1 * (unit(rkey ^ 0x12) - 0.5)).clamp(0.5, 1.5),
+            cache_hit: (bias.cache + 0.1 * (unit(rkey ^ 0x13) - 0.5)).clamp(0.0, 0.8),
         }
     }
 

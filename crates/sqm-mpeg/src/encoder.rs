@@ -14,11 +14,12 @@
 //! (Fig. 7's average levels hover between 3.5 and 4.5). Worst cases are
 //! 2–2.2× the averages; feasibility at `qmin` holds with ~30 % margin.
 
-use crate::video::SyntheticVideo;
+use crate::gop::{FrameKind, GopPattern};
+use crate::video::{blend, FrameStats, SyntheticVideo};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_core::action::{ActionId, ActionInfo, DeadlineMap};
-use sqm_core::controller::ExecutionTimeSource;
+use sqm_core::controller::{ExecutionTimeSource, Memo};
 use sqm_core::error::BuildError;
 use sqm_core::quality::Quality;
 use sqm_core::system::ParameterizedSystem;
@@ -226,6 +227,8 @@ impl MpegEncoder {
             jitter,
             burst: None,
             gop: None,
+            frame: Memo::new(),
+            mb: Memo::new(),
         }
     }
 
@@ -284,6 +287,15 @@ impl MpegEncoder {
 }
 
 /// Content-driven execution-time source for an [`MpegEncoder`].
+///
+/// A macroblock's content is a pure function of `(cycle, mb)`: the frame
+/// is `cycle` modulo the clip length, and texture and motion derive from
+/// the frame and the macroblock alone. The source therefore derives each
+/// frame's statistics and GOP kind once per cycle and each macroblock's
+/// `(texture, motion)` once for its three actions, in [`Memo`]s keyed on
+/// the cycle and on `(cycle, mb)`. Any query order, revisits of earlier
+/// cycles included, reads what a fresh derivation would; only the
+/// jitter's one RNG draw per call depends on the call sequence.
 pub struct EncoderExec<'a> {
     encoder: &'a MpegEncoder,
     rng: StdRng,
@@ -293,7 +305,11 @@ pub struct EncoderExec<'a> {
     /// produce a mid-frame hot region.
     burst: Option<(usize, usize, f64)>,
     /// Optional GOP structure modulating per-stage costs by frame kind.
-    gop: Option<crate::gop::GopPattern>,
+    gop: Option<GopPattern>,
+    /// The frame's statistics and GOP kind, keyed on the cycle.
+    frame: Memo<usize, (FrameStats, Option<FrameKind>)>,
+    /// A macroblock's `(texture, motion)`, keyed on `(cycle, mb)`.
+    mb: Memo<(usize, usize), (f64, f64)>,
 }
 
 impl EncoderExec<'_> {
@@ -305,8 +321,10 @@ impl EncoderExec<'_> {
 
     /// Modulate stage costs with a GOP pattern (I-frames skip motion
     /// search, code denser residuals).
-    pub fn with_gop(mut self, gop: crate::gop::GopPattern) -> Self {
+    pub fn with_gop(mut self, gop: GopPattern) -> Self {
         self.gop = Some(gop);
+        // The frame memo holds the GOP kind: drop any derived without it.
+        self.frame = Memo::new();
         self
     }
 }
@@ -314,15 +332,24 @@ impl EncoderExec<'_> {
 impl ExecutionTimeSource for EncoderExec<'_> {
     fn actual(&mut self, cycle: usize, action: ActionId, q: Quality) -> Time {
         let enc = self.encoder;
-        let frame = cycle % enc.video.frames.max(1);
+        let video = &enc.video;
+        let gop = &self.gop;
+        let (stats, kind) = self.frame.get(cycle, || {
+            let frame = cycle % video.frames.max(1);
+            (
+                video.frame_stats(frame),
+                gop.as_ref().map(|g| g.kind(frame)),
+            )
+        });
         let stage = enc.stage(action);
         let av = enc.system.table().av(action, q).as_ns() as f64;
         let wc = enc.system.table().wc(action, q);
         let complexity = match enc.macroblock(action) {
             None => 1.0,
             Some(mb) => {
+                let (t, m) = self.mb.get((cycle, mb), || video.content(&stats, mb));
                 let (tw, mw) = stage.weights();
-                let mut c = enc.video.complexity(frame, mb, tw.max(1e-9), mw);
+                let mut c = blend(t, m, tw.max(1e-9), mw);
                 if let Some((lo, hi, f)) = self.burst {
                     if (lo..=hi).contains(&mb) {
                         c *= f;
@@ -331,10 +358,7 @@ impl ExecutionTimeSource for EncoderExec<'_> {
                 c
             }
         };
-        let gop_factor = self
-            .gop
-            .as_ref()
-            .map_or(1.0, |g| g.stage_factor(frame, stage));
+        let gop_factor = kind.map_or(1.0, |k| k.stage_factor(stage));
         let jitter = 1.0 + self.rng.gen_range(-self.jitter..=self.jitter);
         let ns = (av * complexity * gop_factor * jitter).round() as i64;
         Time::from_ns(ns.max(0)).min(wc)
@@ -344,6 +368,7 @@ impl ExecutionTimeSource for EncoderExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sqm_core::policy::MixedPolicy;
 
     #[test]
@@ -456,6 +481,102 @@ mod tests {
                 assert!(stage.av_ns(q) >= stage.av_ns(q - 1));
                 assert!(stage.wc_ns(q) >= stage.wc_ns(q - 1));
                 assert!(stage.wc_ns(q) >= stage.av_ns(q));
+            }
+        }
+    }
+
+    /// Query sequences of the kind a replay may issue: runs of actions in
+    /// any cycle (earlier cycles revisited), entered at any action or
+    /// where the previous run stopped, each step repeating (0), advancing
+    /// (1) or skipping ahead (2, 3).
+    fn query_runs(n_actions: usize) -> impl Strategy<Value = Vec<(usize, ActionId, Quality)>> {
+        let run = (
+            0usize..12,
+            proptest::option::of(0..n_actions),
+            proptest::collection::vec((0usize..4, 0u8..7), 1..2 * n_actions),
+        );
+        proptest::collection::vec(run, 1..8).prop_map(move |runs| {
+            let mut out = Vec::new();
+            let mut last = 0;
+            for (cycle, start, steps) in runs {
+                let mut action = start.unwrap_or(last);
+                for (step, q) in steps {
+                    if action >= n_actions {
+                        break;
+                    }
+                    out.push((cycle, action, Quality::new(q)));
+                    last = action;
+                    action += step;
+                }
+            }
+            out
+        })
+    }
+
+    /// What `EncoderExec::actual` returns, derived without memos: the
+    /// macroblock's complexity comes afresh from
+    /// `SyntheticVideo::complexity` on every query.
+    fn fresh_actual(
+        enc: &MpegEncoder,
+        rng: &mut StdRng,
+        jitter: f64,
+        burst: Option<(usize, usize, f64)>,
+        gop: Option<&GopPattern>,
+        (cycle, action, q): (usize, ActionId, Quality),
+    ) -> Time {
+        let frame = cycle % enc.video().frames.max(1);
+        let stage = enc.stage(action);
+        let av = enc.system().table().av(action, q).as_ns() as f64;
+        let wc = enc.system().table().wc(action, q);
+        let complexity = match enc.macroblock(action) {
+            None => 1.0,
+            Some(mb) => {
+                let (tw, mw) = stage.weights();
+                let mut c = enc.video().complexity(frame, mb, tw.max(1e-9), mw);
+                if let Some((lo, hi, f)) = burst {
+                    if (lo..=hi).contains(&mb) {
+                        c *= f;
+                    }
+                }
+                c
+            }
+        };
+        let gop_factor = gop.map_or(1.0, |g| g.stage_factor(frame, stage));
+        let jitter = 1.0 + rng.gen_range(-jitter..=jitter);
+        let ns = (av * complexity * gop_factor * jitter).round() as i64;
+        Time::from_ns(ns.max(0)).min(wc)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The per-cycle and per-macroblock memos are invisible: every
+        /// query of any sequence returns exactly what a fresh derivation
+        /// with an identically seeded RNG returns, with and without the
+        /// burst and the GOP layer.
+        #[test]
+        fn memoized_exec_matches_fresh_derivation(
+            queries in query_runs(37),
+            seed in any::<u64>(),
+            with_burst in any::<bool>(),
+            with_gop in any::<bool>(),
+        ) {
+            let enc = MpegEncoder::new(EncoderConfig::tiny(5)).unwrap();
+            prop_assert_eq!(enc.system().n_actions(), 37);
+            let burst = with_burst.then_some((3, 7, 1.45));
+            let gop = with_gop.then(|| GopPattern::ippp(2));
+            let mut exec = enc.exec(0.1, seed);
+            if let Some((lo, hi, f)) = burst {
+                exec = exec.with_burst(lo, hi, f);
+            }
+            if let Some(g) = &gop {
+                exec = exec.with_gop(g.clone());
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (i, &(cycle, action, q)) in queries.iter().enumerate() {
+                let query = (cycle, action, q);
+                let fresh = fresh_actual(&enc, &mut rng, 0.1, burst, gop.as_ref(), query);
+                prop_assert_eq!(exec.actual(cycle, action, q), fresh, "query {}: {:?}", i, query);
             }
         }
     }

@@ -59,16 +59,7 @@ impl GopPattern {
     /// kind. Multipliers stay within the worst-case headroom of the timing
     /// tables (≤ 1.35), so the `C ≤ Cwc` contract survives after clamping.
     pub fn stage_factor(&self, frame: usize, stage: Stage) -> f64 {
-        match (self.kind(frame), stage) {
-            // Intra: motion estimation degenerates to a cheap intra-mode
-            // decision; transform/entropy carry full-energy blocks.
-            (FrameKind::I, Stage::MotionEst) => 0.30,
-            (FrameKind::I, Stage::DctQuant) => 1.30,
-            (FrameKind::I, Stage::Entropy) => 1.35,
-            (FrameKind::I, Stage::FrameSetup) => 1.0,
-            // Predicted: nominal costs.
-            (FrameKind::P, _) => 1.0,
-        }
+        self.kind(frame).stage_factor(stage)
     }
 
     /// Bit-cost multiplier of a frame kind (I-frames code more bits at the
@@ -77,6 +68,23 @@ impl GopPattern {
         match self.kind(frame) {
             FrameKind::I => 1.45,
             FrameKind::P => 1.0,
+        }
+    }
+}
+
+impl FrameKind {
+    /// Execution-time multiplier for a pipeline stage on a frame of this
+    /// kind (see [`GopPattern::stage_factor`]).
+    pub(crate) fn stage_factor(self, stage: Stage) -> f64 {
+        match (self, stage) {
+            // Intra: motion estimation degenerates to a cheap intra-mode
+            // decision; transform/entropy carry full-energy blocks.
+            (FrameKind::I, Stage::MotionEst) => 0.30,
+            (FrameKind::I, Stage::DctQuant) => 1.30,
+            (FrameKind::I, Stage::Entropy) => 1.35,
+            (FrameKind::I, Stage::FrameSetup) => 1.0,
+            // Predicted: nominal costs.
+            (FrameKind::P, _) => 1.0,
         }
     }
 }

@@ -70,42 +70,50 @@ impl SyntheticVideo {
         self.width / 16
     }
 
-    fn scene(&self, frame: usize) -> u64 {
-        (frame / self.scene_len) as u64
-    }
-
-    /// Scene-level statistics: `(texture_bias, motion_bias)` in `[0, 1]`.
-    fn scene_stats(&self, frame: usize) -> (f64, f64) {
-        let s = self.scene(frame);
-        (
-            unit(self.seed ^ s.wrapping_mul(0x517C_C1B7_2722_0A95)),
-            unit(self.seed ^ s.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xABCD),
-        )
+    /// The statistics every macroblock of `frame` shares.
+    pub(crate) fn frame_stats(&self, frame: usize) -> FrameStats {
+        let scene = (frame / self.scene_len) as u64;
+        FrameStats {
+            frame,
+            scene,
+            texture_bias: unit(self.seed ^ scene.wrapping_mul(0x517C_C1B7_2722_0A95)),
+            motion_bias: unit(self.seed ^ scene.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0xABCD),
+            // Scene cut / intra frame: no usable reference, the encoder
+            // falls back to intra coding whose cost we fold into texture.
+            intra: frame == 0 || frame.is_multiple_of(self.scene_len),
+        }
     }
 
     /// Texture energy of a macroblock in `[0, 1]`: how much spatial detail
     /// its pixels carry. Smooth across neighbouring macroblocks.
     pub fn texture(&self, frame: usize, mb: usize) -> f64 {
-        let (bias, _) = self.scene_stats(frame);
-        let col = (mb % self.mb_cols()) as u64;
-        let row = (mb / self.mb_cols()) as u64;
-        // Low-frequency spatial field + per-block detail.
-        let field = unit(self.seed ^ self.scene(frame) ^ (col / 4) << 17 ^ (row / 4) << 31);
-        let detail = unit(self.seed ^ (frame as u64) << 40 ^ (mb as u64));
-        (0.5 * bias + 0.35 * field + 0.15 * detail).clamp(0.0, 1.0)
+        self.content(&self.frame_stats(frame), mb).0
     }
 
     /// Motion magnitude of a macroblock in `[0, 1]`: how far its content
     /// moved since the previous frame. Frame 0 (intra) has zero motion.
     pub fn motion(&self, frame: usize, mb: usize) -> f64 {
-        if frame == 0 || frame.is_multiple_of(self.scene_len) {
-            // Scene cut / intra frame: no usable reference, the encoder
-            // falls back to intra coding whose cost we fold into texture.
-            return 0.0;
-        }
-        let (_, bias) = self.scene_stats(frame);
-        let wobble = unit(self.seed ^ (frame as u64) << 20 ^ (mb as u64) << 2 ^ 0x77);
-        (0.6 * bias + 0.4 * wobble).clamp(0.0, 1.0)
+        self.content(&self.frame_stats(frame), mb).1
+    }
+
+    /// `(texture, motion)` of macroblock `mb` in the frame `stats`
+    /// (from [`SyntheticVideo::frame_stats`]) describes: the one place
+    /// both formulas live.
+    pub(crate) fn content(&self, stats: &FrameStats, mb: usize) -> (f64, f64) {
+        let frame = stats.frame as u64;
+        let col = (mb % self.mb_cols()) as u64;
+        let row = (mb / self.mb_cols()) as u64;
+        // Low-frequency spatial field + per-block detail.
+        let field = unit(self.seed ^ stats.scene ^ (col / 4) << 17 ^ (row / 4) << 31);
+        let detail = unit(self.seed ^ frame << 40 ^ (mb as u64));
+        let texture = (0.5 * stats.texture_bias + 0.35 * field + 0.15 * detail).clamp(0.0, 1.0);
+        let motion = if stats.intra {
+            0.0
+        } else {
+            let wobble = unit(self.seed ^ frame << 20 ^ (mb as u64) << 2 ^ 0x77);
+            (0.6 * stats.motion_bias + 0.4 * wobble).clamp(0.0, 1.0)
+        };
+        (texture, motion)
     }
 
     /// One 8×8 luma block of a macroblock (`sub ∈ 0..4`), as pixel values.
@@ -137,11 +145,27 @@ impl SyntheticVideo {
     /// weighted for the pipeline stage: the result multiplies the stage's
     /// *average* execution time and lands in roughly `[0.55, 1.65]`.
     pub fn complexity(&self, frame: usize, mb: usize, texture_w: f64, motion_w: f64) -> f64 {
-        let t = self.texture(frame, mb);
-        let m = self.motion(frame, mb);
-        let mix = (texture_w * t + motion_w * m) / (texture_w + motion_w).max(1e-9);
-        0.55 + 1.1 * mix
+        let (t, m) = self.content(&self.frame_stats(frame), mb);
+        blend(t, m, texture_w, motion_w)
     }
+}
+
+/// The statistics all macroblocks of one frame share: its scene's texture
+/// and motion biases and whether it is coded intra.
+#[derive(Clone, Copy)]
+pub(crate) struct FrameStats {
+    frame: usize,
+    scene: u64,
+    texture_bias: f64,
+    motion_bias: f64,
+    intra: bool,
+}
+
+/// The complexity factor [`SyntheticVideo::complexity`] makes of a
+/// macroblock's `(texture, motion)` under a stage's weights.
+pub(crate) fn blend(texture: f64, motion: f64, texture_w: f64, motion_w: f64) -> f64 {
+    let mix = (texture_w * texture + motion_w * motion) / (texture_w + motion_w).max(1e-9);
+    0.55 + 1.1 * mix
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::packet::{Packet, SyntheticTraffic};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqm_core::action::{ActionId, ActionInfo, DeadlineMap};
-use sqm_core::controller::ExecutionTimeSource;
+use sqm_core::controller::{ExecutionTimeSource, Memo};
 use sqm_core::error::BuildError;
 use sqm_core::quality::Quality;
 use sqm_core::system::ParameterizedSystem;
@@ -251,26 +251,16 @@ impl NetPipeline {
             net: self,
             rng: StdRng::seed_from_u64(seed),
             jitter,
+            packet: Memo::new(),
         }
     }
-}
 
-/// Execution-time source for a [`NetPipeline`]: actual times are the stage
-/// averages scaled by the packet's content complexity (size, protocol,
-/// entropy) and ±`jitter` sampling noise, clamped to the worst case.
-pub struct NetExec<'a> {
-    net: &'a NetPipeline,
-    rng: StdRng,
-    jitter: f64,
-}
-
-impl NetExec<'_> {
     /// Stage-specific complexity of a packet relative to the calibration
     /// average: parse/DPI/crypto scale with size (and protocol for
     /// parse), compression additionally with payload entropy (hard-to-
     /// compress payloads make the entropy coder work).
     fn complexity(&self, stage: NetStage, pkt: &Packet) -> f64 {
-        let size = pkt.bytes as f64 / self.net.config.avg_packet_bytes as f64;
+        let size = pkt.bytes as f64 / self.config.avg_packet_bytes as f64;
         let c = match stage {
             NetStage::Parse => 0.7 + 0.3 * size * pkt.proto.parse_weight() / 1.15,
             NetStage::Dpi => 0.5 + 0.5 * size,
@@ -281,13 +271,34 @@ impl NetExec<'_> {
     }
 }
 
+/// Execution-time source for a [`NetPipeline`]: actual times are the stage
+/// averages scaled by the packet's content complexity (size, protocol,
+/// entropy) and ±`jitter` sampling noise, clamped to the worst case.
+///
+/// A packet is a pure function of `(cycle, packet)` ([`SyntheticTraffic`]
+/// is stateless), and its four actions run back to back. The source
+/// derives the packet and its four stage complexities once, in a [`Memo`]
+/// keyed on `(cycle, packet)`: any query order, revisits of earlier
+/// cycles included, reads what a fresh derivation would, and only the
+/// jitter's one RNG draw per call depends on the call sequence.
+pub struct NetExec<'a> {
+    net: &'a NetPipeline,
+    rng: StdRng,
+    jitter: f64,
+    /// A packet's per-stage complexities, keyed on `(cycle, packet)`.
+    packet: Memo<(usize, usize), [f64; 4]>,
+}
+
 impl ExecutionTimeSource for NetExec<'_> {
     fn actual(&mut self, cycle: usize, action: ActionId, q: Quality) -> Time {
         let net = self.net;
-        let pkt = net.packet(cycle, action);
+        let complexities = self.packet.get((cycle, net.packet_of(action)), || {
+            let pkt = net.packet(cycle, action);
+            NetStage::ALL.map(|stage| net.complexity(stage, &pkt))
+        });
         let av = net.system.table().av(action, q).as_ns() as f64;
         let wc = net.system.table().wc(action, q);
-        let complexity = self.complexity(net.stage(action), &pkt);
+        let complexity = complexities[net.stage(action).kind() as usize];
         let jitter = 1.0 + self.rng.gen_range(-self.jitter..=self.jitter);
         let ns = (av * complexity * jitter).round() as i64;
         Time::from_ns(ns.max(0)).min(wc)
@@ -394,6 +405,7 @@ mod kernels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sqm_core::controller::OverheadModel;
     use sqm_core::engine::{Engine, NullSink};
     use sqm_core::manager::NumericManager;
@@ -515,5 +527,76 @@ mod tests {
         assert!(mid <= stored, "rate monotone: {mid} > {stored}");
         assert!(top <= mid, "rate monotone: {top} > {mid}");
         assert!(top > 0);
+    }
+
+    /// Query sequences of the kind a replay may issue: runs of actions in
+    /// any cycle (earlier cycles revisited), entered at any action or
+    /// where the previous run stopped, each step repeating (0), advancing
+    /// (1) or skipping ahead (2, 3).
+    fn query_runs(
+        n_actions: usize,
+        n_quality: u8,
+    ) -> impl Strategy<Value = Vec<(usize, ActionId, Quality)>> {
+        let run = (
+            0usize..12,
+            proptest::option::of(0..n_actions),
+            proptest::collection::vec((0usize..4, 0..n_quality), 1..2 * n_actions),
+        );
+        proptest::collection::vec(run, 1..8).prop_map(move |runs| {
+            let mut out = Vec::new();
+            let mut last = 0;
+            for (cycle, start, steps) in runs {
+                let mut action = start.unwrap_or(last);
+                for (step, q) in steps {
+                    if action >= n_actions {
+                        break;
+                    }
+                    out.push((cycle, action, Quality::new(q)));
+                    last = action;
+                    action += step;
+                }
+            }
+            out
+        })
+    }
+
+    /// What `NetExec::actual` returns, derived without memos: the packet
+    /// comes afresh from `SyntheticTraffic::packet` on every query.
+    fn fresh_actual(
+        net: &NetPipeline,
+        rng: &mut StdRng,
+        jitter: f64,
+        (cycle, action, q): (usize, ActionId, Quality),
+    ) -> Time {
+        let pkt = net.traffic().packet(cycle, net.packet_of(action));
+        let av = net.system().table().av(action, q).as_ns() as f64;
+        let wc = net.system().table().wc(action, q);
+        let complexity = net.complexity(net.stage(action), &pkt);
+        let jitter = 1.0 + rng.gen_range(-jitter..=jitter);
+        let ns = (av * complexity * jitter).round() as i64;
+        Time::from_ns(ns.max(0)).min(wc)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The per-packet memo is invisible: every query of any sequence
+        /// returns exactly what a fresh derivation with an identically
+        /// seeded RNG returns.
+        #[test]
+        fn memoized_exec_matches_fresh_derivation(
+            queries in query_runs(32, 5),
+            seed in any::<u64>(),
+        ) {
+            let net = NetPipeline::new(NetConfig::tiny(5)).unwrap();
+            prop_assert_eq!(net.system().n_actions(), 32);
+            let mut exec = net.exec(0.1, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for (i, &(cycle, action, q)) in queries.iter().enumerate() {
+                let query = (cycle, action, q);
+                let fresh = fresh_actual(&net, &mut rng, 0.1, query);
+                prop_assert_eq!(exec.actual(cycle, action, q), fresh, "query {}: {:?}", i, query);
+            }
+        }
     }
 }
